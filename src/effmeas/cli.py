@@ -137,14 +137,35 @@ _NLIST = re.compile(r"^\d+(\.\.\d+)?(,\d+(\.\.\d+)?)*$")
 
 
 def _parse_nlist(token: str) -> list[int]:
+    if not _NLIST.match(token):
+        raise ParseError(1, f"bad N-list {token!r} (want e.g. 4, 1..8 or 1,3,5)")
     ns: list[int] = []
     for part in token.split(","):
         if ".." in part:
             a, b = part.split("..")
+            if int(a) > int(b):
+                raise ParseError(1, f"empty N-range {part!r} in N-list {token!r}")
             ns.extend(range(int(a), int(b) + 1))
         else:
             ns.append(int(part))
     return ns
+
+
+def _nonnegative(flag: str, value: int) -> int:
+    if value < 0:
+        raise ParseError(1, f"{flag} must be nonnegative, got {value}")
+    return value
+
+
+def _load_certificate(path: str, Ns: list[int]) -> Modulus:
+    """The modulus in ``path``, which must answer every precision in ``Ns``."""
+    mod = parse_modulus(_read(path))
+    for N in Ns:
+        try:
+            mod.of(N)
+        except ContractViolation as exc:
+            raise ParseError(1, f"certificate {path}: {exc}") from None
+    return mod
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +173,7 @@ def _parse_nlist(token: str) -> list[int]:
 
 
 def cmd_prokhorov(args) -> int:
+    _nonnegative("--precision", args.precision)
     a = _resolve_measure(args.file_a)
     b = _resolve_measure(args.file_b)
     if isinstance(a, DiscreteMeasure) and isinstance(b, DiscreteMeasure):
@@ -166,6 +188,7 @@ def cmd_prokhorov(args) -> int:
 
 
 def cmd_demo_specker(args) -> int:
+    _nonnegative("--fuel", args.fuel)
     if args.enum and os.path.exists(args.enum):
         from .convergence import specker_sequence
 
@@ -207,8 +230,8 @@ def _verify_integral_rows(report, values, limit_val, mod, Ns, window):
 
 
 def cmd_verify(args) -> int:
-    Ns = args.ns or list(range(1, 7))
-    window = args.fuel
+    Ns = args.ns if args.ns is not None else list(range(1, 7))
+    window = _nonnegative("--fuel", args.fuel)
     report = Report()
     corpus = None
     if args.seq.startswith("specker"):
@@ -219,7 +242,7 @@ def cmd_verify(args) -> int:
         seq = corpus.seq
     limit = _resolve_measure(args.limit)
 
-    cert_mod = parse_modulus(_read(args.certificate)) if args.certificate else None
+    cert_mod = _load_certificate(args.certificate, Ns) if args.certificate else None
     construct = args.construct or cert_mod is None
 
     if args.mode in ("weak", "vague", "vague-to-weak"):
@@ -344,16 +367,16 @@ def main(argv=None) -> int:
     bad = [t for t in leftover if t.startswith("-")]
     if bad or (leftover and args.fn is not cmd_verify):
         parser.error(f"unrecognized arguments: {' '.join(leftover)}")
-    if args.fn is cmd_verify:
-        args.extras = list(args.extras) + leftover
-        args.function = None
-        args.ns = _parse_nlist(args.precision) if args.precision else None
-        for token in args.extras:
-            if _NLIST.match(token):
-                args.ns = _parse_nlist(token)
-            else:
-                args.function = token
     try:
+        if args.fn is cmd_verify:
+            args.extras = list(args.extras) + leftover
+            args.function = None
+            args.ns = _parse_nlist(args.precision) if args.precision else None
+            for token in args.extras:
+                if _NLIST.match(token):
+                    args.ns = _parse_nlist(token)
+                else:
+                    args.function = token
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -78,7 +78,9 @@ class Modulus:
                 return table[N]
             usable = [i for k, i in table.items() if k >= N]
             if not usable:
-                raise KeyError(f"no table entry usable for precision {N}")
+                raise ContractViolation(
+                    f"no table entry usable for precision {N}", witness=N
+                )
             return min(usable)
 
         return cls(fn)

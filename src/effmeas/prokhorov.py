@@ -9,7 +9,7 @@ convergence data and Prokhorov convergence data.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -23,7 +23,7 @@ from .measures import (
     PolyDensityMeasure,
     almost_decidable_cover,
 )
-from .reals import _pow2
+from .reals import RationalLike, _pow2
 from .sets import PiSet, expand_closed
 
 
@@ -38,77 +38,34 @@ NOT_IN_CUT = "not in cut yet"
 # exact distance on finite discrete measures
 
 
-def _max_flow(n_nodes: int, capacity: dict, source: int, sink: int) -> Fraction:
-    """Edmonds-Karp on exact rational capacities."""
-    adj: dict[int, list[int]] = {i: [] for i in range(n_nodes)}
-    cap = dict(capacity)
-    for (u, v) in list(cap):
-        adj[u].append(v)
-        adj[v].append(u)
-        cap.setdefault((v, u), Fraction(0))
-    flow = Fraction(0)
-    while True:
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and cap.get((u, v), Fraction(0)) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return flow
-        path = []
-        v = sink
-        while v != source:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= push
-            cap[(e[1], e[0])] = cap.get((e[1], e[0]), Fraction(0)) + push
-        flow += push
-
-
 def _direction_deficit(
-    src: Sequence[tuple[Fraction, Fraction]],
-    dst: Sequence[tuple[Fraction, Fraction]],
-    threshold: Fraction,
-) -> Fraction:
+    src: Sequence[tuple[RationalLike, RationalLike]],
+    dst: Sequence[tuple[RationalLike, RationalLike]],
+    threshold: RationalLike,
+) -> RationalLike:
     """sup over atom sets S of src-mass(S) - dst-mass(neighbors of S).
 
-    Neighborhood uses |x - y| <= threshold.  Equals total - maxflow by
-    minimax duality for the bipartite transport relaxation.
+    Neighborhoods are closed, |x - y| <= threshold, and both atom lists are
+    sorted by location.  Each source neighborhood is then a window of
+    destinations whose two ends only move right, so the greedy transport
+    that fills every source from the leftmost destination with capacity
+    left is a maximum flow; the mass it cannot place is the Hall deficit.
+    Works on any ordered exact numbers (``int`` on the lattice).
     """
-    if not src:
-        return Fraction(0)
-    # Source atoms with the same adjacency set are interchangeable; merge
-    # them so the flow network stays small on fine discretization grids.
-    groups: dict[tuple[int, ...], Fraction] = {}
+    left = [v for _, v in dst]
+    j = 0
+    unplaced = 0
     for x, w in src:
-        sig = tuple(j for j, (y, _) in enumerate(dst) if abs(x - y) <= threshold)
-        groups[sig] = groups.get(sig, Fraction(0)) + w
-    isolated = groups.pop((), Fraction(0))
-    sigs = list(groups)
-    # The same merge applies to destination atoms seen from the groups.
-    incident: dict[tuple[int, ...], Fraction] = {}
-    back = {j: tuple(i for i, sig in enumerate(sigs) if j in sig) for j in range(len(dst))}
-    for j, (_, v) in enumerate(dst):
-        if back[j]:
-            incident[back[j]] = incident.get(back[j], Fraction(0)) + v
-    dsig = list(incident)
-    ns, nd = len(sigs), len(dsig)
-    total = sum(groups.values(), Fraction(0))
-    source, sink = ns + nd, ns + nd + 1
-    cap: dict[tuple[int, int], Fraction] = {}
-    big = total + sum(incident.values(), Fraction(0)) + 1
-    for i, sig in enumerate(sigs):
-        cap[(source, i)] = groups[sig]
-    for j, ds in enumerate(dsig):
-        for i in ds:
-            cap[(i, ns + j)] = big
-        cap[(ns + j, sink)] = incident[ds]
-    return isolated + total - _max_flow(ns + nd + 2, cap, source, sink)
+        while j < len(dst) and (dst[j][0] < x - threshold or not left[j]):
+            j += 1
+        k = j
+        while w and k < len(dst) and dst[k][0] <= x + threshold:
+            take = min(w, left[k])
+            left[k] -= take
+            w -= take
+            k += 1
+        unplaced += w
+    return unplaced
 
 
 def _critical_thresholds(
@@ -145,50 +102,57 @@ def _infimum_over_levels(
     return best
 
 
-def _infimum_by_bisection(
-    a: Sequence[tuple[Fraction, Fraction]],
-    b: Sequence[tuple[Fraction, Fraction]],
-    deficit: Callable[..., Fraction],
-) -> Fraction:
-    """Same infimum as :func:`_infimum_over_levels`, with O(log) deficits.
-
-    D_i is nonincreasing in the level while t_i is increasing, so the
-    predicate D_i <= t_i is monotone and max(D_i, t_i) is quasi-convex.
-    At the first crossing i* the candidate is t_(i*) (always valid); the
-    only other contender is D_(i*-1) when it fits below t_(i*).  Without a
-    crossing the minimum is the last deficit, valid since t_(last+1) is
-    unbounded.
-    """
-    ts = _critical_thresholds(a, b)
-
-    def d_at(i: int) -> Fraction:
-        return max(deficit(a, b, ts[i]), deficit(b, a, ts[i]))
-
-    lo, hi = 0, len(ts)  # smallest i with D_i <= t_i, or len(ts) if none
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if d_at(mid) <= ts[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo == len(ts):
-        return d_at(len(ts) - 1)
-    best = ts[lo]
-    if lo > 0:
-        prev = d_at(lo - 1)
-        if prev <= ts[lo]:
-            best = min(best, prev)
-    return best
+def _lattice(
+    atoms: Sequence[tuple[Fraction, Fraction]], lx: int, lw: int
+) -> list[tuple[int, int]]:
+    return [
+        (x.numerator * (lx // x.denominator), w.numerator * (lw // w.denominator))
+        for x, w in atoms
+    ]
 
 
 def prokhorov_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
     """Exact Prokhorov distance between finite discrete measures.
 
-    Deficits per adjacency level are computed by an exact max-flow; the
-    returned value is the infimum of the valid epsilons, which need not be
-    valid itself (the neighborhoods are open).
+    Locations are scaled by their least common denominator ``lx`` and
+    weights by theirs, ``lw``, so the whole search runs on ``int``: a level
+    ``T`` stands for ``T/lx``, a deficit ``D`` for ``D/lw``, and ``D <= t``
+    reads ``D*lx <= T*lw``.  Per level the deficit of each direction is a
+    greedy line transport (:func:`_direction_deficit`).  The returned value
+    is the infimum of the valid epsilons, which need not be valid itself
+    (the neighborhoods are open).
+
+    The critical levels are 0 and the distinct ``|x - y|``.  D_i is
+    nonincreasing in the level while t_i is increasing, so the predicate
+    D_i <= t_i is monotone and max(D_i, t_i) is quasi-convex; bisection
+    finds the first crossing i*.  There the candidate is t_(i*) (always
+    valid); the only other contender is D_(i*-1) when it fits below
+    t_(i*).  Without a crossing the minimum is the last deficit, valid
+    since t_(last+1) is unbounded.
     """
-    return _infimum_by_bisection(mu.atoms, nu.atoms, _direction_deficit)
+    atoms = mu.atoms + nu.atoms
+    lx = math.lcm(*(x.denominator for x, _ in atoms))
+    lw = math.lcm(*(w.denominator for _, w in atoms))
+    a, b = _lattice(mu.atoms, lx, lw), _lattice(nu.atoms, lx, lw)
+    ts = sorted({0, *(abs(x - y) for x, _ in a for y, _ in b)})
+
+    def d_at(i: int) -> int:
+        return max(_direction_deficit(a, b, ts[i]), _direction_deficit(b, a, ts[i]))
+
+    lo, hi = 0, len(ts)  # smallest i with D_i <= t_i, or len(ts) if none
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if d_at(mid) * lx <= ts[mid] * lw:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == len(ts):
+        return Fraction(d_at(lo - 1), lw)
+    if lo > 0:
+        prev = d_at(lo - 1)
+        if prev * lx < ts[lo] * lw:
+            return Fraction(prev, lw)
+    return Fraction(ts[lo], lx)
 
 
 def _brute_deficit(

@@ -15,9 +15,10 @@ right]`` pairs with ``left <= right`` (points allowed).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from . import codes
 from .errors import EmptyCompact, MalformedInterval
@@ -51,11 +52,12 @@ class RationalInterval:
 # exact geometry on component lists
 
 
-def _key(x: Optional[Fraction], sign: int) -> Fraction:
-    # None sorts as -inf on the left (sign -1) / +inf on the right (sign +1)
+def _key(x: Optional[Fraction], sign: int) -> Union[Fraction, float]:
+    # None sorts as -inf on the left (sign -1) / +inf on the right (sign +1);
+    # Fraction compares with float infinities exactly.
     if x is not None:
         return x
-    return Fraction(sign) * Fraction(10**30)
+    return sign * math.inf
 
 
 def merge_open(intervals: Sequence[OpenComp]) -> tuple[OpenComp, ...]:
@@ -70,7 +72,7 @@ def merge_open(intervals: Sequence[OpenComp]) -> tuple[OpenComp, ...]:
     for l, r in ivs:
         if out:
             pl, pr = out[-1]
-            if pr is None or (l is not None and l < pr):
+            if pr is None or l is None or l < pr:
                 if pr is not None and (r is None or r > pr):
                     out[-1] = (pl, r)
                 continue

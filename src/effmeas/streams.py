@@ -22,7 +22,8 @@ class Stream:
     The source is either a callable ``index -> value`` or an iterator.
     Elements are produced in order; an optional ``validate(index, prefix)``
     hook runs once when index ``i`` is first materialized (``prefix`` holds
-    elements ``0..i``).
+    elements ``0..i``).  A term the hook rejects never becomes readable: the
+    stream is poisoned and every later read re-raises the same error.
     """
 
     def __init__(self, source, validate: Callable[[int, list], None] | None = None):
@@ -32,12 +33,15 @@ class Stream:
             self._it = iter(source)
         self._memo: list = []
         self._validate = validate
+        self._error: Exception | None = None
         self._lock = threading.Lock()
 
     def __getitem__(self, n: int):
         if n < 0:
             raise IndexError("stream indices start at 0")
         with self._lock:
+            if self._error is not None:
+                raise self._error
             while len(self._memo) <= n:
                 try:
                     value = next(self._it)
@@ -47,8 +51,13 @@ class Stream:
                     ) from None
                 self._memo.append(value)
                 if self._validate is not None:
-                    self._validate(len(self._memo) - 1, self._memo)
-        return self._memo[n]
+                    try:
+                        self._validate(len(self._memo) - 1, self._memo)
+                    except Exception as exc:
+                        self._memo.pop()
+                        self._error = exc
+                        raise
+            return self._memo[n]
 
     def prefix(self, n: int) -> list:
         """Elements ``0..n-1``."""

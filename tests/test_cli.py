@@ -163,3 +163,40 @@ class TestVerify:
         )
         assert code == 0
         assert {int(r[0]) for r in rows_of(out)} == {2, 5}
+
+
+class TestFailClosed:
+    """Vacuous or out-of-range input ends in exit 3, never in a pass."""
+
+    def assert_parse_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("parse error:"), (code, out, err)
+        assert out == ""
+
+    def test_empty_nlist(self, capsys):
+        self.assert_parse_error(capsys, "verify", "weak", "deltashrink", "delta0", "hat", "5..2")
+        self.assert_parse_error(
+            capsys, "verify", "weak", "deltashrink", "delta0", "hat", "--precision", "1,5..2"
+        )
+
+    def test_malformed_precision_nlist(self, capsys):
+        self.assert_parse_error(
+            capsys, "verify", "weak", "deltashrink", "delta0", "hat", "--precision", "x"
+        )
+
+    def test_negative_fuel(self, capsys):
+        self.assert_parse_error(capsys, "demo", "specker", "--fuel", "-1")
+        self.assert_parse_error(
+            capsys, "verify", "weak", "deltashrink", "delta0", "hat", "2", "--fuel", "-1"
+        )
+
+    def test_negative_precision(self, capsys):
+        self.assert_parse_error(capsys, "prokhorov", "delta0", "halfhalf", "--precision", "-1")
+
+    def test_certificate_without_usable_row(self, capsys, tmp_path):
+        cert = tmp_path / "short.modulus"
+        cert.write_text("modulus\n1 3\n")
+        self.assert_parse_error(
+            capsys, "verify", "weak", "deltashrink", "delta0", "hat", "1..5",
+            "--certificate", str(cert),
+        )

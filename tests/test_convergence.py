@@ -52,7 +52,7 @@ class TestModulus:
         m = Modulus.from_table({2: 5, 4: 9})
         assert m.of(4) == 9
         assert m.of(3) == 9  # falls back to a deeper entry
-        with pytest.raises(KeyError):
+        with pytest.raises(ContractViolation):
             m.of(6)
 
     def test_memoized(self):

@@ -1,9 +1,10 @@
 """Exact Prokhorov distances and the two converter directions."""
 
-import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from effmeas import (
     DiscreteMeasure,
@@ -18,6 +19,9 @@ from effmeas.errors import UnsupportedMeasureClass
 from effmeas.prokhorov import (
     EpsFunction,
     NOT_IN_CUT,
+    _brute_deficit,
+    _critical_thresholds,
+    _direction_deficit,
     assemble_limsup_witness,
     brute_force_valid,
     eps_from_weak,
@@ -30,6 +34,29 @@ from tests.conftest import rand_discrete
 
 def delta(x) -> DiscreteMeasure:
     return DiscreteMeasure.point(Fraction(x))
+
+
+# Pairwise coprime denominators make the common lattice of locations and
+# that of weights as fine as they get for a handful of atoms.
+COPRIME = (1, 2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def measure_pairs(draw):
+    """Two measures of at most 6 atoms each, drawn from one location pool.
+
+    Either measure may be empty, total masses differ freely, and a location
+    drawn by both is an atom the two measures share.
+    """
+    loc = st.builds(Fraction, st.integers(-40, 40), st.sampled_from(COPRIME))
+    weight = st.builds(Fraction, st.integers(1, 12), st.sampled_from(COPRIME))
+    pool = draw(st.lists(loc, min_size=1, max_size=8, unique=True))
+
+    def measure() -> DiscreteMeasure:
+        chosen = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+        return DiscreteMeasure(tuple((x, draw(weight)) for x in chosen))
+
+    return measure(), measure()
 
 
 class TestProkhorovDiscrete:
@@ -63,6 +90,20 @@ class TestProkhorovDiscrete:
             mu, nu = rand_discrete(rng), rand_discrete(rng)
             assert prokhorov_discrete(mu, nu) == prokhorov_discrete_bruteforce(mu, nu)
 
+    @settings(max_examples=200, deadline=None)
+    @given(measure_pairs())
+    def test_matches_bruteforce_property(self, pair):
+        mu, nu = pair
+        assert prokhorov_discrete(mu, nu) == prokhorov_discrete_bruteforce(mu, nu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(measure_pairs())
+    def test_greedy_deficit_matches_bruteforce_at_every_level(self, pair):
+        mu, nu = pair
+        for t in _critical_thresholds(mu.atoms, nu.atoms):
+            for src, dst in ((mu.atoms, nu.atoms), (nu.atoms, mu.atoms)):
+                assert _direction_deficit(src, dst, t) == _brute_deficit(src, dst, t)
+
     def test_metric_axioms_on_random_triples(self, rng):
         for _ in range(25):
             mu, nu, la = (rand_discrete(rng) for _ in range(3))
@@ -89,6 +130,15 @@ class TestProkhorovBounds:
         lo, hi = prokhorov_bounds(u, delta(Fraction(1, 2)), 4)
         assert hi - lo <= _pow2(4)
         assert lo <= Fraction(1, 3) <= hi
+
+    def test_shifted_uniform_at_fine_grid(self):
+        # 1024 cell atoms per side; the exact distance of a 1/8 shift is 1/16
+        u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
+        v = PolyDensityMeasure.uniform(Fraction(1, 8), Fraction(9, 8))
+        t0 = time.perf_counter()
+        lo, hi = prokhorov_bounds(u, v, 8)
+        assert time.perf_counter() - t0 < 20
+        assert lo <= Fraction(1, 16) <= hi and hi - lo <= _pow2(8)
 
     def test_fine_grid_oracle_agreement(self):
         u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))

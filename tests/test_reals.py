@@ -33,6 +33,14 @@ class TestCauchyNames:
         with pytest.raises(NameViolation, match="name violation at index 0"):
             x.approx(1)
 
+    def test_rejected_name_stays_rejected(self):
+        x = make_cauchy(iter([0, 5, 5, 5]))
+        for _ in range(2):
+            with pytest.raises(NameViolation, match="name violation at index 0"):
+                x.approx(1)
+        with pytest.raises(NameViolation):
+            x.approx(0)
+
     def test_wobbly_name_is_legal(self):
         x = wobbly(Fraction(1, 3))
         for n in range(10):

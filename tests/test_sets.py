@@ -47,6 +47,20 @@ class TestMergeGeometry:
             (Fraction(1), Fraction(2)),
         )
 
+    def test_merge_open_orders_infinite_endpoints_exactly(self):
+        # the unbounded component sorts first however far left the other lies
+        far = -(10**31)
+        assert merge_open([(far, far + 1), (None, far - 5)]) == (
+            (None, far - 5),
+            (far, far + 1),
+        )
+
+    def test_merge_open_joins_left_unbounded(self):
+        assert merge_open([(None, Fraction(3)), (None, Fraction(5))]) == ((None, Fraction(5)),)
+        assert merge_open(
+            [(None, Fraction(3)), (None, None), (Fraction(2), None)]
+        ) == ((None, None),)
+
     def test_merge_closed_joins_touching(self):
         assert merge_closed(
             [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))]

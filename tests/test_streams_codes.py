@@ -55,6 +55,20 @@ class TestStream:
             s[2]
         assert seen == [0, 1, 2]
 
+    def test_rejected_term_poisons_the_stream(self):
+        def validate(i, prefix):
+            if prefix[i] < 0:
+                raise ValueError(f"negative at {i}")
+
+        s = Stream(iter([1, -2, 3]), validate=validate)
+        with pytest.raises(ValueError) as first:
+            s[1]
+        for n in (1, 0, 2):
+            with pytest.raises(ValueError) as again:
+                s[n]
+            assert again.value is first.value
+        assert s.pulled == 1
+
     def test_interleave_round_robin(self):
         it = interleave(iter("ab"), iter("xyz"))
         assert list(it) == ["a", "x", "b", "y", "z"]
