@@ -63,7 +63,6 @@ class Corpus:
     name: str
     seq: MeasureSeq
     limit: Measure
-    weakly_convergent: bool
     vague_oracle: Callable[[SupportedFunc], Modulus]
     weak_oracle: Optional[Callable] = None
     tm: Optional[TotalMassModulus] = None
@@ -127,7 +126,6 @@ def deltashrink() -> Corpus:
         name="deltashrink",
         seq=MeasureSeq(fam.member),
         limit=fam.limit(),
-        weakly_convergent=True,
         vague_oracle=fam.integral_oracle,
         weak_oracle=fam.integral_oracle,
         tm=TotalMassModulus.constant(0),
@@ -146,7 +144,6 @@ def mixture(
         name="mixture",
         seq=MeasureSeq(fam.member),
         limit=fam.limit(),
-        weakly_convergent=True,
         vague_oracle=fam.integral_oracle,
         weak_oracle=fam.integral_oracle,
         tm=TotalMassModulus.constant(0),
@@ -161,7 +158,6 @@ def deltadrift(loc: Fraction = Fraction(1)) -> Corpus:
         name="deltadrift",
         seq=MeasureSeq(fam.member),
         limit=fam.limit(),
-        weakly_convergent=True,
         vague_oracle=fam.integral_oracle,
         weak_oracle=fam.integral_oracle,
         tm=TotalMassModulus.constant(0),
@@ -190,7 +186,6 @@ def deltan() -> Corpus:
         name="deltan",
         seq=MeasureSeq(lambda n: DiscreteMeasure.point(Fraction(n))),
         limit=DiscreteMeasure.zero(),
-        weakly_convergent=False,
         vague_oracle=_deltan_vague_oracle,
         weak_oracle=None,
         tm=TotalMassModulus.constant(0),

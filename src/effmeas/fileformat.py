@@ -10,7 +10,6 @@ Measure files::
     0 0
     1/2 1
     1 0
-    tailbound 1/1024      # optional, lazy discrete only
 
 Function files::
 
@@ -20,9 +19,9 @@ Function files::
     5/2 0
 
 Certificate files are modulus tables (``modulus`` header, then ``N index``
-rows).  Enumeration files carry one natural number per line.  All numbers
-are exact rationals ``p/q`` or integers; serialization always emits
-reduced fractions.
+rows, at most one per N).  Enumeration files carry one natural number per
+line.  All numbers are exact rationals ``p/q`` or integers; serialization
+always emits reduced fractions.
 """
 
 from __future__ import annotations
@@ -147,9 +146,12 @@ def parse_modulus(text: str) -> Modulus:
         if len(parts) != 2:
             raise ParseError(line_no, f"expected '<N> <index>', got {line!r}")
         try:
-            table[int(parts[0])] = int(parts[1])
+            N, idx = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
+        if N in table:
+            raise ParseError(line_no, f"repeated modulus row for N = {N}")
+        table[N] = idx
     if not table:
         raise ParseError(rows[0][0], "modulus table has no rows")
     return Modulus.from_table(table)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from . import codes
 from .errors import InsufficientNameProgress, MalformedInterval
@@ -129,9 +129,6 @@ class PolyFunc:
 
     # -- algebra ----------------------------------------------------------
 
-    def _resampled(self, xs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(self(x) for x in xs)
-
     def combine(self, other: "PolyFunc", op: Callable[[Fraction, Fraction], Fraction]) -> "PolyFunc":
         xs = sorted(set(self.breakpoints()) | set(other.breakpoints()))
         ys = [op(self(x), other(x)) for x in xs]
@@ -155,10 +152,6 @@ class PolyFunc:
             tuple((x, c * y) for x, y in self.vertices),
             self.extension if c != 0 or self.extension == CONST else ZERO,
         )
-
-
-def poly_eval(p: PolyFunc, x) -> Fraction:
-    return p(x)
 
 
 def constant_func(c) -> PolyFunc:
@@ -249,13 +242,6 @@ class CompactOpenName:
 
     def value_box(self, x, tol) -> tuple[Fraction, Fraction]:
         return self.range_box(x, x, tol)
-
-    def pair_sound(self, I, J, tol=None) -> bool:
-        """Certify f[I] inside open J (decidable for exact-backed names)."""
-        (a, b), (jl, jr) = I, J
-        tol = Fraction(tol) if tol is not None else (Fraction(jr) - Fraction(jl)) / 8
-        lo, hi = self.range_box(a, b, tol)
-        return Fraction(jl) < lo and hi < Fraction(jr)
 
 
 def co_name_of_poly(p: PolyFunc) -> CompactOpenName:

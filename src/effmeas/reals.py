@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from .errors import MonotonicityViolation, NameViolation
 from .streams import Fuel, Stream
@@ -56,9 +56,6 @@ class CauchyReal:
 
     # Arithmetic.  Each operation shifts the precision of its inputs just
     # enough that the output gaps provably satisfy the name discipline.
-
-    def _shifted(self, k: int) -> Callable[[int], Fraction]:
-        return lambda n: self.approx(n + k)
 
     def __add__(self, other: "CauchyReal") -> "CauchyReal":
         return CauchyReal(lambda n: self.approx(n + 2) + other.approx(n + 2))
@@ -193,8 +190,3 @@ class UpperReal:
 
     def approx(self, fuel: Fuel) -> Fraction:
         return self._bounds[fuel.budget]
-
-
-def lower_real_approx(x: LowerReal, fuel: Fuel) -> Fraction:
-    """Best enumerated lower bound within fuel; nondecreasing in fuel."""
-    return x.approx(fuel)

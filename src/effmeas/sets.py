@@ -227,27 +227,6 @@ class SigmaSet:
             raise ValueError("no exact description; pull the enumeration instead")
         return open_contains_interval(self.components, Fraction(l), Fraction(r))
 
-    def enumerates_code(self, i: int) -> bool:
-        return self.enumerates_interval(*codes.decode_open_interval(i))
-
-
-def sigma_from_intervals(intervals) -> SigmaSet:
-    """SigmaSet for a finite union of rational open intervals."""
-    comps: list[OpenComp] = []
-    for iv in intervals:
-        if isinstance(iv, RationalInterval):
-            if iv.kind != "open":
-                raise MalformedInterval("sigma_from_intervals expects open intervals")
-            comps.append((iv.left, iv.right))
-        else:
-            l, r = iv
-            if not (l is None or r is None or Fraction(l) < Fraction(r)):
-                raise MalformedInterval(f"malformed open interval ({l}, {r})")
-            comps.append(
-                (None if l is None else Fraction(l), None if r is None else Fraction(r))
-            )
-    return SigmaSet.from_components(comps)
-
 
 class PiSet:
     """An effectively closed subset of R: a stream of avoided open intervals."""
@@ -277,9 +256,6 @@ class PiSet:
         return open_disjoint_from_closed(
             Fraction(l), Fraction(r), self.closed_components
         )
-
-    def avoids_code(self, i: int) -> bool:
-        return self.avoids_interval(*codes.decode_open_interval(i))
 
 
 def pi_from_complement(closed_intervals) -> PiSet:

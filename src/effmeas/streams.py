@@ -72,10 +72,6 @@ class Stream:
             return len(self._memo)
 
 
-def constant_stream(value) -> Stream:
-    return Stream(lambda _n: value)
-
-
 def interleave(*sources: Iterable) -> Iterator:
     """Round-robin over finitely many iterables, dropping exhausted ones."""
     iters = [iter(s) for s in sources]

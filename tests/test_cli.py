@@ -147,6 +147,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "weak", "deltan", "zero", "constant-one", "2")
         assert code == 2 and "diverg" in err.lower()
 
+    def test_vague_to_weak_divergence_exit_code(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "vague-to-weak", "deltan", "zero", "constant-one", "3"
+        )
+        assert code == 2 and "diverg" in err.lower()
+
+    @pytest.mark.parametrize("seq, limit", [("deltashrink", "delta0"), ("deltadrift", "delta1")])
+    def test_vague_to_weak_over_ten_precisions(self, capsys, seq, limit):
+        code, out, _ = run(capsys, "verify", "vague-to-weak", seq, limit, "constant-one", "1..10")
+        rows = rows_of(out)
+        assert code == 0
+        assert {int(r[0]) for r in rows} == set(range(1, 11))
+        assert all(r[-1] == "pass" for r in rows)
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
         code, out, _ = run(
@@ -198,5 +212,13 @@ class TestFailClosed:
         cert.write_text("modulus\n1 3\n")
         self.assert_parse_error(
             capsys, "verify", "weak", "deltashrink", "delta0", "hat", "1..5",
+            "--certificate", str(cert),
+        )
+
+    def test_certificate_with_repeated_row(self, capsys, tmp_path):
+        cert = tmp_path / "dup.modulus"
+        cert.write_text("modulus\n1 3\n1 5\n")
+        self.assert_parse_error(
+            capsys, "verify", "weak", "deltashrink", "delta0", "hat", "1",
             "--certificate", str(cert),
         )

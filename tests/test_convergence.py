@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from effmeas import (
     CauchyReal,
@@ -11,9 +12,12 @@ from effmeas import (
     DivergenceDetected,
     DuplicateEnumeration,
     Fuel,
+    LazyDiscreteMeasure,
+    Measure,
     MeasureSeq,
     Modulus,
     TotalMassModulus,
+    UnsupportedMeasureClass,
     check_modulus,
     complement_modulus,
     constant_func,
@@ -41,6 +45,48 @@ from effmeas.corpora import deltan, deltashrink, mixture
 from effmeas.functions import co_name_of_poly
 from effmeas.reals import _pow2
 from tests.conftest import rand_supported_poly
+
+
+def validate_total_mass_modulus_all_pairs(seq, tm, Ns, window):
+    """The all-pairs Cauchy check, kept as the oracle for the linear one."""
+    for N in Ns:
+        idx = tm.of(N)
+        masses = []
+        for n in range(idx, idx + window + 1):
+            m = seq[n].exact_total_mass()
+            if m is None:
+                raise UnsupportedMeasureClass("need exact member masses")
+            masses.append((n, m))
+        for (n1, m1) in masses:
+            for (n2, m2) in masses:
+                if abs(m1 - m2) >= _pow2(N - 1):
+                    raise ContractViolation(
+                        "total-mass modulus contract failure: "
+                        f"|mu_{n1}(R) - mu_{n2}(R)| = {abs(m1 - m2)} >= 2^-{N - 1}",
+                        witness=(N, n1, n2, abs(m1 - m2)),
+                    )
+
+
+class _MassOnly(Measure):
+    """A member that knows only its exact total mass (None: unknown)."""
+
+    def __init__(self, mass):
+        self.mass = mass
+
+    def exact_total_mass(self):
+        return self.mass
+
+
+def _outcome(check, masses, tm, Ns, window):
+    try:
+        check(MeasureSeq(lambda n: _MassOnly(masses[n])), tm, Ns, window)
+    except (ContractViolation, UnsupportedMeasureClass) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None
+
+
+# masses 1 + k/2^j straddle every threshold 2^-(N-1) for N <= 9, equality included
+_MASS = st.builds(lambda k, j: 1 + Fraction(k, 2**j), st.integers(-4, 4), st.integers(0, 10))
 
 
 HAT = hat_function(Fraction(0), Fraction(5, 4), Fraction(5, 2), Fraction(1))
@@ -220,6 +266,50 @@ class TestVagueToWeak:
         bad_tm = TotalMassModulus.constant(0)
         with pytest.raises(ContractViolation):
             validate_total_mass_modulus(seq, bad_tm, [3], 4)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        masses=st.lists(_MASS, min_size=24, max_size=24),
+        unknown_at=st.integers(0, 60),
+        Ns=st.lists(st.integers(-1, 9), max_size=4),
+        window=st.integers(-1, 12),
+        start=st.integers(0, 11),
+    )
+    def test_linear_check_matches_all_pairs(self, masses, unknown_at, Ns, window, start):
+        if unknown_at < len(masses):
+            masses[unknown_at] = None
+        tm = TotalMassModulus.constant(start)
+        assert _outcome(validate_total_mass_modulus, masses, tm, Ns, window) == _outcome(
+            validate_total_mass_modulus_all_pairs, masses, tm, Ns, window
+        )
+
+    def test_first_pair_in_window_order_reported(self):
+        # window 0..3 at N = 2 (threshold 1/2): n1 = 1 is the first mass that
+        # far from the max or min; n2 = 2 is the first mass that far from it,
+        # ahead of the max at n = 3
+        masses = [Fraction(1), Fraction(3, 4), Fraction(5, 4), Fraction(11, 8)]
+        seq = MeasureSeq(lambda n: _MassOnly(masses[n]))
+        with pytest.raises(ContractViolation) as e:
+            validate_total_mass_modulus(seq, TotalMassModulus.constant(0), [2], 3)
+        assert e.value.witness == (2, 1, 2, Fraction(1, 2))
+        assert str(e.value) == (
+            "total-mass modulus contract failure: |mu_1(R) - mu_2(R)| = 1/2 >= 2^-1"
+        )
+
+    def test_valid_total_mass_modulus_passes(self):
+        # masses 1 + 2^-n: of(N) = N bounds every window by 2^-N < 2^-(N-1)
+        seq = MeasureSeq(lambda n: DiscreteMeasure(((Fraction(0), 1 + _pow2(n)),)))
+        tm = TotalMassModulus(lambda N: N)
+        assert validate_total_mass_modulus(seq, tm, [1, 2, 4, 6], 40) is None
+
+    def test_lazy_members_unsupported(self):
+        seq = MeasureSeq(
+            lambda n: LazyDiscreteMeasure(
+                lambda i: (Fraction(i), _pow2(i + 1)), tail_bound=lambda k: _pow2(k + 1)
+            )
+        )
+        with pytest.raises(UnsupportedMeasureClass):
+            validate_total_mass_modulus(seq, TotalMassModulus.constant(0), [2], 4)
 
     def test_mass_escape_reported_as_divergence(self):
         dn = deltan()

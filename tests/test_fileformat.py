@@ -109,3 +109,11 @@ class TestEnumerationAndModulus:
         assert e.value.line_no == 2
         with pytest.raises(ParseError):
             parse_modulus("table\n2 5\n")
+
+    def test_modulus_rejects_repeated_row(self):
+        with pytest.raises(ParseError) as e:
+            parse_modulus("modulus\n1 3\n1 5\n")
+        assert e.value.line_no == 3
+        with pytest.raises(ParseError) as e:
+            parse_modulus("modulus\n# rows\n2 4\n1 3\n2 4\n")
+        assert e.value.line_no == 5
