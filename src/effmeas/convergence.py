@@ -401,7 +401,13 @@ def validate_total_mass_modulus(
     call, however many windows contain it.  A failing window reports the
     first pair in window order: the first n1 whose mass lies 2^-(N-1) or
     more from the window's max or min, then the first n2 that far from n1.
+    An empty ``Ns`` or a negative ``window`` would check nothing, so both
+    raise ``ValueError``.
     """
+    if not Ns:
+        raise ValueError("total-mass check needs at least one precision N")
+    if window < 0:
+        raise ValueError(f"total-mass check window must be nonnegative, got {window}")
     mass: dict[int, Fraction] = {}
     for N in Ns:
         idx = tm.of(N)

@@ -426,20 +426,61 @@ def _union_is_dense(a_comps, b_comps) -> bool:
     return all(r0 == l1 for (_, r0), (l1, _) in zip(comps, comps[1:]))
 
 
-def _sphere_is_null(mu: Measure, points: Sequence[Fraction]) -> bool:
+def _null_point_test(mu: Measure) -> Callable[[Fraction], bool]:
+    """x -> is {x} mu-null, dispatched on the measure class once."""
     if isinstance(mu, DiscreteMeasure):
-        locs = {loc for loc, _ in mu.atoms}
-        return all(x not in locs for x in points)
+        locs = frozenset(loc for loc, _ in mu.atoms)
+        return lambda x: x not in locs
     if isinstance(mu, PolyDensityMeasure):
-        return True
+        return lambda x: True
     if isinstance(mu, LazyDiscreteMeasure):
         pred = getattr(mu, "location_predicate", None)
         if pred is None:
             raise UnsupportedMeasureClass(
                 "lazy measure needs a location predicate for null spheres"
             )
-        return all(not pred(x) for x in points)
+        return lambda x: not pred(x)
     raise UnsupportedMeasureClass(f"unsupported measure class {type(mu).__name__}")
+
+
+_RADIUS_GRIDS = (4, 16, 64, 256, 1024, 4096)
+
+
+def _null_sphere_search(
+    mu: Measure, radius_bound: Fraction, min_radius: Fraction
+) -> Callable[[Fraction], Fraction]:
+    """center -> the first candidate radius whose sphere is mu-null.
+
+    The candidates (see :func:`almost_decidable_ball`) do not depend on the
+    center, so each grid is built once, on first use, and shared by every
+    center searched.
+    """
+    if not min_radius < radius_bound:
+        raise ValueError("need min_radius < radius_bound")
+    null = _null_point_test(mu)
+    span = radius_bound - min_radius
+    grids: list[list[Fraction]] = []
+
+    def radius(center: Fraction) -> Fraction:
+        for g, K in enumerate(_RADIUS_GRIDS):
+            if g == len(grids):
+                grids.append(
+                    [min_radius + span * Fraction(2 * i + 1, 2 * K) for i in range(K)]
+                )
+            for r in grids[g]:
+                if null(center - r) and null(center + r):
+                    return r
+        raise SearchExhausted("search exhausted: no null sphere found")
+
+    return radius
+
+
+def _ball_pair(mu: Measure, center: Fraction, r: Fraction) -> AlmostDecidablePair:
+    return AlmostDecidablePair(
+        U=SigmaSet.ball(center, r),
+        V=SigmaSet.ball_exterior(center, r),
+        for_measure=mu,
+    )
 
 
 def almost_decidable_ball(
@@ -452,22 +493,8 @@ def almost_decidable_ball(
     atoms, so the search succeeds for the concrete classes.
     """
     center = Fraction(center)
-    radius_bound = Fraction(radius_bound)
-    min_radius = Fraction(min_radius)
-    if not min_radius < radius_bound:
-        raise ValueError("need min_radius < radius_bound")
-    span = radius_bound - min_radius
-    for K in (4, 16, 64, 256, 1024, 4096):
-        for i in range(K):
-            r = min_radius + span * Fraction(2 * i + 1, 2 * K)
-            if _sphere_is_null(mu, (center - r, center + r)):
-                pair = AlmostDecidablePair(
-                    U=SigmaSet.ball(center, r),
-                    V=SigmaSet.ball_exterior(center, r),
-                    for_measure=mu,
-                )
-                return r, pair
-    raise SearchExhausted("search exhausted: no null sphere found")
+    r = _null_sphere_search(mu, Fraction(radius_bound), Fraction(min_radius))(center)
+    return r, _ball_pair(mu, center, r)
 
 
 def almost_decidable_cover(mu: Measure, s) -> Stream:
@@ -475,6 +502,8 @@ def almost_decidable_cover(mu: Measure, s) -> Stream:
 
     Centers walk the grid 0, s/2, -s/2, s, -s, ...; radii live in
     (s/4, 15s/16), so consecutive balls overlap and the union is all of R.
+    Ball j is the one ``almost_decidable_ball(mu, c_j, 15s/16, s/4)``
+    returns; one radius search serves every center.
     """
     s = Fraction(s)
     if s <= 0:
@@ -488,11 +517,9 @@ def almost_decidable_cover(mu: Measure, s) -> Stream:
             yield -j * pitch
 
     def pairs():
+        radius = _null_sphere_search(mu, s * Fraction(15, 16), s / 4)
         for c in centers():
-            _, pair = almost_decidable_ball(
-                mu, c, radius_bound=s * Fraction(15, 16), min_radius=s / 4
-            )
-            yield pair
+            yield _ball_pair(mu, c, radius(c))
 
     return Stream(pairs())
 

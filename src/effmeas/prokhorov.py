@@ -10,6 +10,7 @@ convergence data and Prokhorov convergence data.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -201,7 +202,7 @@ def brute_force_valid(
 
 
 # ---------------------------------------------------------------------------
-# bounds for mixed / density measures via grid discretization
+# bounds for density measures via grid discretization
 
 
 def _discretize(mu: Measure, pitch: Fraction) -> tuple[DiscreteMeasure, Fraction]:
@@ -243,31 +244,50 @@ def prokhorov_bounds(mu: Measure, nu: Measure, n: int) -> tuple[Fraction, Fracti
 # weak convergence => eps-function
 
 
-def _union_mass_gap_sup(
-    mu_n: DiscreteMeasure,
-    mu: DiscreteMeasure,
+def _ball_signatures(
     balls: Sequence[tuple[Fraction, Fraction]],
-) -> Fraction:
-    """sup over all unions A of the given open balls of |mu_n(A) - mu(A)|.
+) -> Callable[[Fraction], frozenset]:
+    """x -> frozenset of the indices j with balls[j] = (l, r), l < x < r.
 
-    Atoms are grouped by ball-membership signature; a hit-pattern of
-    signature classes is realizable iff every hit signature survives after
-    removing all indices touched by a miss signature.  The sup is then a
-    max over at most 2^(#classes) patterns, never 2^(#balls) unions.
+    A ball holding x has its left end in (x - w, x), w the widest ball in
+    the list, so two bisections over the left ends, sorted once, bound the
+    balls to test.
     """
-    classes: dict[frozenset, Fraction] = {}
+    order = sorted(range(len(balls)), key=lambda j: balls[j][0])
+    lefts = [balls[j][0] for j in order]
+    rights = [balls[j][1] for j in order]
+    width = max((r - l for l, r in balls), default=Fraction(0))
 
-    def add(x: Fraction, signed_w: Fraction):
-        sig = frozenset(
-            j for j, (l, r) in enumerate(balls) if l < x < r
-        )
+    def signature(x: Fraction) -> frozenset:
+        lo = bisect_right(lefts, x - width)
+        hi = bisect_left(lefts, x, lo)
+        return frozenset(order[k] for k in range(lo, hi) if x < rights[k])
+
+    return signature
+
+
+def _add_signature_classes(
+    classes: dict[frozenset, Fraction],
+    atoms: Sequence[tuple[Fraction, Fraction]],
+    signature: Callable[[Fraction], frozenset],
+    sign: int,
+) -> None:
+    """Add sign * weight of each atom to the class of its nonempty signature."""
+    for x, w in atoms:
+        sig = signature(x)
         if sig:
-            classes[sig] = classes.get(sig, Fraction(0)) + signed_w
+            classes[sig] = classes.get(sig, Fraction(0)) + sign * w
 
-    for x, w in mu_n.atoms:
-        add(x, w)
-    for x, w in mu.atoms:
-        add(x, -w)
+
+def _union_mass_gap_sup(classes: dict[frozenset, Fraction]) -> Fraction:
+    """sup over all unions A of the balls of |mu_n(A) - mu(A)|.
+
+    ``classes`` maps each nonempty ball-membership signature to the signed
+    mass mu_n - mu of the atoms that have it.  A hit-pattern of signature
+    classes is realizable iff every hit signature survives after removing
+    all indices touched by a miss signature.  The sup is then a max over at
+    most 2^(#classes) patterns, never 2^(#balls) unions.
+    """
     sigs = list(classes)
     best = Fraction(0)
     for mask in range(1 << len(sigs)):
@@ -297,8 +317,12 @@ def eps_from_weak(
 
     The supplied per-ball moduli must certify exact stability for the
     corpus (their index bounds the drift below every ball boundary), which
-    makes the per-ball maximum an upper bound for all unions; the scan
-    below then verifies the union bound exactly at every intermediate n.
+    makes the per-ball maximum an upper bound for all unions.  Their
+    largest index n_hi must be a natural number and its union sup must be
+    below the bound, or the modulus contract fails.  The scan then walks
+    down from n_hi and stops at the first member whose union sup reaches
+    the bound, so members below the returned index other than that one are
+    never read.
     """
     if not isinstance(limit, DiscreteMeasure):
         raise UnsupportedMeasureClass(
@@ -333,17 +357,29 @@ def eps_from_weak(
     balls = [p.U.components[0] for p in pulled[: k0 + 1]]
 
     n_hi = max(ad_modulus(p).of(N + 2) for p in pulled[: k0 + 1])
+    if n_hi < 0:
+        raise ContractViolation(
+            f"almost-decidable modulus gave the negative index {n_hi}",
+            witness=(N, n_hi),
+        )
     bound = _pow2(N + 2)
-    sups = [
-        _union_mass_gap_sup(seq[n], limit, balls) for n in range(n_hi + 1)
-    ]
-    if sups and sups[-1] >= bound:
+    signature = _ball_signatures(balls)
+    limit_classes: dict[frozenset, Fraction] = {}
+    _add_signature_classes(limit_classes, limit.atoms, signature, -1)
+
+    def sup_at(n: int) -> Fraction:
+        classes = dict(limit_classes)
+        _add_signature_classes(classes, seq[n].atoms, signature, 1)
+        return _union_mass_gap_sup(classes)
+
+    top = sup_at(n_hi)
+    if top >= bound:
         raise ContractViolation(
             "almost-decidable modulus contract failure at its own index",
-            witness=(N, n_hi, sups[-1]),
+            witness=(N, n_hi, top),
         )
     n0 = n_hi
-    while n0 > 0 and sups[n0 - 1] < bound:
+    while n0 > 0 and sup_at(n0 - 1) < bound:
         n0 -= 1
     return n0
 

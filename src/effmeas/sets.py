@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -175,33 +176,60 @@ def _safe_inner_exhaustion(comps) -> Iterator[tuple[Fraction, Fraction]]:
                 yield (l, r)
 
 
+# Guards the first build of a SigmaSet's enumeration stream, so concurrent
+# first readers share one stream.
+_LAZY_STREAM_LOCK = threading.Lock()
+
+
 class SigmaSet:
-    """An effectively open subset of R: a stream of open intervals inside it."""
+    """An effectively open subset of R: a stream of open intervals inside it.
+
+    The enumeration ``Stream`` is built on its first read: most exact sets
+    are only ever queried through ``components``.
+    """
 
     def __init__(self, enumeration, components: Sequence[OpenComp] | None = None):
-        self.components = merge_open(components) if components is not None else None
+        merged = merge_open(components) if components is not None else None
+        self._setup(lambda: enumeration, merged)
 
-        def check_inside(_i: int, prefix: list):
-            l, r = prefix[-1]
-            if self.components is not None and not open_contains_interval(
-                self.components, l, r
-            ):
-                raise MalformedInterval(
-                    f"enumerated interval ({l}, {r}) escapes the open set"
-                )
+    def _setup(self, source, components: tuple[OpenComp, ...] | None) -> None:
+        # ``components`` arrives merged; ``source()`` gives the enumeration.
+        self.components = components
+        self._source = source
+        self._stream: Stream | None = None
 
-        self.enumeration = Stream(enumeration, validate=check_inside)
+    @property
+    def enumeration(self) -> Stream:
+        if self._stream is None:
+            with _LAZY_STREAM_LOCK:
+                if self._stream is None:
+                    self._stream = Stream(self._source(), validate=self._check_inside)
+        return self._stream
+
+    def _check_inside(self, _i: int, prefix: list) -> None:
+        l, r = prefix[-1]
+        if self.components is not None and not open_contains_interval(
+            self.components, l, r
+        ):
+            raise MalformedInterval(
+                f"enumerated interval ({l}, {r}) escapes the open set"
+            )
 
     @classmethod
     def from_components(cls, comps: Sequence[OpenComp]) -> "SigmaSet":
         comps = merge_open(comps)
-        if not comps:
-            return cls(iter(()), components=())
-        stream = interleave(
-            _code_filtered(lambda l, r: open_contains_interval(comps, l, r)),
-            _safe_inner_exhaustion(comps),
-        )
-        return cls(stream, components=comps)
+
+        def source():
+            if not comps:
+                return iter(())
+            return interleave(
+                _code_filtered(lambda l, r: open_contains_interval(comps, l, r)),
+                _safe_inner_exhaustion(comps),
+            )
+
+        made = cls.__new__(cls)
+        made._setup(source, comps)
+        return made
 
     @classmethod
     def full_line(cls) -> "SigmaSet":

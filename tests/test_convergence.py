@@ -271,8 +271,8 @@ class TestVagueToWeak:
     @given(
         masses=st.lists(_MASS, min_size=24, max_size=24),
         unknown_at=st.integers(0, 60),
-        Ns=st.lists(st.integers(-1, 9), max_size=4),
-        window=st.integers(-1, 12),
+        Ns=st.lists(st.integers(-1, 9), min_size=1, max_size=4),
+        window=st.integers(0, 12),
         start=st.integers(0, 11),
     )
     def test_linear_check_matches_all_pairs(self, masses, unknown_at, Ns, window, start):
@@ -301,6 +301,13 @@ class TestVagueToWeak:
         seq = MeasureSeq(lambda n: DiscreteMeasure(((Fraction(0), 1 + _pow2(n)),)))
         tm = TotalMassModulus(lambda N: N)
         assert validate_total_mass_modulus(seq, tm, [1, 2, 4, 6], 40) is None
+
+    @pytest.mark.parametrize("Ns,window", [([], 4), ([2], -1), ([], -1)])
+    def test_vacuous_check_rejected(self, Ns, window):
+        # an empty N-list or a negative window would validate no member
+        seq = MeasureSeq(lambda n: _MassOnly(Fraction(n % 2)))
+        with pytest.raises(ValueError):
+            validate_total_mass_modulus(seq, TotalMassModulus.constant(0), Ns, window)
 
     def test_lazy_members_unsupported(self):
         seq = MeasureSeq(

@@ -179,6 +179,13 @@ class TestIntegrateNamed:
         assert total_mass_upper(mu) >= Fraction(3, 2)
 
 
+S = Fraction(1, 8)
+C1 = S / 2  # the cover's second centre
+# the four coarsest candidate radii are 43s/128, 65s/128, 87s/128, 109s/128
+ON_FIRST = (C1 + 43 * S / 128,)
+ON_ALL_FOUR = (C1 + 43 * S / 128, C1 - 65 * S / 128, C1 + 87 * S / 128, C1 - 109 * S / 128)
+
+
 class TestAlmostDecidable:
     def test_ball_avoids_atoms(self):
         mu = DiscreteMeasure(((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))))
@@ -206,6 +213,29 @@ class TestAlmostDecidable:
 
         merged = merge_open(balls)
         assert len(merged) == 1
+
+    @pytest.mark.parametrize(
+        "mu,radius_at_c1",
+        [
+            (DiscreteMeasure(tuple((x, Fraction(1)) for x in ON_FIRST)), 65 * S / 128),
+            # every coarse candidate is blocked, so the 16-radius grid runs
+            (DiscreteMeasure(tuple((x, Fraction(1)) for x in ON_ALL_FOUR)), 139 * S / 512),
+            (LazyDiscreteMeasure(lambda i: (ON_FIRST[0], _pow2(i + 1)),
+                                 location_predicate=lambda x: x == ON_FIRST[0]), 65 * S / 128),
+            (PolyDensityMeasure.uniform(Fraction(0), Fraction(1)), 43 * S / 128),
+        ],
+    )
+    def test_cover_balls_are_the_single_ball_searches(self, mu, radius_at_c1):
+        s = S
+        cover = almost_decidable_cover(mu, s)
+        centres = [Fraction(0)] + [k * sign * s / 2 for k in range(1, 32) for sign in (1, -1)]
+        for j, c in enumerate(centres[:64]):
+            r, pair = almost_decidable_ball(mu, c, 15 * s / 16, s / 4)
+            assert cover[j].U.components == pair.U.components == ((c - r, c + r),)
+            assert cover[j].V.components == pair.V.components
+            assert cover[j].for_measure is mu
+        l, r = cover[1].U.components[0]
+        assert (r - l) / 2 == radius_at_c1
 
     def test_mass_of_interval_lower(self):
         mu = DiscreteMeasure(((Fraction(1, 2), Fraction(1)),))

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effmeas import (
     DiscreteMeasure,
@@ -15,10 +15,17 @@ from effmeas import (
     prokhorov_discrete_bruteforce,
     witness_from_eps,
 )
-from effmeas.errors import UnsupportedMeasureClass
+from effmeas.convergence import MeasureSeq, Modulus
+from effmeas.errors import (
+    ContractViolation,
+    SearchExhausted,
+    UnsupportedMeasureClass,
+)
+from effmeas.measures import almost_decidable_cover
 from effmeas.prokhorov import (
     EpsFunction,
     NOT_IN_CUT,
+    _ball_signatures,
     _brute_deficit,
     _critical_thresholds,
     _direction_deficit,
@@ -27,7 +34,7 @@ from effmeas.prokhorov import (
     eps_from_weak,
     eps_function,
 )
-from effmeas.corpora import deltadrift, deltashrink, mixture
+from effmeas.corpora import DriftingAtomFamily, deltadrift, deltashrink, mixture
 from effmeas.reals import _pow2
 from tests.conftest import rand_discrete
 
@@ -149,19 +156,92 @@ class TestProkhorovBounds:
         assert hi10 - lo10 <= _pow2(10)
 
 
+def union_mass_gap_sup_all_balls(mu_n, mu, balls):
+    """Union-mass sup with every atom tested against every ball (oracle)."""
+    classes = {}
+
+    def add(x, signed_w):
+        sig = frozenset(j for j, (l, r) in enumerate(balls) if l < x < r)
+        if sig:
+            classes[sig] = classes.get(sig, Fraction(0)) + signed_w
+
+    for x, w in mu_n.atoms:
+        add(x, w)
+    for x, w in mu.atoms:
+        add(x, -w)
+    sigs = list(classes)
+    best = Fraction(0)
+    for mask in range(1 << len(sigs)):
+        hit = [sigs[i] for i in range(len(sigs)) if mask >> i & 1]
+        miss = [sigs[i] for i in range(len(sigs)) if not mask >> i & 1]
+        excluded = frozenset().union(*miss) if miss else frozenset()
+        if all(sig - excluded for sig in hit):
+            val = sum((classes[s] for s in hit), Fraction(0))
+            best = max(best, abs(val))
+    return best
+
+
+def eps_from_weak_all_members(seq, limit, ad_modulus, N, *, max_balls=1 << 16):
+    """eps_from_weak with the sup taken at every member 0..n_hi (oracle)."""
+    if not isinstance(limit, DiscreteMeasure):
+        raise UnsupportedMeasureClass("eps_from_weak requires a finite discrete limit")
+    cover = almost_decidable_cover(limit, _pow2(N + 3))
+    slack = _pow2(N + 2)
+    pulled = []
+    need = list(limit.atoms)
+    uncovered = limit.exact_total_mass()
+    j = 0
+    while uncovered > slack:
+        if j >= max_balls:
+            raise SearchExhausted("cover search exhausted within ball budget")
+        pulled.append(cover[j])
+        l, r = pulled[j].U.components[0]
+        uncovered -= sum((w for x, w in need if l < x < r), Fraction(0))
+        need = [(x, w) for x, w in need if not l < x < r]
+        j += 1
+    k0 = max(j - 1, 0)
+    while len(pulled) <= k0:
+        pulled.append(cover[len(pulled)])
+    balls = [p.U.components[0] for p in pulled[: k0 + 1]]
+    n_hi = max(ad_modulus(p).of(N + 2) for p in pulled[: k0 + 1])
+    bound = _pow2(N + 2)
+    sups = [union_mass_gap_sup_all_balls(seq[n], limit, balls) for n in range(n_hi + 1)]
+    if sups and sups[-1] >= bound:
+        raise ContractViolation(
+            "almost-decidable modulus contract failure at its own index",
+            witness=(N, n_hi, sups[-1]),
+        )
+    n0 = n_hi
+    while n0 > 0 and sups[n0 - 1] < bound:
+        n0 -= 1
+    return n0
+
+
+def _eps_outcome(eps, seq, limit, ad_modulus, N):
+    try:
+        return eps(seq, limit, ad_modulus, N)
+    except (ContractViolation, SearchExhausted, UnsupportedMeasureClass) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@st.composite
+def drifting_families(draw):
+    """1-4 atoms at mixed-denominator locations in [-1, 1], drift 0 or 1."""
+    loc = st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 3, 5, 7)))
+    # dyadic weights let a union sup land exactly on the bound 2^-(N+2)
+    weight = st.builds(Fraction, st.integers(1, 6), st.sampled_from((1, 3, 4, 8, 16, 32)))
+    locs = draw(st.lists(loc.filter(lambda x: abs(x) <= 1), min_size=1, max_size=4, unique=True))
+    return DriftingAtomFamily([(x, draw(weight), draw(st.integers(0, 1))) for x in locs])
+
+
 class TestEpsFromWeak:
     def test_constant_sequence_gives_zero(self):
-        from effmeas import MeasureSeq
-        from effmeas.corpora import DriftingAtomFamily
-
         fam = DriftingAtomFamily([(Fraction(0), Fraction(1), 0)])
-        from effmeas.convergence import MeasureSeq
-
         seq = MeasureSeq(fam.member)
         for N in (1, 4):
             assert eps_from_weak(seq, fam.limit(), fam.ad_modulus, N) == 0
 
-    @pytest.mark.parametrize("make,N_top", [(deltashrink, 8), (mixture, 6)])
+    @pytest.mark.parametrize("make,N_top", [(deltashrink, 8), (mixture, 6), (mixture, 8)])
     def test_contract_on_corpora(self, make, N_top):
         c = make()
         eps = eps_function(c.seq, c.limit, c.ad_modulus)
@@ -169,6 +249,50 @@ class TestEpsFromWeak:
             idx = eps.of(N)
             for n in range(idx, idx + 8):
                 assert prokhorov_discrete(c.seq[n], c.limit) < _pow2(N)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fam=drifting_families(), N=st.integers(1, 4), cut=st.integers(0, 4))
+    # the union sup of a member equals the bound 2^-(N+2) exactly
+    @example(fam=DriftingAtomFamily([(Fraction(0), Fraction(1, 8), 1)]), N=1, cut=0)
+    @example(
+        fam=DriftingAtomFamily([(Fraction(0), Fraction(1, 16), 1), (Fraction(1, 3), Fraction(1), 0)]),
+        N=2,
+        cut=1,
+    )
+    def test_matches_all_member_oracle(self, fam, N, cut):
+        seq = MeasureSeq(fam.member)
+        # the family's own modulus, one ``cut`` indices too small, and the
+        # constant ``cut``, which is too small for most drifting families
+        short = lambda p: Modulus.constant(max(fam.ad_modulus(p).of(N + 2) - cut, 0))
+        for ad in (fam.ad_modulus, short, lambda p: Modulus.constant(cut)):
+            assert _eps_outcome(eps_from_weak, seq, fam.limit(), ad, N) == _eps_outcome(
+                eps_from_weak_all_members, seq, fam.limit(), ad, N
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        balls=st.lists(
+            st.tuples(
+                st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 7))),
+                st.builds(Fraction, st.integers(1, 60), st.sampled_from((1, 2, 5, 8))),
+            ).map(lambda cr: (cr[0] - cr[1], cr[0] + cr[1])),
+            max_size=12,
+        ),
+        xs=st.lists(st.builds(Fraction, st.integers(-60, 60), st.sampled_from((1, 2, 4, 7))), max_size=8),
+    )
+    def test_bisected_signatures_match_scan(self, balls, xs):
+        signature = _ball_signatures(balls)
+        # ball ends are probed too: the balls are open
+        for x in xs + [e for b in balls for e in b]:
+            assert signature(x) == frozenset(
+                j for j, (l, r) in enumerate(balls) if l < x < r
+            )
+
+    def test_negative_modulus_index_rejected(self):
+        c = mixture()
+        with pytest.raises(ContractViolation) as e:
+            eps_from_weak(c.seq, c.limit, lambda p: Modulus.constant(-3), 2)
+        assert e.value.witness == (2, -3)
 
     def test_requires_discrete_limit(self):
         c = deltashrink()
