@@ -10,6 +10,7 @@ bound is supplied.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -497,31 +498,75 @@ def almost_decidable_ball(
     return r, _ball_pair(mu, center, r)
 
 
+def _walk_step(j: int) -> int:
+    """The k of the j-th cover centre k*pitch in the walk 0, 1, -1, 2, -2, ..."""
+    return (j + 1) // 2 if j % 2 else -(j // 2)
+
+
+def _walk_place(k: int) -> int:
+    """Place in the walk of the centre k*pitch; inverse of :func:`_walk_step`."""
+    return 2 * k - 1 if k > 0 else -2 * k
+
+
+def _cover_search(mu: Measure, s: Fraction) -> tuple[Fraction, Callable[[Fraction], Fraction]]:
+    """(pitch, center -> radius) of the cover of radius below s."""
+    return s / 2, _null_sphere_search(mu, s * Fraction(15, 16), s / 4)
+
+
 def almost_decidable_cover(mu: Measure, s) -> Stream:
     """An open cover of R by mu-almost decidable balls with radius < s.
 
     Centers walk the grid 0, s/2, -s/2, s, -s, ...; radii live in
     (s/4, 15s/16), so consecutive balls overlap and the union is all of R.
     Ball j is the one ``almost_decidable_ball(mu, c_j, 15s/16, s/4)``
-    returns; one radius search serves every center.
+    returns; one radius search serves every center.  This is the paper's
+    enumeration of a basis of almost decidable balls; reaching a point x
+    takes about 4|x|/s balls, so callers that only need the balls holding
+    given points use :func:`first_cover_balls`, which finds the same balls
+    directly.
     """
     s = Fraction(s)
     if s <= 0:
         raise ValueError("s must be positive")
-    pitch = s / 2
-
-    def centers():
-        yield Fraction(0)
-        for j in itertools.count(1):
-            yield j * pitch
-            yield -j * pitch
 
     def pairs():
-        radius = _null_sphere_search(mu, s * Fraction(15, 16), s / 4)
-        for c in centers():
+        pitch, radius = _cover_search(mu, s)
+        for j in itertools.count():
+            c = _walk_step(j) * pitch
             yield _ball_pair(mu, c, radius(c))
 
     return Stream(pairs())
+
+
+def first_cover_balls(
+    mu: Measure, s, points: Sequence[Fraction]
+) -> list[tuple[int, AlmostDecidablePair]]:
+    """For each point x, the first ball of the cover that holds x.
+
+    Returns (j, pair) per point, where ``pair`` is ball j of
+    ``almost_decidable_cover(mu, s)`` and no ball before it holds x.  A
+    cover ball has radius below 15s/16, so only the centers k*s/2 with
+    |k*s/2 - x| < 15s/16 can hold x: at most four, tried in walk order
+    with one radius search each, however far x lies from 0.  The two
+    centers next to x are among them, and radii above s/4 make one of
+    those hold x.
+    """
+    s = Fraction(s)
+    if s <= 0:
+        raise ValueError("s must be positive")
+    pitch, radius = _cover_search(mu, s)
+    reach = Fraction(15, 8)  # 15s/16 in units of the pitch
+    out = []
+    for x in points:
+        t = Fraction(x) / pitch
+        near = range(math.floor(t - reach) + 1, math.ceil(t + reach))
+        for k in sorted(near, key=_walk_place):
+            c = k * pitch
+            r = radius(c)
+            if abs(c - x) < r:
+                out.append((_walk_place(k), _ball_pair(mu, c, r)))
+                break
+    return out
 
 
 def mass_of_interval(mu: Measure, interval) -> LowerReal:

@@ -23,6 +23,7 @@ from .measures import (
     Measure,
     PolyDensityMeasure,
     almost_decidable_cover,
+    first_cover_balls,
 )
 from .reals import RationalLike, _pow2
 from .sets import PiSet, expand_closed
@@ -271,12 +272,19 @@ def _add_signature_classes(
     atoms: Sequence[tuple[Fraction, Fraction]],
     signature: Callable[[Fraction], frozenset],
     sign: int,
-) -> None:
-    """Add sign * weight of each atom to the class of its nonempty signature."""
+) -> Fraction:
+    """Add sign * weight of each atom to the class of its nonempty signature.
+
+    Returns the mass of the atoms that no ball holds.
+    """
+    outside = Fraction(0)
     for x, w in atoms:
         sig = signature(x)
         if sig:
             classes[sig] = classes.get(sig, Fraction(0)) + sign * w
+        else:
+            outside += w
+    return outside
 
 
 def _union_mass_gap_sup(classes: dict[frozenset, Fraction]) -> Fraction:
@@ -305,81 +313,100 @@ def eps_from_weak(
     limit: Measure,
     ad_modulus: Callable[[AlmostDecidablePair], Modulus],
     N: int,
-    *,
-    max_balls: int = 1 << 16,
 ) -> int:
-    """Smallest index beyond which all ball-union masses are 2^-(N+2)-close.
+    """Smallest index from which mu_n is certified 2^-N-close to the limit.
 
-    Construction: almost decidable balls of radius below 2^-(N+3) cover all
-    but 2^-(N+2) of the limit mass using the first k0+1 balls; the returned
-    index is the least n from which sup over unions A of |mu_n(A) - mu(A)|
-    stays below 2^-(N+2), which forces rho(mu_n, mu) < 2^-N.
+    Cover: the almost decidable balls of radius below s = 2^-(N+3) (see
+    :func:`~effmeas.measures.almost_decidable_cover`).  Each limit atom x
+    gets the first cover ball that holds it, found among the at most four
+    centers near x (:func:`~effmeas.measures.first_cover_balls`), and the
+    balls are taken in cover order until the limit mass u left outside them
+    is at most 2^-(N+2).  That is the walk's own stopping rule, so the balls
+    are a subset of the walk's first k0+1 balls, and there are at most as
+    many as the limit has atoms: no precision ceiling.  If u starts at most
+    2^-(N+2), the walk's first ball is taken.
 
-    The supplied per-ball moduli must certify exact stability for the
-    corpus (their index bounds the drift below every ball boundary), which
-    makes the per-ball maximum an upper bound for all unions.  Their
-    largest index n_hi must be a natural number and its union sup must be
-    below the bound, or the modulus contract fails.  The scan then walks
-    down from n_hi and stops at the first member whose union sup reaches
-    the bound, so members below the returned index other than that one are
-    never read.
+    Certificate.  Let D be the sup over unions A of the balls of
+    |mu_n(A) - mu(A)|, o_n = mu_n(R \\ union of the balls), and for a Borel
+    B let A be the union of the balls meeting B.  A ball has diameter below
+    2^-(N+2) = delta, so A lies in the neighborhood B^delta, and
+
+        mu(B)   <= mu(A) + u     <= mu_n(B^delta) + D + u,
+        mu_n(B) <= mu_n(A) + o_n <= mu(B^delta) + D + o_n.
+
+    So D < 2^-(N+2), u <= 2^-(N+2) and o_n < 2^-(N+1) give
+    rho(mu_n, mu) < 2^-N.  A member is accepted on exactly those two
+    terms.  The second never binds when mu_n(R) = mu(R): then
+    o_n = u + mu(union) - mu_n(union) <= u + D < 2^-(N+1), so on
+    mass-preserving sequences the index is the one D alone gives.
+
+    The supplied per-ball moduli must certify exact stability (their index
+    bounds the drift below every ball boundary), which makes D < 2^-(N+2)
+    hold from their largest index n_hi on.  n_hi must be a natural number
+    and member n_hi must be accepted, or the modulus contract fails.  The
+    scan walks down from n_hi and stops at the first member not accepted,
+    so members below the returned index other than that one are never
+    read.  Past n_hi the per-ball moduli bound D but not o_n; there the
+    premise that mu_n converges weakly, tested on f = 1 (total-mass
+    convergence), keeps o_n <= u + D + |mu_n(R) - mu(R)| small.
     """
     if not isinstance(limit, DiscreteMeasure):
         raise UnsupportedMeasureClass(
             "eps_from_weak requires a finite discrete limit"
         )
     s = _pow2(N + 3)
-    cover = almost_decidable_cover(limit, s)
-
-    total = limit.exact_total_mass()
     slack = _pow2(N + 2)
-    # Pull balls until the uncovered limit mass drops below the slack.
-    pulled: list[AlmostDecidablePair] = []
-    need = [(x, w) for x, w in limit.atoms]
-    uncovered = total
-    j = 0
-    while uncovered > slack:
-        if j >= max_balls:
-            raise SearchExhausted("cover search exhausted within ball budget")
-        pulled.append(cover[j])
-        l, r = pulled[j].U.components[0]
-        still = []
-        for x, w in need:
-            if l < x < r:
-                uncovered -= w
-            else:
-                still.append((x, w))
-        need = still
-        j += 1
-    k0 = max(j - 1, 0)
-    while len(pulled) <= k0:
-        pulled.append(cover[len(pulled)])
-    balls = [p.U.components[0] for p in pulled[: k0 + 1]]
+    firsts = first_cover_balls(limit, s, [x for x, _ in limit.atoms])
+    # Atoms in the order the walk would cover them; take their balls until
+    # the uncovered limit mass drops to the slack.
+    chosen: dict[int, AlmostDecidablePair] = {}
+    uncovered = limit.exact_total_mass()
+    for (j, pair), (_, w) in sorted(
+        zip(firsts, limit.atoms), key=lambda t: t[0][0]
+    ):
+        if uncovered <= slack:
+            break
+        chosen[j] = pair
+        uncovered -= w
+    if not chosen:
+        chosen[0] = almost_decidable_cover(limit, s)[0]
+    pulled = [chosen[j] for j in sorted(chosen)]
+    balls = [p.U.components[0] for p in pulled]
 
-    n_hi = max(ad_modulus(p).of(N + 2) for p in pulled[: k0 + 1])
+    n_hi = max(ad_modulus(p).of(N + 2) for p in pulled)
     if n_hi < 0:
         raise ContractViolation(
             f"almost-decidable modulus gave the negative index {n_hi}",
             witness=(N, n_hi),
         )
     bound = _pow2(N + 2)
+    outside_bound = _pow2(N + 1)
     signature = _ball_signatures(balls)
     limit_classes: dict[frozenset, Fraction] = {}
     _add_signature_classes(limit_classes, limit.atoms, signature, -1)
 
-    def sup_at(n: int) -> Fraction:
+    def gaps_at(n: int) -> tuple[Fraction, Fraction]:
+        """(D, o_n) of member n."""
         classes = dict(limit_classes)
-        _add_signature_classes(classes, seq[n].atoms, signature, 1)
-        return _union_mass_gap_sup(classes)
+        outside = _add_signature_classes(classes, seq[n].atoms, signature, 1)
+        return _union_mass_gap_sup(classes), outside
 
-    top = sup_at(n_hi)
+    top, outside = gaps_at(n_hi)
     if top >= bound:
         raise ContractViolation(
             "almost-decidable modulus contract failure at its own index",
             witness=(N, n_hi, top),
         )
+    if outside >= outside_bound:
+        raise ContractViolation(
+            "member mass outside the cover balls at the modulus's own index",
+            witness=(N, n_hi, outside),
+        )
     n0 = n_hi
-    while n0 > 0 and sup_at(n0 - 1) < bound:
+    while n0 > 0:
+        sup, outside = gaps_at(n0 - 1)
+        if sup >= bound or outside >= outside_bound:
+            break
         n0 -= 1
     return n0
 
@@ -388,9 +415,8 @@ def eps_function(
     seq: MeasureSeq,
     limit: Measure,
     ad_modulus: Callable[[AlmostDecidablePair], Modulus],
-    **kw,
 ) -> EpsFunction:
-    return EpsFunction(lambda N: eps_from_weak(seq, limit, ad_modulus, N, **kw))
+    return EpsFunction(lambda N: eps_from_weak(seq, limit, ad_modulus, N))
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,10 @@ def dist_to_closed(x: CauchyReal, C: PiSet) -> LowerReal:
     """d(x, C) as a left-c.e. real, from the avoided-interval enumeration.
 
     If the merged avoided intervals contain a ball of radius t around the
-    approximant, the true point is at distance > t - 2^{-n+1} from C.
+    approximant, the true point is at distance > t - 2^{-n+1} from C; t is
+    the distance to the nearer finite end of the component holding it.
+    Pulling a bound raises ``ValueError`` once the avoided intervals merge
+    into all of R: then C is empty and d(x, C) is no real number.
     """
 
     def gen():
@@ -348,9 +351,14 @@ def dist_to_closed(x: CauchyReal, C: PiSet) -> LowerReal:
             t = Fraction(0)
             for l, r in merged:
                 if (l is None or l < xn) and (r is None or xn < r):
-                    tl = Fraction(10**9) if l is None else xn - l
-                    tr = Fraction(10**9) if r is None else r - xn
-                    t = min(tl, tr)
+                    ends = []
+                    if l is not None:
+                        ends.append(xn - l)
+                    if r is not None:
+                        ends.append(r - xn)
+                    if not ends:
+                        raise ValueError("C avoids all of R: d(x, C) is infinite")
+                    t = min(ends)
                     break
             best = max(best, t - _pow2(n - 1), Fraction(0))
             yield best

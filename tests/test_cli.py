@@ -139,6 +139,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "eps", "deltashrink", "delta0", "1..3")
         assert code == 0 and all(r[-1] == "pass" for r in rows_of(out))
 
+    def test_eps_mode_at_high_precision(self, capsys):
+        # the ball walk to mixture's atom at 1 ran out of balls from N = 12 on
+        code, out, _ = run(capsys, "verify", "eps", "mixture", "halfhalf", "12..20")
+        assert code == 0 and all(r[-1] == "pass" for r in rows_of(out))
+
     def test_witness_mode(self, capsys):
         code, out, _ = run(capsys, "verify", "witness", "deltadrift", "delta1", "1..2")
         assert code == 0 and all(r[-1] == "pass" for r in rows_of(out))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from effmeas import (
     DiscreteMeasure,
@@ -117,3 +118,26 @@ class TestEnumerationAndModulus:
         with pytest.raises(ParseError) as e:
             parse_modulus("modulus\n# rows\n2 4\n1 3\n2 4\n")
         assert e.value.line_no == 5
+
+
+# Token soup: every header, rationals with zero and negative denominators,
+# malformed fractions, comments and blank lines.
+TOKENS = st.sampled_from((
+    "discrete", "polydensity", "polyfunc", "zero-outside", "constant-extend",
+    "periodic", "modulus", "atom", "0", "1", "-2", "3", "1/2", "-1/3", "1/0",
+    "2/-3", "0/0", "/", "1/", "/4", "1/2/3", "x", "1.5", "1e3", "#", "# note",
+))
+LINES = st.lists(TOKENS, max_size=4).map(" ".join)
+SOUP = st.lists(LINES, max_size=8).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SOUP)
+@pytest.mark.parametrize(
+    "parse", [parse_measure, parse_function, parse_enumeration, parse_modulus]
+)
+def test_parsers_end_in_result_or_parse_error(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass

@@ -24,8 +24,9 @@ from effmeas import (
 )
 from effmeas.errors import UnsupportedMeasureClass
 from effmeas.functions import co_name_of_poly
-from effmeas.measures import integrate_product, mass_of_interval, total_mass_upper
+from effmeas.measures import first_cover_balls, integrate_product, mass_of_interval, total_mass_upper
 from effmeas.reals import _pow2
+from effmeas.sets import open_contains_point
 from tests.test_functions import opaque_name_of
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=16)
@@ -236,6 +237,33 @@ class TestAlmostDecidable:
             assert cover[j].for_measure is mu
         l, r = cover[1].U.components[0]
         assert (r - l) / 2 == radius_at_c1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.sampled_from((Fraction(1, 8), Fraction(1, 3), Fraction(5, 2))),
+        units=st.lists(
+            st.one_of(
+                st.integers(-96, 96).map(lambda m: Fraction(m, 16)),
+                st.integers(-18, 18).map(lambda m: Fraction(m, 3)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        blocked=st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 3)), max_size=4),
+    )
+    def test_first_cover_balls_match_the_walk(self, s, units, blocked):
+        xs = [u * s for u in units]
+        # atoms on two of the points, and on the first 1-3 coarse candidate
+        # spheres (radii (43 + 22i)s/128) of some centers k*s/2, which pushes
+        # their radii past s/2, so a ball two centers away can hold a point
+        locs = set(xs[:2]) | {k * s / 2 + (43 + 22 * i) * s / 128 for k, d in blocked for i in range(d)}
+        mu = DiscreteMeasure(tuple((x, Fraction(1)) for x in locs))
+        cover = almost_decidable_cover(mu, s)
+        for x, (j, pair) in zip(xs, first_cover_balls(mu, s, xs), strict=True):
+            assert pair.U.components == cover[j].U.components
+            assert pair.V.components == cover[j].V.components
+            holds = [i for i in range(j + 1) if open_contains_point(cover[i].U.components, x)]
+            assert holds[:1] == [j]
 
     def test_mass_of_interval_lower(self):
         mu = DiscreteMeasure(((Fraction(1, 2), Fraction(1)),))

@@ -21,6 +21,7 @@ from effmeas.errors import (
     SearchExhausted,
     UnsupportedMeasureClass,
 )
+from effmeas import measures
 from effmeas.measures import almost_decidable_cover
 from effmeas.prokhorov import (
     EpsFunction,
@@ -241,6 +242,20 @@ class TestEpsFromWeak:
         for N in (1, 4):
             assert eps_from_weak(seq, fam.limit(), fam.ad_modulus, N) == 0
 
+    @pytest.mark.parametrize("atoms", [[], [(Fraction(5), _pow2(10), 1)]])
+    def test_limit_mass_within_the_slack(self, atoms):
+        # no atom needs a ball, so the cover's first ball is the one taken
+        fam = DriftingAtomFamily(atoms)
+        for N in (1, 4):
+            assert eps_from_weak(MeasureSeq(fam.member), fam.limit(), fam.ad_modulus, N) == 0
+
+    def test_scan_stops_at_member_mass_outside_the_balls(self):
+        # members 0..2 carry an extra atom at 100, which no ball holds, of
+        # mass 2^-(N+1): exactly the budget for member mass outside the balls
+        extra = ((Fraction(100), Fraction(1, 8)),)
+        seq = MeasureSeq(lambda n: DiscreteMeasure(((Fraction(0), Fraction(1)),) + (extra if n < 3 else ())))
+        assert eps_from_weak(seq, delta(0), lambda p: Modulus.constant(5), 2) == 3
+
     @pytest.mark.parametrize("make,N_top", [(deltashrink, 8), (mixture, 6), (mixture, 8)])
     def test_contract_on_corpora(self, make, N_top):
         c = make()
@@ -259,15 +274,68 @@ class TestEpsFromWeak:
         N=2,
         cut=1,
     )
-    def test_matches_all_member_oracle(self, fam, N, cut):
-        seq = MeasureSeq(fam.member)
-        # the family's own modulus, one ``cut`` indices too small, and the
-        # constant ``cut``, which is too small for most drifting families
+    def test_directed_cover_against_walk_oracle(self, fam, N, cut):
+        """The directed balls are a subset of the walk's, so the index can only drop.
+
+        Members from the index up to n_hi are accepted by the certificate
+        itself, so the index is valid whatever the moduli; members past n_hi
+        are valid only when the moduli are, so the window is checked for the
+        family's own modulus.
+        """
+        seq, limit = MeasureSeq(fam.member), fam.limit()
+        # one ``cut`` indices too small, and the constant ``cut``, which is
+        # too small for most drifting families
         short = lambda p: Modulus.constant(max(fam.ad_modulus(p).of(N + 2) - cut, 0))
         for ad in (fam.ad_modulus, short, lambda p: Modulus.constant(cut)):
-            assert _eps_outcome(eps_from_weak, seq, fam.limit(), ad, N) == _eps_outcome(
-                eps_from_weak_all_members, seq, fam.limit(), ad, N
-            )
+            idx = _eps_outcome(eps_from_weak, seq, limit, ad, N)
+            walk = _eps_outcome(eps_from_weak_all_members, seq, limit, ad, N)
+            if isinstance(idx, int) and isinstance(walk, int):
+                assert idx <= walk
+            if isinstance(idx, int):
+                window = 25 if ad is fam.ad_modulus else 1
+                for n in range(idx, idx + window):
+                    assert prokhorov_discrete(seq[n], limit) < _pow2(N)
+            else:
+                assert ad is not fam.ad_modulus and idx[0] is ContractViolation
+
+    @pytest.mark.parametrize("N", [12, 20, 40])
+    def test_no_precision_ceiling(self, N):
+        # the walk to the atom at 1 needed 2^(N+5) balls and stopped at N = 12
+        c = mixture()
+        idx = eps_from_weak(c.seq, c.limit, c.ad_modulus, N)
+        for n in range(idx, idx + 8):
+            assert prokhorov_discrete(c.seq[n], c.limit) < _pow2(N)
+
+    @pytest.mark.parametrize("make", [mixture, deltadrift, deltashrink])
+    def test_radius_searches_per_limit_atom(self, make, monkeypatch):
+        searches = []
+        real_search = measures._null_sphere_search
+
+        def counted(*args):
+            radius = real_search(*args)
+
+            def search(center):
+                searches.append(center)
+                return radius(center)
+
+            return search
+
+        monkeypatch.setattr(measures, "_null_sphere_search", counted)
+        c = make()
+        for N in (1, 8, 30):
+            searches.clear()
+            eps_from_weak(c.seq, c.limit, c.ad_modulus, N)
+            assert 0 < len(searches) <= 4 * len(c.limit.atoms)
+
+    @pytest.mark.parametrize("N", [1, 3, 5])
+    def test_member_mass_outside_the_balls_rejected(self, N):
+        # mu_n = delta_0 + 2^-n delta_100 -> delta_0; the constant modulus 0 is
+        # exact on every ball around 0, but mu_0 is at distance 1 from delta_0
+        seq = MeasureSeq(lambda n: DiscreteMeasure(((Fraction(0), Fraction(1)), (Fraction(100), _pow2(n)))))
+        assert prokhorov_discrete(seq[0], delta(0)) == 1
+        with pytest.raises(ContractViolation) as e:
+            eps_from_weak(seq, delta(0), lambda p: Modulus.constant(0), N)
+        assert e.value.witness == (N, 0, Fraction(1))
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 """Effectively open/closed/compact sets and their exact-geometry kernels."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,20 @@ class TestPiSet:
         vals = [d.bound(n) for n in range(14)]
         assert all(v <= exact for v in vals)
         assert vals[-1] >= exact - _pow2(8)
+
+    def test_dist_to_closed_far_from_a_half_line(self):
+        # C = [-1, oo) as an opaque enumeration; d(-3*10^9, C) = 2999999999
+        C = PiSet(itertools.repeat((None, Fraction(-1))))
+        d = dist_to_closed(CauchyReal.from_rational(Fraction(-3 * 10**9)), C)
+        vals = [d.bound(n) for n in range(12)]
+        assert all(v <= 2999999999 for v in vals)
+        assert vals[-1] >= 2999999999 - _pow2(8)
+
+    def test_dist_to_empty_closed_set_rejected(self):
+        C = PiSet(itertools.repeat((None, None)))
+        d = dist_to_closed(CauchyReal.from_rational(Fraction(5)), C)
+        with pytest.raises(ValueError):
+            d.bound(0)
 
     def test_closed_neighborhood_exact(self):
         C = pi_from_complement([(Fraction(0), Fraction(1))])
