@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import (
     ContractViolation,
@@ -176,6 +176,16 @@ def _scan_for_index(
 ) -> int:
     """Smallest index whose whole lookahead window is certified 2^-N-close.
 
+    The window of a candidate n0 is n0 .. min(max_n, n0 + window).  Each
+    window is checked from its right end.  When member n fails, every
+    candidate n0' with n0 <= n0' <= n holds n in its window (n <= n0 +
+    window <= n0' + window), so all of them fail and the scan jumps to
+    n + 1.  The first window that passes is therefore the first one a
+    forward scan over n0 = 0, 1, ... would accept, and every member read
+    here is one that scan reads too.  A skipped member is never built, so
+    a member whose evaluation would raise no longer does when it is
+    skipped.
+
     Raises DivergenceDetected when, at the end of the scan, the deviation
     from the claimed limit is still certified to be at least 2^-N: that
     refutes every candidate index within the scanned range (it cannot
@@ -190,14 +200,16 @@ def _scan_for_index(
             devs[n] = abs(value_at(n) - limit_value)
         return devs[n]
 
-    candidate: Optional[int] = None
-    for n0 in range(max_n + 1):
-        hi = min(max_n, n0 + window)
-        if all(dev(n) + slack < bound for n in range(n0, hi + 1)):
-            candidate = n0
-            break
-    if candidate is not None:
-        return candidate
+    n0 = 0
+    while n0 <= max_n:
+        failed = next(
+            (n for n in range(min(max_n, n0 + window), n0 - 1, -1)
+             if dev(n) + slack >= bound),
+            None,
+        )
+        if failed is None:
+            return n0
+        n0 = failed + 1
     tail_dev = dev(max_n)
     if tail_dev - slack >= bound:
         raise DivergenceDetected(
@@ -208,6 +220,14 @@ def _scan_for_index(
     raise SearchExhausted(
         f"insufficient name progress: no stable index below {max_n}"
     )
+
+
+def _check_scan_range(max_n: int, window: int) -> None:
+    """A negative ``max_n`` or ``window`` would scan no member: refuse it."""
+    if max_n < 0:
+        raise ValueError(f"modulus scan max_n must be nonnegative, got {max_n}")
+    if window < 0:
+        raise ValueError(f"modulus scan window must be nonnegative, got {window}")
 
 
 def weak_modulus(
@@ -224,7 +244,9 @@ def weak_modulus(
     ``f_name`` is a compact-open name; ``B`` bounds |f|.  Built from
     certified integration plus tail bounds; raises DivergenceDetected when
     the sequence provably fails to track the claimed limit integral.
+    A negative ``max_n`` or ``window`` raises ``ValueError`` here.
     """
+    _check_scan_range(max_n, window)
 
     def of(N: int) -> int:
         prec = N + 3
@@ -250,7 +272,11 @@ def vague_modulus(
     max_n: int = 128,
     window: int = 24,
 ) -> Modulus:
-    """A modulus for the integrals of a compactly supported named function."""
+    """A modulus for the integrals of a compactly supported named function.
+
+    A negative ``max_n`` or ``window`` raises ``ValueError`` here.
+    """
+    _check_scan_range(max_n, window)
 
     def of(N: int) -> int:
         prec = N + 3
@@ -420,7 +446,7 @@ def validate_total_mass_modulus(
                 mass[n] = m
         ms = [mass[n] for n in ns]
         b = _pow2(N - 1)
-        lo, hi = min(ms, default=0), max(ms, default=0)
+        lo, hi = min(ms), max(ms)
         if hi - lo < b:
             continue
         n1, m1 = next((n, m) for n, m in zip(ns, ms) if hi - m >= b or m - lo >= b)

@@ -77,11 +77,14 @@ class DriftingAtomFamily:
     def __init__(self, atoms: Sequence[tuple[Fraction, Fraction, int]]):
         """``atoms``: (limit location, weight, drift flag 0/1)."""
         self.atoms = [(Fraction(x), Fraction(w), int(d)) for x, w, d in atoms]
+        if any(d not in (0, 1) for _, _, d in self.atoms):
+            raise ValueError("drift flags must be 0 or 1")
         self.total = sum((w for _, w, _ in self.atoms), Fraction(0))
 
     def member(self, n: int) -> DiscreteMeasure:
+        step = _pow2(n)
         return DiscreteMeasure(
-            tuple((x + d * _pow2(n), w) for x, w, d in self.atoms)
+            tuple((x + step if d else x, w) for x, w, d in self.atoms)
         )
 
     def limit(self) -> DiscreteMeasure:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import SearchExhausted, UnsupportedMeasureClass
@@ -56,7 +57,30 @@ class Measure:
         raise NotImplementedError
 
     def open_mass(self, U: SigmaSet) -> LowerReal:
-        raise NotImplementedError
+        """mu(U) from below: the exact mass of each finite union pulled.
+
+        Built on :meth:`region_mass_open`; a class without exact region
+        masses overrides this or raises here.
+        """
+
+        def mass(comps) -> Fraction:
+            m = self.region_mass_open(comps)
+            if m is None:
+                raise UnsupportedMeasureClass(
+                    f"unsupported measure class {type(self).__name__}"
+                )
+            return m
+
+        if U.components is not None:
+            return LowerReal.from_rational(mass(U.components))
+
+        def gen():
+            pulled = []
+            for k in itertools.count():
+                pulled.append(U.interval(k))
+                yield mass(merge_open(pulled))
+
+        return LowerReal(gen())
 
     # exact fast paths, None when the class cannot provide them
     def exact_total_mass(self) -> Optional[Fraction]:
@@ -72,20 +96,37 @@ class Measure:
 
 @dataclass(frozen=True)
 class DiscreteMeasure(Measure):
-    """A finite purely atomic measure with rational data."""
+    """A finite purely atomic measure with rational data.
+
+    ``atoms`` is normalised to strictly increasing locations with the
+    weights at a repeated location summed.  The total mass is summed once,
+    in the same pass, and kept out of ``==``, hash and repr.
+    """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
+    _total: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        merged: dict[Fraction, Fraction] = {}
+        pairs = []
         for loc, w in self.atoms:
-            loc, w = Fraction(loc), Fraction(w)
-            if w <= 0:
+            if not isinstance(loc, Fraction):
+                loc = Fraction(loc)
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
+            if w.numerator <= 0:  # a Fraction's denominator is positive
                 raise ValueError("atom weights must be positive")
-            merged[loc] = merged.get(loc, Fraction(0)) + w
-        object.__setattr__(
-            self, "atoms", tuple(sorted(merged.items()))
-        )
+            pairs.append((loc, w))
+        pairs.sort(key=itemgetter(0))
+        merged = []
+        total = Fraction(0)
+        for loc, w in pairs:
+            total = total + w if total else w  # weights are positive
+            if merged and merged[-1][0] == loc:
+                merged[-1] = (loc, merged[-1][1] + w)
+            else:
+                merged.append((loc, w))
+        object.__setattr__(self, "atoms", tuple(merged))
+        object.__setattr__(self, "_total", total)
 
     @classmethod
     def point(cls, loc, weight=1) -> "DiscreteMeasure":
@@ -97,7 +138,7 @@ class DiscreteMeasure(Measure):
         return cls(())
 
     def exact_total_mass(self) -> Fraction:
-        return sum((w for _, w in self.atoms), Fraction(0))
+        return self._total
 
     def total_mass_real(self) -> CauchyReal:
         return CauchyReal.from_rational(self.exact_total_mass())
@@ -116,18 +157,6 @@ class DiscreteMeasure(Measure):
 
     def support_radius(self) -> Fraction:
         return max((abs(loc) for loc, _ in self.atoms), default=Fraction(0))
-
-    def open_mass(self, U: SigmaSet) -> LowerReal:
-        if U.components is not None:
-            return LowerReal.from_rational(self.region_mass_open(U.components))
-
-        def gen():
-            pulled = []
-            for k in itertools.count():
-                pulled.append(U.interval(k))
-                yield self.region_mass_open(merge_open(pulled))
-
-        return LowerReal(gen())
 
 
 @dataclass(frozen=True)
@@ -186,18 +215,6 @@ class PolyDensityMeasure(Measure):
         return max(
             abs(self.density.vertices[0][0]), abs(self.density.vertices[-1][0])
         )
-
-    def open_mass(self, U: SigmaSet) -> LowerReal:
-        if U.components is not None:
-            return LowerReal.from_rational(self.region_mass_open(U.components))
-
-        def gen():
-            pulled = []
-            for k in itertools.count():
-                pulled.append(U.interval(k))
-                yield self.region_mass_open(merge_open(pulled))
-
-        return LowerReal(gen())
 
 
 class LazyDiscreteMeasure(Measure):

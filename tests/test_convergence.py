@@ -16,6 +16,7 @@ from effmeas import (
     Measure,
     MeasureSeq,
     Modulus,
+    SearchExhausted,
     TotalMassModulus,
     UnsupportedMeasureClass,
     check_modulus,
@@ -34,9 +35,11 @@ from effmeas import (
     vague_to_weak,
     weak_modulus,
 )
+import effmeas.convergence as convergence
 from effmeas.convergence import (
     LimsupWitness,
     LiminfWitness,
+    _scan_for_index,
     polygonal_surrogate,
     scan_vague_oracle,
     validate_total_mass_modulus,
@@ -65,6 +68,53 @@ def validate_total_mass_modulus_all_pairs(seq, tm, Ns, window):
                         f"|mu_{n1}(R) - mu_{n2}(R)| = {abs(m1 - m2)} >= 2^-{N - 1}",
                         witness=(N, n1, n2, abs(m1 - m2)),
                     )
+
+
+def scan_for_index_forward(value_at, err, limit_value, limit_err, N, *, max_n, window):
+    """The forward scan over n0 = 0, 1, ..., kept as the oracle for the skipping one."""
+    bound = _pow2(N)
+    slack = err + limit_err
+    devs = {}
+
+    def dev(n):
+        if n not in devs:
+            devs[n] = abs(value_at(n) - limit_value)
+        return devs[n]
+
+    for n0 in range(max_n + 1):
+        hi = min(max_n, n0 + window)
+        if all(dev(n) + slack < bound for n in range(n0, hi + 1)):
+            return n0
+    tail_dev = dev(max_n)
+    if tail_dev - slack >= bound:
+        raise DivergenceDetected(
+            "divergence detected: certified deviation "
+            f"{tail_dev} at index {max_n} is not below 2^-{N}",
+            witness=(N, max_n, tail_dev),
+        )
+    raise SearchExhausted(
+        f"insufficient name progress: no stable index below {max_n}"
+    )
+
+
+def _scan_outcome(scan, values, err, limit_err, N, max_n, window):
+    """(outcome, members read) of one scan over the exact values."""
+    read = set()
+
+    def value_at(n):
+        read.add(n)
+        return values[n]
+
+    try:
+        out = scan(value_at, err, Fraction(0), limit_err, N, max_n=max_n, window=window)
+    except (DivergenceDetected, SearchExhausted) as exc:
+        out = (type(exc), str(exc), getattr(exc, "witness", None))
+    return out, read
+
+
+# deviations k/2^j straddle every bound 2^-N and slack sum, equality included
+_DEV = st.builds(lambda k, j: Fraction(k, 2**j), st.integers(-6, 6), st.integers(0, 6))
+_SLACK = st.builds(lambda k, j: Fraction(k, 2**j), st.integers(0, 2), st.integers(2, 7))
 
 
 class _MassOnly(Measure):
@@ -159,6 +209,55 @@ class TestScanModuli:
         one = constant_func(Fraction(1))
         with pytest.raises(DivergenceDetected):
             weak_modulus(dn.seq, dn.limit, co_name_of_poly(one), 1, max_n=48).of(2)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        values=st.lists(_DEV, min_size=1, max_size=40),
+        max_n=st.integers(0, 39),
+        window=st.integers(0, 12),
+        N=st.integers(0, 5),
+        err=_SLACK,
+        limit_err=_SLACK,
+    )
+    def test_skipping_scan_matches_forward_oracle(self, values, max_n, window, N, err, limit_err):
+        max_n = min(max_n, len(values) - 1)
+        got, read = _scan_outcome(_scan_for_index, values, err, limit_err, N, max_n, window)
+        want, oracle_read = _scan_outcome(
+            scan_for_index_forward, values, err, limit_err, N, max_n, window
+        )
+        assert got == want
+        assert read <= oracle_read
+
+    @pytest.mark.parametrize("N", [1, 3, 5])
+    def test_refutation_reads_one_member_per_window(self, N, monkeypatch):
+        # deltan's members all sit 1 away from the zero limit: each window
+        # fails at its right end, so the scan reads one member per window
+        calls = []
+        real = convergence.integrate_named
+
+        def counted(f, mu, n):
+            calls.append(mu)
+            return real(f, mu, n)
+
+        monkeypatch.setattr(convergence, "integrate_named", counted)
+        dn = deltan()
+        one = co_name_of_poly(constant_func(Fraction(1)))
+        max_n, window = 128, 24
+        with pytest.raises(DivergenceDetected) as e:
+            weak_modulus(dn.seq, dn.limit, one, 1, max_n=max_n, window=window).of(N)
+        assert e.value.witness[:2] == (N, max_n)
+        assert len(calls) <= -(-(max_n + 1) // (window + 1)) + 2
+
+    @pytest.mark.parametrize("kw", [{"window": -1}, {"max_n": -1}])
+    def test_negative_scan_range_rejected(self, kw):
+        # window -1 made every candidate window empty, so index 0 was
+        # certified for a divergent sequence; max_n -1 built member -1
+        dn = deltan()
+        one = constant_func(Fraction(1))
+        with pytest.raises(ValueError):
+            weak_modulus(dn.seq, dn.limit, co_name_of_poly(one), 1, **kw)
+        with pytest.raises(ValueError):
+            vague_modulus(dn.seq, dn.limit, supported_from_poly(HAT), **kw)
 
 
 class TestUniformizer:

@@ -10,6 +10,7 @@ from effmeas import (
     DiscreteMeasure,
     Fuel,
     LazyDiscreteMeasure,
+    Measure,
     PolyDensityMeasure,
     PolyFunc,
     SigmaSet,
@@ -30,6 +31,39 @@ from effmeas.sets import open_contains_point
 from tests.test_functions import opaque_name_of
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+
+
+def discrete_atoms_dict_oracle(atoms):
+    """The dict-merging normalisation, kept as the oracle for the one-pass sort."""
+    merged = {}
+    for loc, w in atoms:
+        loc, w = Fraction(loc), Fraction(w)
+        if w <= 0:
+            raise ValueError("atom weights must be positive")
+        merged[loc] = merged.get(loc, Fraction(0)) + w
+    return tuple(sorted(merged.items()))
+
+
+def _normalised(build, atoms):
+    try:
+        return build(atoms)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _spelled(q: Fraction, spelling: int):
+    """q as a Fraction, a str, or an int where q is integral."""
+    if spelling == 1:
+        return str(q)
+    if spelling == 2 and q.denominator == 1:
+        return int(q)
+    return q
+
+
+# few locations, so that they repeat; weights <= 0 included
+_loc = st.builds(_spelled, st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(2)]), st.integers(0, 2))
+_weight = st.builds(lambda k, d, sp: _spelled(Fraction(k, d), sp), st.integers(-2, 8), st.sampled_from([1, 4]), st.integers(0, 2))
+_atom_lists = st.lists(st.tuples(_loc, _weight), max_size=10)
 
 
 class TestIntegrateProduct:
@@ -90,6 +124,32 @@ class TestDiscreteMeasure:
         with pytest.raises(Exception):
             DiscreteMeasure(((Fraction(0), Fraction(0)),))
 
+    @settings(max_examples=400, deadline=None)
+    @given(atoms=_atom_lists)
+    def test_normalisation_matches_dict_oracle(self, atoms):
+        got = _normalised(lambda a: DiscreteMeasure(tuple(a)), atoms)
+        want = _normalised(discrete_atoms_dict_oracle, atoms)
+        if isinstance(want, tuple) and want and want[0] is ValueError:
+            assert got == want
+            return
+        assert got.atoms == want
+        assert got.exact_total_mass() == sum((Fraction(w) for _, w in atoms), Fraction(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), atoms=_atom_lists)
+    def test_permuted_inputs_equal_and_hash_equal(self, data, atoms):
+        atoms = [(loc, w) for loc, w in atoms if Fraction(w) > 0]
+        shuffled = data.draw(st.permutations(atoms))
+        a, b = DiscreteMeasure(tuple(atoms)), DiscreteMeasure(tuple(shuffled))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"DiscreteMeasure(atoms={a.atoms!r})"
+
+    def test_total_takes_no_part_in_equality(self):
+        a = DiscreteMeasure(((Fraction(0), Fraction(1, 2)),))
+        b = DiscreteMeasure(((Fraction(0), Fraction(1, 2)),))
+        object.__setattr__(b, "_total", Fraction(7))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
 
 class TestPolyDensityMeasure:
     def test_uniform_mass(self):
@@ -102,6 +162,22 @@ class TestPolyDensityMeasure:
         m = u.region_mass_open([(Fraction(0), Fraction(1, 2))])
         # thin ramps shave a sliver off the half-interval mass
         assert abs(m - Fraction(1, 2)) <= _pow2(18)
+
+    def test_open_mass_enumeration(self):
+        # the shared Measure.open_mass pulls U's intervals one by one
+        u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
+        U = SigmaSet(lambda k: (Fraction(0), Fraction(1, 2) - _pow2(k + 2)))
+        assert U.components is None
+        lm = u.open_mass(U)
+        bounds = [lm.bound(k) for k in range(6)]
+        assert bounds == sorted(bounds)
+        assert bounds[-1] == u.region_mass_open([(Fraction(0), Fraction(1, 2) - _pow2(7))])
+        exact = u.open_mass(SigmaSet.from_components([(Fraction(0), Fraction(1, 2))]))
+        assert exact.bound(0) == u.region_mass_open([(Fraction(0), Fraction(1, 2))])
+
+    def test_open_mass_needs_region_masses(self):
+        with pytest.raises(UnsupportedMeasureClass):
+            Measure().open_mass(SigmaSet.from_components([(Fraction(0), Fraction(1))]))
 
     def test_points_are_null(self):
         u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
