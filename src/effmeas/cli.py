@@ -11,13 +11,15 @@ MODE is one of weak, vague, eps, witness, vague-to-weak.  SEQ names a
 builtin family (deltashrink, deltan, mixture, deltadrift, specker); LIMIT
 is a builtin measure name or a measure file.  N-LIST tokens look like
 ``4`` or ``1..8`` or ``1,3,5``.  Exit codes: 0 all rows pass, 1 some row
-fails, 2 certified divergence, 3 parse error.
+fails, 2 certified divergence, 3 parse error (a malformed file or a usage
+error on the command line).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import re
@@ -325,8 +327,20 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects; ``main`` reports it as a parse error."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would print usage and exit 2, the divergence exit code
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built on the first call (not at import) and kept for the process."""
+    parser = _ArgumentParser(
         prog="effmeas",
         description="Exact-arithmetic effective convergence toolkit for measures on R.",
     )
@@ -336,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--precision", type=int, default=6)
-    p.set_defaults(fn=cmd_prokhorov)
 
     d = sub.add_parser("demo", help="built-in demonstrations")
     dsub = d.add_subparsers(dest="demo_name", required=True)
@@ -345,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--function", default=None, help="builtin function name or file")
     ds.add_argument("--fuel", type=int, default=10)
     ds.add_argument("--out", default=None)
-    ds.set_defaults(fn=cmd_demo_specker)
 
     v = sub.add_parser("verify", help="construct and/or validate certificates")
     v.add_argument("mode", choices=["weak", "vague", "eps", "witness", "vague-to-weak"])
@@ -357,28 +369,31 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--precision", default=None, help="N list, e.g. 1..8")
     v.add_argument("--fuel", type=int, default=10)
     v.add_argument("--out", default=None)
-    v.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, leftover = parser.parse_known_args(argv)
-    bad = [t for t in leftover if t.startswith("-")]
-    if bad or (leftover and args.fn is not cmd_verify):
-        parser.error(f"unrecognized arguments: {' '.join(leftover)}")
     try:
-        if args.fn is cmd_verify:
-            args.extras = list(args.extras) + leftover
-            args.function = None
-            args.ns = _parse_nlist(args.precision) if args.precision else None
-            for token in args.extras:
-                if _NLIST.match(token):
-                    args.ns = _parse_nlist(token)
-                else:
-                    args.function = token
-        return args.fn(args)
-    except ParseError as exc:
+        parser = build_parser()
+        args, leftover = parser.parse_known_args(argv)
+        bad = [t for t in leftover if t.startswith("-")]
+        if bad or (leftover and args.command != "verify"):
+            parser.error(f"unrecognized arguments: {' '.join(leftover)}")
+        # Looked up at call time, so rebinding a module-level cmd_* takes effect.
+        if args.command == "prokhorov":
+            return cmd_prokhorov(args)
+        if args.command == "demo":
+            return cmd_demo_specker(args)
+        args.extras = list(args.extras) + leftover
+        args.function = None
+        args.ns = _parse_nlist(args.precision) if args.precision else None
+        for token in args.extras:
+            if _NLIST.match(token):
+                args.ns = _parse_nlist(token)
+            else:
+                args.function = token
+        return cmd_verify(args)
+    except (_UsageError, ParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
     except (DivergenceDetected,) as exc:

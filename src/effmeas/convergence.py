@@ -424,7 +424,9 @@ def validate_total_mass_modulus(
     Some pair in the window of(N) .. of(N) + window violates it iff the
     largest and smallest mass there differ by at least 2^-(N-1), so a
     passing window costs one pass.  Each member's mass is read once per
-    call, however many windows contain it.  A failing window reports the
+    call, however many windows contain it, and the min and max are taken
+    once per distinct window start, however many N share it (a constant
+    modulus gives one window for every N).  A failing window reports the
     first pair in window order: the first n1 whose mass lies 2^-(N-1) or
     more from the window's max or min, then the first n2 that far from n1.
     An empty ``Ns`` or a negative ``window`` would check nothing, so both
@@ -435,20 +437,24 @@ def validate_total_mass_modulus(
     if window < 0:
         raise ValueError(f"total-mass check window must be nonnegative, got {window}")
     mass: dict[int, Fraction] = {}
+    spread: dict[int, tuple[Fraction, Fraction]] = {}  # window start -> (min, max)
     for N in Ns:
         idx = tm.of(N)
         ns = range(idx, idx + window + 1)
-        for n in ns:
-            if n not in mass:
-                m = seq[n].exact_total_mass()
-                if m is None:
-                    raise UnsupportedMeasureClass("need exact member masses")
-                mass[n] = m
-        ms = [mass[n] for n in ns]
+        if idx not in spread:
+            for n in ns:
+                if n not in mass:
+                    m = seq[n].exact_total_mass()
+                    if m is None:
+                        raise UnsupportedMeasureClass("need exact member masses")
+                    mass[n] = m
+            ms = [mass[n] for n in ns]
+            spread[idx] = min(ms), max(ms)
+        lo, hi = spread[idx]
         b = _pow2(N - 1)
-        lo, hi = min(ms), max(ms)
         if hi - lo < b:
             continue
+        ms = [mass[n] for n in ns]
         n1, m1 = next((n, m) for n, m in zip(ns, ms) if hi - m >= b or m - lo >= b)
         n2, m2 = next((n, m) for n, m in zip(ns, ms) if abs(m1 - m) >= b)
         raise ContractViolation(

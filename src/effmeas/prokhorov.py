@@ -207,20 +207,48 @@ def brute_force_valid(
 
 
 def _discretize(mu: Measure, pitch: Fraction) -> tuple[DiscreteMeasure, Fraction]:
-    """(atomic surrogate, Prokhorov discretization error bound)."""
+    """(atomic surrogate, Prokhorov discretization error bound).
+
+    A density's grid cells [k*pitch, (k+1)*pitch] become atoms at their
+    midpoints, weighted by the cell's mass within each support component
+    (a cell straddling a gap yields one atom per component, which
+    ``DiscreteMeasure`` merges; a zero-mass cell yields none).  One forward
+    sweep over the cell boundaries and the density's vertices carries the
+    cumulative integral F, exact on each linear piece by the trapezoid
+    rule, and takes each cell mass as a difference of F: O(cells + vertices)
+    in all.
+    """
     if isinstance(mu, DiscreteMeasure):
         return mu, Fraction(0)
     if isinstance(mu, PolyDensityMeasure):
-        comps = mu.density.support_components()
+        verts = mu.density.vertices
+        # per piece: right end, left end, F and density there, half slope
+        pieces = []
+        f = Fraction(0)
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+            pieces.append((x1, x0, f, y0, (y1 - y0) / (2 * (x1 - x0))))
+            f += (x1 - x0) * (y0 + y1) / 2
+        i = 0  # the piece holding the last point swept
+
+        def F(x: Fraction) -> Fraction:
+            nonlocal i
+            while pieces[i][0] < x:
+                i += 1
+            _, x0, f0, y0, h = pieces[i]
+            d = x - x0
+            return f0 + d * (y0 + h * d)
+
+        half = pitch / 2
         atoms: list[tuple[Fraction, Fraction]] = []
-        for l, r in comps:
-            k = (l / pitch).__floor__()
-            a = k * pitch
+        for l, r in mu.density.support_components():
+            a = (l / pitch).__floor__() * pitch
+            f_lo = F(l)
             while a < r:
                 b = a + pitch
-                w = mu.mass_closed(((max(a, l), min(b, r)),))
-                if w > 0:
-                    atoms.append((a + pitch / 2, w))
+                f_hi = F(min(b, r))
+                if f_hi > f_lo:
+                    atoms.append((a + half, f_hi - f_lo))
+                f_lo = f_hi
                 a = b
         return DiscreteMeasure(tuple(atoms)), pitch
     raise UnsupportedMeasureClass(
@@ -231,7 +259,8 @@ def _discretize(mu: Measure, pitch: Fraction) -> tuple[DiscreteMeasure, Fraction
 def prokhorov_bounds(mu: Measure, nu: Measure, n: int) -> tuple[Fraction, Fraction]:
     """Certified rational bounds on rho(mu, nu), gap at most 2^-n.
 
-    Densities are replaced by cell-mass atoms on a grid of pitch 2^-(n+2);
+    Densities are replaced by cell-mass atoms on a grid of pitch 2^-(n+2),
+    each found in one sweep, O(cells + vertices) (:func:`_discretize`);
     moving mass within a cell perturbs the distance by at most the pitch.
     """
     pitch = _pow2(n + 2)

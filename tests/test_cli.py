@@ -2,17 +2,34 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from effmeas import cli
 from effmeas.cli import REPORT_HEADER, _decimal, _parse_nlist, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, module="effmeas.cli"):
+    """(exit code, stdout, stderr) of ``python -m module argv`` in a new process."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def rows_of(out: str):
@@ -227,3 +244,65 @@ class TestFailClosed:
             capsys, "verify", "weak", "deltashrink", "delta0", "hat", "1",
             "--certificate", str(cert),
         )
+
+
+class TestUsageErrors:
+    """argparse usage errors end in exit 3, never in 2 (certified divergence)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prokhorov", "delta0"),
+            ("prokhorov", "delta0", "delta1", "--precision", "x"),
+            ("bogus",),
+            ("prokhorov", "delta0", "delta1", "extra"),
+            ("verify", "weak", "deltashrink", "delta0", "hat", "1..2", "--bogus"),
+        ],
+    )
+    def test_usage_error_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("prokhorov", "--help")])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(list(argv))
+        assert e.value.code == 0
+        assert "usage: effmeas" in capsys.readouterr().out
+
+
+class TestOneParserPerProcess:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
+        bad = tmp_path / "bad.measure"
+        bad.write_text("discrete\natom x 1\n")
+        calls = [
+            ("prokhorov", "delta0", "halfhalf"),
+            ("verify", "weak", "deltashrink", "delta0", "hat", "1..2"),
+            ("prokhorov", "delta0"),
+            ("prokhorov", str(bad), "delta0"),
+            ("prokhorov", "delta0", "halfhalf"),
+        ]
+        in_process = [run(capsys, *argv)[:2] for argv in calls]
+        assert [code for code, _ in in_process] == [0, 0, 3, 3, 0]
+        assert in_process == [run_process(*argv)[:2] for argv in calls]
+
+    def test_rebound_subcommand_is_called(self, capsys, monkeypatch):
+        assert run(capsys, "prokhorov", "delta0", "halfhalf")[0] == 0
+        seen = []
+
+        def fake(args):
+            seen.append((args.file_a, args.file_b))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_prokhorov", fake)
+        assert run(capsys, "prokhorov", "delta0", "halfhalf") == (0, "", "")
+        assert seen == [("delta0", "halfhalf")]
+
+
+class TestPackageMain:
+    def test_python_m_effmeas_exit_codes(self):
+        code, out, _ = run_process("prokhorov", "delta0", "halfhalf", module="effmeas")
+        assert code == 0 and out.splitlines()[0] == "1/2"
+        code, _, err = run_process("prokhorov", "delta0", module="effmeas")
+        assert code == 3 and err.startswith("parse error: ")

@@ -395,6 +395,20 @@ class TestVagueToWeak:
             "total-mass modulus contract failure: |mu_1(R) - mu_2(R)| = 1/2 >= 2^-1"
         )
 
+    def test_shared_window_fails_only_at_the_stricter_N(self):
+        # a constant modulus gives N = 1 and N = 3 the one window 0..3: its
+        # spread 3/8 passes 2^-0 and fails 2^-2, at n1 = 0 and n2 = 1
+        masses = [Fraction(1), Fraction(5, 4), Fraction(11, 8), Fraction(1)]
+        seq = MeasureSeq(lambda n: _MassOnly(masses[n]))
+        for Ns in ([1, 3], [3, 1]):
+            with pytest.raises(ContractViolation) as e:
+                validate_total_mass_modulus(seq, TotalMassModulus.constant(0), Ns, 3)
+            assert e.value.witness == (3, 0, 1, Fraction(1, 4))
+            assert str(e.value) == (
+                "total-mass modulus contract failure: |mu_0(R) - mu_1(R)| = 1/4 >= 2^-2"
+            )
+        assert validate_total_mass_modulus(seq, TotalMassModulus.constant(0), [1], 3) is None
+
     def test_valid_total_mass_modulus_passes(self):
         # masses 1 + 2^-n: of(N) = N bounds every window by 2^-N < 2^-(N-1)
         seq = MeasureSeq(lambda n: DiscreteMeasure(((Fraction(0), 1 + _pow2(n)),)))

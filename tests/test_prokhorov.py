@@ -23,6 +23,7 @@ from effmeas.errors import (
 )
 from effmeas import measures
 from effmeas.measures import almost_decidable_cover
+from effmeas.functions import PolyFunc
 from effmeas.prokhorov import (
     EpsFunction,
     NOT_IN_CUT,
@@ -30,6 +31,7 @@ from effmeas.prokhorov import (
     _brute_deficit,
     _critical_thresholds,
     _direction_deficit,
+    _discretize,
     assemble_limsup_witness,
     brute_force_valid,
     eps_from_weak,
@@ -155,6 +157,99 @@ class TestProkhorovBounds:
         # the fine grid brackets the exact distance 1/3 tightly
         assert lo <= lo10 <= Fraction(1, 3) <= hi10 <= hi
         assert hi10 - lo10 <= _pow2(10)
+
+
+def discretize_per_cell(mu, pitch):
+    """One ``mass_closed`` call per grid cell, kept as the oracle for the sweep."""
+    atoms = []
+    for l, r in mu.density.support_components():
+        a = (l / pitch).__floor__() * pitch
+        while a < r:
+            b = a + pitch
+            w = mu.mass_closed(((max(a, l), min(b, r)),))
+            if w > 0:
+                atoms.append((a + pitch / 2, w))
+            a = b
+    return DiscreteMeasure(tuple(atoms)), pitch
+
+
+def density(*verts) -> PolyDensityMeasure:
+    return PolyDensityMeasure(
+        PolyFunc(tuple((Fraction(x), Fraction(y)) for x, y in verts), "zero-outside")
+    )
+
+
+@st.composite
+def zero_outside_densities(draw):
+    """A random zero-outside density and a grid pitch.
+
+    Vertices sit on dyadic and non-dyadic rationals in [-3, 3]; a third of
+    the values are 0, so supports split into components, a nonzero vertex
+    between two zeros is a spike, and a cell can straddle a gap.  Pitches
+    run from 1/32 to 4, so a cell can be finer or coarser than the pieces,
+    and may be non-dyadic.
+    """
+    loc = st.builds(Fraction, st.integers(-21, 21), st.sampled_from((1, 2, 3, 4, 7, 8)))
+    xs = sorted(draw(st.sets(loc, min_size=2, max_size=9)))
+    value = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(1, 9), st.sampled_from((1, 2, 3, 5))),
+    )
+    ys = [Fraction(0)] + [draw(value) for _ in xs[2:]] + [Fraction(0)]
+    pitch = draw(
+        st.one_of(
+            st.builds(lambda k: Fraction(2) ** k, st.integers(-5, 2)),
+            st.builds(Fraction, st.integers(1, 5), st.sampled_from((3, 5, 7))),
+        )
+    )
+    return density(*zip(xs, ys)), pitch
+
+
+class TestDiscretizeSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(zero_outside_densities())
+    @example(
+        # two components and a coarse cell [0, 1] straddling the gap
+        (density((0, 0), (Fraction(1, 3), 1), (Fraction(1, 2), 0), (Fraction(5, 8), 0),
+                 (Fraction(3, 4), 2), (1, 0)), Fraction(1))
+    )
+    @example(
+        # a spike between zeros, on non-dyadic vertices, under a fine pitch
+        (density((-1, 0), (0, 0), (Fraction(1, 7), 3), (Fraction(2, 7), 0), (1, 0)),
+         Fraction(1, 32))
+    )
+    @example((density((0, 0), (Fraction(1, 3), 1), (Fraction(2, 3), 0)), Fraction(4)))
+    @example((density((0, 0), (Fraction(1, 3), 1), (Fraction(2, 3), 0)), Fraction(2, 7)))
+    def test_sweep_matches_per_cell_oracle(self, case):
+        mu, pitch = case
+        got, want = _discretize(mu, pitch), discretize_per_cell(mu, pitch)
+        assert got[0].atoms == want[0].atoms
+        assert got[1] == want[1] == pitch
+
+    def test_no_mass_closed_or_integrate_product_calls(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            measures, "integrate_product", counted("integrate_product", measures.integrate_product)
+        )
+        monkeypatch.setattr(
+            PolyDensityMeasure,
+            "mass_closed",
+            counted("mass_closed", PolyDensityMeasure.mass_closed),
+        )
+        mu = density((0, 0), (Fraction(1, 3), 1), (Fraction(1, 2), 0), (Fraction(3, 4), 2), (1, 0))
+        swept = _discretize(mu, _pow2(6))
+        assert calls == []
+        # the wrappers do see the per-cell oracle's calls
+        assert discretize_per_cell(mu, _pow2(6)) == swept
+        assert "mass_closed" in calls and "integrate_product" in calls
 
 
 def union_mass_gap_sup_all_balls(mu_n, mu, balls):
