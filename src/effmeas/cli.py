@@ -10,9 +10,10 @@ Subcommands::
 MODE is one of weak, vague, eps, witness, vague-to-weak.  SEQ names a
 builtin family (deltashrink, deltan, mixture, deltadrift, specker); LIMIT
 is a builtin measure name or a measure file.  N-LIST tokens look like
-``4`` or ``1..8`` or ``1,3,5``.  Exit codes: 0 all rows pass, 1 some row
-fails, 2 certified divergence, 3 parse error (a malformed file or a usage
-error on the command line).
+``4`` or ``1..8`` or ``1,3,5``; a second FUNCTION or a second N-LIST
+(positional or ``--precision``) is a usage error.  Exit codes: 0 all rows
+pass, 1 some row fails, 2 certified divergence, 3 parse error (a malformed
+file or a usage error on the command line).
 """
 
 from __future__ import annotations
@@ -389,7 +390,11 @@ def main(argv=None) -> int:
         args.ns = _parse_nlist(args.precision) if args.precision else None
         for token in args.extras:
             if _NLIST.match(token):
+                if args.ns is not None:
+                    parser.error(f"a second N-list {token!r} (positional or --precision)")
                 args.ns = _parse_nlist(token)
+            elif args.function is not None:
+                parser.error(f"a second function {token!r} after {args.function!r}")
             else:
                 args.function = token
         return cmd_verify(args)

@@ -38,7 +38,7 @@ from .measures import (
     mass_of_interval,
 )
 from .reals import CauchyReal, LowerReal, _pow2
-from .sets import compact_hull_bounds
+from .sets import compact_hull_bounds, merge_open
 from .streams import Fuel, Stream
 
 
@@ -222,12 +222,32 @@ def _scan_for_index(
     )
 
 
-def _check_scan_range(max_n: int, window: int) -> None:
-    """A negative ``max_n`` or ``window`` would scan no member: refuse it."""
+def _integral_modulus(
+    seq: MeasureSeq, limit: Measure, f, max_n: int, window: int
+) -> Modulus:
+    """The scanned modulus of the integrals of ``f`` (either kind of name).
+
+    A negative ``max_n`` or ``window`` would scan no member: refuse it.
+    """
     if max_n < 0:
         raise ValueError(f"modulus scan max_n must be nonnegative, got {max_n}")
     if window < 0:
         raise ValueError(f"modulus scan window must be nonnegative, got {window}")
+
+    def of(N: int) -> int:
+        prec = N + 3
+        lim = integrate_named(f, limit, prec)
+        return _scan_for_index(
+            lambda n: integrate_named(f, seq[n], prec),
+            _pow2(prec),
+            lim,
+            _pow2(prec),
+            N,
+            max_n=max_n,
+            window=window,
+        )
+
+    return Modulus(of)
 
 
 def weak_modulus(
@@ -246,22 +266,7 @@ def weak_modulus(
     the sequence provably fails to track the claimed limit integral.
     A negative ``max_n`` or ``window`` raises ``ValueError`` here.
     """
-    _check_scan_range(max_n, window)
-
-    def of(N: int) -> int:
-        prec = N + 3
-        lim = integrate_named((f_name, B), limit, prec)
-        return _scan_for_index(
-            lambda n: integrate_named((f_name, B), seq[n], prec),
-            _pow2(prec),
-            lim,
-            _pow2(prec),
-            N,
-            max_n=max_n,
-            window=window,
-        )
-
-    return Modulus(of)
+    return _integral_modulus(seq, limit, (f_name, B), max_n, window)
 
 
 def vague_modulus(
@@ -276,22 +281,7 @@ def vague_modulus(
 
     A negative ``max_n`` or ``window`` raises ``ValueError`` here.
     """
-    _check_scan_range(max_n, window)
-
-    def of(N: int) -> int:
-        prec = N + 3
-        lim = integrate_named(f, limit, prec)
-        return _scan_for_index(
-            lambda n: integrate_named(f, seq[n], prec),
-            _pow2(prec),
-            lim,
-            _pow2(prec),
-            N,
-            max_n=max_n,
-            window=window,
-        )
-
-    return Modulus(of)
+    return _integral_modulus(seq, limit, f, max_n, window)
 
 
 VagueOracle = Callable[[SupportedFunc], Modulus]
@@ -411,6 +401,13 @@ def complement_modulus(g1: Modulus, g2: TotalMassModulus, N: int) -> int:
     return max(g1.of(N + 1), g2.of(N + 1))
 
 
+def _member_mass(mu: Measure) -> Fraction:
+    m = mu.exact_total_mass()
+    if m is None:
+        raise UnsupportedMeasureClass("need exact member masses")
+    return m
+
+
 def validate_total_mass_modulus(
     seq: MeasureSeq,
     tm: TotalMassModulus,
@@ -444,10 +441,7 @@ def validate_total_mass_modulus(
         if idx not in spread:
             for n in ns:
                 if n not in mass:
-                    m = seq[n].exact_total_mass()
-                    if m is None:
-                        raise UnsupportedMeasureClass("need exact member masses")
-                    mass[n] = m
+                    mass[n] = _member_mass(seq[n])
             ms = [mass[n] for n in ns]
             spread[idx] = min(ms), max(ms)
         lo, hi = spread[idx]
@@ -479,7 +473,7 @@ def tail_mass_bound(
     """
     prec = N + 5
     i_m = tm.of(prec)
-    m_apx = seq[i_m].exact_total_mass()
+    m_apx = _member_mass(seq[i_m])
     a = 1
     for _ in range(max_doublings):
         tent_s = supported_from_poly(tent_function((Fraction(-a), Fraction(a))))
@@ -513,8 +507,8 @@ def polygonal_surrogate(
     a1, n1 = tail_mass_bound(seq, tm, oracle, Nt)
     W = a1 + 1
     i0 = tm.of(0)
-    prefix_masses = [seq[n].exact_total_mass() for n in range(i0 + 1)]
-    mass_bound = max(prefix_masses, default=Fraction(0)) + 2
+    masses = (_member_mass(seq[n]) for n in range(i0 + 1))
+    mass_bound = max(masses, default=Fraction(0)) + 2
     tol = _pow2(N + 1) / (mass_bound + 1)
     core = polygonal_on_window(f_name, Fraction(-a1), Fraction(a1), tol)
     verts = (
@@ -619,31 +613,20 @@ class ReconstructedMeasure(Measure):
                 return Fraction(0)
             return self.interval_mass_lower(l, r).bound(t)
 
-        if U.components is not None:
-            comps = U.components
-
-            def gen():
-                best = None
-                for t in itertools.count():
-                    v = sum((comp_lower(c, t) for c in comps), Fraction(0))
-                    best = v if best is None else max(best, v)
-                    yield best
-
-            return LowerReal(gen())
-
-        def gen_pull():
-            from .sets import merge_open
-
+        def gen():
             best = None
             pulled = []
             for t in itertools.count():
-                pulled.append(U.interval(t))
-                comps = merge_open(pulled)
+                if U.components is not None:
+                    comps = U.components
+                else:
+                    pulled.append(U.interval(t))
+                    comps = merge_open(pulled)
                 v = sum((comp_lower(c, t) for c in comps), Fraction(0))
                 best = v if best is None else max(best, v)
                 yield best
 
-        return LowerReal(gen_pull())
+        return LowerReal(gen())
 
 
 def limit_from_vague(

@@ -49,11 +49,17 @@ def _poly_backing(f) -> PolyFunc:
 
 
 def _first_below(target: Fraction) -> int:
-    """Smallest n with 2^-n < target (target > 0)."""
-    n = 0
-    while _pow2(n) >= target:
-        n += 1
-    return n
+    """Smallest n >= 0 with 2^-n < target, read off bit lengths.
+
+    For target = p/q in lowest terms, 2^-n < target iff q < p * 2^n.  At
+    n = bitlen(q) - bitlen(p) the two sides have equal bit lengths, so n
+    fails only if n + 1 is the answer.  A target <= 0 has no such n.
+    """
+    p, q = target.numerator, target.denominator
+    if p <= 0:
+        raise ValueError(f"need a positive target, got {target}")
+    n = max(0, q.bit_length() - p.bit_length())
+    return n if q < p << n else n + 1
 
 
 @dataclass

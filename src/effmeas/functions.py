@@ -16,13 +16,12 @@ from typing import Callable
 
 from . import codes
 from .errors import InsufficientNameProgress, MalformedInterval
-from .reals import _pow2
+from .reals import _fraction, _pow2
 from .sets import (
     ClosedComp,
     CompactName,
     compact_from_closed_union,
     compact_hull_bounds,
-    merge_closed,
 )
 from .streams import Stream
 
@@ -44,15 +43,19 @@ class PolyFunc:
     extension: str = ZERO
 
     def __post_init__(self):
-        verts = tuple(
-            (Fraction(x), Fraction(y)) for x, y in self.vertices
-        )
+        verts = []
+        for x, y in self.vertices:
+            if type(x) is not Fraction:
+                x = Fraction(x)
+            if type(y) is not Fraction:
+                y = Fraction(y)
+            if verts and not verts[-1][0] < x:
+                raise MalformedInterval("vertex abscissae must strictly increase")
+            verts.append((x, y))
+        verts = tuple(verts)
         object.__setattr__(self, "vertices", verts)
         if not verts:
             raise MalformedInterval("a polygonal function needs at least one vertex")
-        for (x0, _), (x1, _) in zip(verts, verts[1:]):
-            if not x0 < x1:
-                raise MalformedInterval("vertex abscissae must strictly increase")
         if self.extension not in (CONST, ZERO):
             raise MalformedInterval(f"unknown extension mode {self.extension!r}")
         if self.extension == ZERO and (verts[0][1] != 0 or verts[-1][1] != 0):
@@ -61,7 +64,8 @@ class PolyFunc:
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
+        if type(x) is not Fraction:
+            x = Fraction(x)
         verts = self.vertices
         if x <= verts[0][0]:
             if x == verts[0][0]:
@@ -85,7 +89,7 @@ class PolyFunc:
 
     def exact_range(self, a, b) -> tuple[Fraction, Fraction]:
         """Exact [min, max] of the function on the closed interval [a, b]."""
-        a, b = Fraction(a), Fraction(b)
+        a, b = _fraction(a), _fraction(b)
         if a > b:
             raise MalformedInterval("need a <= b")
         values = [self(a), self(b)]
@@ -114,18 +118,22 @@ class PolyFunc:
         return tuple(x for x, _ in self.vertices)
 
     def support_components(self) -> tuple[ClosedComp, ...]:
-        """Closure of {f != 0}, exact, for zero-outside functions."""
+        """Closure of {f != 0}, exact, for zero-outside functions.
+
+        The boundary values are 0, so a component is a maximal run of pieces
+        with a nonzero end: one left-to-right pass finds them, in order.
+        """
         if self.extension == CONST:
             raise MalformedInterval("support is only finite for zero-outside")
         comps: list[ClosedComp] = []
         verts = self.vertices
         for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            if y0 != 0 or y1 != 0:
-                comps.append((x0, x1))
-        for x, y in verts:
-            if y != 0:
-                comps.append((x, x))
-        return merge_closed(comps) if comps else ()
+            if y0 or y1:
+                if comps and comps[-1][1] == x0:
+                    comps[-1] = (comps[-1][0], x1)
+                else:
+                    comps.append((x0, x1))
+        return tuple(comps)
 
     # -- algebra ----------------------------------------------------------
 
@@ -235,7 +243,7 @@ class CompactOpenName:
         self.enumeration = Stream(pairs())
 
     def range_box(self, a, b, tol) -> tuple[Fraction, Fraction]:
-        a, b, tol = Fraction(a), Fraction(b), Fraction(tol)
+        a, b, tol = _fraction(a), _fraction(b), _fraction(tol)
         if a > b:
             raise MalformedInterval("need a <= b")
         return self._range_fn(a, b, tol)
@@ -280,10 +288,6 @@ def supported_from_poly(p: PolyFunc) -> SupportedFunc:
 # polygonal approximation through the name interface
 
 
-def _chord_range(va, vb) -> tuple[Fraction, Fraction]:
-    return (min(va, vb), max(va, vb))
-
-
 def _fit(
     name: CompactOpenName,
     a: Fraction,
@@ -306,7 +310,7 @@ def _fit(
         flo, fhi = name.range_box(s0, s1, box_tol)
         c0 = va + (vb - va) * (s0 - a) / (b - a)
         c1 = va + (vb - va) * (s1 - a) / (b - a)
-        clo, chi = _chord_range(c0, c1)
+        clo, chi = min(c0, c1), max(c0, c1)
         bound = max(bound, fhi - clo, chi - flo)
     if bound < err:
         return []
@@ -326,7 +330,7 @@ def polygonal_on_window(
     max_depth: int = 64,
 ) -> PolyFunc:
     """A rational polygonal function within err of the named f on [a, b]."""
-    a, b, err = Fraction(a), Fraction(b), Fraction(err)
+    a, b, err = _fraction(a), _fraction(b), _fraction(err)
     if err <= 0:
         raise ValueError("err must be positive")
     if not a < b:
@@ -338,13 +342,13 @@ def polygonal_on_window(
         # polygonal fit (error 0), provided any forced endpoint values
         # agree with f.  Range-box fitting below handles opaque names.
         va0, vb0 = backing(a), backing(b)
-        if (va is None or Fraction(va) == va0) and (vb is None or Fraction(vb) == vb0):
+        if (va is None or _fraction(va) == va0) and (vb is None or _fraction(vb) == vb0):
             interior = [(x, y) for x, y in backing.vertices if a < x < b]
             return PolyFunc(tuple([(a, va0)] + interior + [(b, vb0)]), extension)
 
     def node(x, forced):
         if forced is not None:
-            return Fraction(forced)
+            return _fraction(forced)
         lo, hi = name.value_box(x, err / 4)
         return (lo + hi) / 2
 
@@ -362,7 +366,7 @@ def approx_polygonal(f: SupportedFunc, err, *, hull_round: int = 8) -> PolyFunc:
     hull, forces the approximation to vanish there, and certifies the
     sup-error on [p, q] through range boxes alone.
     """
-    err = Fraction(err)
+    err = _fraction(err)
     if err <= 0:
         raise ValueError("err must be positive")
     l, u = compact_hull_bounds(f.support, hull_round)

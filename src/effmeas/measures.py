@@ -27,7 +27,7 @@ from .functions import (
     polygonal_on_window,
 )
 from .reals import CauchyReal, LowerReal, _pow2
-from .sets import OpenComp, SigmaSet, merge_open, open_contains_point
+from .sets import OpenComp, SigmaSet, compact_hull_bounds, merge_open, open_contains_point
 from .streams import Stream
 
 
@@ -109,9 +109,9 @@ class DiscreteMeasure(Measure):
     def __post_init__(self):
         pairs = []
         for loc, w in self.atoms:
-            if not isinstance(loc, Fraction):
+            if type(loc) is not Fraction:
                 loc = Fraction(loc)
-            if not isinstance(w, Fraction):
+            if type(w) is not Fraction:
                 w = Fraction(w)
             if w.numerator <= 0:  # a Fraction's denominator is positive
                 raise ValueError("atom weights must be positive")
@@ -286,9 +286,31 @@ class LazyDiscreteMeasure(Measure):
 
 
 def integrate_poly(p: PolyFunc, mu: Measure) -> Fraction:
-    """Exact integral of a polygonal function for the concrete classes."""
+    """Exact integral of a polygonal function for the concrete classes.
+
+    On a :class:`DiscreteMeasure` one sweep walks the sorted atoms and the
+    polygon's pieces together; an atom x inside piece [x0, x1] contributes
+    w * (y0 + (y1 - y0)(x - x0)/(x1 - x0)), and under ``zero-outside`` the
+    atoms outside the vertex hull are skipped.
+    """
     if isinstance(mu, DiscreteMeasure):
-        return sum((w * p(loc) for loc, w in mu.atoms), Fraction(0))
+        verts = p.vertices
+        (xl, yl), (xr, yr) = verts[0], verts[-1]
+        zero = p.extension == "zero-outside"
+        total = Fraction(0)
+        i = 0  # the piece verts[i] .. verts[i + 1] holding the atom
+        for loc, w in mu.atoms:
+            if xl < loc < xr:
+                while verts[i + 1][0] < loc:
+                    i += 1
+                (x0, y0), (x1, y1) = verts[i], verts[i + 1]
+                y = y1 if loc == x1 else y0 + (y1 - y0) * (loc - x0) / (x1 - x0)
+            elif zero:
+                continue
+            else:
+                y = yl if loc <= xl else yr
+            total += w * y
+        return total
     if isinstance(mu, PolyDensityMeasure):
         lo = mu.density.vertices[0][0]
         hi = mu.density.vertices[-1][0]
@@ -320,8 +342,6 @@ def _integrate_supported_lazy(f: SupportedFunc, mu: LazyDiscreteMeasure, n: int)
     after finitely many pulls, so no tail bound is needed; otherwise a tail
     bound is required.
     """
-    from .sets import compact_hull_bounds
-
     _, hull_hi = compact_hull_bounds(f.support, 8)
     if mu.locations_increasing:
         atoms = []

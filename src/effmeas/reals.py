@@ -15,6 +15,7 @@ refute them, never eagerly.
 from __future__ import annotations
 
 import enum
+import functools
 from fractions import Fraction
 from typing import Union
 
@@ -24,8 +25,19 @@ from .streams import Fuel, Stream
 RationalLike = Union[Fraction, int]
 
 
+@functools.lru_cache(maxsize=256)
 def _pow2(n: int) -> Fraction:
-    return Fraction(1, 2**n) if n >= 0 else Fraction(2 ** (-n))
+    """2^-n, exact.
+
+    A Fraction is immutable, so one instance per exponent is shared by every
+    caller; the memo is bounded, so a huge precision cannot pin memory.
+    """
+    return Fraction(1, 1 << n) if n >= 0 else Fraction(1 << -n)
+
+
+def _fraction(v) -> Fraction:
+    """``v`` as a Fraction, built only when ``v`` is not exactly one already."""
+    return v if type(v) is Fraction else Fraction(v)
 
 
 class CauchyReal:

@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from . import codes
 from .errors import EmptyCompact, MalformedInterval
-from .reals import CauchyReal, LowerReal, _pow2
+from .reals import CauchyReal, LowerReal, _fraction, _pow2
 from .streams import Fuel, Stream, interleave
 
 OpenComp = tuple[Optional[Fraction], Optional[Fraction]]
@@ -105,10 +105,6 @@ def open_contains_interval(comps: Sequence[OpenComp], l: Fraction, r: Fraction) 
 
 def open_contains_point(comps: Sequence[OpenComp], x: Fraction) -> bool:
     return any((cl is None or cl < x) and (cr is None or x < cr) for cl, cr in comps)
-
-
-def closed_contains_point(comps: Sequence[ClosedComp], x: Fraction) -> bool:
-    return any(l <= x <= r for l, r in comps)
 
 
 def open_disjoint_from_closed(
@@ -230,10 +226,6 @@ class SigmaSet:
         made = cls.__new__(cls)
         made._setup(source, comps)
         return made
-
-    @classmethod
-    def full_line(cls) -> "SigmaSet":
-        return cls.from_components([(None, None)])
 
     @classmethod
     def ball(cls, center: Fraction, radius: Fraction) -> "SigmaSet":
@@ -395,20 +387,24 @@ def closed_neighborhood(C: PiSet, s: Fraction) -> PiSet:
 
 
 class CompactName:
-    """A compact set named by a stream of minimal finite covers.
+    """A compact set named by a sequence of minimal finite covers.
 
+    ``cover_at`` is a pure function ``m -> cover m``; each cover is computed
+    on demand, so reading cover m builds none of the covers before it.
     Names constructed by :func:`compact_from_closed_union` shrink their
     cover hull by at least 2^-m per index m; :func:`compact_bounds` relies
     on that schedule to emit valid Cauchy names (a foreign name with slower
     covers surfaces as a name violation downstream).
     """
 
-    def __init__(self, covers, exact_hull: ClosedComp | None = None):
-        self.covers = Stream(covers)
+    def __init__(self, cover_at, exact_hull: ClosedComp | None = None):
+        self._cover_at = cover_at
         self.exact_hull = exact_hull
 
     def cover(self, m: int) -> tuple[tuple[Fraction, Fraction], ...]:
-        return self.covers[m]
+        if m < 0:
+            raise IndexError("cover indices start at 0")
+        return self._cover_at(m)
 
 
 def compact_from_closed_union(closed_intervals) -> CompactName:
@@ -416,7 +412,7 @@ def compact_from_closed_union(closed_intervals) -> CompactName:
         (iv.left, iv.right) if isinstance(iv, RationalInterval) else iv
         for iv in closed_intervals
     ]
-    comps = merge_closed([(Fraction(l), Fraction(r)) for l, r in raw])
+    comps = merge_closed([(_fraction(l), _fraction(r)) for l, r in raw])
     if not comps:
         raise EmptyCompact("empty compact")
     gaps = [comps[i + 1][0] - comps[i][1] for i in range(len(comps) - 1)]
@@ -434,15 +430,8 @@ def compact_from_closed_union(closed_intervals) -> CompactName:
 
 def compact_bounds(K: CompactName) -> tuple[CauchyReal, CauchyReal]:
     """(min K, max K) as Cauchy names read off shrinking cover hulls."""
-
-    def hull(m: int) -> tuple[Fraction, Fraction]:
-        cov = K.cover(m)
-        if not cov:
-            raise EmptyCompact("empty compact")
-        return min(l for l, _ in cov), max(r for _, r in cov)
-
-    lo = CauchyReal(lambda n: hull(n + 2)[0])
-    hi = CauchyReal(lambda n: hull(n + 2)[1])
+    lo = CauchyReal(lambda n: compact_hull_bounds(K, n + 2)[0])
+    hi = CauchyReal(lambda n: compact_hull_bounds(K, n + 2)[1])
     return lo, hi
 
 

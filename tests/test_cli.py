@@ -237,6 +237,19 @@ class TestFailClosed:
             "--certificate", str(cert),
         )
 
+    def test_second_function_token(self, capsys):
+        self.assert_parse_error(
+            capsys, "verify", "weak", "deltashrink", "delta0", "hat", "constant-one", "1..2"
+        )
+
+    def test_second_nlist(self, capsys):
+        self.assert_parse_error(capsys, "verify", "weak", "deltashrink", "delta0", "1..2", "1..3")
+
+    def test_positional_nlist_next_to_precision(self, capsys):
+        self.assert_parse_error(
+            capsys, "verify", "weak", "deltashrink", "delta0", "1..2", "--precision", "1..5"
+        )
+
     def test_certificate_with_repeated_row(self, capsys, tmp_path):
         cert = tmp_path / "dup.modulus"
         cert.write_text("modulus\n1 3\n1 5\n")

@@ -431,6 +431,23 @@ class TestVagueToWeak:
         with pytest.raises(UnsupportedMeasureClass):
             validate_total_mass_modulus(seq, TotalMassModulus.constant(0), [2], 4)
 
+    def test_lazy_members_refused_without_validation(self):
+        # Specker members as lazy measures: no exact mass to compare with
+        sp = specker_sequence(iter(range(64)))
+        lazy = MeasureSeq(lambda n: sp.limit_measure())
+        one = co_name_of_poly(constant_func(Fraction(1)))
+        with pytest.raises(UnsupportedMeasureClass, match="need exact member masses"):
+            vague_to_weak(
+                lazy, sp.limit_measure(), TotalMassModulus.constant(0),
+                sp.vague_oracle(), one, 1, 2, validate_tm=False,
+            )
+        # exact masses from member 3 on satisfy tail_mass_bound; the
+        # surrogate's mass bound still reads the lazy members 0..2
+        mixed = MeasureSeq(lambda n: sp.limit_measure() if n < 3 else DiscreteMeasure.point(0))
+        tm = TotalMassModulus(lambda N: 2 if N == 0 else 3)
+        with pytest.raises(UnsupportedMeasureClass, match="need exact member masses"):
+            polygonal_surrogate(one, 1, 2, mixed, DiscreteMeasure.point(0), tm, lambda f: Modulus.constant(3))
+
     def test_mass_escape_reported_as_divergence(self):
         dn = deltan()
         one = constant_func(Fraction(1))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from effmeas import (
     CompactOpenName,
@@ -19,6 +19,7 @@ from effmeas import (
 from effmeas.errors import MalformedInterval
 from effmeas.functions import polygonal_on_window
 from effmeas.reals import _pow2
+from effmeas.sets import merge_closed
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 
@@ -68,6 +69,10 @@ class TestPolyFunc:
     def test_support_components(self):
         p = hat_function(Fraction(0), Fraction(1), Fraction(2), Fraction(1))
         assert p.support_components() == ((Fraction(0), Fraction(2)),)
+        # adjacent nonzero vertices, a zero piece, isolated spikes
+        ys = [0, 2, 3, 0, 0, 1, 0, 0, 1, 0]
+        q = PolyFunc(tuple((Fraction(x), Fraction(y)) for x, y in enumerate(ys)), "zero-outside")
+        assert q.support_components() == ((0, 3), (4, 6), (7, 9))
 
     @given(frac)
     def test_add_sub_pointwise(self, x):
@@ -76,6 +81,62 @@ class TestPolyFunc:
         assert (p + q)(x) == p(x) + q(x)
         assert (p - q)(x) == p(x) - q(x)
         assert p.scale(Fraction(3, 2))(x) == Fraction(3, 2) * p(x)
+
+
+def support_components_merge_oracle(p: PolyFunc):
+    """Nonzero pieces and nonzero vertices merged by ``merge_closed``: the
+    construction the one-pass scan replaced, kept as its oracle."""
+    verts = p.vertices
+    comps = [(x0, x1) for (x0, y0), (x1, y1) in zip(verts, verts[1:]) if y0 != 0 or y1 != 0]
+    comps += [(x, x) for x, y in verts if y != 0]
+    return merge_closed(comps) if comps else ()
+
+
+class _SubFraction(Fraction):
+    """A Fraction subclass: inputs of this type are normalised to Fraction."""
+
+
+def spelled(q: Fraction, spelling: int):
+    """q as a Fraction, a str, a Fraction subclass, or an int where integral."""
+    if spelling == 1:
+        return str(q)
+    if spelling == 2:
+        return _SubFraction(q)
+    if spelling == 3 and q.denominator == 1:
+        return int(q)
+    return q
+
+
+# zero values are frequent, so that adjacent nonzero vertices, isolated
+# spikes and zero vertices between nonzero ones all occur
+_ys = st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-2), Fraction(1, 3)])
+
+
+@st.composite
+def zero_outside_polys(draw):
+    xs = sorted(draw(st.sets(frac, min_size=1, max_size=9)))
+    ys = [Fraction(0)] + [draw(_ys) for _ in xs[1:-1]] + ([Fraction(0)] if len(xs) > 1 else [])
+    return PolyFunc(tuple(zip(xs, ys)), "zero-outside")
+
+
+class TestNormalisedInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(zero_outside_polys())
+    def test_support_components_match_merge_oracle(self, p):
+        assert p.support_components() == support_components_merge_oracle(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=zero_outside_polys(), ext=st.sampled_from(["zero-outside", "constant-extend"]))
+    def test_spelled_vertices_equal_and_hash_equal(self, data, p, ext):
+        sp = [
+            (spelled(x, data.draw(st.integers(0, 3))), spelled(y, data.draw(st.integers(0, 3))))
+            for x, y in p.vertices
+        ]
+        a, b = PolyFunc(p.vertices, ext), PolyFunc(tuple(sp), ext)
+        assert a == b and hash(a) == hash(b)
+        assert all(type(x) is Fraction and type(y) is Fraction for x, y in b.vertices)
+        x = data.draw(frac)
+        assert b(spelled(x, data.draw(st.integers(0, 3)))) == a(x)
 
 
 class TestShapes:

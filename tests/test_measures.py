@@ -28,7 +28,7 @@ from effmeas.functions import co_name_of_poly
 from effmeas.measures import first_cover_balls, integrate_product, mass_of_interval, total_mass_upper
 from effmeas.reals import _pow2
 from effmeas.sets import open_contains_point
-from tests.test_functions import opaque_name_of
+from tests.test_functions import opaque_name_of, spelled
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 
@@ -119,6 +119,15 @@ class TestDiscreteMeasure:
         mu = DiscreteMeasure(((Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))))
         p = hat_function(Fraction(-1), Fraction(0), Fraction(2), Fraction(1))
         assert integrate_poly(p, mu) == Fraction(1, 2) + Fraction(1, 2) * Fraction(1, 2)
+        # atoms on vertices and outside the hull, under both extensions
+        hat = hat_function(Fraction(0), Fraction(1), Fraction(3), Fraction(2))
+        clamp = PolyFunc(((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(1))), "constant-extend")
+        mu = DiscreteMeasure(
+            tuple((Fraction(x), Fraction(1, 2)) for x in (-1, 0, Fraction(1, 2), 1, 2, 3, 5))
+        )
+        assert integrate_poly(hat, mu) == Fraction(1, 2) * (0 + 0 + 1 + 2 + 1 + 0 + 0)
+        assert integrate_poly(clamp, mu) == Fraction(1, 2) * (-1 - 1 + 0 + 1 + 1 + 1 + 1)
+        assert integrate_poly(hat, DiscreteMeasure.zero()) == 0
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(Exception):
@@ -149,6 +158,44 @@ class TestDiscreteMeasure:
         b = DiscreteMeasure(((Fraction(0), Fraction(1, 2)),))
         object.__setattr__(b, "_total", Fraction(7))
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+@st.composite
+def polys_and_atoms(draw):
+    """A polygon of either extension and sorted-able atoms on its vertices,
+    inside its pieces and outside its hull."""
+    xs = sorted(draw(st.sets(frac, min_size=1, max_size=6)))
+    ext = draw(st.sampled_from(["zero-outside", "constant-extend"]))
+    ys = [draw(frac) for _ in xs]
+    if ext == "zero-outside":
+        ys[0] = ys[-1] = Fraction(0)
+    locs = st.one_of(st.sampled_from(xs), frac, st.sampled_from([xs[0] - 1, xs[-1] + 3]))
+    weights = st.fractions(min_value=Fraction(1, 16), max_value=2, max_denominator=16)
+    atoms = draw(st.lists(st.tuples(locs, weights), max_size=8))
+    return PolyFunc(tuple(zip(xs, ys)), ext), DiscreteMeasure(tuple(atoms))
+
+
+class TestIntegratePolyOnAtoms:
+    @settings(max_examples=200, deadline=None)
+    @given(polys_and_atoms())
+    def test_sweep_matches_pointwise_sum(self, case):
+        p, mu = case
+        assert integrate_poly(p, mu) == sum((w * p(loc) for loc, w in mu.atoms), Fraction(0))
+
+
+class TestSpelledAtoms:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), atoms=_atom_lists)
+    def test_spelled_inputs_equal_and_hash_equal(self, data, atoms):
+        atoms = [(Fraction(loc), Fraction(w)) for loc, w in atoms if Fraction(w) > 0]
+        sp = [
+            (spelled(loc, data.draw(st.integers(0, 3))), spelled(w, data.draw(st.integers(0, 3))))
+            for loc, w in atoms
+        ]
+        a, b = DiscreteMeasure(tuple(atoms)), DiscreteMeasure(tuple(sp))
+        assert a == b and hash(a) == hash(b)
+        assert all(type(loc) is Fraction and type(w) is Fraction for loc, w in b.atoms)
+        assert b.exact_total_mass() == a.exact_total_mass()
 
 
 class TestPolyDensityMeasure:

@@ -107,3 +107,19 @@ class TestMonotoneReals:
         s = a.add(b)
         assert s.approx(Fuel(5)) == Fraction(3) - 2 * _pow2(5)
         assert s.bound(0) <= s.bound(7)
+
+
+class TestPow2:
+    @given(st.integers(-300, 300))
+    def test_exact_value(self, n):
+        assert _pow2(n) == (Fraction(1, 2**n) if n >= 0 else Fraction(2**-n))
+        assert type(_pow2(n)) is Fraction
+
+    def test_one_shared_instance_per_exponent(self):
+        assert _pow2(37) is _pow2(37)
+        assert _pow2(-5) is _pow2(-5)
+
+    def test_memo_is_bounded(self):
+        for n in range(2000):
+            _pow2(n)
+        assert _pow2.cache_info().currsize <= 256

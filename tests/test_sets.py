@@ -32,6 +32,7 @@ from effmeas.sets import (
     open_contains_interval,
     open_disjoint_from_closed,
 )
+from effmeas.streams import Stream
 
 frac = st.fractions(min_value=-6, max_value=6, max_denominator=24)
 
@@ -251,6 +252,23 @@ class TestCompactName:
     def test_empty_union_rejected(self):
         with pytest.raises(EmptyCompact):
             compact_from_closed_union([])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(frac, frac), min_size=1, max_size=4),
+        st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    )
+    def test_covers_on_demand_match_sequential_stream(self, pairs, ms):
+        K = compact_from_closed_union([(min(a, b), max(a, b)) for a, b in pairs])
+        sequential = Stream(K._cover_at)
+        for m in ms:
+            assert K.cover(m) == sequential[m]
+
+    def test_negative_cover_index_rejected(self):
+        K = compact_from_closed_union([(0, 1)])
+        for m in (-1, -7):
+            with pytest.raises(IndexError):
+                K.cover(m)
 
 
 class TestKernelPredicates:
