@@ -28,9 +28,11 @@ import sys
 from fractions import Fraction
 
 from .convergence import (
+    DEFAULT_TM_CHECK,
     Modulus,
     check_modulus,
     vague_to_weak,
+    validate_total_mass_modulus,
     weak_modulus,
 )
 from .corpora import (
@@ -274,6 +276,8 @@ def cmd_verify(args) -> int:
         else:  # vague-to-weak
             if corpus is None or corpus.tm is None:
                 raise ParseError(1, "vague-to-weak needs a builtin corpus with mass data")
+            # one check serves every N: it depends on seq and tm only
+            validate_total_mass_modulus(seq, corpus.tm, *DEFAULT_TM_CHECK)
             entries = {}
             for N in Ns:
                 entries[N] = vague_to_weak(
@@ -284,6 +288,7 @@ def cmd_verify(args) -> int:
                     co_name_of_poly(poly),
                     int(poly.bound().__ceil__()),
                     N,
+                    validate_tm=False,
                 )
             mod = Modulus.from_table(entries)
         _verify_integral_rows(

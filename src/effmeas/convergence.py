@@ -43,16 +43,37 @@ from .streams import Fuel, Stream
 
 
 class MeasureSeq:
-    """A uniformly given sequence of measures, memoized by index."""
+    """A uniformly given sequence of measures, memoized by index.
+
+    Members are indexed from 0; a negative index raises ``IndexError``.
+    ``total_mass(n)`` is the one place member masses are read.  Here it
+    builds member n and returns its exact mass; a family that knows its
+    masses in closed form overrides it and builds no member.
+    """
 
     def __init__(self, at: Callable[[int], Measure]):
         self._at = at
         self._memo: dict[int, Measure] = {}
 
     def __getitem__(self, n: int) -> Measure:
-        if n not in self._memo:
-            self._memo[n] = self._at(n)
-        return self._memo[n]
+        memo = self._memo
+        if n in memo:
+            return memo[n]
+        _check_index(n)
+        mu = memo[n] = self._at(n)
+        return mu
+
+    def total_mass(self, n: int) -> Fraction:
+        """mu_n(R), exact; ``UnsupportedMeasureClass`` if the member has none."""
+        m = self[n].exact_total_mass()
+        if m is None:
+            raise UnsupportedMeasureClass("need exact member masses")
+        return m
+
+
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise IndexError(f"measure sequences start at index 0, got {n}")
 
 
 @dataclass
@@ -401,13 +422,6 @@ def complement_modulus(g1: Modulus, g2: TotalMassModulus, N: int) -> int:
     return max(g1.of(N + 1), g2.of(N + 1))
 
 
-def _member_mass(mu: Measure) -> Fraction:
-    m = mu.exact_total_mass()
-    if m is None:
-        raise UnsupportedMeasureClass("need exact member masses")
-    return m
-
-
 def validate_total_mass_modulus(
     seq: MeasureSeq,
     tm: TotalMassModulus,
@@ -420,7 +434,9 @@ def validate_total_mass_modulus(
     an exact violation inside the window is a certified contract failure.
     Some pair in the window of(N) .. of(N) + window violates it iff the
     largest and smallest mass there differ by at least 2^-(N-1), so a
-    passing window costs one pass.  Each member's mass is read once per
+    passing window costs one pass.  Masses come from ``seq.total_mass``, so
+    a family that knows its masses builds no member here, and a negative
+    index from ``tm`` raises ``IndexError``.  Each mass is read once per
     call, however many windows contain it, and the min and max are taken
     once per distinct window start, however many N share it (a constant
     modulus gives one window for every N).  A failing window reports the
@@ -441,7 +457,7 @@ def validate_total_mass_modulus(
         if idx not in spread:
             for n in ns:
                 if n not in mass:
-                    mass[n] = _member_mass(seq[n])
+                    mass[n] = seq.total_mass(n)
             ms = [mass[n] for n in ns]
             spread[idx] = min(ms), max(ms)
         lo, hi = spread[idx]
@@ -473,7 +489,7 @@ def tail_mass_bound(
     """
     prec = N + 5
     i_m = tm.of(prec)
-    m_apx = _member_mass(seq[i_m])
+    m_apx = seq.total_mass(i_m)
     a = 1
     for _ in range(max_doublings):
         tent_s = supported_from_poly(tent_function((Fraction(-a), Fraction(a))))
@@ -507,7 +523,7 @@ def polygonal_surrogate(
     a1, n1 = tail_mass_bound(seq, tm, oracle, Nt)
     W = a1 + 1
     i0 = tm.of(0)
-    masses = (_member_mass(seq[n]) for n in range(i0 + 1))
+    masses = (seq.total_mass(n) for n in range(i0 + 1))
     mass_bound = max(masses, default=Fraction(0)) + 2
     tol = _pow2(N + 1) / (mass_bound + 1)
     core = polygonal_on_window(f_name, Fraction(-a1), Fraction(a1), tol)
@@ -529,6 +545,10 @@ def polygonal_surrogate(
     return W, n1, psi
 
 
+# (Ns, window) of the total-mass check vague_to_weak runs by default
+DEFAULT_TM_CHECK: tuple[tuple[int, ...], int] = ((2, 4, 6), 40)
+
+
 def vague_to_weak(
     seq: MeasureSeq,
     limit: Measure,
@@ -539,7 +559,7 @@ def vague_to_weak(
     N: int,
     *,
     validate_tm: bool = True,
-    tm_check: tuple[Sequence[int], int] = ((2, 4, 6), 40),
+    tm_check: tuple[Sequence[int], int] = DEFAULT_TM_CHECK,
 ) -> int:
     """Weak-modulus index for a bounded named function, from vague data.
 

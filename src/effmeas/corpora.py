@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .convergence import (
     MeasureSeq,
     Modulus,
     SpeckerSequence,
     TotalMassModulus,
+    _check_index,
     specker_sequence,
 )
 from .errors import UnsupportedMeasureClass
@@ -28,7 +30,7 @@ from .functions import (
     hat_function,
 )
 from .measures import AlmostDecidablePair, DiscreteMeasure, Measure
-from .reals import _pow2
+from .reals import _fraction, _pow2
 
 
 def _poly_backing(f) -> PolyFunc:
@@ -79,19 +81,32 @@ class Corpus:
 # drifting-atom families: fixed weights, locations x_i + d_i * 2^-n
 
 
-class DriftingAtomFamily:
+def _drifting_member(atoms, n: int) -> DiscreteMeasure:
+    step = _pow2(n)
+    return DiscreteMeasure(tuple((x + step if d else x, w) for x, w, d in atoms))
+
+
+class DriftingAtomFamily(MeasureSeq):
+    """mu_n = sum_i w_i delta_{x_i + d_i 2^-n}, every member of mass ``total``.
+
+    A weight <= 0 is refused, as ``DiscreteMeasure`` would refuse every member.
+    """
+
     def __init__(self, atoms: Sequence[tuple[Fraction, Fraction, int]]):
         """``atoms``: (limit location, weight, drift flag 0/1)."""
-        self.atoms = [(Fraction(x), Fraction(w), int(d)) for x, w, d in atoms]
+        self.atoms = [(_fraction(x), _fraction(w), int(d)) for x, w, d in atoms]
         if any(d not in (0, 1) for _, _, d in self.atoms):
             raise ValueError("drift flags must be 0 or 1")
+        if any(w.numerator <= 0 for _, w, _ in self.atoms):  # denominators are positive
+            raise ValueError("atom weights must be positive")
         self.total = sum((w for _, w, _ in self.atoms), Fraction(0))
+        # over the atoms, not a bound method: no cycle waits for the collector
+        self.member = partial(_drifting_member, self.atoms)
+        super().__init__(self.member)
 
-    def member(self, n: int) -> DiscreteMeasure:
-        step = _pow2(n)
-        return DiscreteMeasure(
-            tuple((x + step if d else x, w) for x, w, d in self.atoms)
-        )
+    def total_mass(self, n: int) -> Fraction:
+        _check_index(n)
+        return self.total
 
     def limit(self) -> DiscreteMeasure:
         return DiscreteMeasure(tuple((x, w) for x, w, _ in self.atoms))
@@ -128,18 +143,21 @@ class DriftingAtomFamily:
         idx = _first_below(delta)
         return Modulus.constant(idx)
 
+    def corpus(self, name: str) -> Corpus:
+        """This family as a builtin corpus: analytic moduli, constant mass."""
+        return Corpus(
+            name=name,
+            seq=self,
+            limit=self.limit(),
+            vague_oracle=self.integral_oracle,
+            weak_oracle=self.integral_oracle,
+            tm=TotalMassModulus.constant(0),
+            ad_modulus=self.ad_modulus,
+        )
+
 
 def deltashrink() -> Corpus:
-    fam = DriftingAtomFamily([(Fraction(0), Fraction(1), 1)])
-    return Corpus(
-        name="deltashrink",
-        seq=MeasureSeq(fam.member),
-        limit=fam.limit(),
-        vague_oracle=fam.integral_oracle,
-        weak_oracle=fam.integral_oracle,
-        tm=TotalMassModulus.constant(0),
-        ad_modulus=fam.ad_modulus,
-    )
+    return DriftingAtomFamily([(Fraction(0), Fraction(1), 1)]).corpus("deltashrink")
 
 
 def mixture(
@@ -148,30 +166,12 @@ def mixture(
     a: Fraction = Fraction(0),
     b: Fraction = Fraction(1),
 ) -> Corpus:
-    fam = DriftingAtomFamily([(a, w1, 0), (b, w2, 1)])
-    return Corpus(
-        name="mixture",
-        seq=MeasureSeq(fam.member),
-        limit=fam.limit(),
-        vague_oracle=fam.integral_oracle,
-        weak_oracle=fam.integral_oracle,
-        tm=TotalMassModulus.constant(0),
-        ad_modulus=fam.ad_modulus,
-    )
+    return DriftingAtomFamily([(a, w1, 0), (b, w2, 1)]).corpus("mixture")
 
 
 def deltadrift(loc: Fraction = Fraction(1)) -> Corpus:
     """delta at loc + 2^-n, converging to delta at loc."""
-    fam = DriftingAtomFamily([(loc, Fraction(1), 1)])
-    return Corpus(
-        name="deltadrift",
-        seq=MeasureSeq(fam.member),
-        limit=fam.limit(),
-        vague_oracle=fam.integral_oracle,
-        weak_oracle=fam.integral_oracle,
-        tm=TotalMassModulus.constant(0),
-        ad_modulus=fam.ad_modulus,
-    )
+    return DriftingAtomFamily([(loc, Fraction(1), 1)]).corpus("deltadrift")
 
 
 # ---------------------------------------------------------------------------

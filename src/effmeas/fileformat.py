@@ -19,9 +19,9 @@ Function files::
     5/2 0
 
 Certificate files are modulus tables (``modulus`` header, then ``N index``
-rows, at most one per N).  Enumeration files carry one natural number per
-line.  All numbers are exact rationals ``p/q`` or integers; serialization
-always emits reduced fractions.
+rows, at most one per N, every index nonnegative).  Enumeration files carry
+one natural number per line.  All numbers are exact rationals ``p/q`` or
+integers; serialization always emits reduced fractions.
 """
 
 from __future__ import annotations
@@ -151,6 +151,8 @@ def parse_modulus(text: str) -> Modulus:
             raise ParseError(line_no, str(exc)) from None
         if N in table:
             raise ParseError(line_no, f"repeated modulus row for N = {N}")
+        if idx < 0:
+            raise ParseError(line_no, f"negative modulus index {idx} for N = {N}")
         table[N] = idx
     if not table:
         raise ParseError(rows[0][0], "modulus table has no rows")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from effmeas import cli
+from effmeas import cli, convergence
 from effmeas.cli import REPORT_HEADER, _decimal, _parse_nlist, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -169,6 +169,23 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "weak", "deltan", "zero", "constant-one", "2")
         assert code == 2 and "diverg" in err.lower()
 
+    def test_vague_to_weak_validates_total_mass_once(self, capsys, monkeypatch):
+        # the check reads only seq and tm, which every N of the list shares
+        calls = []
+        real = convergence.validate_total_mass_modulus
+
+        def counting(*args, **kwargs):
+            calls.append(args[2:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(convergence, "validate_total_mass_modulus", counting)
+        monkeypatch.setattr(cli, "validate_total_mass_modulus", counting)
+        code, out, _ = run(
+            capsys, "verify", "vague-to-weak", "mixture", "halfhalf", "constant-one", "1..6"
+        )
+        assert code == 0 and all(r[-1] == "pass" for r in rows_of(out))
+        assert calls == [((2, 4, 6), 40)]
+
     def test_vague_to_weak_divergence_exit_code(self, capsys):
         code, _, err = run(
             capsys, "verify", "vague-to-weak", "deltan", "zero", "constant-one", "3"
@@ -256,6 +273,15 @@ class TestFailClosed:
         self.assert_parse_error(
             capsys, "verify", "weak", "deltashrink", "delta0", "hat", "1",
             "--certificate", str(cert),
+        )
+
+    def test_certificate_with_negative_index(self, capsys, tmp_path):
+        # index 0 fails at member 0; -5 would vouch for members -5..-3, which do not exist
+        cert = tmp_path / "neg.modulus"
+        cert.write_text("modulus\n1 -5\n2 -5\n")
+        self.assert_parse_error(
+            capsys, "verify", "weak", "deltashrink", "delta0", "hat", "1..1",
+            "--certificate", str(cert), "--fuel", "2",
         )
 
 

@@ -158,6 +158,26 @@ class TestModulus:
         assert calls == [3]
 
 
+class TestMeasureSeq:
+    def test_negative_index_rejected(self):
+        built = []
+        seq = MeasureSeq(lambda n: built.append(n) or DiscreteMeasure.point(n))
+        with pytest.raises(IndexError):
+            seq[-1]
+        with pytest.raises(IndexError):
+            seq.total_mass(-3)
+        assert built == []
+        assert seq.total_mass(2) == 1 and built == [2]
+
+    def test_negative_total_mass_modulus_refused(self):
+        # windows -7..-4 name no member, so a pass would check nothing
+        with pytest.raises(IndexError):
+            validate_total_mass_modulus(mixture().seq, Modulus.constant(-7), (2,), 3)
+        seq = MeasureSeq(lambda n: _MassOnly(Fraction(1)))
+        with pytest.raises(IndexError):
+            validate_total_mass_modulus(seq, Modulus.constant(-7), (2,), 3)
+
+
 class TestCheckModulus:
     def test_passes_valid_modulus(self):
         rep = check_modulus(

@@ -5,13 +5,17 @@ the table below, recorded before the vague side stopped re-normalising its
 rationals, is what catches a silent change of index.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effmeas import (
     CauchyReal,
+    MeasureSeq,
+    Modulus,
     PolyFunc,
     limit_from_vague,
     specker_sequence,
@@ -19,7 +23,13 @@ from effmeas import (
     uniformize_vague,
     vague_to_weak,
 )
-from effmeas.corpora import _first_below, builtin_function, corpus_by_name
+from effmeas.convergence import validate_total_mass_modulus
+from effmeas.corpora import (
+    DriftingAtomFamily,
+    _first_below,
+    builtin_function,
+    corpus_by_name,
+)
 from effmeas.functions import co_name_of_poly
 
 
@@ -108,3 +118,83 @@ class TestPinnedIndices:
         rec = limit_from_vague(sp.seq, sp.vague_oracle(), CauchyReal.from_rational(total))
         lower = rec.interval_mass_lower(Fraction(1, 2), Fraction(9, 2))
         assert tuple(lower.bound(t) for t in range(11)) == SPECKER_LOWER
+
+
+# rationals with mixed and dyadic denominators
+_DEN = st.sampled_from((1, 2, 3, 4, 5, 7, 8, 12, 16, 64, 1024))
+_LOC = st.builds(Fraction, st.integers(-8, 8), _DEN)
+_WEIGHT = st.builds(Fraction, st.integers(1, 8), _DEN)
+_ATOMS = st.lists(st.tuples(_LOC, _WEIGHT, st.integers(0, 1)), min_size=1, max_size=4)
+
+
+def _tm_outcome(seq, tm, Ns, window):
+    try:
+        return validate_total_mass_modulus(seq, tm, Ns, window)
+    except Exception as exc:  # compared, not handled: any type must match
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+class TestDriftingAtomFamily:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        atoms=_ATOMS,
+        start=st.integers(-3, 10),
+        slope=st.integers(0, 2),
+        Ns=st.lists(st.integers(-1, 9), max_size=4),
+        window=st.integers(-1, 12),
+    )
+    # the drifting atom reaches 1/4 at n = 2 and merges with the fixed one
+    @example(
+        atoms=[(Fraction(0), Fraction(1, 2), 1), (Fraction(1, 4), Fraction(1, 3), 0)],
+        start=0, slope=1, Ns=[1, 3], window=4,
+    )
+    def test_total_mass_matches_members(self, atoms, start, slope, Ns, window):
+        fam = DriftingAtomFamily(atoms)
+        for n in range(65):
+            assert fam.total_mass(n) == fam[n].exact_total_mass()
+        tm = Modulus(lambda N: start + slope * N)
+        plain = MeasureSeq(DriftingAtomFamily(atoms).member)
+        assert _tm_outcome(fam, tm, Ns, window) == _tm_outcome(plain, tm, Ns, window)
+
+    def test_pinned_merge_case_merges(self):
+        fam = DriftingAtomFamily(
+            [(Fraction(0), Fraction(1, 2), 1), (Fraction(1, 4), Fraction(1, 3), 0)]
+        )
+        assert fam[2].atoms == ((Fraction(1, 4), Fraction(5, 6)),)
+
+    @pytest.mark.parametrize("w", [Fraction(0), Fraction(-1, 3)])
+    def test_nonpositive_weight_refused(self, w):
+        with pytest.raises(ValueError, match="atom weights must be positive"):
+            DriftingAtomFamily([(Fraction(0), Fraction(1), 1), (Fraction(1), w, 0)])
+
+    @pytest.mark.parametrize("fam", ["deltashrink", "mixture", "deltadrift"])
+    def test_corpus_freed_without_cycle_collector(self, fam):
+        c = corpus_by_name(fam)
+        c.seq[3]
+        ref = weakref.ref(c.seq)
+        gc.disable()
+        try:
+            del c
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_negative_total_mass_index_refused(self):
+        with pytest.raises(IndexError):
+            corpus_by_name("mixture").seq.total_mass(-1)
+
+    @pytest.mark.parametrize("fam", ["deltashrink", "mixture", "deltadrift"])
+    @pytest.mark.parametrize("fname", ["constant-one", "hat", "clamped-identity"])
+    def test_vague_to_weak_builds_few_members(self, fam, fname):
+        # the total-mass check reads 41 masses; none of them needs a member
+        for N in (1, 5, 10):
+            c = corpus_by_name(fam)
+            built = []
+            member = c.seq._at
+            c.seq._at = lambda n: built.append(n) or member(n)
+            p, _ = builtin_function(fname)
+            vague_to_weak(
+                c.seq, c.limit, c.tm, c.vague_oracle,
+                co_name_of_poly(p), int(p.bound().__ceil__()), N,
+            )
+            assert len(built) <= 2, built

@@ -119,6 +119,12 @@ class TestEnumerationAndModulus:
             parse_modulus("modulus\n# rows\n2 4\n1 3\n2 4\n")
         assert e.value.line_no == 5
 
+    def test_modulus_rejects_negative_index(self):
+        # a negative index would certify members that do not exist
+        with pytest.raises(ParseError, match="negative modulus index -5") as e:
+            parse_modulus("modulus\n1 0\n2 -5\n")
+        assert e.value.line_no == 3
+
 
 # Token soup: every header, rationals with zero and negative denominators,
 # malformed fractions, comments and blank lines.
