@@ -13,7 +13,8 @@ is a builtin measure name or a measure file.  N-LIST tokens look like
 ``4`` or ``1..8`` or ``1,3,5``; a second FUNCTION or a second N-LIST
 (positional or ``--precision``) is a usage error.  Exit codes: 0 all rows
 pass, 1 some row fails, 2 certified divergence, 3 parse error (a malformed
-file or a usage error on the command line).
+file, a path that cannot be read or written as text, or a usage error on
+the command line).
 """
 
 from __future__ import annotations
@@ -107,15 +108,22 @@ class Report:
         writer.writerow(REPORT_HEADER)
         writer.writerows(self.rows)
         text = buf.getvalue()
-        sys.stdout.write(text)
         if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
+            try:
+                with open(out_path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ParseError(None, f"cannot write {out_path!r}: {exc}") from None
+        sys.stdout.write(text)
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    """The text of ``path``; a file that cannot be read as text is a parse error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(None, f"cannot read {path!r}: {exc}") from None
 
 
 def _resolve_measure(token: str):

@@ -70,6 +70,15 @@ class MeasureSeq:
             raise UnsupportedMeasureClass("need exact member masses")
         return m
 
+    def mass_spread(self, lo: int, hi: int) -> tuple[Fraction, Fraction]:
+        """(min, max) of ``total_mass(n)`` over lo <= n <= hi, for lo <= hi.
+
+        Reads the masses in index order; a family that knows its masses
+        overrides it.
+        """
+        ms = [self.total_mass(n) for n in range(lo, hi + 1)]
+        return min(ms), max(ms)
+
 
 def _check_index(n: int) -> None:
     if n < 0:
@@ -434,10 +443,10 @@ def validate_total_mass_modulus(
     an exact violation inside the window is a certified contract failure.
     Some pair in the window of(N) .. of(N) + window violates it iff the
     largest and smallest mass there differ by at least 2^-(N-1), so a
-    passing window costs one pass.  Masses come from ``seq.total_mass``, so
-    a family that knows its masses builds no member here, and a negative
-    index from ``tm`` raises ``IndexError``.  Each mass is read once per
-    call, however many windows contain it, and the min and max are taken
+    passing window costs one pass.  The window's spread comes from
+    ``seq.mass_spread`` and its masses from ``seq.total_mass``, so a family
+    that knows its masses builds no member and compares no mass here, and a
+    negative index from ``tm`` raises ``IndexError``.  The spread is taken
     once per distinct window start, however many N share it (a constant
     modulus gives one window for every N).  A failing window reports the
     first pair in window order: the first n1 whose mass lies 2^-(N-1) or
@@ -449,22 +458,17 @@ def validate_total_mass_modulus(
         raise ValueError("total-mass check needs at least one precision N")
     if window < 0:
         raise ValueError(f"total-mass check window must be nonnegative, got {window}")
-    mass: dict[int, Fraction] = {}
     spread: dict[int, tuple[Fraction, Fraction]] = {}  # window start -> (min, max)
     for N in Ns:
         idx = tm.of(N)
-        ns = range(idx, idx + window + 1)
         if idx not in spread:
-            for n in ns:
-                if n not in mass:
-                    mass[n] = seq.total_mass(n)
-            ms = [mass[n] for n in ns]
-            spread[idx] = min(ms), max(ms)
+            spread[idx] = seq.mass_spread(idx, idx + window)
         lo, hi = spread[idx]
         b = _pow2(N - 1)
         if hi - lo < b:
             continue
-        ms = [mass[n] for n in ns]
+        ns = range(idx, idx + window + 1)
+        ms = [seq.total_mass(n) for n in ns]
         n1, m1 = next((n, m) for n, m in zip(ns, ms) if hi - m >= b or m - lo >= b)
         n2, m2 = next((n, m) for n, m in zip(ns, ms) if abs(m1 - m) >= b)
         raise ContractViolation(

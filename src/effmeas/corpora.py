@@ -108,6 +108,10 @@ class DriftingAtomFamily(MeasureSeq):
         _check_index(n)
         return self.total
 
+    def mass_spread(self, lo: int, hi: int) -> tuple[Fraction, Fraction]:
+        _check_index(lo)
+        return self.total, self.total
+
     def limit(self) -> DiscreteMeasure:
         return DiscreteMeasure(tuple((x, w) for x, w, _ in self.atoms))
 

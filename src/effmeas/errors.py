@@ -54,8 +54,12 @@ class ContractViolation(EffmeasError):
 
 
 class ParseError(EffmeasError):
-    """Malformed input file; carries the offending 1-based line number."""
+    """Malformed input; carries the offending 1-based line number.
+
+    ``line_no`` is None when no line is at fault, as for a file that cannot
+    be read or written at all.
+    """
 
     def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no

@@ -41,30 +41,43 @@ NOT_IN_CUT = "not in cut yet"
 
 
 def _direction_deficit(
-    src: Sequence[tuple[RationalLike, RationalLike]],
-    dst: Sequence[tuple[RationalLike, RationalLike]],
+    xs: Sequence[RationalLike],
+    ws: Sequence[RationalLike],
+    ys: Sequence[RationalLike],
+    vs: Sequence[RationalLike],
     threshold: RationalLike,
 ) -> RationalLike:
     """sup over atom sets S of src-mass(S) - dst-mass(neighbors of S).
 
-    Neighborhoods are closed, |x - y| <= threshold, and both atom lists are
-    sorted by location.  Each source neighborhood is then a window of
-    destinations whose two ends only move right, so the greedy transport
-    that fills every source from the leftmost destination with capacity
-    left is a maximum flow; the mass it cannot place is the Hall deficit.
-    Works on any ordered exact numbers (``int`` on the lattice).
+    The source atoms are at ``xs`` with weights ``ws``, the destination
+    atoms at ``ys`` with weights ``vs``, each side sorted by location and
+    every weight positive.  Neighborhoods are closed, |x - y| <= threshold.
+    Each source neighborhood is then a window of destinations whose two
+    ends only move right, so the greedy transport that fills every source
+    from the leftmost destination with capacity left is a maximum flow; the
+    mass it cannot place is the Hall deficit.  The window ends ``x - T``
+    and ``x + T`` are computed once per source, and a destination either
+    takes the rest of the source or is emptied.  Works on any ordered exact
+    numbers (``int`` on the lattice).
     """
-    left = [v for _, v in dst]
+    left = list(vs)
+    m = len(ys)
     j = 0
     unplaced = 0
-    for x, w in src:
-        while j < len(dst) and (dst[j][0] < x - threshold or not left[j]):
+    for x, w in zip(xs, ws):
+        lo = x - threshold
+        while j < m and (ys[j] < lo or not left[j]):
             j += 1
+        hi = x + threshold
         k = j
-        while w and k < len(dst) and dst[k][0] <= x + threshold:
-            take = min(w, left[k])
-            left[k] -= take
-            w -= take
+        while k < m and ys[k] <= hi:
+            cap = left[k]
+            if cap >= w:
+                left[k] = cap - w
+                w = 0
+                break
+            left[k] = 0
+            w -= cap
             k += 1
         unplaced += w
     return unplaced
@@ -106,45 +119,60 @@ def _infimum_over_levels(
 
 def _lattice(
     atoms: Sequence[tuple[Fraction, Fraction]], lx: int, lw: int
-) -> list[tuple[int, int]]:
-    return [
-        (x.numerator * (lx // x.denominator), w.numerator * (lw // w.denominator))
-        for x, w in atoms
-    ]
+) -> tuple[list[int], list[int]]:
+    """Locations times ``lx`` and weights times ``lw``, as two ``int`` lists."""
+    return (
+        [x.numerator * (lx // x.denominator) for x, _ in atoms],
+        [w.numerator * (lw // w.denominator) for _, w in atoms],
+    )
 
 
 def prokhorov_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
     """Exact Prokhorov distance between finite discrete measures.
 
     Locations are scaled by their least common denominator ``lx`` and
-    weights by theirs, ``lw``, so the whole search runs on ``int``: a level
-    ``T`` stands for ``T/lx``, a deficit ``D`` for ``D/lw``, and ``D <= t``
-    reads ``D*lx <= T*lw``.  Per level the deficit of each direction is a
-    greedy line transport (:func:`_direction_deficit`).  The returned value
-    is the infimum of the valid epsilons, which need not be valid itself
-    (the neighborhoods are open).
+    weights by theirs, ``lw``, so the whole search runs on ``int`` lists
+    built once per call: a level ``T`` stands for ``T/lx``, a deficit ``D``
+    for ``D/lw``, and ``D <= t`` reads ``D*lx <= T*lw``.  Per level the
+    deficit of each direction is a greedy line transport
+    (:func:`_direction_deficit`).  The returned value is the infimum of the
+    valid epsilons, which need not be valid itself (the neighborhoods are
+    open).
 
     The critical levels are 0 and the distinct ``|x - y|``.  D_i is
     nonincreasing in the level while t_i is increasing, so the predicate
     D_i <= t_i is monotone and max(D_i, t_i) is quasi-convex; bisection
-    finds the first crossing i*.  There the candidate is t_(i*) (always
-    valid); the only other contender is D_(i*-1) when it fits below
-    t_(i*).  Without a crossing the minimum is the last deficit, valid
-    since t_(last+1) is unbounded.
+    finds the first crossing i*.  D_i is the larger of the two directions'
+    deficits, so D_i <= t_i holds iff it holds for both: a bisection step
+    tests mu -> nu first and skips nu -> mu when that already fails.  At the
+    crossing the candidate is t_(i*) (always valid); the only other
+    contender is D_(i*-1), the exact maximum of both directions, when it
+    fits below t_(i*).  Without a crossing the minimum is the last deficit,
+    valid since t_(last+1) is unbounded.
     """
     atoms = mu.atoms + nu.atoms
     lx = math.lcm(*(x.denominator for x, _ in atoms))
     lw = math.lcm(*(w.denominator for _, w in atoms))
-    a, b = _lattice(mu.atoms, lx, lw), _lattice(nu.atoms, lx, lw)
-    ts = sorted({0, *(abs(x - y) for x, _ in a for y, _ in b)})
+    xa, wa = _lattice(mu.atoms, lx, lw)
+    xb, wb = _lattice(nu.atoms, lx, lw)
+    ts = sorted({0, *(abs(x - y) for x in xa for y in xb)})
 
     def d_at(i: int) -> int:
-        return max(_direction_deficit(a, b, ts[i]), _direction_deficit(b, a, ts[i]))
+        t = ts[i]
+        return max(_direction_deficit(xa, wa, xb, wb, t), _direction_deficit(xb, wb, xa, wa, t))
+
+    def fits(i: int) -> bool:
+        t = ts[i]
+        cap = t * lw
+        return (
+            _direction_deficit(xa, wa, xb, wb, t) * lx <= cap
+            and _direction_deficit(xb, wb, xa, wa, t) * lx <= cap
+        )
 
     lo, hi = 0, len(ts)  # smallest i with D_i <= t_i, or len(ts) if none
     while lo < hi:
         mid = (lo + hi) // 2
-        if d_at(mid) * lx <= ts[mid] * lw:
+        if fits(mid):
             hi = mid
         else:
             lo = mid + 1
@@ -213,10 +241,18 @@ def _discretize(mu: Measure, pitch: Fraction) -> tuple[DiscreteMeasure, Fraction
     midpoints, weighted by the cell's mass within each support component
     (a cell straddling a gap yields one atom per component, which
     ``DiscreteMeasure`` merges; a zero-mass cell yields none).  One forward
-    sweep over the cell boundaries and the density's vertices carries the
-    cumulative integral F, exact on each linear piece by the trapezoid
-    rule, and takes each cell mass as a difference of F: O(cells + vertices)
-    in all.
+    sweep over the cells and the density's vertices carries the cumulative
+    integral F, exact on each linear piece by the trapezoid rule:
+    O(cells + vertices) in all.
+
+    A run of whole cells inside one linear piece and inside the support
+    component is walked by its integer cell index k, with pitch = p/q: the
+    atom sits at (2k+1)p/2q, and the cell masses pitch * density(midpoint)
+    form an arithmetic progression of step slope * pitch^2, so a plateau
+    costs no arithmetic per cell.  They are positive, because a piece
+    inside a component has a nonzero end and the density is nonnegative.
+    F is evaluated once per run, at its end.  A cell that straddles a
+    vertex or a component end takes its mass as a difference of F.
     """
     if isinstance(mu, DiscreteMeasure):
         return mu, Fraction(0)
@@ -238,18 +274,37 @@ def _discretize(mu: Measure, pitch: Fraction) -> tuple[DiscreteMeasure, Fraction
             d = x - x0
             return f0 + d * (y0 + h * d)
 
+        p, q = pitch.numerator, pitch.denominator
         half = pitch / 2
         atoms: list[tuple[Fraction, Fraction]] = []
         for l, r in mu.density.support_components():
-            a = (l / pitch).__floor__() * pitch
+            k = (l / pitch).__floor__()
+            a = k * pitch
             f_lo = F(l)
             while a < r:
+                if a >= l:
+                    while pieces[i][0] <= a:
+                        i += 1
+                    x1, x0, _, y0, h = pieces[i]
+                    kb = (x1 / pitch).__floor__()  # x1 <= r: piece i is in [l, r]
+                    if kb > k:  # cells k .. kb-1 lie in piece i
+                        w = pitch * (y0 + h * (2 * a + pitch - 2 * x0))
+                        step = 2 * h * pitch * pitch
+                        for j in range(k, kb):
+                            atoms.append((Fraction((2 * j + 1) * p, 2 * q), w))
+                            if h:
+                                w += step
+                        k = kb
+                        a = k * pitch
+                        f_lo = F(a)
+                        continue
                 b = a + pitch
                 f_hi = F(min(b, r))
                 if f_hi > f_lo:
                     atoms.append((a + half, f_hi - f_lo))
                 f_lo = f_hi
                 a = b
+                k += 1
         return DiscreteMeasure(tuple(atoms)), pitch
     raise UnsupportedMeasureClass(
         f"unsupported measure class for discretization: {type(mu).__name__}"

@@ -285,6 +285,51 @@ class TestFailClosed:
         )
 
 
+class TestUnreadablePaths:
+    """A path that cannot be read or written as text is a parse error, not a traceback."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        d = tmp_path / "dir"
+        d.mkdir()
+        b = tmp_path / "binary"
+        b.write_bytes(b"\xff\xfe\x00discrete\n")
+        return {"dir": str(d), "binary": str(b), "missing": str(tmp_path / "no" / "x.csv")}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prokhorov", "delta0", "{dir}"),
+            ("prokhorov", "{binary}", "delta0"),
+            ("verify", "weak", "deltashrink", "{binary}", "hat", "1"),
+            ("verify", "weak", "deltashrink", "delta0", "{dir}", "1"),
+            ("verify", "weak", "deltashrink", "delta0", "hat", "1", "--certificate", "{dir}"),
+            ("verify", "weak", "deltashrink", "delta0", "hat", "1", "--certificate", "{binary}"),
+            ("demo", "specker", "--enum", "{dir}"),
+            ("demo", "specker", "--function", "{binary}"),
+        ],
+    )
+    def test_unreadable_input(self, capsys, paths, argv):
+        argv = [a.format(**paths) for a in argv]
+        path = next(a for a in argv if a in paths.values())
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and err.startswith(f"parse error: cannot read {path!r}: "), err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "weak", "deltashrink", "delta0", "hat", "1", "--out", "{dir}"),
+            ("demo", "specker", "--out", "{missing}"),
+        ],
+    )
+    def test_unwritable_out(self, capsys, paths, argv):
+        argv = [a.format(**paths) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and err.startswith(f"parse error: cannot write {argv[-1]!r}: "), err
+        assert out == ""
+
+
 class TestUsageErrors:
     """argparse usage errors end in exit 3, never in 2 (certified divergence)."""
 

@@ -127,11 +127,15 @@ _WEIGHT = st.builds(Fraction, st.integers(1, 8), _DEN)
 _ATOMS = st.lists(st.tuples(_LOC, _WEIGHT, st.integers(0, 1)), min_size=1, max_size=4)
 
 
-def _tm_outcome(seq, tm, Ns, window):
+def _outcome(fn, *args):
     try:
-        return validate_total_mass_modulus(seq, tm, Ns, window)
+        return fn(*args)
     except Exception as exc:  # compared, not handled: any type must match
         return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def _tm_outcome(seq, tm, Ns, window):
+    return _outcome(validate_total_mass_modulus, seq, tm, Ns, window)
 
 
 class TestDriftingAtomFamily:
@@ -155,6 +159,9 @@ class TestDriftingAtomFamily:
         tm = Modulus(lambda N: start + slope * N)
         plain = MeasureSeq(DriftingAtomFamily(atoms).member)
         assert _tm_outcome(fam, tm, Ns, window) == _tm_outcome(plain, tm, Ns, window)
+        for lo in (start, start + slope):
+            hi = lo + max(window, 0)
+            assert _outcome(fam.mass_spread, lo, hi) == _outcome(plain.mass_spread, lo, hi)
 
     def test_pinned_merge_case_merges(self):
         fam = DriftingAtomFamily(
@@ -182,6 +189,16 @@ class TestDriftingAtomFamily:
     def test_negative_total_mass_index_refused(self):
         with pytest.raises(IndexError):
             corpus_by_name("mixture").seq.total_mass(-1)
+
+    @pytest.mark.parametrize("fam", ["deltashrink", "mixture", "deltadrift"])
+    def test_total_mass_check_reads_no_mass(self, fam, monkeypatch):
+        # a passing check takes the window's spread whole, not mass by mass
+        c = corpus_by_name(fam)
+        read = []
+        total_mass = c.seq.total_mass
+        monkeypatch.setattr(c.seq, "total_mass", lambda n: read.append(n) or total_mass(n))
+        validate_total_mass_modulus(c.seq, c.tm, (1, 4, 9), 40)
+        assert read == []
 
     @pytest.mark.parametrize("fam", ["deltashrink", "mixture", "deltadrift"])
     @pytest.mark.parametrize("fname", ["constant-one", "hat", "clamped-identity"])

@@ -1,5 +1,6 @@
 """Exact Prokhorov distances and the two converter directions."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from effmeas.prokhorov import (
     _critical_thresholds,
     _direction_deficit,
     _discretize,
+    _infimum_over_levels,
     assemble_limsup_witness,
     brute_force_valid,
     eps_from_weak,
@@ -67,6 +69,56 @@ def measure_pairs(draw):
         return DiscreteMeasure(tuple((x, draw(weight)) for x in chosen))
 
     return measure(), measure()
+
+
+@st.composite
+def large_measure_pairs(draw):
+    """Two measures of up to 40 atoms each, on a shared pool of locations.
+
+    Location and weight denominators are drawn from the pairwise coprime
+    ``COPRIME``, so the lattices of both are fine and levels crowd.
+    """
+    loc = st.builds(Fraction, st.integers(-200, 200), st.sampled_from(COPRIME))
+    weight = st.builds(Fraction, st.integers(1, 30), st.sampled_from(COPRIME))
+    size = draw(st.integers(1, 60))
+    pool = draw(st.lists(loc, min_size=size, max_size=size, unique=True))
+
+    def measure() -> DiscreteMeasure:
+        # sizes drawn outright: plain lists stay at a few atoms
+        chosen = draw(st.permutations(pool))[: draw(st.integers(0, 40))]
+        return DiscreteMeasure(tuple((x, draw(weight)) for x in chosen))
+
+    return measure(), measure()
+
+
+def direction_deficit_tuples(src, dst, threshold):
+    """The greedy Hall deficit on (location, weight) tuples, kept as the oracle.
+
+    It is the loop the flat-list kernel replaced: ``min`` per fill, and
+    ``x - threshold`` and ``x + threshold`` recomputed per destination.
+    """
+    left = [v for _, v in dst]
+    j = 0
+    unplaced = 0
+    for x, w in src:
+        while j < len(dst) and (dst[j][0] < x - threshold or not left[j]):
+            j += 1
+        k = j
+        while w and k < len(dst) and dst[k][0] <= x + threshold:
+            take = min(w, left[k])
+            left[k] -= take
+            w -= take
+            k += 1
+        unplaced += w
+    return unplaced
+
+
+def flat_deficit(src, dst, threshold):
+    """:func:`_direction_deficit` called on (location, weight) tuples."""
+    return _direction_deficit(
+        [x for x, _ in src], [w for _, w in src], [y for y, _ in dst], [v for _, v in dst],
+        threshold,
+    )
 
 
 class TestProkhorovDiscrete:
@@ -112,7 +164,32 @@ class TestProkhorovDiscrete:
         mu, nu = pair
         for t in _critical_thresholds(mu.atoms, nu.atoms):
             for src, dst in ((mu.atoms, nu.atoms), (nu.atoms, mu.atoms)):
-                assert _direction_deficit(src, dst, t) == _brute_deficit(src, dst, t)
+                want = _brute_deficit(src, dst, t)
+                assert flat_deficit(src, dst, t) == want
+                assert direction_deficit_tuples(src, dst, t) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(large_measure_pairs())
+    @example(
+        # one shared atom, and a heavy atom whose neighbors empty at one level
+        (DiscreteMeasure(((Fraction(0), Fraction(5)), (Fraction(1, 3), Fraction(1, 7)))),
+         DiscreteMeasure(((Fraction(0), Fraction(1, 2)), (Fraction(2, 5), Fraction(11, 13)))))
+    )
+    def test_flat_kernel_matches_tuple_oracle(self, pair):
+        """Up to 40 atoms a side: the flat kernel equals the tuple loop at every
+        level, both ways, and the bisection with its short-circuit equals the
+        full level scan on the oracle."""
+        mu, nu = pair
+        # one lattice for locations and weights, so levels and deficits compare
+        lat = math.lcm(*(q.denominator for atom in mu.atoms + nu.atoms for q in atom))
+        a, b = ([(int(x * lat), int(w * lat)) for x, w in m.atoms] for m in (mu, nu))
+        oracle = {}  # (source is a, level) -> the tuple loop's deficit
+        for t in _critical_thresholds(a, b):
+            for src, dst in ((a, b), (b, a)):
+                want = oracle[src is a, t] = direction_deficit_tuples(src, dst, t)
+                assert flat_deficit(src, dst, t) == want
+        scan = _infimum_over_levels(a, b, lambda src, _dst, t: oracle[src is a, t])
+        assert prokhorov_discrete(mu, nu) == Fraction(scan, lat)
 
     def test_metric_axioms_on_random_triples(self, rng):
         for _ in range(25):
@@ -220,11 +297,45 @@ class TestDiscretizeSweep:
     )
     @example((density((0, 0), (Fraction(1, 3), 1), (Fraction(2, 3), 0)), Fraction(4)))
     @example((density((0, 0), (Fraction(1, 3), 1), (Fraction(2, 3), 0)), Fraction(2, 7)))
+    # the benchmark's shapes: a plateau between 2^-20-wide ramps, and a
+    # triangle whose peak 5/64 lies on this grid
+    @example((PolyDensityMeasure.uniform(0, Fraction(1, 4)), _pow2(7)))
+    @example((PolyDensityMeasure.uniform(Fraction(3, 32), Fraction(11, 32)), _pow2(7)))
+    @example((density((0, 0), (Fraction(5, 64), 8), (Fraction(1, 4), 0)), _pow2(7)))
+    # runs that end exactly on a vertex, on both sides of it
+    @example((density((0, 0), (Fraction(1, 2), 1), (1, 1), (Fraction(3, 2), 0)), Fraction(1, 8)))
+    # runs cut short by the component ends, which lie inside cells
+    @example(
+        (density((Fraction(-1, 3), 0), (Fraction(1, 5), 2), (Fraction(7, 6), 0),
+                 (Fraction(4, 3), 0), (Fraction(11, 7), 3), (Fraction(13, 7), 0)), Fraction(1, 16))
+    )
+    # a non-dyadic pitch spanning several cells of each piece
+    @example((density((0, 0), (3, 3), (5, 3), (7, 0)), Fraction(2, 7)))
     def test_sweep_matches_per_cell_oracle(self, case):
         mu, pitch = case
         got, want = _discretize(mu, pitch), discretize_per_cell(mu, pitch)
         assert got[0].atoms == want[0].atoms
         assert got[1] == want[1] == pitch
+
+    # prokhorov_bounds(uniform [0, 1/4], other, n) as the one-sweep
+    # discretisation gave them, for the benchmark's six density pairs
+    BENCHMARK_BOUNDS = {
+        ("shift", 3): (Fraction(0), Fraction(1, 8)),
+        ("shift", 4): (Fraction(1, 64), Fraction(5, 64)),
+        ("shift", 5): (Fraction(1, 32), Fraction(1, 16)),
+        ("triangle", 3): (Fraction(2883583, 4194304), Fraction(3407871, 4194304)),
+        ("triangle", 4): (Fraction(3014655, 4194304), Fraction(3276799, 4194304)),
+        ("triangle", 5): (Fraction(3080191, 4194304), Fraction(3211263, 4194304)),
+    }
+
+    @pytest.mark.parametrize("name,n", sorted(BENCHMARK_BOUNDS))
+    def test_pinned_benchmark_bounds(self, name, n):
+        u = PolyDensityMeasure.uniform(0, Fraction(1, 4))
+        other = {
+            "shift": PolyDensityMeasure.uniform(Fraction(3, 32), Fraction(11, 32)),
+            "triangle": density((0, 0), (Fraction(5, 64), 8), (Fraction(1, 4), 0)),
+        }[name]
+        assert prokhorov_bounds(u, other, n) == self.BENCHMARK_BOUNDS[name, n]
 
     def test_no_mass_closed_or_integrate_product_calls(self, monkeypatch):
         calls = []
