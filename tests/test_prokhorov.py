@@ -94,8 +94,8 @@ def large_measure_pairs(draw):
 def direction_deficit_tuples(src, dst, threshold):
     """The greedy Hall deficit on (location, weight) tuples, kept as the oracle.
 
-    It is the loop the flat-list kernel replaced: ``min`` per fill, and
-    ``x - threshold`` and ``x + threshold`` recomputed per destination.
+    Its own bookkeeping: ``min`` per fill, and ``x - threshold`` and
+    ``x + threshold`` recomputed per destination.
     """
     left = [v for _, v in dst]
     j = 0
@@ -171,7 +171,7 @@ class TestProkhorovDiscrete:
     @settings(max_examples=100, deadline=None)
     @given(large_measure_pairs())
     @example(
-        # one shared atom, and a heavy atom whose neighbors empty at one level
+        # a shared location, and weights heavier than the other side's mass
         (DiscreteMeasure(((Fraction(0), Fraction(5)), (Fraction(1, 3), Fraction(1, 7)))),
          DiscreteMeasure(((Fraction(0), Fraction(1, 2)), (Fraction(2, 5), Fraction(11, 13)))))
     )
