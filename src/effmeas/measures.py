@@ -13,7 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import SearchExhausted, UnsupportedMeasureClass
@@ -99,15 +98,19 @@ class DiscreteMeasure(Measure):
     """A finite purely atomic measure with rational data.
 
     ``atoms`` is normalised to strictly increasing locations with the
-    weights at a repeated location summed.  The total mass is summed once,
-    in the same pass, and kept out of ``==``, hash and repr.
+    weights at a repeated location summed.  The sort, the merge and the
+    total run on ``int`` keys and weights, the locations scaled by the lcm
+    of their denominators and the weights by that of theirs, so no
+    ``Fraction`` is compared or added: an atom keeps its own ``Fraction``s
+    unless a repeat adds to its weight, and the total is one
+    ``Fraction(sum, lw)``, kept out of ``==``, hash and repr.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
     _total: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pairs = []
+        locs, ws = [], []
         for loc, w in self.atoms:
             if type(loc) is not Fraction:
                 loc = Fraction(loc)
@@ -115,18 +118,28 @@ class DiscreteMeasure(Measure):
                 w = Fraction(w)
             if w.numerator <= 0:  # a Fraction's denominator is positive
                 raise ValueError("atom weights must be positive")
-            pairs.append((loc, w))
-        pairs.sort(key=itemgetter(0))
-        merged = []
-        total = Fraction(0)
-        for loc, w in pairs:
-            total = total + w if total else w  # weights are positive
-            if merged and merged[-1][0] == loc:
-                merged[-1] = (loc, merged[-1][1] + w)
+            locs.append(loc)
+            ws.append(w)
+        if len(ws) < 2:  # nothing to sort, merge or add
+            object.__setattr__(self, "atoms", tuple(zip(locs, ws)))
+            object.__setattr__(self, "_total", ws[0] if ws else Fraction(0))
+            return
+        lx = math.lcm(*(x.denominator for x in locs))
+        lw = math.lcm(*(w.denominator for w in ws))
+        keys = [x.numerator * (lx // x.denominator) for x in locs]
+        iws = [w.numerator * (lw // w.denominator) for w in ws]
+        atoms = []
+        prev = acc = None
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            k = keys[i]
+            if k == prev:
+                acc += iws[i]
+                atoms[-1] = (atoms[-1][0], Fraction(acc, lw))
             else:
-                merged.append((loc, w))
-        object.__setattr__(self, "atoms", tuple(merged))
-        object.__setattr__(self, "_total", total)
+                atoms.append((locs[i], ws[i]))
+                prev, acc = k, iws[i]
+        object.__setattr__(self, "atoms", tuple(atoms))
+        object.__setattr__(self, "_total", Fraction(sum(iws), lw))
 
     @classmethod
     def point(cls, loc, weight=1) -> "DiscreteMeasure":

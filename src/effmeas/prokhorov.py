@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .convergence import MeasureSeq, Modulus
 from .errors import ContractViolation, SearchExhausted, UnsupportedMeasureClass
@@ -127,62 +127,138 @@ def _lattice(
     )
 
 
+def _level_at_or_below(xs: Sequence[int], ys: Sequence[int], T: int) -> int:
+    """The largest level <= T; the levels are 0 and the |x - y|.
+
+    Both sides sorted.  The ``ys`` within ``T`` of each ``x`` form a window
+    ``ys[j:k]`` whose two ends only move right as ``x`` does, and the
+    farthest of them is an end: one two-pointer pass, O(len(xs) + len(ys)).
+    """
+    m = len(ys)
+    level = 0
+    j = k = 0
+    for x in xs:
+        lo = x - T
+        while j < m and ys[j] < lo:
+            j += 1
+        hi = x + T
+        while k < m and ys[k] <= hi:
+            k += 1
+        if j < k:
+            d = max(x - ys[j], ys[k - 1] - x)
+            if d > level:
+                level = d
+    return level
+
+
+def _level_above(xs: Sequence[int], ys: Sequence[int], T: int) -> Optional[int]:
+    """The smallest level > T, or None if there is none.
+
+    The same windows as in :func:`_level_at_or_below`: the nearest ``ys``
+    farther than ``T`` from ``x`` are the window's two outer neighbours.
+    """
+    m = len(ys)
+    level = None
+    j = k = 0
+    for x in xs:
+        lo = x - T
+        while j < m and ys[j] < lo:
+            j += 1
+        hi = x + T
+        while k < m and ys[k] <= hi:
+            k += 1
+        if j and (level is None or x - ys[j - 1] < level):
+            level = x - ys[j - 1]
+        if k < m and (level is None or ys[k] - x < level):
+            level = ys[k] - x
+    return level
+
+
 def prokhorov_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
     """Exact Prokhorov distance between finite discrete measures.
 
     Locations are scaled by their least common denominator ``lx`` and
     weights by theirs, ``lw``, so the whole search runs on ``int`` lists
-    built once per call: a level ``T`` stands for ``T/lx``, a deficit ``D``
-    for ``D/lw``, and ``D <= t`` reads ``D*lx <= T*lw``.  Per level the
-    deficit of each direction is a greedy line transport
-    (:func:`_direction_deficit`).  The returned value is the infimum of the
-    valid epsilons, which need not be valid itself (the neighborhoods are
-    open).
+    built once per call: an integer ``T`` stands for the distance ``T/lx``
+    and a deficit ``D`` for the mass ``D/lw``.  D(T) is the larger of the
+    two directions' Hall deficits with closed neighbourhoods |x - y| <= T,
+    each a greedy line transport (:func:`_direction_deficit`).  The
+    returned value is the infimum of the valid epsilons, which need not be
+    valid itself (the neighbourhoods are open).
 
-    The critical levels are 0 and the distinct ``|x - y|``.  D_i is
-    nonincreasing in the level while t_i is increasing, so the predicate
-    D_i <= t_i is monotone and max(D_i, t_i) is quasi-convex; bisection
-    finds the first crossing i*.  D_i is the larger of the two directions'
-    deficits, so D_i <= t_i holds iff it holds for both: a bisection step
-    tests mu -> nu first and skips nu -> mu when that already fails.  At the
-    crossing the candidate is t_(i*) (always valid); the only other
-    contender is D_(i*-1), the exact maximum of both directions, when it
-    fits below t_(i*).  Without a crossing the minimum is the last deficit,
-    valid since t_(last+1) is unbounded.
+    The answer.  Distances are multiples of 1/lx, so an eps in
+    ((T - 1)/lx, T/lx] has the open neighbourhoods |x - y| <= T - 1 and is
+    valid iff eps >= D(T - 1)/lw.  D is nonincreasing, so the predicate
+    P(T): D(T)*lx <= T*lw is monotone; let T* be the least T where it
+    holds.  Every eps above T*/lx is valid.  No eps at most (T* - 1)/lx
+    is: one valid in ((T - 1)/lx, T/lx] gives T/lx >= D(T - 1)/lw >=
+    D(T)/lw, so P(T) and T >= T*.  Hence rho = 0 if T* = 0, and else
+    rho = min(D(T* - 1)/lw, T*/lx).
+
+    The search.  A deficit is at most its source's mass, so P holds at
+    ceil(max(total(mu), total(nu)) * lx) and T* lies in [0, that].  The
+    levels are 0 and the distinct |x - y|; D is constant from one level up
+    to below the next.  One O(n + m) pass finds the level next to a probe
+    T on the side it needs (:func:`_level_above`,
+    :func:`_level_at_or_below`).  Let need = ceil(D(T)*lx/lw).  P(T') fails
+    for T' <= T below need, as D(T') >= D(T) there, and holds for
+    T' >= T at or above need, as D(T') <= D(T).  So:
+
+    - P(T) fails (need > T): hi drops to need.  If need is at most the
+      next level, D is D(T) from T to below it, so T* = need and
+      rho = D(T)/lw.  Else every T' from T to the next level fails, and
+      lo moves to that level.
+    - P(T) holds (need <= T): D is D(T) from the level <= T up to T.  If
+      need is above that level, T* = need and rho = D(T)/lw; if need is
+      that level, T* = need; else the level passes and hi moves down to
+      it.
+
+    Probes bisect [lo, hi), and each at least halves it, so with
+    hi_0 = ceil(max total * lx) there are at most hi_0.bit_length()
+    probes, of two deficit evaluations and one level pass each.  At most
+    two evaluations more read D(T* - 1): no more than
+    2 * hi_0.bit_length() + 2 in all, O((n + m) log hi_0) time, and no
+    n*m set of distances.  The levels are the entries of a sorted matrix
+    (Frederickson and Johnson, SIAM J. Comput. 1984); on the line the
+    deficit also says how far to jump.
     """
+    for m in (mu, nu):
+        if not isinstance(m, DiscreteMeasure):
+            raise UnsupportedMeasureClass(
+                f"unsupported measure class for prokhorov_discrete: {type(m).__name__}"
+            )
     atoms = mu.atoms + nu.atoms
     lx = math.lcm(*(x.denominator for x, _ in atoms))
     lw = math.lcm(*(w.denominator for _, w in atoms))
     xa, wa = _lattice(mu.atoms, lx, lw)
     xb, wb = _lattice(nu.atoms, lx, lw)
-    ts = sorted({0, *(abs(x - y) for x in xa for y in xb)})
 
-    def d_at(i: int) -> int:
-        t = ts[i]
-        return max(_direction_deficit(xa, wa, xb, wb, t), _direction_deficit(xb, wb, xa, wa, t))
+    def deficit(T: int) -> int:
+        return max(_direction_deficit(xa, wa, xb, wb, T), _direction_deficit(xb, wb, xa, wa, T))
 
-    def fits(i: int) -> bool:
-        t = ts[i]
-        cap = t * lw
-        return (
-            _direction_deficit(xa, wa, xb, wb, t) * lx <= cap
-            and _direction_deficit(xb, wb, xa, wa, t) * lx <= cap
-        )
-
-    lo, hi = 0, len(ts)  # smallest i with D_i <= t_i, or len(ts) if none
+    lo, hi = 0, -(-max(sum(wa), sum(wb)) * lx // lw)
+    d_lo = None  # D(lo - 1), when the last failing probe set lo
     while lo < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo == len(ts):
-        return Fraction(d_at(lo - 1), lw)
-    if lo > 0:
-        prev = d_at(lo - 1)
-        if prev * lx < ts[lo] * lw:
-            return Fraction(prev, lw)
-    return Fraction(ts[lo], lx)
+        T = (lo + hi) // 2
+        d = deficit(T)
+        need = -(-d * lx // lw)
+        if need > T:
+            above = _level_above(xa, xb, T)
+            if above is None or need <= above:
+                return Fraction(d, lw)
+            lo, hi, d_lo = above, min(hi, need), d
+            continue
+        below = _level_at_or_below(xa, xb, T)
+        if need > below:
+            return Fraction(d, lw)
+        if need == below:
+            lo, d_lo = below, None
+        hi = below
+    if lo == 0:
+        return Fraction(0)
+    if d_lo is None:
+        d_lo = deficit(lo - 1)
+    return Fraction(d_lo, lw) if d_lo * lx < lo * lw else Fraction(lo, lx)
 
 
 def _brute_deficit(

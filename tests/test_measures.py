@@ -1,9 +1,10 @@
 """Concrete measure classes, exact integration, and almost decidable sets."""
 
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effmeas import (
     AlmostDecidablePair,
@@ -28,7 +29,7 @@ from effmeas.functions import co_name_of_poly
 from effmeas.measures import first_cover_balls, integrate_product, mass_of_interval, total_mass_upper
 from effmeas.reals import _pow2
 from effmeas.sets import open_contains_point
-from tests.test_functions import opaque_name_of, spelled
+from tests.test_functions import _SubFraction, opaque_name_of, spelled
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 
@@ -42,6 +43,30 @@ def discrete_atoms_dict_oracle(atoms):
             raise ValueError("atom weights must be positive")
         merged[loc] = merged.get(loc, Fraction(0)) + w
     return tuple(sorted(merged.items()))
+
+
+def discrete_atoms_fraction_loop(atoms):
+    """The sort and merge on ``Fraction`` keys, kept as the oracle for the one
+    on ``int`` keys: (atoms, total)."""
+    pairs = []
+    for loc, w in atoms:
+        if type(loc) is not Fraction:
+            loc = Fraction(loc)
+        if type(w) is not Fraction:
+            w = Fraction(w)
+        if w.numerator <= 0:
+            raise ValueError("atom weights must be positive")
+        pairs.append((loc, w))
+    pairs.sort(key=itemgetter(0))
+    merged = []
+    total = Fraction(0)
+    for loc, w in pairs:
+        total = total + w if total else w
+        if merged and merged[-1][0] == loc:
+            merged[-1] = (loc, merged[-1][1] + w)
+        else:
+            merged.append((loc, w))
+    return tuple(merged), total
 
 
 def _normalised(build, atoms):
@@ -64,6 +89,20 @@ def _spelled(q: Fraction, spelling: int):
 _loc = st.builds(_spelled, st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(2)]), st.integers(0, 2))
 _weight = st.builds(lambda k, d, sp: _spelled(Fraction(k, d), sp), st.integers(-2, 8), st.sampled_from([1, 4]), st.integers(0, 2))
 _atom_lists = st.lists(st.tuples(_loc, _weight), max_size=10)
+
+
+# every spelling of a few values, negative ones included, so locations repeat
+_any_loc = st.builds(
+    spelled,
+    st.sampled_from([Fraction(-2), Fraction(-1, 3), Fraction(0), Fraction(1, 7), Fraction(5, 2)]),
+    st.integers(0, 3),
+)
+_any_weight = st.builds(
+    lambda k, d, sp: spelled(Fraction(k, d), sp),
+    st.integers(-1, 9),
+    st.sampled_from([1, 2, 6, 9]),
+    st.integers(0, 3),
+)
 
 
 class TestIntegrateProduct:
@@ -152,6 +191,31 @@ class TestDiscreteMeasure:
         a, b = DiscreteMeasure(tuple(atoms)), DiscreteMeasure(tuple(shuffled))
         assert a == b and hash(a) == hash(b)
         assert repr(a) == f"DiscreteMeasure(atoms={a.atoms!r})"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_any_loc, _any_weight), max_size=12))
+    @example([])
+    @example([(_SubFraction(-1, 3), "5/2")])
+    @example([("1/2", 2), (-1, _SubFraction(1, 9))])
+    @example([(-2, 1), ("-2", Fraction(1, 3)), (_SubFraction(-2), _SubFraction(1, 6))])
+    @example([(0, 1), (1, 0)])
+    def test_int_keys_match_fraction_loop(self, atoms):
+        """int, str, Fraction and Fraction-subclass spellings, repeated and
+        negative locations, weights <= 0: the same atoms, total, == and hash
+        as the sort and merge on Fraction keys."""
+        got = _normalised(lambda a: DiscreteMeasure(tuple(a)), atoms)
+        want = _normalised(discrete_atoms_fraction_loop, atoms)
+        if isinstance(want, tuple) and want and want[0] is ValueError:
+            assert got == want == (ValueError, "atom weights must be positive")
+            return
+        want_atoms, want_total = want
+        assert got.atoms == want_atoms
+        assert all(type(loc) is Fraction and type(w) is Fraction for loc, w in got.atoms)
+        assert got.exact_total_mass() == want_total and type(got.exact_total_mass()) is Fraction
+        ref = object.__new__(DiscreteMeasure)  # the oracle's fields, set directly
+        object.__setattr__(ref, "atoms", want_atoms)
+        object.__setattr__(ref, "_total", want_total)
+        assert got == ref and hash(got) == hash(ref)
 
     def test_total_takes_no_part_in_equality(self):
         a = DiscreteMeasure(((Fraction(0), Fraction(1, 2)),))

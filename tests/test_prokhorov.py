@@ -22,7 +22,7 @@ from effmeas.errors import (
     SearchExhausted,
     UnsupportedMeasureClass,
 )
-from effmeas import measures
+from effmeas import measures, prokhorov
 from effmeas.measures import almost_decidable_cover
 from effmeas.functions import PolyFunc
 from effmeas.prokhorov import (
@@ -34,6 +34,7 @@ from effmeas.prokhorov import (
     _direction_deficit,
     _discretize,
     _infimum_over_levels,
+    _lattice,
     assemble_limsup_witness,
     brute_force_valid,
     eps_from_weak,
@@ -121,6 +122,73 @@ def flat_deficit(src, dst, threshold):
     )
 
 
+def prokhorov_discrete_levels(mu, nu):
+    """Bisection over the explicit sorted set of levels, kept as the oracle
+    for the integer level search.
+
+    It builds all n*m pairwise lattice distances and bisects their sorted
+    set for the first level i* with D_i <= t_i, skipping the second
+    direction when the first already fails.
+    """
+    atoms = mu.atoms + nu.atoms
+    lx = math.lcm(*(x.denominator for x, _ in atoms))
+    lw = math.lcm(*(w.denominator for _, w in atoms))
+    xa, wa = _lattice(mu.atoms, lx, lw)
+    xb, wb = _lattice(nu.atoms, lx, lw)
+    ts = sorted({0, *(abs(x - y) for x in xa for y in xb)})
+
+    def d_at(i):
+        t = ts[i]
+        return max(_direction_deficit(xa, wa, xb, wb, t), _direction_deficit(xb, wb, xa, wa, t))
+
+    def fits(i):
+        t = ts[i]
+        cap = t * lw
+        return (
+            _direction_deficit(xa, wa, xb, wb, t) * lx <= cap
+            and _direction_deficit(xb, wb, xa, wa, t) * lx <= cap
+        )
+
+    lo, hi = 0, len(ts)  # smallest i with D_i <= t_i, or len(ts) if none
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == len(ts):
+        return Fraction(d_at(lo - 1), lw)
+    if lo > 0:
+        prev = d_at(lo - 1)
+        if prev * lx < ts[lo] * lw:
+            return Fraction(prev, lw)
+    return Fraction(ts[lo], lx)
+
+
+def atoms(*pairs) -> DiscreteMeasure:
+    return DiscreteMeasure(tuple((Fraction(x), Fraction(w)) for x, w in pairs))
+
+
+# One pair for each way the integer level search can end.
+SEARCH_ENDS = {
+    # T* = 0: the measures are equal
+    "zero": (atoms((0, Fraction(1, 2)), (1, Fraction(1, 2))), atoms((0, Fraction(1, 2)), (1, Fraction(1, 2)))),
+    # a passing probe whose need lies above the level below it
+    "passing probe": (atoms((0, Fraction(3, 2))), atoms((0, 1))),
+    # a passing probe whose need is the level below it: D(T* - 1) = 3/2 is
+    # read afterwards and exceeds the probe's deficit 1/2
+    "passing probe at a level": (atoms((1, Fraction(3, 2))), atoms((0, 1))),
+    # the same after a failing probe, whose deficit is not D(T* - 1)
+    "failing, then passing at a level": (atoms((4, Fraction(3, 2)), (5, 3)), atoms((1, 1))),
+    # a failing probe whose need is at most the next level
+    "failing probe": (atoms((4, 1)), atoms((0, 1))),
+    # a failing probe with no level above it: nothing fits below the last
+    "no level above": (delta(0), DiscreteMeasure.zero()),
+    # lo and hi meet at a level that a failing probe moved lo to
+    "bracket closed": (atoms((0, Fraction(3, 2))), atoms((Fraction(4, 3), Fraction(1, 2)))),
+}
+
+
 class TestProkhorovDiscrete:
     def test_identity(self):
         mu = DiscreteMeasure(((Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))))
@@ -177,8 +245,8 @@ class TestProkhorovDiscrete:
     )
     def test_flat_kernel_matches_tuple_oracle(self, pair):
         """Up to 40 atoms a side: the flat kernel equals the tuple loop at every
-        level, both ways, and the bisection with its short-circuit equals the
-        full level scan on the oracle."""
+        level, both ways, and the integer level search equals the full level
+        scan on the oracle."""
         mu, nu = pair
         # one lattice for locations and weights, so levels and deficits compare
         lat = math.lcm(*(q.denominator for atom in mu.atoms + nu.atoms for q in atom))
@@ -190,6 +258,78 @@ class TestProkhorovDiscrete:
                 assert flat_deficit(src, dst, t) == want
         scan = _infimum_over_levels(a, b, lambda src, _dst, t: oracle[src is a, t])
         assert prokhorov_discrete(mu, nu) == Fraction(scan, lat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(large_measure_pairs())
+    @example(SEARCH_ENDS["zero"])
+    @example(SEARCH_ENDS["passing probe"])
+    @example(SEARCH_ENDS["passing probe at a level"])
+    @example(SEARCH_ENDS["failing, then passing at a level"])
+    @example(SEARCH_ENDS["failing probe"])
+    @example(SEARCH_ENDS["no level above"])
+    @example(SEARCH_ENDS["bracket closed"])
+    @example((DiscreteMeasure.zero(), DiscreteMeasure.zero()))
+    def test_level_search_matches_explicit_levels(self, pair):
+        """Up to 40 atoms a side, mixed denominators, unequal masses and empty
+        measures: the integer level search equals bisection over the explicit
+        level set, both ways round."""
+        mu, nu = pair
+        assert prokhorov_discrete(mu, nu) == prokhorov_discrete_levels(mu, nu)
+        assert prokhorov_discrete(nu, mu) == prokhorov_discrete_levels(nu, mu)
+
+    def test_search_end_examples(self):
+        want = {
+            "zero": 0,
+            "passing probe": Fraction(1, 2),
+            "passing probe at a level": 1,
+            "failing, then passing at a level": Fraction(7, 2),
+            "failing probe": 1,
+            "no level above": 1,
+            "bracket closed": Fraction(4, 3),
+        }
+        for name, (mu, nu) in SEARCH_ENDS.items():
+            assert prokhorov_discrete(mu, nu) == want[name] == prokhorov_discrete_bruteforce(mu, nu)
+
+    def test_deficit_calls_logarithmic(self, monkeypatch, rng):
+        """At most 2 * hi_0.bit_length() + 2 deficit evaluations, where
+        hi_0 = ceil(max total mass * lx), lx the locations' common
+        denominator: the bound the docstring derives."""
+        calls = 0
+        kernel = _direction_deficit
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(prokhorov, "_direction_deficit", counted)
+
+        def calls_and_bound(mu, nu):
+            nonlocal calls
+            calls = 0
+            prokhorov_discrete(mu, nu)
+            lx = math.lcm(*(x.denominator for x, _ in mu.atoms + nu.atoms))
+            mass = max(mu.exact_total_mass(), nu.exact_total_mass())
+            return calls, 2 * math.ceil(mass * lx).bit_length() + 2
+
+        pairs = [*SEARCH_ENDS.values()]
+        pairs += [(rand_discrete(rng, 12), rand_discrete(rng, 12)) for _ in range(40)]
+        for mu, nu in pairs:
+            n, bound = calls_and_bound(mu, nu)
+            assert n <= bound, (mu, nu)
+        # 4,098 cell atoms a side and lx = 2^13: at most 30 evaluations
+        u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
+        v = PolyDensityMeasure.uniform(Fraction(1, 8), Fraction(9, 8))
+        n, bound = calls_and_bound(*(_discretize(m, _pow2(12))[0] for m in (u, v)))
+        assert 0 < n <= bound == 30
+
+    def test_rejects_density_measures(self):
+        u = PolyDensityMeasure.uniform(0, 1)
+        msg = "unsupported measure class for prokhorov_discrete: PolyDensityMeasure"
+        with pytest.raises(UnsupportedMeasureClass, match=msg):
+            prokhorov_discrete(u, DiscreteMeasure.point(0))
+        with pytest.raises(UnsupportedMeasureClass, match=msg):
+            prokhorov_discrete(DiscreteMeasure.point(0), u)
 
     def test_metric_axioms_on_random_triples(self, rng):
         for _ in range(25):
@@ -226,6 +366,15 @@ class TestProkhorovBounds:
         lo, hi = prokhorov_bounds(u, v, 8)
         assert time.perf_counter() - t0 < 20
         assert lo <= Fraction(1, 16) <= hi and hi - lo <= _pow2(8)
+
+    def test_shifted_uniform_at_n12(self):
+        # 16,386 cell atoms per side: no set of all pairwise distances
+        u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
+        v = PolyDensityMeasure.uniform(Fraction(1, 8), Fraction(9, 8))
+        t0 = time.perf_counter()
+        lo, hi = prokhorov_bounds(u, v, 12)
+        assert time.perf_counter() - t0 < 20
+        assert lo <= Fraction(1, 16) <= hi and hi - lo <= _pow2(12)
 
     def test_fine_grid_oracle_agreement(self):
         u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
