@@ -52,6 +52,29 @@ def _lines(text: str):
             yield i, line
 
 
+def _vertices(rows, *, density: bool, zero_ends: bool) -> list[tuple[Fraction, Fraction]]:
+    """``x y`` vertex rows, each checked on its own line as it is read.
+
+    Abscissae must strictly increase, a density's ordinates must be
+    nonnegative, and with ``zero_ends`` the first ordinate must be 0 (the
+    constructor's check of the last one falls on the last row anyway).
+    """
+    verts = []
+    for line_no, line in rows:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(line_no, f"expected 'x y' vertex, got {line!r}")
+        x, y = _rational(parts[0], line_no), _rational(parts[1], line_no)
+        if verts and not verts[-1][0] < x:
+            raise ParseError(line_no, "vertex abscissae must strictly increase")
+        if density and y.numerator < 0:
+            raise ParseError(line_no, "density must be nonnegative")
+        if zero_ends and not verts and y != 0:
+            raise ParseError(line_no, "zero-outside requires zero boundary values")
+        verts.append((x, y))
+    return verts
+
+
 def parse_measure(text: str) -> Measure:
     rows = list(_lines(text))
     if not rows:
@@ -63,18 +86,17 @@ def parse_measure(text: str) -> Measure:
             parts = line.split()
             if parts[0] != "atom" or len(parts) != 3:
                 raise ParseError(line_no, f"expected 'atom <loc> <weight>', got {line!r}")
-            atoms.append((_rational(parts[1], line_no), _rational(parts[2], line_no)))
+            w = _rational(parts[2], line_no)
+            if w.numerator <= 0:  # a Fraction's denominator is positive
+                raise ParseError(line_no, "atom weights must be positive")
+            atoms.append((_rational(parts[1], line_no), w))
         try:
             return DiscreteMeasure(tuple(atoms))
         except Exception as exc:
             raise ParseError(line_no, str(exc)) from None
     if header == "polydensity":
-        verts = []
-        for line_no, line in rows[1:]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(line_no, f"expected 'x y' vertex, got {line!r}")
-            verts.append((_rational(parts[0], line_no), _rational(parts[1], line_no)))
+        verts = _vertices(rows[1:], density=True, zero_ends=True)
+        line_no = rows[-1][0]
         try:
             return PolyDensityMeasure(PolyFunc(tuple(verts), "zero-outside"))
         except Exception as exc:
@@ -105,12 +127,8 @@ def parse_function(text: str) -> PolyFunc:
     extension = parts[1]
     if extension not in ("zero-outside", "constant-extend"):
         raise ParseError(line_no, f"unknown extension {extension!r}")
-    verts = []
-    for line_no, line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected 'x y' vertex, got {line!r}")
-        verts.append((_rational(parts[0], line_no), _rational(parts[1], line_no)))
+    verts = _vertices(rows[1:], density=False, zero_ends=extension == "zero-outside")
+    line_no = rows[-1][0]
     try:
         return PolyFunc(tuple(verts), extension)
     except Exception as exc:

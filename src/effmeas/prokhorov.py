@@ -174,17 +174,18 @@ def _level_above(xs: Sequence[int], ys: Sequence[int], T: int) -> Optional[int]:
     return level
 
 
-def prokhorov_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
-    """Exact Prokhorov distance between finite discrete measures.
+def _rho_on_lattice(
+    xa: Sequence[int], wa: Sequence[int], xb: Sequence[int], wb: Sequence[int], lx: int, lw: int
+) -> Fraction:
+    """Exact Prokhorov distance of the atoms ``xa[i]/lx`` of mass ``wa[i]/lw``
+    and ``xb[j]/lx`` of mass ``wb[j]/lw``, each side sorted, weights positive.
 
-    Locations are scaled by their least common denominator ``lx`` and
-    weights by theirs, ``lw``, so the whole search runs on ``int`` lists
-    built once per call: an integer ``T`` stands for the distance ``T/lx``
-    and a deficit ``D`` for the mass ``D/lw``.  D(T) is the larger of the
-    two directions' Hall deficits with closed neighbourhoods |x - y| <= T,
-    each a greedy line transport (:func:`_direction_deficit`).  The
-    returned value is the infimum of the valid epsilons, which need not be
-    valid itself (the neighbourhoods are open).
+    An integer ``T`` stands for the distance ``T/lx`` and a deficit ``D``
+    for the mass ``D/lw``.  D(T) is the larger of the two directions' Hall
+    deficits with closed neighbourhoods |x - y| <= T, each a greedy line
+    transport (:func:`_direction_deficit`).  The returned value is the
+    infimum of the valid epsilons, which need not be valid itself (the
+    neighbourhoods are open).
 
     The answer.  Distances are multiples of 1/lx, so an eps in
     ((T - 1)/lx, T/lx] has the open neighbourhoods |x - y| <= T - 1 and is
@@ -193,7 +194,7 @@ def prokhorov_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
     holds.  Every eps above T*/lx is valid.  No eps at most (T* - 1)/lx
     is: one valid in ((T - 1)/lx, T/lx] gives T/lx >= D(T - 1)/lw >=
     D(T)/lw, so P(T) and T >= T*.  Hence rho = 0 if T* = 0, and else
-    rho = min(D(T* - 1)/lw, T*/lx).
+    rho = min(D(T* - 1)/lw, T*/lx), on any lattice holding all the data.
 
     The search.  A deficit is at most its source's mass, so P holds at
     ceil(max(total(mu), total(nu)) * lx) and T* lies in [0, that].  The
@@ -222,16 +223,6 @@ def prokhorov_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
     (Frederickson and Johnson, SIAM J. Comput. 1984); on the line the
     deficit also says how far to jump.
     """
-    for m in (mu, nu):
-        if not isinstance(m, DiscreteMeasure):
-            raise UnsupportedMeasureClass(
-                f"unsupported measure class for prokhorov_discrete: {type(m).__name__}"
-            )
-    atoms = mu.atoms + nu.atoms
-    lx = math.lcm(*(x.denominator for x, _ in atoms))
-    lw = math.lcm(*(w.denominator for _, w in atoms))
-    xa, wa = _lattice(mu.atoms, lx, lw)
-    xb, wb = _lattice(nu.atoms, lx, lw)
 
     def deficit(T: int) -> int:
         return max(_direction_deficit(xa, wa, xb, wb, T), _direction_deficit(xb, wb, xa, wa, T))
@@ -261,6 +252,25 @@ def prokhorov_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
     return Fraction(d_lo, lw) if d_lo * lx < lo * lw else Fraction(lo, lx)
 
 
+def prokhorov_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
+    """Exact Prokhorov distance between finite discrete measures.
+
+    Locations are scaled by their least common denominator ``lx`` and
+    weights by theirs, ``lw``, so the whole search runs on ``int`` lists
+    built once per call (:func:`_rho_on_lattice`, which holds the proof and
+    the cost, O((n + m) log(total mass * lx))).
+    """
+    for m in (mu, nu):
+        if not isinstance(m, DiscreteMeasure):
+            raise UnsupportedMeasureClass(
+                f"unsupported measure class for prokhorov_discrete: {type(m).__name__}"
+            )
+    atoms = mu.atoms + nu.atoms
+    lx = math.lcm(*(x.denominator for x, _ in atoms))
+    lw = math.lcm(*(w.denominator for _, w in atoms))
+    return _rho_on_lattice(*_lattice(mu.atoms, lx, lw), *_lattice(nu.atoms, lx, lw), lx, lw)
+
+
 def _brute_deficit(
     src: Sequence[tuple[Fraction, Fraction]],
     dst: Sequence[tuple[Fraction, Fraction]],
@@ -285,120 +295,104 @@ def prokhorov_discrete_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> F
     return _infimum_over_levels(mu.atoms, nu.atoms, _brute_deficit)
 
 
-def brute_force_valid(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, eps: Fraction
-) -> bool:
-    """Check every test-set inequality at a fixed eps (open neighborhoods)."""
-
-    def one_way(a, b) -> bool:
-        n = len(a)
-        for mask in range(1, 1 << n):
-            s = [a[i] for i in range(n) if mask >> i & 1]
-            s_mass = sum((w for _, w in s), Fraction(0))
-            nb = sum(
-                (v for y, v in b if any(abs(x - y) < eps for x, _ in s)),
-                Fraction(0),
-            )
-            if s_mass > nb + eps:
-                return False
-        return True
-
-    return one_way(mu.atoms, nu.atoms) and one_way(nu.atoms, mu.atoms)
-
-
 # ---------------------------------------------------------------------------
 # bounds for density measures via grid discretization
 
 
-def _discretize(mu: Measure, pitch: Fraction) -> tuple[DiscreteMeasure, Fraction]:
-    """(atomic surrogate, Prokhorov discretization error bound).
+def _discretize(mu: Measure, pitch: Fraction) -> tuple[list[int], list[int], int, int]:
+    """Cell-mass atoms of mu on the grid of ``pitch``, as ``(xs, ws, lx, lw)``.
 
-    A density's grid cells [k*pitch, (k+1)*pitch] become atoms at their
-    midpoints, weighted by the cell's mass within each support component
-    (a cell straddling a gap yields one atom per component, which
-    ``DiscreteMeasure`` merges; a zero-mass cell yields none).  One forward
-    sweep over the cells and the density's vertices carries the cumulative
-    integral F, exact on each linear piece by the trapezoid rule:
-    O(cells + vertices) in all.
+    An atom sits at ``xs[i]/lx`` with mass ``ws[i]/lw``, the ``xs`` strictly
+    increasing and the ``ws`` positive; a discrete measure gives its own
+    atoms.  A density's cell [k*pitch, (k+1)*pitch] becomes one atom at its
+    midpoint with the cell's whole mass, a difference of the cumulative
+    integral F, all in ``int``s.  With pitch = p/q, abscissae go on ``dx``,
+    the lcm of q and their denominators, ordinates on ``dy``, the lcm of
+    theirs; the pitch is P = p*dx/q and a piece has the width w from
+    (X0, Y0) to (X1, Y1), in those units.  With L the lcm over the pieces of
+    w/gcd(w, Y1 - Y0) and M = 2*dx*dy*L, M*F at the offset D on a piece is
+    M*F(X0) + D*(2*L*Y0 + (Y1 - Y0)*(L/w)*D), an ``int`` quadratic.  Cell k
+    has the key (2k + 1)*p on ``lx`` = 2q and the weight
+    M*F((k+1)*P) - M*F(k*P) on ``lw`` = M.
 
-    A run of whole cells inside one linear piece and inside the support
-    component is walked by its integer cell index k, with pitch = p/q: the
-    atom sits at (2k+1)p/2q, and the cell masses pitch * density(midpoint)
-    form an arithmetic progression of step slope * pitch^2, so a plateau
-    costs no arithmetic per cell.  They are positive, because a piece
-    inside a component has a nonzero end and the density is nonnegative.
-    F is evaluated once per run, at its end.  A cell that straddles a
-    vertex or a component end takes its mass as a difference of F.
+    The walk visits only the cells of pieces with a nonzero end, so it skips
+    every gap however wide, and a cell straddling a gap is emitted once, with
+    its whole difference of F.  A cell meets the support in an interval of
+    positive length, where the density is positive but at finitely many
+    points, so its mass is positive.  O(cells + vertices) in all.
     """
     if isinstance(mu, DiscreteMeasure):
-        return mu, Fraction(0)
-    if isinstance(mu, PolyDensityMeasure):
-        verts = mu.density.vertices
-        # per piece: right end, left end, F and density there, half slope
-        pieces = []
-        f = Fraction(0)
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            pieces.append((x1, x0, f, y0, (y1 - y0) / (2 * (x1 - x0))))
-            f += (x1 - x0) * (y0 + y1) / 2
-        i = 0  # the piece holding the last point swept
+        lx = math.lcm(*(x.denominator for x, _ in mu.atoms))
+        lw = math.lcm(*(w.denominator for _, w in mu.atoms))
+        return (*_lattice(mu.atoms, lx, lw), lx, lw)
+    if not isinstance(mu, PolyDensityMeasure):
+        raise UnsupportedMeasureClass(
+            f"unsupported measure class for discretization: {type(mu).__name__}"
+        )
+    verts = mu.density.vertices
+    p, q = pitch.numerator, pitch.denominator
+    dx = math.lcm(q, *(x.denominator for x, _ in verts))
+    dy = math.lcm(*(y.denominator for _, y in verts))
+    X = [x.numerator * (dx // x.denominator) for x, _ in verts]
+    Y = [y.numerator * (dy // y.denominator) for _, y in verts]
+    steps = list(zip(X, X[1:], Y, Y[1:]))
+    L = math.lcm(*((x1 - x0) // math.gcd(x1 - x0, y1 - y0) for x0, x1, y0, y1 in steps))
+    P = p * (dx // q)
+    pieces = []  # right end, left end, M*F there, 2*L*Y0, (Y1 - Y0)*L/w
+    total = 0
+    for x0, x1, y0, y1 in steps:
+        pieces.append((x1, x0, total, 2 * L * y0, (y1 - y0) * L // (x1 - x0)))
+        total += L * (x1 - x0) * (y0 + y1)
+    # past the last vertex, up to the farthest cell end evaluated, F is total
+    pieces.append((X[-1] + P, X[-1], total, 0, 0))
+    i = 0  # the piece holding the last point evaluated
 
-        def F(x: Fraction) -> Fraction:
-            nonlocal i
-            while pieces[i][0] < x:
-                i += 1
-            _, x0, f0, y0, h = pieces[i]
-            d = x - x0
-            return f0 + d * (y0 + h * d)
+    def MF(x: int) -> int:
+        nonlocal i
+        while pieces[i][0] < x:
+            i += 1
+        _, x0, f0, a, b = pieces[i]
+        d = x - x0
+        return f0 + d * (a + b * d) if d > 0 else f0
 
-        p, q = pitch.numerator, pitch.denominator
-        half = pitch / 2
-        atoms: list[tuple[Fraction, Fraction]] = []
-        for l, r in mu.density.support_components():
-            k = (l / pitch).__floor__()
-            a = k * pitch
-            f_lo = F(l)
-            while a < r:
-                if a >= l:
-                    while pieces[i][0] <= a:
-                        i += 1
-                    x1, x0, _, y0, h = pieces[i]
-                    kb = (x1 / pitch).__floor__()  # x1 <= r: piece i is in [l, r]
-                    if kb > k:  # cells k .. kb-1 lie in piece i
-                        w = pitch * (y0 + h * (2 * a + pitch - 2 * x0))
-                        step = 2 * h * pitch * pitch
-                        for j in range(k, kb):
-                            atoms.append((Fraction((2 * j + 1) * p, 2 * q), w))
-                            if h:
-                                w += step
-                        k = kb
-                        a = k * pitch
-                        f_lo = F(a)
-                        continue
-                b = a + pitch
-                f_hi = F(min(b, r))
-                if f_hi > f_lo:
-                    atoms.append((a + half, f_hi - f_lo))
-                f_lo = f_hi
-                a = b
-                k += 1
-        return DiscreteMeasure(tuple(atoms)), pitch
-    raise UnsupportedMeasureClass(
-        f"unsupported measure class for discretization: {type(mu).__name__}"
-    )
+    xs: list[int] = []
+    ws: list[int] = []
+    k = None  # the first cell not yet emitted; f is M*F at its left end
+    for x1, x0, _, a, b in pieces:
+        if not (a or b):  # zero on the whole piece: a gap
+            continue
+        if k is None or x0 // P > k:
+            k = x0 // P
+            f = MF(k * P)
+        while k * P < x1:
+            f_hi = MF((k + 1) * P)
+            xs.append((2 * k + 1) * p)
+            ws.append(f_hi - f)
+            f = f_hi
+            k += 1
+    return xs, ws, 2 * q, 2 * dx * dy * L
 
 
 def prokhorov_bounds(mu: Measure, nu: Measure, n: int) -> tuple[Fraction, Fraction]:
     """Certified rational bounds on rho(mu, nu), gap at most 2^-n.
 
-    Densities are replaced by cell-mass atoms on a grid of pitch 2^-(n+2),
-    each found in one sweep, O(cells + vertices) (:func:`_discretize`);
-    moving mass within a cell perturbs the distance by at most the pitch.
+    A density is replaced by its cell-mass atoms on the grid of pitch
+    2^-(n+2), found in one ``int`` sweep (:func:`_discretize`); moving mass
+    within a cell perturbs the distance by at most the pitch.  Both sides
+    are scaled to the lcm of their location lattices and of their weight
+    lattices and searched as they are (:func:`_rho_on_lattice`): no cell is
+    ever a ``Fraction``.
     """
     pitch = _pow2(n + 2)
-    mu_d, e1 = _discretize(mu, pitch)
-    nu_d, e2 = _discretize(nu, pitch)
-    d = prokhorov_discrete(mu_d, nu_d)
-    return max(Fraction(0), d - e1 - e2), d + e1 + e2
+    sides = [_discretize(m, pitch) for m in (mu, nu)]
+    lx = math.lcm(*(s[2] for s in sides))
+    lw = math.lcm(*(s[3] for s in sides))
+    lists = []
+    for xs, ws, sx, sw in sides:
+        lists += [x * (lx // sx) for x in xs], [w * (lw // sw) for w in ws]
+    d = _rho_on_lattice(*lists, lx, lw)
+    e = pitch * sum(not isinstance(m, DiscreteMeasure) for m in (mu, nu))
+    return max(Fraction(0), d - e), d + e
 
 
 # ---------------------------------------------------------------------------

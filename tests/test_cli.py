@@ -84,6 +84,13 @@ class TestProkhorovCommand:
         code, _, err = run(capsys, "prokhorov", str(bad), "delta0")
         assert code == 3 and "parse error" in err
 
+    def test_parse_error_names_the_bad_row(self, capsys, tmp_path):
+        bad = tmp_path / "bad.measure"
+        bad.write_text("polydensity\n0 0\n1 -1\n2 1\n3 0\n")
+        code, out, err = run(capsys, "prokhorov", str(bad), "delta0")
+        assert code == 3 and out == ""
+        assert err.startswith("parse error: line 3: density must be nonnegative"), err
+
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "prokhorov", "nosuch", "delta0")
         assert code == 3

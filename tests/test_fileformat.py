@@ -60,6 +60,22 @@ class TestMeasureRoundTrip:
         with pytest.raises(ParseError):
             parse_measure("# only a comment\n")
 
+    # A bad row is reported on its own line, not on the file's last one.
+    @pytest.mark.parametrize(
+        "text,line_no,message",
+        [
+            ("discrete\natom 0 0\natom 1 1\natom 2 1\n", 2, "atom weights must be positive"),
+            ("polydensity\n0 0\n1 -1\n2 1\n3 0\n", 3, "density must be nonnegative"),
+            ("polydensity\n0 0\n2 1\n1 1\n4 0\n", 4, "vertex abscissae must strictly increase"),
+            ("polydensity\n0 1\n1 1\n2 0\n", 2, "zero-outside requires zero boundary values"),
+        ],
+    )
+    def test_bad_row_reported_on_its_line(self, text, line_no, message):
+        with pytest.raises(ParseError) as e:
+            parse_measure(text)
+        assert e.value.line_no == line_no
+        assert str(e.value) == f"line {line_no}: {message}"
+
 
 class TestFunctionRoundTrip:
     def test_round_trip(self):
@@ -84,6 +100,16 @@ class TestFunctionRoundTrip:
     def test_zero_outside_boundary_violation(self):
         with pytest.raises(ParseError):
             parse_function("polyfunc zero-outside\n0 1\n1 0\n")
+
+    def test_bad_row_reported_on_its_line(self):
+        with pytest.raises(ParseError, match="^line 3: vertex abscissae must strictly increase$"):
+            parse_function("polyfunc constant-extend\n0 1\n0 2\n1 0\n")
+        with pytest.raises(ParseError, match="^line 2: zero-outside requires zero boundary values$"):
+            parse_function("polyfunc zero-outside\n0 1\n1 0\n2 0\n")
+        with pytest.raises(ParseError, match="^line 4: zero-outside requires zero boundary values$"):
+            parse_function("polyfunc zero-outside\n0 0\n1 0\n2 1\n")
+        # negative values are fine in a function, unlike in a density
+        assert parse_function("polyfunc zero-outside\n0 0\n1 -1\n2 0\n")(1) == -1
 
 
 class TestEnumerationAndModulus:

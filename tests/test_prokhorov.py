@@ -36,7 +36,6 @@ from effmeas.prokhorov import (
     _infimum_over_levels,
     _lattice,
     assemble_limsup_witness,
-    brute_force_valid,
     eps_from_weak,
     eps_function,
 )
@@ -90,6 +89,28 @@ def large_measure_pairs(draw):
         return DiscreteMeasure(tuple((x, draw(weight)) for x in chosen))
 
     return measure(), measure()
+
+
+def brute_force_valid(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, eps: Fraction
+) -> bool:
+    """Check every test-set inequality at a fixed eps (open neighborhoods);
+    an exhaustive oracle."""
+
+    def one_way(a, b) -> bool:
+        n = len(a)
+        for mask in range(1, 1 << n):
+            s = [a[i] for i in range(n) if mask >> i & 1]
+            s_mass = sum((w for _, w in s), Fraction(0))
+            nb = sum(
+                (v for y, v in b if any(abs(x - y) < eps for x, _ in s)),
+                Fraction(0),
+            )
+            if s_mass > nb + eps:
+                return False
+        return True
+
+    return one_way(mu.atoms, nu.atoms) and one_way(nu.atoms, mu.atoms)
 
 
 def direction_deficit_tuples(src, dst, threshold):
@@ -165,6 +186,17 @@ def prokhorov_discrete_levels(mu, nu):
     return Fraction(ts[lo], lx)
 
 
+def cell_atoms(mu, pitch) -> tuple:
+    """The sweep's cells as (location, weight) ``Fraction`` pairs, unmerged."""
+    xs, ws, lx, lw = _discretize(mu, pitch)
+    return tuple((Fraction(x, lx), Fraction(w, lw)) for x, w in zip(xs, ws))
+
+
+def discrete_cells(mu, pitch) -> DiscreteMeasure:
+    """The sweep's cells as a measure."""
+    return DiscreteMeasure(cell_atoms(mu, pitch))
+
+
 def atoms(*pairs) -> DiscreteMeasure:
     return DiscreteMeasure(tuple((Fraction(x), Fraction(w)) for x, w in pairs))
 
@@ -187,6 +219,28 @@ SEARCH_ENDS = {
     # lo and hi meet at a level that a failing probe moved lo to
     "bracket closed": (atoms((0, Fraction(3, 2))), atoms((Fraction(4, 3), Fraction(1, 2)))),
 }
+
+
+@pytest.fixture
+def count_deficit_calls(monkeypatch):
+    """count(f, *args): how many ``_direction_deficit`` calls f(*args) makes."""
+    kernel = _direction_deficit
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(prokhorov, "_direction_deficit", counted)
+
+    def count(f, *args):
+        nonlocal calls
+        calls = 0
+        f(*args)
+        return calls
+
+    return count
 
 
 class TestProkhorovDiscrete:
@@ -290,24 +344,13 @@ class TestProkhorovDiscrete:
         for name, (mu, nu) in SEARCH_ENDS.items():
             assert prokhorov_discrete(mu, nu) == want[name] == prokhorov_discrete_bruteforce(mu, nu)
 
-    def test_deficit_calls_logarithmic(self, monkeypatch, rng):
+    def test_deficit_calls_logarithmic(self, count_deficit_calls, rng):
         """At most 2 * hi_0.bit_length() + 2 deficit evaluations, where
         hi_0 = ceil(max total mass * lx), lx the locations' common
         denominator: the bound the docstring derives."""
-        calls = 0
-        kernel = _direction_deficit
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return kernel(*args)
-
-        monkeypatch.setattr(prokhorov, "_direction_deficit", counted)
 
         def calls_and_bound(mu, nu):
-            nonlocal calls
-            calls = 0
-            prokhorov_discrete(mu, nu)
+            calls = count_deficit_calls(prokhorov_discrete, mu, nu)
             lx = math.lcm(*(x.denominator for x, _ in mu.atoms + nu.atoms))
             mass = max(mu.exact_total_mass(), nu.exact_total_mass())
             return calls, 2 * math.ceil(mass * lx).bit_length() + 2
@@ -320,8 +363,35 @@ class TestProkhorovDiscrete:
         # 4,098 cell atoms a side and lx = 2^13: at most 30 evaluations
         u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
         v = PolyDensityMeasure.uniform(Fraction(1, 8), Fraction(9, 8))
-        n, bound = calls_and_bound(*(_discretize(m, _pow2(12))[0] for m in (u, v)))
+        n, bound = calls_and_bound(*(discrete_cells(m, _pow2(12)) for m in (u, v)))
         assert 0 < n <= bound == 30
+
+    # Deficit evaluations per search, exactly.  A change that only adds work
+    # (a failing probe that no longer caps hi at its need, or D(T* - 1)
+    # evaluated again instead of taken from that probe) keeps every answer
+    # and moves a count.
+    DEFICIT_CALLS = {
+        "zero": 2,
+        "passing probe": 2,
+        "passing probe at a level": 4,
+        "failing, then passing at a level": 6,
+        "failing probe": 2,
+        "no level above": 2,
+        "bracket closed": 4,
+    }
+    # a failing probe whose need caps hi well below it: 6 evaluations without
+    # the cap
+    NEED_CAPS_HI = (atoms((Fraction(7, 2), 3)), atoms((-1, 3), (2, Fraction(3, 2)), (7, Fraction(3, 2))))
+
+    def test_deficit_calls_pinned(self, count_deficit_calls):
+        for name, (mu, nu) in SEARCH_ENDS.items():
+            got = [count_deficit_calls(prokhorov_discrete, *p) for p in ((mu, nu), (nu, mu))]
+            assert got == [self.DEFICIT_CALLS[name]] * 2, name
+        assert count_deficit_calls(prokhorov_discrete, *self.NEED_CAPS_HI) == 4
+        assert count_deficit_calls(prokhorov_discrete, *self.NEED_CAPS_HI[::-1]) == 4
+        u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
+        v = PolyDensityMeasure.uniform(Fraction(1, 8), Fraction(9, 8))
+        assert count_deficit_calls(prokhorov_bounds, u, v, 10) == 10
 
     def test_rejects_density_measures(self):
         u = PolyDensityMeasure.uniform(0, 1)
@@ -431,6 +501,36 @@ def zero_outside_densities(draw):
     return density(*zip(xs, ys)), pitch
 
 
+def bounds_by_cells(mu, nu, n):
+    """prokhorov_bounds by the old route, kept as the oracle for the int sweep:
+    per-cell masses (:func:`discretize_per_cell`), a ``DiscreteMeasure``,
+    :func:`prokhorov_discrete`, then the pitch either way per density."""
+    pitch = _pow2(n + 2)
+
+    def cells(m):
+        return (m, Fraction(0)) if isinstance(m, DiscreteMeasure) else discretize_per_cell(m, pitch)
+
+    (a, e1), (b, e2) = cells(mu), cells(nu)
+    d = prokhorov_discrete(a, b)
+    return max(Fraction(0), d - e1 - e2), d + e1 + e2
+
+
+@st.composite
+def bounds_cases(draw):
+    """(mu, nu, n): each side a density from ``zero_outside_densities`` or a
+    discrete measure of at most 6 atoms (possibly none) near its support."""
+
+    def side():
+        if draw(st.booleans()):
+            return draw(zero_outside_densities())[0]
+        loc = st.builds(Fraction, st.integers(-12, 12), st.sampled_from(COPRIME))
+        weight = st.builds(Fraction, st.integers(1, 12), st.sampled_from(COPRIME))
+        locs = draw(st.lists(loc, max_size=6, unique=True))
+        return DiscreteMeasure(tuple((x, draw(weight)) for x in locs))
+
+    return side(), side(), draw(st.integers(0, 3))
+
+
 class TestDiscretizeSweep:
     @settings(max_examples=200, deadline=None)
     @given(zero_outside_densities())
@@ -462,9 +562,11 @@ class TestDiscretizeSweep:
     @example((density((0, 0), (3, 3), (5, 3), (7, 0)), Fraction(2, 7)))
     def test_sweep_matches_per_cell_oracle(self, case):
         mu, pitch = case
-        got, want = _discretize(mu, pitch), discretize_per_cell(mu, pitch)
-        assert got[0].atoms == want[0].atoms
-        assert got[1] == want[1] == pitch
+        xs, ws, _, _ = _discretize(mu, pitch)
+        assert all(a < b for a, b in zip(xs, xs[1:])) and all(w > 0 for w in ws)
+        want, err = discretize_per_cell(mu, pitch)
+        assert cell_atoms(mu, pitch) == want.atoms
+        assert err == pitch
 
     # prokhorov_bounds(uniform [0, 1/4], other, n) as the one-sweep
     # discretisation gave them, for the benchmark's six density pairs
@@ -486,6 +588,34 @@ class TestDiscretizeSweep:
         }[name]
         assert prokhorov_bounds(u, other, n) == self.BENCHMARK_BOUNDS[name, n]
 
+    @settings(max_examples=100, deadline=None)
+    @given(bounds_cases())
+    # the benchmark's shapes, against each other and against an atom
+    @example((PolyDensityMeasure.uniform(0, Fraction(1, 4)),
+              PolyDensityMeasure.uniform(Fraction(3, 32), Fraction(11, 32)), 3))
+    @example((density((0, 0), (Fraction(5, 64), 8), (Fraction(1, 4), 0)), delta(Fraction(1, 8)), 2))
+    # one vertex, all zero, and an empty discrete measure
+    @example((density((1, 0)), delta(0), 2))
+    @example((density((0, 0), (1, 0), (2, 0)), density((0, 0), (1, 3), (2, 0)), 1))
+    @example((density((0, 0), (Fraction(1, 3), 1), (Fraction(2, 3), 0)), DiscreteMeasure.zero(), 3))
+    @example((density((1, 0)), DiscreteMeasure.zero(), 0))
+    def test_bounds_match_per_cell_route(self, case):
+        mu, nu, n = case
+        assert prokhorov_bounds(mu, nu, n) == bounds_by_cells(mu, nu, n)
+
+    def test_wide_gap_is_skipped(self):
+        # two unit components 2^30 apart: 2^10 cells each at n = 8, and no
+        # walk over the 2^40 cells of the gap
+        far = 2**30
+        mu = density((0, 0), (Fraction(1, 2), 2), (1, 0),
+                     (far, 0), (far + Fraction(1, 2), 2), (far + 1, 0))
+        t0 = time.perf_counter()
+        xs, ws, lx, lw = _discretize(mu, _pow2(10))
+        assert len(xs) == 2 * 2**10 and sum(ws) == 2 * lw
+        assert xs[2**10] == (2 * far * 2**10 + 1) and lx == 2**11
+        assert prokhorov_bounds(mu, mu, 8) == (0, _pow2(9))
+        assert time.perf_counter() - t0 < 5
+
     def test_no_mass_closed_or_integrate_product_calls(self, monkeypatch):
         calls = []
 
@@ -505,10 +635,10 @@ class TestDiscretizeSweep:
             counted("mass_closed", PolyDensityMeasure.mass_closed),
         )
         mu = density((0, 0), (Fraction(1, 3), 1), (Fraction(1, 2), 0), (Fraction(3, 4), 2), (1, 0))
-        swept = _discretize(mu, _pow2(6))
+        swept = cell_atoms(mu, _pow2(6))
         assert calls == []
         # the wrappers do see the per-cell oracle's calls
-        assert discretize_per_cell(mu, _pow2(6)) == swept
+        assert discretize_per_cell(mu, _pow2(6))[0].atoms == swept
         assert "mass_closed" in calls and "integrate_product" in calls
 
 
