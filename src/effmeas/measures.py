@@ -103,11 +103,13 @@ class DiscreteMeasure(Measure):
     of their denominators and the weights by that of theirs, so no
     ``Fraction`` is compared or added: an atom keeps its own ``Fraction``s
     unless a repeat adds to its weight, and the total is one
-    ``Fraction(sum, lw)``, kept out of ``==``, hash and repr.
+    ``Fraction(sum, lw)``.  The merged ``int`` keys and weights are kept as
+    :meth:`lattice`.  Neither takes part in ``==``, hash or repr.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
     _total: Fraction = field(init=False, repr=False, compare=False)
+    _lattice: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         locs, ws = [], []
@@ -123,23 +125,30 @@ class DiscreteMeasure(Measure):
         if len(ws) < 2:  # nothing to sort, merge or add
             object.__setattr__(self, "atoms", tuple(zip(locs, ws)))
             object.__setattr__(self, "_total", ws[0] if ws else Fraction(0))
+            lattice = (
+                ((locs[0].numerator,), (ws[0].numerator,), locs[0].denominator, ws[0].denominator)
+                if ws
+                else ((), (), 1, 1)
+            )
+            object.__setattr__(self, "_lattice", lattice)
             return
         lx = math.lcm(*(x.denominator for x in locs))
         lw = math.lcm(*(w.denominator for w in ws))
         keys = [x.numerator * (lx // x.denominator) for x in locs]
         iws = [w.numerator * (lw // w.denominator) for w in ws]
-        atoms = []
-        prev = acc = None
+        atoms, xs, mws = [], [], []
         for i in sorted(range(len(keys)), key=keys.__getitem__):
             k = keys[i]
-            if k == prev:
-                acc += iws[i]
-                atoms[-1] = (atoms[-1][0], Fraction(acc, lw))
+            if xs and k == xs[-1]:
+                mws[-1] += iws[i]
+                atoms[-1] = (atoms[-1][0], Fraction(mws[-1], lw))
             else:
                 atoms.append((locs[i], ws[i]))
-                prev, acc = k, iws[i]
+                xs.append(k)
+                mws.append(iws[i])
         object.__setattr__(self, "atoms", tuple(atoms))
         object.__setattr__(self, "_total", Fraction(sum(iws), lw))
+        object.__setattr__(self, "_lattice", (tuple(xs), tuple(mws), lx, lw))
 
     @classmethod
     def point(cls, loc, weight=1) -> "DiscreteMeasure":
@@ -152,6 +161,12 @@ class DiscreteMeasure(Measure):
 
     def exact_total_mass(self) -> Fraction:
         return self._total
+
+    def lattice(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+        """The atoms as ``(xs, ws, lx, lw)``: atom i at ``xs[i]/lx`` with mass
+        ``ws[i]/lw``, ``lx`` and ``lw`` the lcms of the input's location and
+        weight denominators, built with the normalisation."""
+        return self._lattice
 
     def total_mass_real(self) -> CauchyReal:
         return CauchyReal.from_rational(self.exact_total_mass())

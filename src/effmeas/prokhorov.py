@@ -117,14 +117,7 @@ def _infimum_over_levels(
     return best
 
 
-def _lattice(
-    atoms: Sequence[tuple[Fraction, Fraction]], lx: int, lw: int
-) -> tuple[list[int], list[int]]:
-    """Locations times ``lx`` and weights times ``lw``, as two ``int`` lists."""
-    return (
-        [x.numerator * (lx // x.denominator) for x, _ in atoms],
-        [w.numerator * (lw // w.denominator) for _, w in atoms],
-    )
+Side = tuple[Sequence[int], Sequence[int], int, int]  # (xs, ws, lx, lw)
 
 
 def _level_at_or_below(xs: Sequence[int], ys: Sequence[int], T: int) -> int:
@@ -174,18 +167,19 @@ def _level_above(xs: Sequence[int], ys: Sequence[int], T: int) -> Optional[int]:
     return level
 
 
-def _rho_on_lattice(
-    xa: Sequence[int], wa: Sequence[int], xb: Sequence[int], wb: Sequence[int], lx: int, lw: int
-) -> Fraction:
-    """Exact Prokhorov distance of the atoms ``xa[i]/lx`` of mass ``wa[i]/lw``
-    and ``xb[j]/lx`` of mass ``wb[j]/lw``, each side sorted, weights positive.
+def _rho_on_lattice(a: Side, b: Side) -> Fraction:
+    """Exact Prokhorov distance between two sides ``(xs, ws, lx, lw)``, each
+    sorted by location with positive weights.
 
-    An integer ``T`` stands for the distance ``T/lx`` and a deficit ``D``
-    for the mass ``D/lw``.  D(T) is the larger of the two directions' Hall
-    deficits with closed neighbourhoods |x - y| <= T, each a greedy line
-    transport (:func:`_direction_deficit`).  The returned value is the
-    infimum of the valid epsilons, which need not be valid itself (the
-    neighbourhoods are open).
+    Both sides are first scaled, in ``int``s, to the lcm ``lx`` of their
+    two location lattices and the lcm ``lw`` of their weight lattices: this
+    is the one place a common lattice is built.  An integer ``T`` stands
+    for the distance ``T/lx`` and a deficit ``D`` for the mass ``D/lw``.
+    D(T) is the larger of the two directions' Hall deficits with closed
+    neighbourhoods |x - y| <= T, each a greedy line transport
+    (:func:`_direction_deficit`).  The returned value is the infimum of the
+    valid epsilons, which need not be valid itself (the neighbourhoods are
+    open).
 
     The answer.  Distances are multiples of 1/lx, so an eps in
     ((T - 1)/lx, T/lx] has the open neighbourhoods |x - y| <= T - 1 and is
@@ -223,6 +217,11 @@ def _rho_on_lattice(
     (Frederickson and Johnson, SIAM J. Comput. 1984); on the line the
     deficit also says how far to jump.
     """
+    lx, lw = math.lcm(a[2], b[2]), math.lcm(a[3], b[3])
+    xa, wa, xb, wb = (
+        vs if s == l else [v * (l // s) for v in vs]
+        for vs, s, l in ((a[0], a[2], lx), (a[1], a[3], lw), (b[0], b[2], lx), (b[1], b[3], lw))
+    )
 
     def deficit(T: int) -> int:
         return max(_direction_deficit(xa, wa, xb, wb, T), _direction_deficit(xb, wb, xa, wa, T))
@@ -255,20 +254,17 @@ def _rho_on_lattice(
 def prokhorov_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
     """Exact Prokhorov distance between finite discrete measures.
 
-    Locations are scaled by their least common denominator ``lx`` and
-    weights by theirs, ``lw``, so the whole search runs on ``int`` lists
-    built once per call (:func:`_rho_on_lattice`, which holds the proof and
-    the cost, O((n + m) log(total mass * lx))).
+    The search runs on the measures' ``int`` lattices
+    (:meth:`~effmeas.measures.DiscreteMeasure.lattice`) brought to a common
+    one (:func:`_rho_on_lattice`, which holds the proof and the cost,
+    O((n + m) log(total mass * lx))).
     """
     for m in (mu, nu):
         if not isinstance(m, DiscreteMeasure):
             raise UnsupportedMeasureClass(
                 f"unsupported measure class for prokhorov_discrete: {type(m).__name__}"
             )
-    atoms = mu.atoms + nu.atoms
-    lx = math.lcm(*(x.denominator for x, _ in atoms))
-    lw = math.lcm(*(w.denominator for _, w in atoms))
-    return _rho_on_lattice(*_lattice(mu.atoms, lx, lw), *_lattice(nu.atoms, lx, lw), lx, lw)
+    return _rho_on_lattice(mu.lattice(), nu.lattice())
 
 
 def _brute_deficit(
@@ -295,16 +291,37 @@ def prokhorov_discrete_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> F
     return _infimum_over_levels(mu.atoms, nu.atoms, _brute_deficit)
 
 
+def brute_force_valid(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, eps: Fraction
+) -> bool:
+    """Check every test-set inequality at a fixed eps (open neighborhoods)."""
+
+    def one_way(a, b) -> bool:
+        n = len(a)
+        for mask in range(1, 1 << n):
+            s = [a[i] for i in range(n) if mask >> i & 1]
+            s_mass = sum((w for _, w in s), Fraction(0))
+            nb = sum(
+                (v for y, v in b if any(abs(x - y) < eps for x, _ in s)),
+                Fraction(0),
+            )
+            if s_mass > nb + eps:
+                return False
+        return True
+
+    return one_way(mu.atoms, nu.atoms) and one_way(nu.atoms, mu.atoms)
+
+
 # ---------------------------------------------------------------------------
 # bounds for density measures via grid discretization
 
 
-def _discretize(mu: Measure, pitch: Fraction) -> tuple[list[int], list[int], int, int]:
+def _discretize(mu: Measure, pitch: Fraction) -> Side:
     """Cell-mass atoms of mu on the grid of ``pitch``, as ``(xs, ws, lx, lw)``.
 
     An atom sits at ``xs[i]/lx`` with mass ``ws[i]/lw``, the ``xs`` strictly
     increasing and the ``ws`` positive; a discrete measure gives its own
-    atoms.  A density's cell [k*pitch, (k+1)*pitch] becomes one atom at its
+    :meth:`~effmeas.measures.DiscreteMeasure.lattice`.  A density's cell [k*pitch, (k+1)*pitch] becomes one atom at its
     midpoint with the cell's whole mass, a difference of the cumulative
     integral F, all in ``int``s.  With pitch = p/q, abscissae go on ``dx``,
     the lcm of q and their denominators, ordinates on ``dy``, the lcm of
@@ -322,9 +339,7 @@ def _discretize(mu: Measure, pitch: Fraction) -> tuple[list[int], list[int], int
     points, so its mass is positive.  O(cells + vertices) in all.
     """
     if isinstance(mu, DiscreteMeasure):
-        lx = math.lcm(*(x.denominator for x, _ in mu.atoms))
-        lw = math.lcm(*(w.denominator for _, w in mu.atoms))
-        return (*_lattice(mu.atoms, lx, lw), lx, lw)
+        return mu.lattice()
     if not isinstance(mu, PolyDensityMeasure):
         raise UnsupportedMeasureClass(
             f"unsupported measure class for discretization: {type(mu).__name__}"
@@ -379,18 +394,11 @@ def prokhorov_bounds(mu: Measure, nu: Measure, n: int) -> tuple[Fraction, Fracti
     A density is replaced by its cell-mass atoms on the grid of pitch
     2^-(n+2), found in one ``int`` sweep (:func:`_discretize`); moving mass
     within a cell perturbs the distance by at most the pitch.  Both sides
-    are scaled to the lcm of their location lattices and of their weight
-    lattices and searched as they are (:func:`_rho_on_lattice`): no cell is
-    ever a ``Fraction``.
+    go to the search as they are (:func:`_rho_on_lattice`): no cell is ever
+    a ``Fraction``.
     """
     pitch = _pow2(n + 2)
-    sides = [_discretize(m, pitch) for m in (mu, nu)]
-    lx = math.lcm(*(s[2] for s in sides))
-    lw = math.lcm(*(s[3] for s in sides))
-    lists = []
-    for xs, ws, sx, sw in sides:
-        lists += [x * (lx // sx) for x in xs], [w * (lw // sw) for w in ws]
-    d = _rho_on_lattice(*lists, lx, lw)
+    d = _rho_on_lattice(_discretize(mu, pitch), _discretize(nu, pitch))
     e = pitch * sum(not isinstance(m, DiscreteMeasure) for m in (mu, nu))
     return max(Fraction(0), d - e), d + e
 

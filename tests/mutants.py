@@ -1,4 +1,4 @@
-"""Mutation check for the Prokhorov kernels, standard library plus pytest.
+"""Mutation check for the Prokhorov kernels and the measure lattice they read.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -11,9 +11,7 @@ Some mutants are equivalent: they change the work done but no answer and
 no pinned count, so no test can kill them.  They carry the reason and are
 expected to survive.
 
-    python3 tests/mutants.py                # the unmutated tests, then every mutant
-    python3 tests/mutants.py -k sweep       # only mutants whose name holds "sweep"
-    python3 tests/mutants.py --list
+    python3 tests/mutants.py    # the unmutated tests, then every mutant
 
 Exit status 0 when every mutant is killed or survives as expected, and 1
 when one survives unexpectedly, an expected survivor is killed, a
@@ -22,7 +20,6 @@ replacement's text is not found exactly once, or the unmutated tests fail.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -36,6 +33,7 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent
 PROKHOROV = "src/effmeas/prokhorov.py"
 PROKHOROV_TESTS = ("tests/test_prokhorov.py",)
+TIMEOUT_S = 600  # per pytest run; an unmutated run takes well under a minute
 
 
 @dataclass(frozen=True)
@@ -131,23 +129,30 @@ MUTANTS = (
         survives="a multiple of L is a finer weight lattice, and any lattice gives the same rho",
     ),
     Mutant(
-        "bounds: weights not brought to the common lw",
-        "[w * (lw // sw) for w in ws]",
-        "list(ws)",
+        "lattice: sides not brought to the common lattice",
+        "vs if s == l else [v * (l // s) for v in vs]",
+        "vs",
+    ),
+    Mutant(
+        "lattice: a one-atom measure's lx taken as 1",
+        "(ws[0].numerator,), locs[0].denominator, ws[0].denominator)",
+        "(ws[0].numerator,), 1, ws[0].denominator)",
+        file="src/effmeas/measures.py",
+        tests=("tests/test_measures.py",),
     ),
 )
 
 
-def _run_tests(workdir: Path, tests: tuple[str, ...], timeout: float) -> tuple[bool, str]:
+def _run_tests(workdir: Path, tests: tuple[str, ...]) -> tuple[bool, str]:
     """(passed, last line of pytest's output) for ``tests`` run in ``workdir``."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run(
-            cmd, cwd=workdir, env=env, capture_output=True, text=True, timeout=timeout
+            cmd, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
         )
     except subprocess.TimeoutExpired:
-        return False, f"timed out after {timeout:g} s"
+        return False, f"timed out after {TIMEOUT_S} s"
     lines = done.stdout.strip().splitlines()
     return done.returncode == 0, lines[-1] if lines else done.stderr.strip()
 
@@ -171,28 +176,16 @@ def _apply(workdir: Path, m: Mutant) -> Optional[str]:
     return None
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("-k", default="", help="run only mutants whose name holds this text")
-    ap.add_argument("--list", action="store_true", help="list the mutants and exit")
-    ap.add_argument("--timeout", type=float, default=600, help="seconds per test run")
-    args = ap.parse_args(argv)
-    chosen = [m for m in MUTANTS if args.k in m.name]
-    if args.list:
-        for m in chosen:
-            print(m.name + (" (expected to survive)" if m.survives else ""))
-        return 0
-
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="effmeas-mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy(base)
-        tests = sorted({t for m in chosen for t in m.tests})
-        ok, last = _run_tests(base, tuple(tests), args.timeout)
+        ok, last = _run_tests(base, tuple(sorted({t for m in MUTANTS for t in m.tests})))
         print(f"{'unmutated':<60} {'pass' if ok else 'FAIL'}  {last}")
         if not ok:
             return 1
-        for i, m in enumerate(chosen):
+        for i, m in enumerate(MUTANTS):
             work = Path(tmp) / f"m{i}"
             _copy(work)
             err = _apply(work, m)
@@ -201,7 +194,7 @@ def main(argv=None) -> int:
                 bad += 1
                 continue
             t0 = time.perf_counter()
-            survived, last = _run_tests(work, m.tests, args.timeout)
+            survived, last = _run_tests(work, m.tests)
             shutil.rmtree(work)
             verdict = "survived" if survived else "killed"
             expected = "survived" if m.survives else "killed"
@@ -210,7 +203,7 @@ def main(argv=None) -> int:
             if survived and m.survives:
                 print(f"{'':<60} equivalent: {m.survives}")
             bad += verdict != expected
-    print(f"{len(chosen)} mutants, {bad} not as expected")
+    print(f"{len(MUTANTS)} mutants, {bad} not as expected")
     return 1 if bad else 0
 
 

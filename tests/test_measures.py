@@ -212,6 +212,10 @@ class TestDiscreteMeasure:
         assert got.atoms == want_atoms
         assert all(type(loc) is Fraction and type(w) is Fraction for loc, w in got.atoms)
         assert got.exact_total_mass() == want_total and type(got.exact_total_mass()) is Fraction
+        xs, ws, lx, lw = got.lattice()
+        assert [Fraction(x, lx) for x in xs] == [loc for loc, _ in want_atoms]
+        assert [Fraction(w, lw) for w in ws] == [w for _, w in want_atoms]
+        assert all(type(v) is int for v in (*xs, *ws, lx, lw))
         ref = object.__new__(DiscreteMeasure)  # the oracle's fields, set directly
         object.__setattr__(ref, "atoms", want_atoms)
         object.__setattr__(ref, "_total", want_total)

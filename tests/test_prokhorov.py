@@ -34,8 +34,8 @@ from effmeas.prokhorov import (
     _direction_deficit,
     _discretize,
     _infimum_over_levels,
-    _lattice,
     assemble_limsup_witness,
+    brute_force_valid,
     eps_from_weak,
     eps_function,
 )
@@ -91,28 +91,6 @@ def large_measure_pairs(draw):
     return measure(), measure()
 
 
-def brute_force_valid(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, eps: Fraction
-) -> bool:
-    """Check every test-set inequality at a fixed eps (open neighborhoods);
-    an exhaustive oracle."""
-
-    def one_way(a, b) -> bool:
-        n = len(a)
-        for mask in range(1, 1 << n):
-            s = [a[i] for i in range(n) if mask >> i & 1]
-            s_mass = sum((w for _, w in s), Fraction(0))
-            nb = sum(
-                (v for y, v in b if any(abs(x - y) < eps for x, _ in s)),
-                Fraction(0),
-            )
-            if s_mass > nb + eps:
-                return False
-        return True
-
-    return one_way(mu.atoms, nu.atoms) and one_way(nu.atoms, mu.atoms)
-
-
 def direction_deficit_tuples(src, dst, threshold):
     """The greedy Hall deficit on (location, weight) tuples, kept as the oracle.
 
@@ -154,8 +132,8 @@ def prokhorov_discrete_levels(mu, nu):
     atoms = mu.atoms + nu.atoms
     lx = math.lcm(*(x.denominator for x, _ in atoms))
     lw = math.lcm(*(w.denominator for _, w in atoms))
-    xa, wa = _lattice(mu.atoms, lx, lw)
-    xb, wb = _lattice(nu.atoms, lx, lw)
+    xa, xb = ([x.numerator * (lx // x.denominator) for x, _ in m.atoms] for m in (mu, nu))
+    wa, wb = ([w.numerator * (lw // w.denominator) for _, w in m.atoms] for m in (mu, nu))
     ts = sorted({0, *(abs(x - y) for x in xa for y in xb)})
 
     def d_at(i):
