@@ -18,7 +18,6 @@ from .convergence import (
     SpeckerSequence,
     TotalMassModulus,
     check_modulus,
-    complement_modulus,
     limit_from_vague,
     polygonal_surrogate,
     portmanteau_check,

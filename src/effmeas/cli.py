@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from .convergence import (
     DEFAULT_TM_CHECK,
+    CheckRow,
     Modulus,
     check_modulus,
     vague_to_weak,
@@ -89,32 +90,25 @@ def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class Report:
-    def __init__(self):
-        self.rows: list[tuple] = []
-
-    def add(self, N, index, checked_n, quantity, bound, ok: bool):
-        self.rows.append(
-            (N, index, checked_n, str(quantity), str(bound), "pass" if ok else "fail")
-        )
-
-    @property
-    def passed(self) -> bool:
-        return all(r[-1] == "pass" for r in self.rows)
-
-    def emit(self, out_path=None):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        writer.writerows(self.rows)
-        text = buf.getvalue()
-        if out_path:
-            try:
-                with open(out_path, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ParseError(None, f"cannot write {out_path!r}: {exc}") from None
-        sys.stdout.write(text)
+def _emit(rows: list[CheckRow], out_path=None) -> int:
+    """Write ``rows`` as the CSV report to stdout and to ``out_path``, if
+    given; the exit code, 0 when every row passes and 1 otherwise."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REPORT_HEADER)
+    writer.writerows(
+        (r.N, r.index, r.checked_n, r.quantity, r.bound, "pass" if r.ok else "fail")
+        for r in rows
+    )
+    text = buf.getvalue()
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(None, f"cannot write {out_path!r}: {exc}") from None
+    sys.stdout.write(text)
+    return 0 if all(r.ok for r in rows) else 1
 
 
 def _read(path: str) -> str:
@@ -217,35 +211,28 @@ def cmd_demo_specker(args) -> int:
     f = supported_from_poly(poly)
     mod = sp.vague_modulus(f)
     idx = mod.of(0)
-    report = Report()
     top = idx + args.fuel if horizon is None else min(idx + args.fuel, horizon)
     hull_hi = f.support.exact_hull[1]
     limit_val = sum(
         (sp.weight(i) * poly(Fraction(i)) for i in range(max(0, hull_hi.__ceil__()) + 1)),
         Fraction(0),
     )
+    rows = []
     for n in range(top + 1):
         q = abs(integrate_poly(poly, sp.seq[n]) - limit_val)
-        ok = q == 0 if n >= idx else True
-        report.add(0, idx, n, q, Fraction(0), ok)
-    report.emit(args.out)
+        rows.append(CheckRow(0, idx, n, q, Fraction(0), n < idx or q == 0))
+    code = _emit(rows, args.out)
     print("# total-mass lower bounds (hidden oracle; strictly partial):")
     lower = sp.total_mass_lower()
     for k in range(0, args.fuel + 1, max(1, args.fuel // 5)):
         print(f"#   fuel {k}: {_frac(lower.bound(k))}")
-    return 0 if report.passed else 1
-
-
-def _verify_integral_rows(report, values, limit_val, mod, Ns, window):
-    rep = check_modulus(values, limit_val, mod, Ns, Fuel(window))
-    for row in rep.rows:
-        report.add(row.N, row.index, row.checked_n, row.quantity, row.bound, row.ok)
+    return code
 
 
 def cmd_verify(args) -> int:
     Ns = args.ns if args.ns is not None else list(range(1, 7))
     window = _nonnegative("--fuel", args.fuel)
-    report = Report()
+    rows: list[CheckRow] = []
     corpus = None
     if args.seq.startswith("specker"):
         sp = specker_corpus(args.seq.split(":", 1)[1] if ":" in args.seq else "identity")
@@ -299,9 +286,9 @@ def cmd_verify(args) -> int:
                     validate_tm=False,
                 )
             mod = Modulus.from_table(entries)
-        _verify_integral_rows(
-            report, lambda n: integrate_poly(poly, seq[n]), exact_limit, mod, Ns, window
-        )
+        rows = check_modulus(
+            lambda n: integrate_poly(poly, seq[n]), exact_limit, mod, Ns, Fuel(window)
+        ).rows
 
     elif args.mode == "eps":
         if corpus is None or corpus.ad_modulus is None:
@@ -316,7 +303,7 @@ def cmd_verify(args) -> int:
             bound = _pow2(N)
             for n in range(idx, idx + window + 1):
                 d = prokhorov_discrete(seq[n], limit)
-                report.add(N, idx, n, d, bound, d < bound)
+                rows.append(CheckRow(N, idx, n, d, bound, d < bound))
 
     elif args.mode == "witness":
         if corpus is None or corpus.ad_modulus is None:
@@ -329,16 +316,15 @@ def cmd_verify(args) -> int:
             r = mu_c + _pow2(N)
             idx = witness_from_eps(seq, limit, eps, C, r)
             if idx == NOT_IN_CUT:
-                report.add(N, -1, -1, r, mu_c, False)
+                rows.append(CheckRow(N, -1, -1, r, mu_c, False))
                 continue
             for n in range(idx, idx + window + 1):
                 q = seq[n].mass_closed(comps)
-                report.add(N, idx, n, q, r, q < r)
+                rows.append(CheckRow(N, idx, n, q, r, q < r))
     else:
         raise ParseError(1, f"unknown verify mode {args.mode!r}")
 
-    report.emit(args.out)
-    return 0 if report.passed else 1
+    return _emit(rows, args.out)
 
 
 class _UsageError(Exception):

@@ -29,14 +29,7 @@ from .functions import (
     supported_from_poly,
     tent_function,
 )
-from .measures import (
-    DiscreteMeasure,
-    LazyDiscreteMeasure,
-    Measure,
-    PolyDensityMeasure,
-    integrate_named,
-    mass_of_interval,
-)
+from .measures import DiscreteMeasure, LazyDiscreteMeasure, Measure, integrate_named
 from .reals import CauchyReal, LowerReal, _pow2
 from .sets import compact_hull_bounds, merge_open
 from .streams import Fuel, Stream
@@ -317,10 +310,6 @@ def vague_modulus(
 VagueOracle = Callable[[SupportedFunc], Modulus]
 
 
-def scan_vague_oracle(seq: MeasureSeq, limit: Measure, **kw) -> VagueOracle:
-    return lambda f: vague_modulus(seq, limit, f, **kw)
-
-
 # ---------------------------------------------------------------------------
 # the uniformizer (vague convergence)
 
@@ -424,11 +413,6 @@ def specker_sequence(enum_source) -> SpeckerSequence:
 
 # ---------------------------------------------------------------------------
 # vague => weak machinery
-
-
-def complement_modulus(g1: Modulus, g2: TotalMassModulus, N: int) -> int:
-    """Modulus index for the integrals of 1 - f, 0 <= f <= 1."""
-    return max(g1.of(N + 1), g2.of(N + 1))
 
 
 def validate_total_mass_modulus(
@@ -681,12 +665,6 @@ class PortmanteauReport:
         return all(r.ok for r in self.rows)
 
 
-def _member_mass_closed(mu: Measure, comps) -> Fraction:
-    if isinstance(mu, (DiscreteMeasure, PolyDensityMeasure)):
-        return mu.mass_closed(comps)
-    raise UnsupportedMeasureClass("need a concrete measure class")
-
-
 def portmanteau_check(
     seq: MeasureSeq,
     limit: Measure,
@@ -705,7 +683,7 @@ def portmanteau_check(
     """
     rows: list[PortmanteauRow] = []
     if mode == "closed-limsup":
-        mu_c = _member_mass_closed(limit, target.closed_components)
+        mu_c = limit.mass_closed(target.closed_components)
         for r, idx in certificate.items():
             r = Fraction(r)
             in_cut = r > mu_c
@@ -715,7 +693,7 @@ def portmanteau_check(
             if not in_cut:
                 continue
             for n in range(idx, idx + window + 1):
-                q = _member_mass_closed(seq[n], target.closed_components)
+                q = seq[n].mass_closed(target.closed_components)
                 rows.append(PortmanteauRow(f"mu_n(C) < {r}", n, q, r, q < r))
     elif mode == "open-liminf":
         mu_u = limit.region_mass_open(target.components)

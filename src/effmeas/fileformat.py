@@ -27,7 +27,6 @@ integers; serialization always emits reduced fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .convergence import Modulus
 from .errors import ParseError

@@ -17,12 +17,10 @@ from typing import Callable, Optional, Sequence
 
 from .errors import SearchExhausted, UnsupportedMeasureClass
 from .functions import (
-    CompactOpenName,
     PolyFunc,
     SupportedFunc,
     approx_polygonal,
     constant_func,
-    indicator_approx,
     polygonal_on_window,
 )
 from .reals import CauchyReal, LowerReal, _pow2
@@ -50,47 +48,85 @@ def integrate_product(p: PolyFunc, q: PolyFunc, a: Fraction, b: Fraction) -> Fra
 
 
 class Measure:
-    """Interface: a computable finite Borel measure."""
+    """Interface: a computable finite Borel measure.
+
+    What a class can answer is in its own methods, and each default here
+    raises :class:`UnsupportedMeasureClass` through :meth:`_unsupported`,
+    the one place a class is refused:
+
+    - :meth:`total_mass_real`, :meth:`total_mass_upper`;
+    - :meth:`region_mass_open`, :meth:`mass_closed` and :meth:`open_mass`,
+      which is built on :meth:`region_mass_open`;
+    - :meth:`integrate_poly` (exact) and :meth:`integrate_supported`
+      (within 2^-n, built on :meth:`integrate_poly`);
+    - :meth:`null_test`, for the null spheres of almost decidable balls;
+    - :meth:`support_radius`.
+
+    :meth:`exact_total_mass` is an optional fast path and returns ``None``
+    when the class has no exact mass; :meth:`truncated` returns the measure
+    itself unless the class reveals its atoms lazily.
+    """
+
+    def _unsupported(self, what: str):
+        raise UnsupportedMeasureClass(
+            f"unsupported measure class {type(self).__name__}: no {what}"
+        )
 
     def total_mass_real(self) -> CauchyReal:
-        raise NotImplementedError
+        self._unsupported("total mass name")
+
+    def exact_total_mass(self) -> Optional[Fraction]:
+        return None
+
+    def total_mass_upper(self) -> Fraction:
+        """An exact rational upper bound on mu(R)."""
+        m = self.exact_total_mass()
+        if m is None:
+            self._unsupported("exact total mass")
+        return m
+
+    def region_mass_open(self, comps: Sequence[OpenComp]) -> Fraction:
+        """mu of a finite union of open intervals, exact."""
+        self._unsupported("exact region masses")
+
+    def mass_closed(self, comps) -> Fraction:
+        """mu of a finite union of closed intervals ``(l, r)``, exact."""
+        self._unsupported("exact closed masses")
 
     def open_mass(self, U: SigmaSet) -> LowerReal:
-        """mu(U) from below: the exact mass of each finite union pulled.
-
-        Built on :meth:`region_mass_open`; a class without exact region
-        masses overrides this or raises here.
-        """
-
-        def mass(comps) -> Fraction:
-            m = self.region_mass_open(comps)
-            if m is None:
-                raise UnsupportedMeasureClass(
-                    f"unsupported measure class {type(self).__name__}"
-                )
-            return m
-
+        """mu(U) from below: the exact mass of each finite union pulled."""
         if U.components is not None:
-            return LowerReal.from_rational(mass(U.components))
+            return LowerReal.from_rational(self.region_mass_open(U.components))
 
         def gen():
             pulled = []
             for k in itertools.count():
                 pulled.append(U.interval(k))
-                yield mass(merge_open(pulled))
+                yield self.region_mass_open(merge_open(pulled))
 
         return LowerReal(gen())
 
-    # exact fast paths, None when the class cannot provide them
-    def exact_total_mass(self) -> Optional[Fraction]:
-        return None
+    def integrate_poly(self, p: PolyFunc) -> Fraction:
+        """The exact integral of a polygonal function."""
+        self._unsupported("exact integration")
 
-    def region_mass_open(self, comps: Sequence[OpenComp]) -> Optional[Fraction]:
-        return None
+    def integrate_supported(self, f: SupportedFunc, n: int) -> Fraction:
+        """The integral of a compactly supported named function within 2^-n."""
+        tol = _pow2(n) / (self.total_mass_upper() + 1)
+        return integrate_poly(approx_polygonal(f, tol), self)
 
-    def support_radius(self) -> Optional[Fraction]:
-        """An a with mu(R \\ [-a, a]) = 0, when the support is bounded."""
-        return None
+    def truncated(self, err: Fraction) -> "Measure":
+        """A measure whose integrals of |f| <= 1 are within ``err`` of these
+        and whose :meth:`support_radius` is known."""
+        return self
+
+    def null_test(self) -> Callable[[Fraction], bool]:
+        """x -> is {x} mu-null."""
+        self._unsupported("null-point test")
+
+    def support_radius(self) -> Fraction:
+        """An a with mu(R \\ [-a, a]) = 0."""
+        self._unsupported("bounded support")
 
 
 @dataclass(frozen=True)
@@ -183,6 +219,35 @@ class DiscreteMeasure(Measure):
             Fraction(0),
         )
 
+    def integrate_poly(self, p: PolyFunc) -> Fraction:
+        """One sweep walks the sorted atoms and the polygon's pieces together.
+
+        An atom x inside piece [x0, x1] contributes
+        w * (y0 + (y1 - y0)(x - x0)/(x1 - x0)), and under ``zero-outside``
+        the atoms outside the vertex hull are skipped.
+        """
+        verts = p.vertices
+        (xl, yl), (xr, yr) = verts[0], verts[-1]
+        zero = p.extension == "zero-outside"
+        total = Fraction(0)
+        i = 0  # the piece verts[i] .. verts[i + 1] holding the atom
+        for loc, w in self.atoms:
+            if xl < loc < xr:
+                while verts[i + 1][0] < loc:
+                    i += 1
+                (x0, y0), (x1, y1) = verts[i], verts[i + 1]
+                y = y1 if loc == x1 else y0 + (y1 - y0) * (loc - x0) / (x1 - x0)
+            elif zero:
+                continue
+            else:
+                y = yl if loc <= xl else yr
+            total += w * y
+        return total
+
+    def null_test(self) -> Callable[[Fraction], bool]:
+        locs = frozenset(loc for loc, _ in self.atoms)
+        return lambda x: x not in locs
+
     def support_radius(self) -> Fraction:
         return max((abs(loc) for loc, _ in self.atoms), default=Fraction(0))
 
@@ -239,6 +304,13 @@ class PolyDensityMeasure(Measure):
             Fraction(0),
         )
 
+    def integrate_poly(self, p: PolyFunc) -> Fraction:
+        verts = self.density.vertices
+        return integrate_product(p, self.density, verts[0][0], verts[-1][0])
+
+    def null_test(self) -> Callable[[Fraction], bool]:
+        return lambda x: True
+
     def support_radius(self) -> Fraction:
         return max(
             abs(self.density.vertices[0][0]), abs(self.density.vertices[-1][0])
@@ -274,19 +346,56 @@ class LazyDiscreteMeasure(Measure):
     def total_mass_lower(self) -> LowerReal:
         return LowerReal(lambda n: self.prefix_mass(n))
 
-    def total_mass_real(self) -> CauchyReal:
+    def _tail(self) -> Callable[[int], Fraction]:
         if self.tail_bound is None:
-            raise UnsupportedMeasureClass(
-                "no tail bound: total mass is only left-c.e."
-            )
+            self._unsupported("tail bound: total mass is only left-c.e.")
+        return self.tail_bound
+
+    def total_mass_real(self) -> CauchyReal:
+        tail = self._tail()
 
         def term(n):
             k = 0
-            while self.tail_bound(k) > _pow2(n + 1):
+            while tail(k) > _pow2(n + 1):
                 k += 1
             return self.prefix_mass(k)
 
         return CauchyReal(term)
+
+    def total_mass_upper(self) -> Fraction:
+        return Fraction(self._tail()(0))
+
+    def truncated(self, err: Fraction) -> DiscreteMeasure:
+        """The first k atoms, k the least with ``tail_bound(k) <= err``."""
+        tail = self._tail()
+        k = 0
+        while tail(k) > err:
+            k += 1
+        return DiscreteMeasure(tuple(self.prefix(k)))
+
+    def integrate_supported(self, f: SupportedFunc, n: int) -> Fraction:
+        """With increasing atom locations the support window cuts the atom
+        list after finitely many pulls, so no tail bound is needed; otherwise
+        the prefix whose tail is small enough stands in for the measure.
+        """
+        if not self.locations_increasing:
+            tol = _pow2(n + 1) / (self.total_mass_upper() + 1)
+            psi = approx_polygonal(f, tol)
+            return integrate_poly(psi, self.truncated(_pow2(n + 1) / (psi.bound() + 1)))
+        _, hull_hi = compact_hull_bounds(f.support, 8)
+        atoms = []
+        for k in itertools.count():
+            loc, w = self.atom_stream[k]
+            if loc > hull_hi:
+                break
+            atoms.append((loc, w))
+        return DiscreteMeasure(tuple(atoms)).integrate_supported(f, n)
+
+    def null_test(self) -> Callable[[Fraction], bool]:
+        pred = self.location_predicate
+        if pred is None:
+            self._unsupported("location predicate for null spheres")
+        return lambda x: not pred(x)
 
     def open_mass(self, U: SigmaSet) -> LowerReal:
         def gen():
@@ -314,94 +423,8 @@ class LazyDiscreteMeasure(Measure):
 
 
 def integrate_poly(p: PolyFunc, mu: Measure) -> Fraction:
-    """Exact integral of a polygonal function for the concrete classes.
-
-    On a :class:`DiscreteMeasure` one sweep walks the sorted atoms and the
-    polygon's pieces together; an atom x inside piece [x0, x1] contributes
-    w * (y0 + (y1 - y0)(x - x0)/(x1 - x0)), and under ``zero-outside`` the
-    atoms outside the vertex hull are skipped.
-    """
-    if isinstance(mu, DiscreteMeasure):
-        verts = p.vertices
-        (xl, yl), (xr, yr) = verts[0], verts[-1]
-        zero = p.extension == "zero-outside"
-        total = Fraction(0)
-        i = 0  # the piece verts[i] .. verts[i + 1] holding the atom
-        for loc, w in mu.atoms:
-            if xl < loc < xr:
-                while verts[i + 1][0] < loc:
-                    i += 1
-                (x0, y0), (x1, y1) = verts[i], verts[i + 1]
-                y = y1 if loc == x1 else y0 + (y1 - y0) * (loc - x0) / (x1 - x0)
-            elif zero:
-                continue
-            else:
-                y = yl if loc <= xl else yr
-            total += w * y
-        return total
-    if isinstance(mu, PolyDensityMeasure):
-        lo = mu.density.vertices[0][0]
-        hi = mu.density.vertices[-1][0]
-        return integrate_product(p, mu.density, lo, hi)
-    raise UnsupportedMeasureClass(f"unsupported measure class {type(mu).__name__}")
-
-
-def integrate_poly_approx(p: PolyFunc, mu: Measure, n: int) -> Fraction:
-    """Integral of a polygonal function within 2^-n, lazy measures included."""
-    if isinstance(mu, (DiscreteMeasure, PolyDensityMeasure)):
-        return integrate_poly(p, mu)
-    if isinstance(mu, LazyDiscreteMeasure):
-        if mu.tail_bound is None:
-            raise UnsupportedMeasureClass(
-                "lazy discrete measure without tail bound cannot be integrated"
-            )
-        bound = p.bound() + 1
-        k = 0
-        while mu.tail_bound(k) * bound > _pow2(n):
-            k += 1
-        return sum((w * p(loc) for loc, w in mu.prefix(k)), Fraction(0))
-    raise UnsupportedMeasureClass(f"unsupported measure class {type(mu).__name__}")
-
-
-def _integrate_supported_lazy(f: SupportedFunc, mu: LazyDiscreteMeasure, n: int) -> Fraction:
-    """Compactly supported integrand against a lazy discrete measure.
-
-    With increasing atom locations the support window cuts the atom list
-    after finitely many pulls, so no tail bound is needed; otherwise a tail
-    bound is required.
-    """
-    _, hull_hi = compact_hull_bounds(f.support, 8)
-    if mu.locations_increasing:
-        atoms = []
-        for k in itertools.count():
-            loc, w = mu.atom_stream[k]
-            if loc > hull_hi:
-                break
-            atoms.append((loc, w))
-        window_mass = sum((w for _, w in atoms), Fraction(0))
-        tol = _pow2(n) / (window_mass + 1)
-        psi = approx_polygonal(f, tol)
-        return sum((w * psi(loc) for loc, w in atoms), Fraction(0))
-    if mu.tail_bound is None:
-        raise UnsupportedMeasureClass(
-            "lazy measure needs increasing locations or a tail bound"
-        )
-    mass = total_mass_upper(mu)
-    tol = _pow2(n + 1) / (mass + 1)
-    psi = approx_polygonal(f, tol)
-    return integrate_poly_approx(psi, mu, n + 1)
-
-
-def total_mass_upper(mu: Measure) -> Fraction:
-    """An exact rational upper bound on mu(R)."""
-    m = mu.exact_total_mass()
-    if m is not None:
-        return m
-    if isinstance(mu, LazyDiscreteMeasure):
-        if mu.tail_bound is None:
-            raise UnsupportedMeasureClass("no tail bound on lazy measure")
-        return mu.prefix_mass(0) + mu.tail_bound(0)
-    raise UnsupportedMeasureClass(f"unsupported measure class {type(mu).__name__}")
+    """Exact integral of a polygonal function (:meth:`Measure.integrate_poly`)."""
+    return mu.integrate_poly(p)
 
 
 def integrate_named(f, mu: Measure, n: int) -> Fraction:
@@ -413,33 +436,14 @@ def integrate_named(f, mu: Measure, n: int) -> Fraction:
     integration, tail estimates for the mass the window misses.
     """
     if isinstance(f, SupportedFunc):
-        if isinstance(mu, LazyDiscreteMeasure):
-            return _integrate_supported_lazy(f, mu, n)
-        mass = mu.exact_total_mass()
-        if mass is None:
-            raise UnsupportedMeasureClass(
-                f"unsupported measure class {type(mu).__name__}"
-            )
-        tol = _pow2(n) / (mass + 1)
-        psi = approx_polygonal(f, tol)
-        return integrate_poly(psi, mu)
-
+        return mu.integrate_supported(f, n)
     name, B = f
     B = Fraction(B)
-    mass = total_mass_upper(mu)
-    if isinstance(mu, LazyDiscreteMeasure):
-        k = 0
-        while mu.tail_bound(k) * (2 * B + 1) > _pow2(n + 2):
-            k += 1
-        prefix = mu.prefix(k)
-        radius = max((abs(loc) for loc, _ in prefix), default=Fraction(0)) + 1
-    else:
-        radius = mu.support_radius() + 1
-        prefix = None
+    mass = mu.total_mass_upper()
+    mu = mu.truncated(_pow2(n + 2) / (2 * B + 1))
+    radius = mu.support_radius() + 1
     tol = _pow2(n + 1) / (mass + 1)
     psi = polygonal_on_window(name, -radius, radius, tol)
-    if prefix is not None:
-        return sum((w * psi(loc) for loc, w in prefix), Fraction(0))
     return integrate_poly(psi, mu)
 
 
@@ -492,23 +496,6 @@ def _union_is_dense(a_comps, b_comps) -> bool:
     return all(r0 == l1 for (_, r0), (l1, _) in zip(comps, comps[1:]))
 
 
-def _null_point_test(mu: Measure) -> Callable[[Fraction], bool]:
-    """x -> is {x} mu-null, dispatched on the measure class once."""
-    if isinstance(mu, DiscreteMeasure):
-        locs = frozenset(loc for loc, _ in mu.atoms)
-        return lambda x: x not in locs
-    if isinstance(mu, PolyDensityMeasure):
-        return lambda x: True
-    if isinstance(mu, LazyDiscreteMeasure):
-        pred = getattr(mu, "location_predicate", None)
-        if pred is None:
-            raise UnsupportedMeasureClass(
-                "lazy measure needs a location predicate for null spheres"
-            )
-        return lambda x: not pred(x)
-    raise UnsupportedMeasureClass(f"unsupported measure class {type(mu).__name__}")
-
-
 _RADIUS_GRIDS = (4, 16, 64, 256, 1024, 4096)
 
 
@@ -523,7 +510,7 @@ def _null_sphere_search(
     """
     if not min_radius < radius_bound:
         raise ValueError("need min_radius < radius_bound")
-    null = _null_point_test(mu)
+    null = mu.null_test()
     span = radius_bound - min_radius
     grids: list[list[Fraction]] = []
 
@@ -633,15 +620,3 @@ def first_cover_balls(
                 break
     return out
 
-
-def mass_of_interval(mu: Measure, interval) -> LowerReal:
-    """mu(I) for an open interval I as the left-c.e. limit of tent integrals."""
-    a, b = Fraction(interval[0]), Fraction(interval[1])
-
-    def term(k: int) -> Fraction:
-        t_k = indicator_approx((a, b), k)
-        if isinstance(mu, LazyDiscreteMeasure):
-            return sum((w * t_k(loc) for loc, w in mu.prefix(k)), Fraction(0))
-        return integrate_poly(t_k, mu)
-
-    return LowerReal(term)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -600,14 +599,13 @@ def witness_from_eps(
     computable closed masses), then finds M0 with r - mu(C) > 2^-M0 and N0
     with r - mu(closure of the 2^-N0 neighborhood of C) > 2^-M0, and
     returns eps(M0 + N0 + 1).  Returns the sentinel string when r is not
-    (yet) certified above mu(C).
+    (yet) certified above mu(C).  A limit without exact closed masses
+    raises ``UnsupportedMeasureClass`` from :meth:`Measure.mass_closed`.
     """
     r = Fraction(r)
     comps = C.closed_components
     if comps is None:
         raise UnsupportedMeasureClass("witness_from_eps needs exact closed components")
-    if not isinstance(limit, (DiscreteMeasure, PolyDensityMeasure)):
-        raise UnsupportedMeasureClass("witness_from_eps needs a concrete limit")
     mu_c = limit.mass_closed(comps)
     if r <= mu_c:
         return NOT_IN_CUT
@@ -623,20 +621,3 @@ def witness_from_eps(
         f"search exhausted: no shrinking neighborhood certified within 2^-{max_m}"
     )
 
-
-def assemble_limsup_witness(
-    seq: MeasureSeq,
-    limit: Measure,
-    eps: EpsFunction,
-    C: PiSet,
-    rs: Sequence[Fraction],
-):
-    """LimsupWitness table over the sampled rationals that clear the cut."""
-    from .convergence import LimsupWitness
-
-    entries = []
-    for r in rs:
-        idx = witness_from_eps(seq, limit, eps, C, r)
-        if idx != NOT_IN_CUT:
-            entries.append((Fraction(r), idx))
-    return LimsupWitness(tuple(entries))

@@ -109,25 +109,6 @@ def make_cauchy(terms) -> CauchyReal:
     return CauchyReal(terms)
 
 
-def cauchy_arith(op: str, x: CauchyReal, y: CauchyReal | None = None) -> CauchyReal:
-    """Dispatch table for the supported name arithmetic."""
-    if op == "abs":
-        return abs(x)
-    if y is None:
-        raise ValueError(f"operation {op!r} needs two operands")
-    table = {
-        "+": CauchyReal.__add__,
-        "-": CauchyReal.__sub__,
-        "*": CauchyReal.__mul__,
-        "min": CauchyReal.min_with,
-        "max": CauchyReal.max_with,
-    }
-    try:
-        return table[op](x, y)
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-
-
 class Comparison(enum.Enum):
     LESS = "less"
     GREATER = "greater"

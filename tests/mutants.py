@@ -1,4 +1,4 @@
-"""Mutation check for the Prokhorov kernels and the measure lattice they read.
+"""Mutation check for the Prokhorov kernels, the measure protocol and the CLI report.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -32,6 +32,7 @@ from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 PROKHOROV = "src/effmeas/prokhorov.py"
+MEASURES = "src/effmeas/measures.py"
 PROKHOROV_TESTS = ("tests/test_prokhorov.py",)
 TIMEOUT_S = 600  # per pytest run; an unmutated run takes well under a minute
 
@@ -137,8 +138,38 @@ MUTANTS = (
         "lattice: a one-atom measure's lx taken as 1",
         "(ws[0].numerator,), locs[0].denominator, ws[0].denominator)",
         "(ws[0].numerator,), 1, ws[0].denominator)",
-        file="src/effmeas/measures.py",
+        file=MEASURES,
         tests=("tests/test_measures.py",),
+    ),
+    # the measure protocol
+    Mutant(
+        "protocol: a discrete measure's atoms taken as null",
+        "return lambda x: x not in locs",
+        "return lambda x: x in locs",
+        file=MEASURES,
+        tests=("tests/test_measures.py",),
+    ),
+    Mutant(
+        "protocol: truncated stops at a tail equal to err",
+        "while tail(k) > err:",
+        "while tail(k) >= err:",
+        file=MEASURES,
+        tests=("tests/test_measures.py",),
+    ),
+    Mutant(
+        "protocol: the default region_mass_open returns None",
+        'self._unsupported("exact region masses")',
+        "return None",
+        file=MEASURES,
+        tests=("tests/test_measures.py", "tests/test_convergence.py"),
+    ),
+    # the CLI report
+    Mutant(
+        "report: exit 0 when any row passes",
+        "return 0 if all(r.ok for r in rows) else 1",
+        "return 0 if any(r.ok for r in rows) else 1",
+        file="src/effmeas/cli.py",
+        tests=("tests/test_cli.py",),
     ),
 )
 

@@ -12,6 +12,7 @@ import pytest
 
 from effmeas import cli, convergence
 from effmeas.cli import REPORT_HEADER, _decimal, _parse_nlist, main
+from effmeas.prokhorov import NOT_IN_CUT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -289,6 +290,127 @@ class TestFailClosed:
         self.assert_parse_error(
             capsys, "verify", "weak", "deltashrink", "delta0", "hat", "1..1",
             "--certificate", str(cert), "--fuel", "2",
+        )
+
+
+class TestReportBytes:
+    """The exact CSV bytes on stdout and in ``--out``, with the exit code.
+
+    Pinned from the implementation before the report rows became
+    ``CheckRow``s, so a change to the report path shows as a byte
+    difference, not only as a different pass/fail count.
+    """
+
+    CASES = [
+        (("verify", "weak", "deltashrink", "delta0", "hat", "1..2", "--fuel", "2"), 0, (
+            'N,index,checked_n,quantity,bound,result\n'
+            '1,1,1,2/5,1/2,pass\n'
+            '1,1,2,1/5,1/2,pass\n'
+            '1,1,3,1/10,1/2,pass\n'
+            '2,2,2,1/5,1/4,pass\n'
+            '2,2,3,1/10,1/4,pass\n'
+            '2,2,4,1/20,1/4,pass\n'
+        )),
+        (("verify", "vague", "mixture", "halfhalf", "hat", "1..2", "--fuel", "2"), 0, (
+            'N,index,checked_n,quantity,bound,result\n'
+            '1,1,1,0,1/2,pass\n'
+            '1,1,2,1/10,1/2,pass\n'
+            '1,1,3,1/20,1/2,pass\n'
+            '2,2,2,1/10,1/4,pass\n'
+            '2,2,3,1/20,1/4,pass\n'
+            '2,2,4,1/40,1/4,pass\n'
+        )),
+        (("verify", "eps", "deltashrink", "delta0", "1..2", "--fuel", "2"), 0, (
+            'N,index,checked_n,quantity,bound,result\n'
+            '1,6,6,1/64,1/2,pass\n'
+            '1,6,7,1/128,1/2,pass\n'
+            '1,6,8,1/256,1/2,pass\n'
+            '2,7,7,1/128,1/4,pass\n'
+            '2,7,8,1/256,1/4,pass\n'
+            '2,7,9,1/512,1/4,pass\n'
+        )),
+        (("verify", "witness", "deltadrift", "delta1", "1..2", "--fuel", "2"), 0, (
+            'N,index,checked_n,quantity,bound,result\n'
+            '1,8,8,0,3/2,pass\n'
+            '1,8,9,0,3/2,pass\n'
+            '1,8,10,0,3/2,pass\n'
+            '2,9,9,0,5/4,pass\n'
+            '2,9,10,0,5/4,pass\n'
+            '2,9,11,0,5/4,pass\n'
+        )),
+        (("verify", "vague-to-weak", "mixture", "halfhalf", "constant-one", "1..2", "--fuel", "2"), 0, (
+            'N,index,checked_n,quantity,bound,result\n'
+            '1,11,11,0,1/2,pass\n'
+            '1,11,12,0,1/2,pass\n'
+            '1,11,13,0,1/2,pass\n'
+            '2,12,12,0,1/4,pass\n'
+            '2,12,13,0,1/4,pass\n'
+            '2,12,14,0,1/4,pass\n'
+        )),
+        (("demo", "specker", "--fuel", "4"), 0, (
+            'N,index,checked_n,quantity,bound,result\n'
+            '0,4,0,1/4,0,pass\n'
+            '0,4,1,1/20,0,pass\n'
+            '0,4,2,0,0,pass\n'
+            '0,4,3,0,0,pass\n'
+            '0,4,4,0,0,pass\n'
+            '0,4,5,0,0,pass\n'
+            '0,4,6,0,0,pass\n'
+            '0,4,7,0,0,pass\n'
+            '0,4,8,0,0,pass\n'
+            '# total-mass lower bounds (hidden oracle; strictly partial):\n'
+            '#   fuel 0: 1/2\n'
+            '#   fuel 1: 3/4\n'
+            '#   fuel 2: 7/8\n'
+            '#   fuel 3: 15/16\n'
+            '#   fuel 4: 31/32\n'
+        )),
+    ]
+
+    @staticmethod
+    def assert_bytes(capsys, tmp_path, argv, code, expect):
+        out_path = tmp_path / "report.csv"
+        got, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert (got, out, err) == (code, expect, "")
+        table = "".join(ln for ln in expect.splitlines(True) if not ln.startswith("#"))
+        assert out_path.read_bytes() == table.encode()
+
+    @pytest.mark.parametrize("argv, code, lines", CASES, ids=[c[0][1] for c in CASES])
+    def test_report(self, capsys, tmp_path, argv, code, lines):
+        self.assert_bytes(capsys, tmp_path, argv, code, "".join(lines))
+
+    def test_witness_not_in_cut_row(self, capsys, tmp_path, monkeypatch):
+        # r = mu(C) + 2^-N clears the cut at every N, so the -1,-1 row needs
+        # a witness that has not cleared it yet: here at r = 3/2 only
+        real = cli.witness_from_eps
+
+        def not_yet(seq, limit, eps, C, r):
+            return NOT_IN_CUT if r > Fraction(4, 3) else real(seq, limit, eps, C, r)
+
+        monkeypatch.setattr(cli, "witness_from_eps", not_yet)
+        self.assert_bytes(
+            capsys, tmp_path,
+            ("verify", "witness", "deltadrift", "delta1", "1..2", "--fuel", "1"), 1,
+            "N,index,checked_n,quantity,bound,result\n"
+            "1,-1,-1,3/2,1,fail\n"
+            "2,9,9,0,5/4,pass\n"
+            "2,9,10,0,5/4,pass\n",
+        )
+
+    def test_fail_rows(self, capsys, tmp_path):
+        cert = tmp_path / "bad.modulus"
+        cert.write_text("modulus\n2 0\n4 0\n")
+        self.assert_bytes(
+            capsys, tmp_path,
+            ("verify", "weak", "deltashrink", "delta0", "hat", "2,4", "--fuel", "2",
+             "--certificate", str(cert)), 1,
+            "N,index,checked_n,quantity,bound,result\n"
+            "2,0,0,4/5,1/4,fail\n"
+            "2,0,1,2/5,1/4,fail\n"
+            "2,0,2,1/5,1/4,pass\n"
+            "4,0,0,4/5,1/16,fail\n"
+            "4,0,1,2/5,1/16,fail\n"
+            "4,0,2,1/5,1/16,fail\n",
         )
 
 

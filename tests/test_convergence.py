@@ -20,7 +20,6 @@ from effmeas import (
     TotalMassModulus,
     UnsupportedMeasureClass,
     check_modulus,
-    complement_modulus,
     constant_func,
     hat_function,
     integrate_poly,
@@ -41,7 +40,6 @@ from effmeas.convergence import (
     LiminfWitness,
     _scan_for_index,
     polygonal_surrogate,
-    scan_vague_oracle,
     validate_total_mass_modulus,
 )
 from effmeas.corpora import deltan, deltashrink, mixture
@@ -298,7 +296,10 @@ class TestUniformizer:
 
     def test_works_with_scanning_oracle(self):
         c = deltashrink()
-        oracle = scan_vague_oracle(c.seq, c.limit)
+
+        def oracle(f):  # a scanned vague modulus per function
+            return vague_modulus(c.seq, c.limit, f)
+
         f = supported_from_poly(HAT)
         n0 = uniformize_vague(c.seq, c.limit, oracle, f, 4)
         lim = integrate_poly(HAT, c.limit)
@@ -345,11 +346,6 @@ class TestSpecker:
 
 
 class TestVagueToWeak:
-    def test_complement_modulus(self):
-        g1 = Modulus(lambda N: 2 * N)
-        g2 = Modulus(lambda N: N + 3)
-        assert complement_modulus(g1, g2, 4) == max(g1.of(5), g2.of(5)) == 10
-
     def test_tail_mass_bound_contract(self):
         c = mixture()
         a, n0 = tail_mass_bound(c.seq, c.tm, c.vague_oracle, 6)
@@ -524,3 +520,30 @@ class TestPortmanteau:
         c = deltashrink()
         with pytest.raises(ValueError):
             portmanteau_check(c.seq, c.limit, "bogus", None, None)
+
+    @staticmethod
+    def lazy_limit():
+        # a tail bound and a location predicate, but no exact region masses
+        return LazyDiscreteMeasure(
+            lambda i: (Fraction(i), _pow2(i + 1)),
+            tail_bound=lambda k: _pow2(k),
+            location_predicate=lambda x: x == int(x) and x >= 0,
+        )
+
+    def test_open_liminf_lazy_limit_unsupported(self):
+        from effmeas import SigmaSet
+
+        U = SigmaSet.from_components([(Fraction(-1), Fraction(1))])
+        wit = LiminfWitness(((Fraction(1, 2), 1),))
+        with pytest.raises(UnsupportedMeasureClass):
+            portmanteau_check(deltashrink().seq, self.lazy_limit(), "open-liminf", U, wit)
+
+    def test_almost_decidable_lazy_limit_unsupported(self):
+        from effmeas import almost_decidable_ball
+
+        _, pair = almost_decidable_ball(self.lazy_limit(), Fraction(1, 2), Fraction(1))
+        with pytest.raises(UnsupportedMeasureClass):
+            portmanteau_check(
+                deltashrink().seq, self.lazy_limit(), "almost-decidable", pair,
+                Modulus.constant(0), Ns=(1,),
+            )

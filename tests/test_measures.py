@@ -19,6 +19,7 @@ from effmeas import (
     almost_decidable_cover,
     constant_func,
     hat_function,
+    indicator_approx,
     integrate_named,
     integrate_poly,
     supported_from_poly,
@@ -26,7 +27,7 @@ from effmeas import (
 )
 from effmeas.errors import UnsupportedMeasureClass
 from effmeas.functions import co_name_of_poly
-from effmeas.measures import first_cover_balls, integrate_product, mass_of_interval, total_mass_upper
+from effmeas.measures import first_cover_balls, integrate_product
 from effmeas.reals import _pow2
 from effmeas.sets import open_contains_point
 from tests.test_functions import _SubFraction, opaque_name_of, spelled
@@ -329,6 +330,13 @@ class TestLazyDiscrete:
         mu = self.lazy_geometric()
         assert abs(mu.total_mass_real().approx(6) - 1) <= _pow2(5)
 
+    def test_truncated_stops_at_the_first_small_tail(self):
+        mu = self.lazy_geometric()  # tail_bound(k) = 2^-(k+1)
+        assert mu.truncated(Fraction(1, 4)) == DiscreteMeasure(((Fraction(0), Fraction(1, 2)),))
+        assert mu.truncated(Fraction(1, 5)).atoms == tuple(mu.prefix(2))
+        with pytest.raises(UnsupportedMeasureClass):
+            self.lazy_geometric(tail=False).truncated(Fraction(1, 4))
+
     def test_integrate_named_supported_without_tail_bound(self):
         mu = self.lazy_geometric(tail=False)
         p = hat_function(Fraction(0), Fraction(1), Fraction(2), Fraction(1))
@@ -368,7 +376,7 @@ class TestIntegrateNamed:
 
     def test_total_mass_upper(self):
         mu = DiscreteMeasure(((Fraction(0), Fraction(3, 2)),))
-        assert total_mass_upper(mu) >= Fraction(3, 2)
+        assert mu.total_mass_upper() >= Fraction(3, 2)
 
 
 S = Fraction(1, 8)
@@ -386,6 +394,24 @@ class TestAlmostDecidable:
         for x, _ in mu.atoms:
             assert x != l and x != r
         assert pair.check()
+
+    @staticmethod
+    def lazy_pair():
+        # a tail bound and a location predicate, but no exact region masses
+        lazy = LazyDiscreteMeasure(
+            lambda i: (Fraction(i), _pow2(i + 1)),
+            tail_bound=lambda k: _pow2(k),
+            location_predicate=lambda x: x == int(x) and x >= 0,
+        )
+        return almost_decidable_ball(lazy, Fraction(1, 2), Fraction(1))[1]
+
+    def test_lazy_pair_check_unsupported(self):
+        with pytest.raises(UnsupportedMeasureClass):
+            self.lazy_pair().check()
+
+    def test_lazy_pair_masses_unsupported(self):
+        with pytest.raises(UnsupportedMeasureClass):
+            self.lazy_pair().masses()
 
     def test_pair_masses_partition(self):
         mu = DiscreteMeasure(((Fraction(0), Fraction(1, 2)), (Fraction(2), Fraction(1, 2))))
@@ -458,6 +484,8 @@ class TestAlmostDecidable:
 
     def test_mass_of_interval_lower(self):
         mu = DiscreteMeasure(((Fraction(1, 2), Fraction(1)),))
-        lm = mass_of_interval(mu, (Fraction(0), Fraction(1)))
-        assert lm.bound(8) <= 1
-        assert lm.bound(8) >= 1 - _pow2(4)
+        interval = (Fraction(0), Fraction(1))
+        assert mu.open_mass(SigmaSet.from_components([interval])).bound(8) == 1
+        # the tent integrals approach mu(I) from below
+        tent = integrate_poly(indicator_approx(interval, 8), mu)
+        assert 1 - _pow2(4) <= tent <= 1

@@ -34,7 +34,6 @@ from effmeas.prokhorov import (
     _direction_deficit,
     _discretize,
     _infimum_over_levels,
-    assemble_limsup_witness,
     brute_force_valid,
     eps_from_weak,
     eps_function,
@@ -847,6 +846,11 @@ class TestWitnessFromEps:
         assert isinstance(n0, int)
         assert all(seq[n].mass_closed(((Fraction(0), Fraction(1)),)) < Fraction(3, 2) for n in range(n0, n0 + 5))
 
+    def test_limit_without_closed_masses_unsupported(self):
+        lazy = measures.LazyDiscreteMeasure(lambda i: (Fraction(i), _pow2(i + 1)))
+        with pytest.raises(UnsupportedMeasureClass):
+            witness_from_eps(self.c.seq, lazy, self.eps, self.C, Fraction(3, 2))
+
     def test_right_cut_indices(self):
         comps = ((Fraction(0), Fraction(1)),)
         for r in (Fraction(5, 4), Fraction(9, 8), Fraction(2)):
@@ -860,10 +864,8 @@ class TestWitnessFromEps:
             assert witness_from_eps(self.c.seq, self.c.limit, self.eps, self.C, r) == NOT_IN_CUT
 
     def test_assembled_witness(self):
-        wit = assemble_limsup_witness(
-            self.c.seq, self.c.limit, self.eps, self.C,
-            [Fraction(1, 2), Fraction(5, 4), Fraction(3, 2)],
-        )
-        assert len(wit.entries) == 2  # 1/2 is below the cut
-        for r, idx in wit.items():
+        rs = (Fraction(1, 2), Fraction(5, 4), Fraction(3, 2))
+        idxs = [witness_from_eps(self.c.seq, self.c.limit, self.eps, self.C, r) for r in rs]
+        assert idxs[0] == NOT_IN_CUT  # 1/2 is below the cut
+        for r, idx in zip(rs[1:], idxs[1:]):
             assert self.c.seq[idx].mass_closed(((Fraction(0), Fraction(1)),)) < r
