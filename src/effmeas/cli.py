@@ -23,7 +23,6 @@ import argparse
 import csv
 import functools
 import io
-import os
 import re
 import sys
 from fractions import Fraction
@@ -74,16 +73,12 @@ REPORT_HEADER = ("N", "index", "checked_n", "quantity", "bound", "result")
 
 
 def _decimal(q: Fraction, digits: int = 20) -> str:
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole = q.numerator // q.denominator
-    frac = q - whole
+    """``q`` truncated toward zero to ``digits`` decimal places."""
+    whole, rest = divmod(abs(q.numerator), q.denominator)
     digits_str = (
-        str((frac.numerator * 10**digits) // frac.denominator).rjust(digits, "0")
-        if frac
-        else "0" * digits
+        str(rest * 10**digits // q.denominator).rjust(digits, "0") if rest else "0" * digits
     )
-    return f"{sign}{whole}.{digits_str}"
+    return f"{'-' if q.numerator < 0 else ''}{whole}.{digits_str}"
 
 
 def _frac(q: Fraction) -> str:
@@ -111,18 +106,25 @@ def _emit(rows: list[CheckRow], out_path=None) -> int:
     return 0 if all(r.ok for r in rows) else 1
 
 
-def _read(path: str) -> str:
-    """The text of ``path``; a file that cannot be read as text is a parse error."""
+def _read(path: str, missing_ok: bool = False) -> str | None:
+    """The text of ``path``, in one ``open``; a path that cannot be read as
+    text (a ``UnicodeDecodeError`` or a NUL in the name is a ``ValueError``)
+    is a parse error.  With ``missing_ok``, a path naming no file (nothing
+    there, or a non-directory on the way) gives ``None``, so the caller can
+    try the token as a builtin name."""
     try:
         with open(path) as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        if missing_ok and isinstance(exc, (FileNotFoundError, NotADirectoryError)):
+            return None
         raise ParseError(None, f"cannot read {path!r}: {exc}") from None
 
 
 def _resolve_measure(token: str):
-    if os.path.exists(token):
-        return parse_measure(_read(token))
+    text = _read(token, missing_ok=True)
+    if text is not None:
+        return parse_measure(text)
     try:
         return builtin_measure(token)
     except KeyError:
@@ -131,8 +133,9 @@ def _resolve_measure(token: str):
 
 def _resolve_function(token: str):
     """(PolyFunc, kind) from a builtin name or a polyfunc file."""
-    if os.path.exists(token):
-        p = parse_function(_read(token))
+    text = _read(token, missing_ok=True)
+    if text is not None:
+        p = parse_function(text)
         return p, ("supported" if p.extension == "zero-outside" else "bounded")
     try:
         return builtin_function(token)
@@ -196,10 +199,11 @@ def cmd_prokhorov(args) -> int:
 
 def cmd_demo_specker(args) -> int:
     _nonnegative("--fuel", args.fuel)
-    if args.enum and os.path.exists(args.enum):
+    text = _read(args.enum, missing_ok=True) if args.enum else None
+    if text is not None:
         from .convergence import specker_sequence
 
-        values = parse_enumeration(_read(args.enum))
+        values = parse_enumeration(text)
         sp = specker_sequence(iter(values))
         horizon = len(values) - 1
     else:

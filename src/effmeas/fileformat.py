@@ -22,6 +22,13 @@ Certificate files are modulus tables (``modulus`` header, then ``N index``
 rows, at most one per N, every index nonnegative).  Enumeration files carry
 one natural number per line.  All numbers are exact rationals ``p/q`` or
 integers; serialization always emits reduced fractions.
+
+Each ``p/q`` token is read once into an ``int`` pair with a positive
+denominator, not reduced (``2/-4`` is ``(-2, 4)``).  A discrete file goes
+straight onto the measure's ``int`` lattice
+(:meth:`~effmeas.measures.DiscreteMeasure.from_ints`): unreduced and
+negative-denominator tokens are normalised there, and the atoms'
+``Fraction``s are built only when ``atoms`` is first read.
 """
 
 from __future__ import annotations
@@ -34,14 +41,25 @@ from .functions import PolyFunc
 from .measures import DiscreteMeasure, Measure, PolyDensityMeasure
 
 
-def _rational(tok: str, line_no: int) -> Fraction:
+def _ratio(tok: str, line_no: int) -> tuple[int, int]:
+    """``tok`` as ``(p, q)`` with ``q`` positive, not reduced: ``2/-4`` is
+    ``(-2, 4)``."""
     try:
         if "/" in tok:
             p, q = tok.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(tok))
+            p, q = int(p), int(q)
+            if q < 0:
+                return -p, -q
+            if q == 0:
+                raise ZeroDivisionError(f"Fraction({p}, 0)")
+            return p, q
+        return int(tok), 1
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(line_no, f"bad rational {tok!r}: {exc}") from None
+
+
+def _rational(tok: str, line_no: int) -> Fraction:
+    return Fraction(*_ratio(tok, line_no))
 
 
 def _lines(text: str):
@@ -80,19 +98,21 @@ def parse_measure(text: str) -> Measure:
         raise ParseError(1, "empty measure file")
     line_no, header = rows[0]
     if header == "discrete":
-        atoms = []
+        # read onto the int lattice; the atoms' Fractions wait for a reader
+        xn, xd, wn, wd = [], [], [], []
         for line_no, line in rows[1:]:
             parts = line.split()
             if parts[0] != "atom" or len(parts) != 3:
                 raise ParseError(line_no, f"expected 'atom <loc> <weight>', got {line!r}")
-            w = _rational(parts[2], line_no)
-            if w.numerator <= 0:  # a Fraction's denominator is positive
+            c, d = _ratio(parts[2], line_no)
+            if c <= 0:  # d is positive
                 raise ParseError(line_no, "atom weights must be positive")
-            atoms.append((_rational(parts[1], line_no), w))
-        try:
-            return DiscreteMeasure(tuple(atoms))
-        except Exception as exc:
-            raise ParseError(line_no, str(exc)) from None
+            a, b = _ratio(parts[1], line_no)
+            xn.append(a)
+            xd.append(b)
+            wn.append(c)
+            wd.append(d)
+        return DiscreteMeasure.from_ints(xn, xd, wn, wd)
     if header == "polydensity":
         verts = _vertices(rows[1:], density=True, zero_ends=True)
         line_no = rows[-1][0]

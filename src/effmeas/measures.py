@@ -129,6 +129,26 @@ class Measure:
         self._unsupported("bounded support")
 
 
+def _sort_merge(keys: list[int], iws: list[int]):
+    """The one sort and merge of a discrete measure's atoms, on ``int``s.
+
+    Atom i lies at lattice point ``keys[i]`` with lattice weight ``iws[i]``.
+    Returns ``(xs, ws, firsts)``: the distinct points in increasing order,
+    the summed weight at each, and the input index of each point's first
+    atom.
+    """
+    xs, ws, firsts = [], [], []
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        k = keys[i]
+        if xs and k == xs[-1]:
+            ws[-1] += iws[i]
+        else:
+            xs.append(k)
+            ws.append(iws[i])
+            firsts.append(i)
+    return xs, ws, firsts
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure(Measure):
     """A finite purely atomic measure with rational data.
@@ -141,6 +161,10 @@ class DiscreteMeasure(Measure):
     unless a repeat adds to its weight, and the total is one
     ``Fraction(sum, lw)``.  The merged ``int`` keys and weights are kept as
     :meth:`lattice`.  Neither takes part in ``==``, hash or repr.
+
+    :meth:`from_ints` builds the same measure from ``int`` numerators and
+    denominators through the same sort and merge (:func:`_sort_merge`),
+    and defers ``atoms`` to its first read.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
@@ -172,19 +196,38 @@ class DiscreteMeasure(Measure):
         lw = math.lcm(*(w.denominator for w in ws))
         keys = [x.numerator * (lx // x.denominator) for x in locs]
         iws = [w.numerator * (lw // w.denominator) for w in ws]
-        atoms, xs, mws = [], [], []
-        for i in sorted(range(len(keys)), key=keys.__getitem__):
-            k = keys[i]
-            if xs and k == xs[-1]:
-                mws[-1] += iws[i]
-                atoms[-1] = (atoms[-1][0], Fraction(mws[-1], lw))
-            else:
-                atoms.append((locs[i], ws[i]))
-                xs.append(k)
-                mws.append(iws[i])
-        object.__setattr__(self, "atoms", tuple(atoms))
+        xs, mws, firsts = _sort_merge(keys, iws)
+        if len(xs) == len(keys):  # no repeats: every atom keeps its own Fractions
+            atoms = tuple([(locs[i], ws[i]) for i in firsts])
+        else:
+            atoms = tuple(
+                (locs[i], ws[i] if iws[i] == m else Fraction(m, lw))
+                for i, m in zip(firsts, mws)
+            )
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_total", Fraction(sum(iws), lw))
         object.__setattr__(self, "_lattice", (tuple(xs), tuple(mws), lx, lw))
+
+    @classmethod
+    def from_ints(cls, xn, xd, wn, wd) -> "DiscreteMeasure":
+        """The measure with atoms at ``xn[i]/xd[i]`` of mass ``wn[i]/wd[i]``,
+        all ``int``, every denominator and weight positive (unchecked).
+
+        The same normalisation as the constructor's, on the lattices of the
+        lcms of ``xd`` and ``wd``.  Only the lattice and the total are built
+        here; ``atoms`` is built from the lattice on its first read
+        (:class:`_AtomsFromLattice`), so a caller that reads only :meth:`lattice`
+        never makes a ``Fraction`` per atom.
+        """
+        lx = math.lcm(*xd)
+        lw = math.lcm(*wd)
+        xs, ws, _ = _sort_merge(
+            [n * (lx // d) for n, d in zip(xn, xd)], [n * (lw // d) for n, d in zip(wn, wd)]
+        )
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "_total", Fraction(sum(ws), lw))
+        object.__setattr__(mu, "_lattice", (tuple(xs), tuple(ws), lx, lw))
+        return mu
 
     @classmethod
     def point(cls, loc, weight=1) -> "DiscreteMeasure":
@@ -201,7 +244,8 @@ class DiscreteMeasure(Measure):
     def lattice(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
         """The atoms as ``(xs, ws, lx, lw)``: atom i at ``xs[i]/lx`` with mass
         ``ws[i]/lw``, ``lx`` and ``lw`` the lcms of the input's location and
-        weight denominators, built with the normalisation."""
+        weight denominators (unreduced ones, from :meth:`from_ints`, may give
+        a multiple of the reduced lcm), built with the normalisation."""
         return self._lattice
 
     def total_mass_real(self) -> CauchyReal:
@@ -250,6 +294,29 @@ class DiscreteMeasure(Measure):
 
     def support_radius(self) -> Fraction:
         return max((abs(loc) for loc, _ in self.atoms), default=Fraction(0))
+
+
+class _AtomsFromLattice:
+    """``atoms`` of a :class:`DiscreteMeasure` made by ``from_ints``, built
+    from its lattice on the first read and stored in the instance.
+
+    A non-data descriptor: an instance's own ``atoms`` (every measure the
+    constructor makes, and this one's after a read) shadows it, so the
+    constructor's path never reaches it.  It is set on the class after
+    ``@dataclass`` has run, which would take a class attribute for the
+    field's default.
+    """
+
+    def __get__(self, mu, cls=None):
+        if mu is None:
+            return self
+        xs, ws, lx, lw = mu._lattice
+        atoms = tuple(zip([Fraction(x, lx) for x in xs], [Fraction(w, lw) for w in ws]))
+        object.__setattr__(mu, "atoms", atoms)
+        return atoms
+
+
+DiscreteMeasure.atoms = _AtomsFromLattice()
 
 
 @dataclass(frozen=True)

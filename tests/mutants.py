@@ -1,4 +1,4 @@
-"""Mutation check for the Prokhorov kernels, the measure protocol and the CLI report.
+"""Mutation check for the Prokhorov kernels, the measure protocol, the file reader and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -33,6 +33,8 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent
 PROKHOROV = "src/effmeas/prokhorov.py"
 MEASURES = "src/effmeas/measures.py"
+FILEFORMAT = "src/effmeas/fileformat.py"
+CLI = "src/effmeas/cli.py"
 PROKHOROV_TESTS = ("tests/test_prokhorov.py",)
 TIMEOUT_S = 600  # per pytest run; an unmutated run takes well under a minute
 
@@ -163,13 +165,58 @@ MUTANTS = (
         file=MEASURES,
         tests=("tests/test_measures.py", "tests/test_convergence.py"),
     ),
-    # the CLI report
+    # the int reader of discrete files and its lazy atoms
+    Mutant(
+        "reader: negative-denominator sign flip dropped",
+        "            if q < 0:\n                return -p, -q\n",
+        "",
+        file=FILEFORMAT,
+        tests=("tests/test_fileformat.py",),
+    ),
+    Mutant(
+        "reader: a zero weight accepted",
+        "if c <= 0:",
+        "if c < 0:",
+        file=FILEFORMAT,
+        tests=("tests/test_fileformat.py",),
+    ),
+    # eager, so that only the oracle test, which never looks at vars(), runs
+    Mutant(
+        "lazy atoms: built from the unmerged rows",
+        "        mu = object.__new__(cls)\n",
+        "        mu = object.__new__(cls)\n"
+        '        object.__setattr__(mu, "atoms", tuple(zip(map(Fraction, xn, xd), map(Fraction, wn, wd))))\n',
+        file=MEASURES,
+        tests=("tests/test_fileformat.py::TestIntReader::test_discrete_files_match_oracle",),
+    ),
+    Mutant(
+        "lazy atoms: rebuilt on every read, never kept",
+        '        object.__setattr__(mu, "atoms", atoms)\n        return atoms',
+        "        return atoms",
+        file=MEASURES,
+        tests=("tests/test_fileformat.py",),
+    ),
+    # the CLI
     Mutant(
         "report: exit 0 when any row passes",
         "return 0 if all(r.ok for r in rows) else 1",
         "return 0 if any(r.ok for r in rows) else 1",
-        file="src/effmeas/cli.py",
+        file=CLI,
         tests=("tests/test_cli.py",),
+    ),
+    Mutant(
+        "input: a path under a non-directory is a read error",
+        "isinstance(exc, (FileNotFoundError, NotADirectoryError))",
+        "isinstance(exc, FileNotFoundError)",
+        file=CLI,
+        tests=("tests/test_cli.py",),
+    ),
+    Mutant(
+        "decimal: an integer's digits from the remainder branch",
+        'str(rest * 10**digits // q.denominator).rjust(digits, "0") if rest else "0" * digits',
+        'str(rest * 10**digits // q.denominator).rjust(digits, "0")',
+        file=CLI,
+        tests=("tests/test_cli.py::TestHelpers",),
     ),
 )
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from effmeas import cli, convergence
 from effmeas.cli import REPORT_HEADER, _decimal, _parse_nlist, main
@@ -40,7 +41,35 @@ def rows_of(out: str):
     return rows[1:]
 
 
+def decimal_fraction_oracle(q: Fraction, digits: int = 20) -> str:
+    """``cli._decimal`` as it was, on Fraction arithmetic: the oracle of the
+    divmod version."""
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    whole = q.numerator // q.denominator
+    frac = q - whole
+    digits_str = (
+        str((frac.numerator * 10**digits) // frac.denominator).rjust(digits, "0")
+        if frac
+        else "0" * digits
+    )
+    return f"{sign}{whole}.{digits_str}"
+
+
 class TestHelpers:
+    @given(
+        q=st.fractions() | st.integers(-10**30, 10**30).map(Fraction),
+        digits=st.integers(0, 30),
+    )
+    @example(q=Fraction(0), digits=0)
+    @example(q=Fraction(0), digits=20)
+    @example(q=Fraction(-3), digits=0)
+    @example(q=Fraction(-1, 3), digits=0)
+    @example(q=Fraction(-7, 2), digits=3)
+    @example(q=Fraction(10**40 + 1, 10**40), digits=20)
+    def test_decimal_matches_fraction_oracle(self, q, digits):
+        assert _decimal(q, digits) == decimal_fraction_oracle(q, digits)
+
     def test_decimal_truncation(self):
         assert _decimal(Fraction(1, 3), 5) == "0.33333"
         assert _decimal(Fraction(-7, 2), 3) == "-3.500"
@@ -519,3 +548,42 @@ class TestPackageMain:
         assert code == 0 and out.splitlines()[0] == "1/2"
         code, _, err = run_process("prokhorov", "delta0", module="effmeas")
         assert code == 3 and err.startswith("parse error: ")
+
+
+class TestInputResolution:
+    """A measure, function or enumeration token is read as a file in one
+    ``open``; a path naming no file falls back to the builtin names."""
+
+    def test_no_existence_check_before_the_read(self, capsys, tmp_path, monkeypatch):
+        a = tmp_path / "a.measure"
+        a.write_text("discrete\natom 0 1/2\natom 1 1/2\n")
+        f = tmp_path / "f.poly"
+        f.write_text("polyfunc zero-outside\n-1 0\n0 1\n1 0\n")
+        e = tmp_path / "enum"
+        e.write_text("0\n2\n1\n5\n3\n4\n6\n7\n8\n9\n10\n")
+        checked, exists = [], os.path.exists
+        monkeypatch.setattr(os.path, "exists", lambda p: checked.append(p) or exists(p))
+        code, out, _ = run(capsys, "prokhorov", str(a), "delta0")
+        code2, _, _ = run(
+            capsys, "demo", "specker", "--enum", str(e), "--function", str(f), "--fuel", "4"
+        )
+        monkeypatch.undo()
+        assert code == 0 and out.splitlines()[0] == "1/2" and code2 in (0, 1)
+        assert checked == []
+
+    @pytest.mark.parametrize("kind", ["missing", "under-a-file"])
+    def test_no_such_file_is_an_unknown_builtin(self, capsys, tmp_path, kind):
+        plain = tmp_path / "plain"
+        plain.write_text("discrete\natom 0 1\n")
+        token = str(tmp_path / "none") if kind == "missing" else str(plain / "delta0")
+        code, out, err = run(capsys, "prokhorov", token, "delta0")
+        assert code == 3 and out == ""
+        assert err == f"parse error: line 1: unknown measure {token!r} (no such file or builtin)\n"
+        code, _, err = run(capsys, "demo", "specker", "--function", token)
+        assert code == 3 and "unknown function" in err
+
+    def test_a_file_shadows_a_builtin_name(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "halfhalf").write_text("discrete\natom 5 1\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "prokhorov", "halfhalf", "delta0")
+        assert code == 0 and out.splitlines()[0] == "1/1"
