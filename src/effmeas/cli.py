@@ -215,7 +215,12 @@ def cmd_demo_specker(args) -> int:
     f = supported_from_poly(poly)
     mod = sp.vague_modulus(f)
     idx = mod.of(0)
-    top = idx + args.fuel if horizon is None else min(idx + args.fuel, horizon)
+    top, last = idx + args.fuel, args.fuel  # the last row and the last lower bound
+    if horizon is not None:  # a file's values end: the row at idx is the first one checked
+        if horizon < idx:
+            msg = f"enumeration {args.enum!r} holds {horizon + 1} values, needs {idx + 1}"
+            raise ParseError(None, msg)
+        top, last = min(top, horizon), min(last, horizon)
     hull_hi = f.support.exact_hull[1]
     limit_val = sum(
         (sp.weight(i) * poly(Fraction(i)) for i in range(max(0, hull_hi.__ceil__()) + 1)),
@@ -228,7 +233,7 @@ def cmd_demo_specker(args) -> int:
     code = _emit(rows, args.out)
     print("# total-mass lower bounds (hidden oracle; strictly partial):")
     lower = sp.total_mass_lower()
-    for k in range(0, args.fuel + 1, max(1, args.fuel // 5)):
+    for k in range(0, last + 1, max(1, args.fuel // 5)):
         print(f"#   fuel {k}: {_frac(lower.bound(k))}")
     return code
 

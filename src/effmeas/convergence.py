@@ -144,7 +144,7 @@ class CheckRow:
 
 @dataclass
 class CheckReport:
-    rows: list[CheckRow]
+    rows: list[Union[CheckRow, PortmanteauRow]]
 
     @property
     def passed(self) -> bool:
@@ -656,15 +656,6 @@ class PortmanteauRow:
     ok: bool
 
 
-@dataclass
-class PortmanteauReport:
-    rows: list[PortmanteauRow]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
 def portmanteau_check(
     seq: MeasureSeq,
     limit: Measure,
@@ -674,7 +665,7 @@ def portmanteau_check(
     *,
     window: int = 20,
     Ns: Sequence[int] = (1, 2, 3, 4, 5, 6),
-) -> PortmanteauReport:
+) -> CheckReport:
     """Validate a supplied convergence certificate on concrete data.
 
     Modes: ``closed-limsup`` (LimsupWitness on a PiSet), ``open-liminf``
@@ -720,4 +711,4 @@ def portmanteau_check(
                 )
     else:
         raise ValueError(f"unknown portmanteau mode {mode!r}")
-    return PortmanteauReport(rows)
+    return CheckReport(rows)

@@ -27,6 +27,9 @@ from .reals import CauchyReal, LowerReal, _pow2
 from .sets import OpenComp, SigmaSet, compact_hull_bounds, merge_open, open_contains_point
 from .streams import Stream
 
+# (xs, ws, lx, lw): atom i at xs[i]/lx with mass ws[i]/lw
+Side = tuple[Sequence[int], Sequence[int], int, int]
+
 
 def integrate_product(p: PolyFunc, q: PolyFunc, a: Fraction, b: Fraction) -> Fraction:
     """Exact integral of p*q over [a, b] (Simpson is exact for quadratics)."""
@@ -60,7 +63,8 @@ class Measure:
     - :meth:`integrate_poly` (exact) and :meth:`integrate_supported`
       (within 2^-n, built on :meth:`integrate_poly`);
     - :meth:`null_test`, for the null spheres of almost decidable balls;
-    - :meth:`support_radius`.
+    - :meth:`support_radius`;
+    - :meth:`cells`, the finite discretisation the Prokhorov bounds search.
 
     :meth:`exact_total_mass` is an optional fast path and returns ``None``
     when the class has no exact mass; :meth:`truncated` returns the measure
@@ -127,6 +131,12 @@ class Measure:
     def support_radius(self) -> Fraction:
         """An a with mu(R \\ [-a, a]) = 0."""
         self._unsupported("bounded support")
+
+    def cells(self, pitch: Fraction) -> tuple[Side, Fraction]:
+        """``(side, err)``: finitely many atoms (:data:`Side`), the ``xs``
+        strictly increasing and the ``ws`` positive, within Prokhorov distance
+        ``err`` of this measure; a density's lie on the grid of ``pitch``."""
+        self._unsupported("discretisation")
 
 
 def _sort_merge(keys: list[int], iws: list[int]):
@@ -241,12 +251,16 @@ class DiscreteMeasure(Measure):
     def exact_total_mass(self) -> Fraction:
         return self._total
 
-    def lattice(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    def lattice(self) -> Side:
         """The atoms as ``(xs, ws, lx, lw)``: atom i at ``xs[i]/lx`` with mass
         ``ws[i]/lw``, ``lx`` and ``lw`` the lcms of the input's location and
         weight denominators (unreduced ones, from :meth:`from_ints`, may give
         a multiple of the reduced lcm), built with the normalisation."""
         return self._lattice
+
+    def cells(self, pitch: Fraction) -> tuple[Side, Fraction]:
+        """The atoms themselves, for any pitch: :meth:`lattice`, error 0."""
+        return self.lattice(), 0
 
     def total_mass_real(self) -> CauchyReal:
         return CauchyReal.from_rational(self.exact_total_mass())
@@ -382,6 +396,68 @@ class PolyDensityMeasure(Measure):
         return max(
             abs(self.density.vertices[0][0]), abs(self.density.vertices[-1][0])
         )
+
+    def cells(self, pitch: Fraction) -> tuple[Side, Fraction]:
+        """Cell [k*pitch, (k+1)*pitch] becomes one atom at its midpoint with
+        the cell's whole mass, a difference of the cumulative integral F, in
+        one ``int`` sweep; no mass moves farther than half the pitch, so the
+        pitch bounds the distance.  With pitch = p/q, abscissae go on ``dx``,
+        the lcm of q and their denominators, and ordinates on ``dy``, the lcm
+        of theirs; the pitch is P = p*dx/q, and a piece from (X0, Y0) to
+        (X1, Y1) has width w.  With L the lcm over the pieces of
+        w/gcd(w, Y1 - Y0) and M = 2*dx*dy*L, M*F at the offset D on a piece
+        is M*F(X0) + D*(2*L*Y0 + (Y1 - Y0)*(L/w)*D), an ``int`` quadratic.
+        Cell k has the key (2k + 1)*p on ``lx`` = 2q and the weight
+        M*F((k+1)*P) - M*F(k*P) on ``lw`` = M.
+
+        Only the cells of pieces with a nonzero end are visited, so any gap
+        is skipped, and a cell straddling one is emitted once.  A cell meets
+        the support in an interval of positive length, where the density is
+        positive but at finitely many points, so its mass is positive.
+        O(cells + vertices).
+        """
+        verts = self.density.vertices
+        p, q = pitch.numerator, pitch.denominator
+        dx = math.lcm(q, *(x.denominator for x, _ in verts))
+        dy = math.lcm(*(y.denominator for _, y in verts))
+        X = [x.numerator * (dx // x.denominator) for x, _ in verts]
+        Y = [y.numerator * (dy // y.denominator) for _, y in verts]
+        steps = list(zip(X, X[1:], Y, Y[1:]))
+        L = math.lcm(*((x1 - x0) // math.gcd(x1 - x0, y1 - y0) for x0, x1, y0, y1 in steps))
+        P = p * (dx // q)
+        pieces = []  # right end, left end, M*F there, 2*L*Y0, (Y1 - Y0)*L/w
+        total = 0
+        for x0, x1, y0, y1 in steps:
+            pieces.append((x1, x0, total, 2 * L * y0, (y1 - y0) * L // (x1 - x0)))
+            total += L * (x1 - x0) * (y0 + y1)
+        # past the last vertex, up to the farthest cell end evaluated, F is total
+        pieces.append((X[-1] + P, X[-1], total, 0, 0))
+        i = 0  # the piece holding the last point evaluated
+
+        def MF(x: int) -> int:
+            nonlocal i
+            while pieces[i][0] < x:
+                i += 1
+            _, x0, f0, a, b = pieces[i]
+            d = x - x0
+            return f0 + d * (a + b * d) if d > 0 else f0
+
+        xs: list[int] = []
+        ws: list[int] = []
+        k = None  # the first cell not yet emitted; f is M*F at its left end
+        for x1, x0, _, a, b in pieces:
+            if not (a or b):  # zero on the whole piece: a gap
+                continue
+            if k is None or x0 // P > k:
+                k = x0 // P
+                f = MF(k * P)
+            while k * P < x1:
+                f_hi = MF((k + 1) * P)
+                xs.append((2 * k + 1) * p)
+                ws.append(f_hi - f)
+                f = f_hi
+                k += 1
+        return (xs, ws, 2 * q, 2 * dx * dy * L), pitch
 
 
 class LazyDiscreteMeasure(Measure):

@@ -2,7 +2,9 @@
 
 ``prokhorov_discrete`` computes the exact rational distance between finite
 discrete measures; ``prokhorov_discrete_bruteforce`` is an independent
-exhaustive oracle used by the test suite.  ``eps_from_weak`` and
+exhaustive oracle used by the test suite.  ``prokhorov_bounds`` brackets the
+distance of any two measures that discretise
+(:meth:`~effmeas.measures.Measure.cells`).  ``eps_from_weak`` and
 ``witness_from_eps`` implement the two converter directions between weak
 convergence data and Prokhorov convergence data.
 """
@@ -20,7 +22,7 @@ from .measures import (
     AlmostDecidablePair,
     DiscreteMeasure,
     Measure,
-    PolyDensityMeasure,
+    Side,
     almost_decidable_cover,
     first_cover_balls,
 )
@@ -114,9 +116,6 @@ def _infimum_over_levels(
             best = cand
     assert best is not None  # the last level always yields a candidate
     return best
-
-
-Side = tuple[Sequence[int], Sequence[int], int, int]  # (xs, ws, lx, lw)
 
 
 def _level_at_or_below(xs: Sequence[int], ys: Sequence[int], T: int) -> int:
@@ -312,93 +311,21 @@ def brute_force_valid(
 
 
 # ---------------------------------------------------------------------------
-# bounds for density measures via grid discretization
-
-
-def _discretize(mu: Measure, pitch: Fraction) -> Side:
-    """Cell-mass atoms of mu on the grid of ``pitch``, as ``(xs, ws, lx, lw)``.
-
-    An atom sits at ``xs[i]/lx`` with mass ``ws[i]/lw``, the ``xs`` strictly
-    increasing and the ``ws`` positive; a discrete measure gives its own
-    :meth:`~effmeas.measures.DiscreteMeasure.lattice`.  A density's cell [k*pitch, (k+1)*pitch] becomes one atom at its
-    midpoint with the cell's whole mass, a difference of the cumulative
-    integral F, all in ``int``s.  With pitch = p/q, abscissae go on ``dx``,
-    the lcm of q and their denominators, ordinates on ``dy``, the lcm of
-    theirs; the pitch is P = p*dx/q and a piece has the width w from
-    (X0, Y0) to (X1, Y1), in those units.  With L the lcm over the pieces of
-    w/gcd(w, Y1 - Y0) and M = 2*dx*dy*L, M*F at the offset D on a piece is
-    M*F(X0) + D*(2*L*Y0 + (Y1 - Y0)*(L/w)*D), an ``int`` quadratic.  Cell k
-    has the key (2k + 1)*p on ``lx`` = 2q and the weight
-    M*F((k+1)*P) - M*F(k*P) on ``lw`` = M.
-
-    The walk visits only the cells of pieces with a nonzero end, so it skips
-    every gap however wide, and a cell straddling a gap is emitted once, with
-    its whole difference of F.  A cell meets the support in an interval of
-    positive length, where the density is positive but at finitely many
-    points, so its mass is positive.  O(cells + vertices) in all.
-    """
-    if isinstance(mu, DiscreteMeasure):
-        return mu.lattice()
-    if not isinstance(mu, PolyDensityMeasure):
-        raise UnsupportedMeasureClass(
-            f"unsupported measure class for discretization: {type(mu).__name__}"
-        )
-    verts = mu.density.vertices
-    p, q = pitch.numerator, pitch.denominator
-    dx = math.lcm(q, *(x.denominator for x, _ in verts))
-    dy = math.lcm(*(y.denominator for _, y in verts))
-    X = [x.numerator * (dx // x.denominator) for x, _ in verts]
-    Y = [y.numerator * (dy // y.denominator) for _, y in verts]
-    steps = list(zip(X, X[1:], Y, Y[1:]))
-    L = math.lcm(*((x1 - x0) // math.gcd(x1 - x0, y1 - y0) for x0, x1, y0, y1 in steps))
-    P = p * (dx // q)
-    pieces = []  # right end, left end, M*F there, 2*L*Y0, (Y1 - Y0)*L/w
-    total = 0
-    for x0, x1, y0, y1 in steps:
-        pieces.append((x1, x0, total, 2 * L * y0, (y1 - y0) * L // (x1 - x0)))
-        total += L * (x1 - x0) * (y0 + y1)
-    # past the last vertex, up to the farthest cell end evaluated, F is total
-    pieces.append((X[-1] + P, X[-1], total, 0, 0))
-    i = 0  # the piece holding the last point evaluated
-
-    def MF(x: int) -> int:
-        nonlocal i
-        while pieces[i][0] < x:
-            i += 1
-        _, x0, f0, a, b = pieces[i]
-        d = x - x0
-        return f0 + d * (a + b * d) if d > 0 else f0
-
-    xs: list[int] = []
-    ws: list[int] = []
-    k = None  # the first cell not yet emitted; f is M*F at its left end
-    for x1, x0, _, a, b in pieces:
-        if not (a or b):  # zero on the whole piece: a gap
-            continue
-        if k is None or x0 // P > k:
-            k = x0 // P
-            f = MF(k * P)
-        while k * P < x1:
-            f_hi = MF((k + 1) * P)
-            xs.append((2 * k + 1) * p)
-            ws.append(f_hi - f)
-            f = f_hi
-            k += 1
-    return xs, ws, 2 * q, 2 * dx * dy * L
+# bounds through a discretisation of each side
 
 
 def prokhorov_bounds(mu: Measure, nu: Measure, n: int) -> tuple[Fraction, Fraction]:
     """Certified rational bounds on rho(mu, nu), gap at most 2^-n.
 
-    A density is replaced by its cell-mass atoms on the grid of pitch
-    2^-(n+2), found in one ``int`` sweep (:func:`_discretize`); moving mass
-    within a cell perturbs the distance by at most the pitch.  Both sides
-    go to the search as they are (:func:`_rho_on_lattice`): no cell is ever
-    a ``Fraction``.
+    Each side gives its atoms on the grid of pitch 2^-(n+2) and their
+    distance from it (:meth:`~effmeas.measures.Measure.cells`); the exact
+    distance of the two atom sets (:func:`_rho_on_lattice`) is then off by
+    at most the sum of those errors.
     """
     pitch = _pow2(n + 2)
-    d = _rho_on_lattice(_discretize(mu, pitch), _discretize(nu, pitch))
-    e = pitch * sum(not isinstance(m, DiscreteMeasure) for m in (mu, nu))
+    (a, err_a), (b, err_b) = mu.cells(pitch), nu.cells(pitch)
+    d = _rho_on_lattice(a, b)
+    e = err_a + err_b
     return max(Fraction(0), d - e), d + e
 
 

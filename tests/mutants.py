@@ -104,32 +104,50 @@ MUTANTS = (
             " hi = need < lo = above, and the final test returns D(T)/lw"
         ),
     ),
-    # the int sweep
+    # the int sweep of PolyDensityMeasure.cells
     Mutant(
         "sweep: quadratic term's sign",
         "return f0 + d * (a + b * d) if d > 0 else f0",
         "return f0 + d * (a - b * d) if d > 0 else f0",
+        file=MEASURES,
     ),
     Mutant(
         "sweep: cell key (2k - 1)p",
         "xs.append((2 * k + 1) * p)",
         "xs.append((2 * k - 1) * p)",
+        file=MEASURES,
     ),
     Mutant(
         "sweep: straddling cell emitted again",
         "if k is None or x0 // P > k:",
         "if k is None or x0 // P != k:",
+        file=MEASURES,
     ),
     Mutant(
         "sweep: lw without the factor 2",
-        "return xs, ws, 2 * q, 2 * dx * dy * L",
-        "return xs, ws, 2 * q, dx * dy * L",
+        "return (xs, ws, 2 * q, 2 * dx * dy * L), pitch",
+        "return (xs, ws, 2 * q, dx * dy * L), pitch",
+        file=MEASURES,
     ),
     Mutant(
         "sweep: L from the piece widths alone",
         "(x1 - x0) // math.gcd(x1 - x0, y1 - y0)",
         "(x1 - x0)",
+        file=MEASURES,
         survives="a multiple of L is a finer weight lattice, and any lattice gives the same rho",
+    ),
+    # discretisation through the measure protocol
+    Mutant(
+        "cells: a density's err taken as 0",
+        "return (xs, ws, 2 * q, 2 * dx * dy * L), pitch",
+        "return (xs, ws, 2 * q, 2 * dx * dy * L), 0",
+        file=MEASURES,
+    ),
+    Mutant(
+        "cells: the default returns None instead of refusing",
+        'self._unsupported("discretisation")',
+        "return None",
+        file=MEASURES,
     ),
     Mutant(
         "lattice: sides not brought to the common lattice",
@@ -210,6 +228,13 @@ MUTANTS = (
         "isinstance(exc, FileNotFoundError)",
         file=CLI,
         tests=("tests/test_cli.py",),
+    ),
+    Mutant(
+        "demo: the short-enumeration check off by one",
+        "if horizon < idx:",
+        "if horizon < idx - 1:",
+        file=CLI,
+        tests=("tests/test_cli.py::TestDemoSpecker",),
     ),
     Mutant(
         "decimal: an integer's digits from the remainder branch",

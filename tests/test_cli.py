@@ -144,6 +144,23 @@ class TestDemoSpecker:
         code, out, _ = run(capsys, "demo", "specker", "--enum", str(e), "--fuel", "4")
         assert code == 0
 
+    @pytest.mark.parametrize("values", [[0, 2, 1], [0, 2, 1, 3]], ids=["past the end", "vacuous"])
+    def test_short_enumeration_is_a_parse_error(self, capsys, tmp_path, values):
+        # the default hat's modulus index is 4: the limit value reads values
+        # 0..3 and the first row checked is 4, so 5 values are needed
+        e = tmp_path / "enum.txt"
+        e.write_text("".join(f"{v}\n" for v in values))
+        code, out, err = run(capsys, "demo", "specker", "--enum", str(e))
+        assert (code, out) == (3, "")
+        assert err == f"parse error: enumeration {str(e)!r} holds {len(values)} values, needs 5\n"
+
+    def test_lower_bounds_stop_at_the_last_value(self, capsys, tmp_path):
+        e = tmp_path / "enum.txt"
+        e.write_text("0\n2\n1\n3\n4\n")
+        code, out, _ = run(capsys, "demo", "specker", "--enum", str(e), "--fuel", "10")
+        assert code == 0 and [r[2] for r in rows_of(out)] == ["0", "1", "2", "3", "4"]
+        assert out.splitlines()[-3:] == ["#   fuel 0: 1/2", "#   fuel 2: 7/8", "#   fuel 4: 31/32"]
+
     def test_duplicate_enumeration_fails(self, capsys, tmp_path):
         e = tmp_path / "enum.txt"
         e.write_text("0\n1\n1\n2\n3\n4\n5\n")

@@ -222,6 +222,12 @@ class TestDiscreteMeasure:
         object.__setattr__(ref, "_total", want_total)
         assert got == ref and hash(got) == hash(ref)
 
+    @pytest.mark.parametrize("pitch", [Fraction(1), Fraction(1, 3), _pow2(10), Fraction(7, 2)])
+    def test_cells_are_the_lattice_for_any_pitch(self, pitch):
+        for mu in (DiscreteMeasure.zero(), DiscreteMeasure.point(Fraction(1, 5), 3),
+                   DiscreteMeasure(((Fraction(-1, 3), Fraction(1, 2)), (Fraction(2, 7), 1)))):
+            assert mu.cells(pitch) == (mu.lattice(), 0)
+
     def test_total_takes_no_part_in_equality(self):
         a = DiscreteMeasure(((Fraction(0), Fraction(1, 2)),))
         b = DiscreteMeasure(((Fraction(0), Fraction(1, 2)),))

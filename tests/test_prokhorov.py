@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from effmeas import (
     DiscreteMeasure,
+    LazyDiscreteMeasure,
     PolyDensityMeasure,
     pi_from_complement,
     prokhorov_bounds,
@@ -16,7 +17,7 @@ from effmeas import (
     prokhorov_discrete_bruteforce,
     witness_from_eps,
 )
-from effmeas.convergence import MeasureSeq, Modulus
+from effmeas.convergence import MeasureSeq, Modulus, limit_from_vague
 from effmeas.errors import (
     ContractViolation,
     SearchExhausted,
@@ -32,14 +33,13 @@ from effmeas.prokhorov import (
     _brute_deficit,
     _critical_thresholds,
     _direction_deficit,
-    _discretize,
     _infimum_over_levels,
     brute_force_valid,
     eps_from_weak,
     eps_function,
 )
 from effmeas.corpora import DriftingAtomFamily, deltadrift, deltashrink, mixture
-from effmeas.reals import _pow2
+from effmeas.reals import CauchyReal, _pow2
 from tests.conftest import rand_discrete
 
 
@@ -165,7 +165,7 @@ def prokhorov_discrete_levels(mu, nu):
 
 def cell_atoms(mu, pitch) -> tuple:
     """The sweep's cells as (location, weight) ``Fraction`` pairs, unmerged."""
-    xs, ws, lx, lw = _discretize(mu, pitch)
+    xs, ws, lx, lw = mu.cells(pitch)[0]
     return tuple((Fraction(x, lx), Fraction(w, lw)) for x, w in zip(xs, ws))
 
 
@@ -389,6 +389,18 @@ class TestProkhorovDiscrete:
 
 
 class TestProkhorovBounds:
+    @pytest.mark.parametrize("kind", ["lazy", "reconstructed"])
+    def test_refuses_a_class_without_cells(self, kind):
+        c = deltashrink()
+        mu = {
+            "lazy": LazyDiscreteMeasure(lambda i: (Fraction(i), _pow2(i + 1))),
+            "reconstructed": limit_from_vague(c.seq, c.vague_oracle, CauchyReal.from_rational(1)),
+        }[kind]
+        msg = f"unsupported measure class {type(mu).__name__}: no discretisation"
+        for pair in ((mu, delta(0)), (delta(0), mu)):
+            with pytest.raises(UnsupportedMeasureClass, match=msg):
+                prokhorov_bounds(*pair, 3)
+
     def test_discrete_reduction(self):
         lo, hi = prokhorov_bounds(delta(0), delta(Fraction(1, 2)), 8)
         assert lo == hi == Fraction(1, 2)
@@ -539,11 +551,11 @@ class TestDiscretizeSweep:
     @example((density((0, 0), (3, 3), (5, 3), (7, 0)), Fraction(2, 7)))
     def test_sweep_matches_per_cell_oracle(self, case):
         mu, pitch = case
-        xs, ws, _, _ = _discretize(mu, pitch)
+        (xs, ws, _, _), err = mu.cells(pitch)
         assert all(a < b for a, b in zip(xs, xs[1:])) and all(w > 0 for w in ws)
-        want, err = discretize_per_cell(mu, pitch)
+        want, want_err = discretize_per_cell(mu, pitch)
         assert cell_atoms(mu, pitch) == want.atoms
-        assert err == pitch
+        assert err == want_err == pitch
 
     # prokhorov_bounds(uniform [0, 1/4], other, n) as the one-sweep
     # discretisation gave them, for the benchmark's six density pairs
@@ -587,7 +599,7 @@ class TestDiscretizeSweep:
         mu = density((0, 0), (Fraction(1, 2), 2), (1, 0),
                      (far, 0), (far + Fraction(1, 2), 2), (far + 1, 0))
         t0 = time.perf_counter()
-        xs, ws, lx, lw = _discretize(mu, _pow2(10))
+        xs, ws, lx, lw = mu.cells(_pow2(10))[0]
         assert len(xs) == 2 * 2**10 and sum(ws) == 2 * lw
         assert xs[2**10] == (2 * far * 2**10 + 1) and lx == 2**11
         assert prokhorov_bounds(mu, mu, 8) == (0, _pow2(9))
