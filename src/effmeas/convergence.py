@@ -19,7 +19,6 @@ from .errors import (
     DivergenceDetected,
     DuplicateEnumeration,
     SearchExhausted,
-    UnsupportedMeasureClass,
 )
 from .functions import (
     PolyFunc,
@@ -58,9 +57,10 @@ class MeasureSeq:
 
     def total_mass(self, n: int) -> Fraction:
         """mu_n(R), exact; ``UnsupportedMeasureClass`` if the member has none."""
-        m = self[n].exact_total_mass()
+        mu = self[n]
+        m = mu.exact_total_mass()
         if m is None:
-            raise UnsupportedMeasureClass("need exact member masses")
+            mu._unsupported("exact total mass")
         return m
 
     def mass_spread(self, lo: int, hi: int) -> tuple[Fraction, Fraction]:
@@ -533,7 +533,7 @@ def polygonal_surrogate(
     return W, n1, psi
 
 
-# (Ns, window) of the total-mass check vague_to_weak runs by default
+# (Ns, window) of the total-mass check that vague_to_weak and the CLI run
 DEFAULT_TM_CHECK: tuple[tuple[int, ...], int] = ((2, 4, 6), 40)
 
 
@@ -547,7 +547,6 @@ def vague_to_weak(
     N: int,
     *,
     validate_tm: bool = True,
-    tm_check: tuple[Sequence[int], int] = DEFAULT_TM_CHECK,
 ) -> int:
     """Weak-modulus index for a bounded named function, from vague data.
 
@@ -556,7 +555,7 @@ def vague_to_weak(
     instead of silently producing an invalid certificate.
     """
     if validate_tm:
-        validate_total_mass_modulus(seq, tm, *tm_check)
+        validate_total_mass_modulus(seq, tm, *DEFAULT_TM_CHECK)
     lim_mass = limit.exact_total_mass()
     if lim_mass is not None:
         p = N + 6

@@ -303,7 +303,7 @@ class DiscreteMeasure(Measure):
         return total
 
     def null_test(self) -> Callable[[Fraction], bool]:
-        locs = frozenset(loc for loc, _ in self.atoms)
+        locs = {loc for loc, _ in self.atoms}
         return lambda x: x not in locs
 
     def support_radius(self) -> Fraction:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from .convergence import MeasureSeq, Modulus
@@ -27,7 +29,7 @@ from .measures import (
     first_cover_balls,
 )
 from .reals import RationalLike, _pow2
-from .sets import PiSet, expand_closed
+from .sets import PiSet, expand_closed, merge_open
 
 
 class EpsFunction(Modulus):
@@ -333,67 +335,60 @@ def prokhorov_bounds(mu: Measure, nu: Measure, n: int) -> tuple[Fraction, Fracti
 # weak convergence => eps-function
 
 
-def _ball_signatures(
+def _union_mass_gaps(
     balls: Sequence[tuple[Fraction, Fraction]],
-) -> Callable[[Fraction], frozenset]:
-    """x -> frozenset of the indices j with balls[j] = (l, r), l < x < r.
+    limit_atoms: Sequence[tuple[Fraction, Fraction]],
+) -> Callable[[Sequence[tuple[Fraction, Fraction]]], tuple[Fraction, Fraction]]:
+    """member atoms -> (D, o_n) on the open ``balls`` against the limit atoms.
 
-    A ball holding x has its left end in (x - w, x), w the widest ball in
-    the list, so two bisections over the left ends, sorted once, bound the
-    balls to test.
+    D is the sup over unions A of the balls of |mu_n(A) - mu(A)|, and o_n
+    the member mass outside every ball.  D is one sweep over the balls
+    sorted by left end, whose state is a chosen set's frontier F, its
+    largest right end so far.  Every chosen ball starts at or before the
+    next left end l, so above l the chosen union is exactly (l, F): ball
+    (l, r) adds the signed mass of (l, r) if F <= l, of [F, r) if
+    l < F < r, and nothing if F >= r.  What is still to come depends on F
+    alone, so each frontier keeps only its largest and smallest signed sum,
+    and D = max(max, -min) over them.  There are at most #balls + 1
+    frontiers, so the sweep takes O(#balls^2) bisections over one
+    prefix-sum list, for any balls.
     """
-    order = sorted(range(len(balls)), key=lambda j: balls[j][0])
-    lefts = [balls[j][0] for j in order]
-    rights = [balls[j][1] for j in order]
-    width = max((r - l for l, r in balls), default=Fraction(0))
+    order = sorted(balls)
+    union = merge_open(balls)
+    union_lefts = [l for l, _ in union]
+    negated = [(x, -w) for x, w in limit_atoms]
 
-    def signature(x: Fraction) -> frozenset:
-        lo = bisect_right(lefts, x - width)
-        hi = bisect_left(lefts, x, lo)
-        return frozenset(order[k] for k in range(lo, hi) if x < rights[k])
+    def gaps(member_atoms: Sequence[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
+        # two runs sorted by location: the sort is one merge
+        signed = sorted([*member_atoms, *negated], key=itemgetter(0))
+        xs = [x for x, _ in signed]
+        pre = list(accumulate((w for _, w in signed), initial=Fraction(0)))
+        # frontier -> (max, min) signed sum; None is the empty set's
+        sums: dict = {None: (Fraction(0), Fraction(0))}
+        for l, r in order:
+            hi = pre[bisect_left(xs, r)]
+            tops, bots = [], []
+            for F, (top, bot) in sums.items():
+                if F is None or F <= l:
+                    gain = hi - pre[bisect_right(xs, l)]
+                elif F < r:
+                    gain = hi - pre[bisect_left(xs, F)]
+                else:
+                    continue
+                tops.append(top + gain)
+                bots.append(bot + gain)
+            if r in sums:
+                tops.append(sums[r][0])
+                bots.append(sums[r][1])
+            sums[r] = max(tops), min(bots)
+        outside = Fraction(0)
+        for x, w in member_atoms:
+            i = bisect_left(union_lefts, x)
+            if not i or x >= union[i - 1][1]:
+                outside += w
+        return max(max(t, -b) for t, b in sums.values()), outside
 
-    return signature
-
-
-def _add_signature_classes(
-    classes: dict[frozenset, Fraction],
-    atoms: Sequence[tuple[Fraction, Fraction]],
-    signature: Callable[[Fraction], frozenset],
-    sign: int,
-) -> Fraction:
-    """Add sign * weight of each atom to the class of its nonempty signature.
-
-    Returns the mass of the atoms that no ball holds.
-    """
-    outside = Fraction(0)
-    for x, w in atoms:
-        sig = signature(x)
-        if sig:
-            classes[sig] = classes.get(sig, Fraction(0)) + sign * w
-        else:
-            outside += w
-    return outside
-
-
-def _union_mass_gap_sup(classes: dict[frozenset, Fraction]) -> Fraction:
-    """sup over all unions A of the balls of |mu_n(A) - mu(A)|.
-
-    ``classes`` maps each nonempty ball-membership signature to the signed
-    mass mu_n - mu of the atoms that have it.  A hit-pattern of signature
-    classes is realizable iff every hit signature survives after removing
-    all indices touched by a miss signature.  The sup is then a max over at
-    most 2^(#classes) patterns, never 2^(#balls) unions.
-    """
-    sigs = list(classes)
-    best = Fraction(0)
-    for mask in range(1 << len(sigs)):
-        hit = [sigs[i] for i in range(len(sigs)) if mask >> i & 1]
-        miss = [sigs[i] for i in range(len(sigs)) if not mask >> i & 1]
-        excluded = frozenset().union(*miss) if miss else frozenset()
-        if all(sig - excluded for sig in hit):
-            val = sum((classes[s] for s in hit), Fraction(0))
-            best = max(best, abs(val))
-    return best
+    return gaps
 
 
 def eps_from_weak(
@@ -426,7 +421,10 @@ def eps_from_weak(
     rho(mu_n, mu) < 2^-N.  A member is accepted on exactly those two
     terms.  The second never binds when mu_n(R) = mu(R): then
     o_n = u + mu(union) - mu_n(union) <= u + D < 2^-(N+1), so on
-    mass-preserving sequences the index is the one D alone gives.
+    mass-preserving sequences the index is the one D alone gives.  D and
+    o_n of a member come from one frontier sweep over the balls sorted by
+    left end (:func:`_union_mass_gaps`): O(#balls^2) bisections over the
+    prefix sums of mu_n - mu, not one test per union.
 
     The supplied per-ball moduli must certify exact stability (their index
     bounds the drift below every ball boundary), which makes D < 2^-(N+2)
@@ -469,17 +467,8 @@ def eps_from_weak(
         )
     bound = _pow2(N + 2)
     outside_bound = _pow2(N + 1)
-    signature = _ball_signatures(balls)
-    limit_classes: dict[frozenset, Fraction] = {}
-    _add_signature_classes(limit_classes, limit.atoms, signature, -1)
-
-    def gaps_at(n: int) -> tuple[Fraction, Fraction]:
-        """(D, o_n) of member n."""
-        classes = dict(limit_classes)
-        outside = _add_signature_classes(classes, seq[n].atoms, signature, 1)
-        return _union_mass_gap_sup(classes), outside
-
-    top, outside = gaps_at(n_hi)
+    gaps_at = _union_mass_gaps(balls, limit.atoms)
+    top, outside = gaps_at(seq[n_hi].atoms)
     if top >= bound:
         raise ContractViolation(
             "almost-decidable modulus contract failure at its own index",
@@ -492,7 +481,7 @@ def eps_from_weak(
         )
     n0 = n_hi
     while n0 > 0:
-        sup, outside = gaps_at(n0 - 1)
+        sup, outside = gaps_at(seq[n0 - 1].atoms)
         if sup >= bound or outside >= outside_bound:
             break
         n0 -= 1

@@ -104,6 +104,19 @@ MUTANTS = (
             " hi = need < lo = above, and the final test returns D(T)/lw"
         ),
     ),
+    # the frontier sweep of eps_from_weak's union-mass sup
+    Mutant(
+        "union sweep: the frontier point dropped",
+        "pre[bisect_left(xs, F)]",
+        "pre[bisect_right(xs, F)]",
+        tests=("tests/test_prokhorov.py::TestEpsFromWeak",),
+    ),
+    Mutant(
+        "union sweep: a ball touching the frontier taken as overlapping",
+        "if F is None or F <= l:",
+        "if F is None or F < l:",
+        tests=("tests/test_prokhorov.py::TestEpsFromWeak",),
+    ),
     # the int sweep of PolyDensityMeasure.cells
     Mutant(
         "sweep: quadratic term's sign",

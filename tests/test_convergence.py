@@ -56,7 +56,9 @@ def validate_total_mass_modulus_all_pairs(seq, tm, Ns, window):
         for n in range(idx, idx + window + 1):
             m = seq[n].exact_total_mass()
             if m is None:
-                raise UnsupportedMeasureClass("need exact member masses")
+                raise UnsupportedMeasureClass(
+                    f"unsupported measure class {type(seq[n]).__name__}: no exact total mass"
+                )
             masses.append((n, m))
         for (n1, m1) in masses:
             for (n2, m2) in masses:
@@ -452,7 +454,7 @@ class TestVagueToWeak:
         sp = specker_sequence(iter(range(64)))
         lazy = MeasureSeq(lambda n: sp.limit_measure())
         one = co_name_of_poly(constant_func(Fraction(1)))
-        with pytest.raises(UnsupportedMeasureClass, match="need exact member masses"):
+        with pytest.raises(UnsupportedMeasureClass, match="no exact total mass"):
             vague_to_weak(
                 lazy, sp.limit_measure(), TotalMassModulus.constant(0),
                 sp.vague_oracle(), one, 1, 2, validate_tm=False,
@@ -461,7 +463,7 @@ class TestVagueToWeak:
         # surrogate's mass bound still reads the lazy members 0..2
         mixed = MeasureSeq(lambda n: sp.limit_measure() if n < 3 else DiscreteMeasure.point(0))
         tm = TotalMassModulus(lambda N: 2 if N == 0 else 3)
-        with pytest.raises(UnsupportedMeasureClass, match="need exact member masses"):
+        with pytest.raises(UnsupportedMeasureClass, match="no exact total mass"):
             polygonal_surrogate(one, 1, 2, mixed, DiscreteMeasure.point(0), tm, lambda f: Modulus.constant(3))
 
     def test_mass_escape_reported_as_divergence(self):

@@ -29,7 +29,6 @@ from effmeas.functions import PolyFunc
 from effmeas.prokhorov import (
     EpsFunction,
     NOT_IN_CUT,
-    _ball_signatures,
     _brute_deficit,
     _critical_thresholds,
     _direction_deficit,
@@ -656,6 +655,29 @@ def union_mass_gap_sup_all_balls(mu_n, mu, balls):
     return best
 
 
+@st.composite
+def union_gap_cases(draw):
+    """At most 8 balls, and a member and a limit of at most 6 atoms each.
+
+    Ends lie on the half-integers of [-3, 3], so balls touch and share
+    ends.  Atoms lie on the quarters of [-13/4, 13/4], and often on ends.
+    """
+    point = st.builds(Fraction, st.integers(-6, 6), st.just(2))
+    ball = st.tuples(point, point).filter(lambda b: b[0] < b[1])
+    balls = draw(st.lists(ball, max_size=8))
+    ends = [e for b in balls for e in b]
+    locs = [point, st.builds(Fraction, st.integers(-13, 13), st.just(4))]
+    if ends:
+        locs.append(st.sampled_from(ends))
+    loc = st.one_of(*locs)
+    weight = st.builds(Fraction, st.integers(1, 5), st.sampled_from((1, 2, 3, 8)))
+
+    def measure():
+        return DiscreteMeasure(tuple(draw(st.lists(st.tuples(loc, weight), max_size=6))))
+
+    return balls, measure(), measure()
+
+
 def eps_from_weak_all_members(seq, limit, ad_modulus, N, *, max_balls=1 << 16):
     """eps_from_weak with the sup taken at every member 0..n_hi (oracle)."""
     if not isinstance(limit, DiscreteMeasure):
@@ -811,24 +833,40 @@ class TestEpsFromWeak:
             eps_from_weak(seq, delta(0), lambda p: Modulus.constant(0), N)
         assert e.value.witness == (N, 0, Fraction(1))
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        balls=st.lists(
-            st.tuples(
-                st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 7))),
-                st.builds(Fraction, st.integers(1, 60), st.sampled_from((1, 2, 5, 8))),
-            ).map(lambda cr: (cr[0] - cr[1], cr[0] + cr[1])),
-            max_size=12,
-        ),
-        xs=st.lists(st.builds(Fraction, st.integers(-60, 60), st.sampled_from((1, 2, 4, 7))), max_size=8),
+    @settings(max_examples=200, deadline=None)
+    @given(case=union_gap_cases())
+    # touching balls: the shared end 1 is in neither, so D = 0
+    @example(
+        case=(
+            [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))],
+            atoms((1, 1)),
+            atoms(),
+        )
     )
-    def test_bisected_signatures_match_scan(self, balls, xs):
-        signature = _ball_signatures(balls)
-        # ball ends are probed too: the balls are open
-        for x in xs + [e for b in balls for e in b]:
-            assert signature(x) == frozenset(
-                j for j, (l, r) in enumerate(balls) if l < x < r
-            )
+    # the frontier 2 of (0, 2) is inside (1, 3): both together hold
+    # -1 + 1, so D = 0
+    @example(
+        case=(
+            [(Fraction(0), Fraction(2)), (Fraction(1), Fraction(3))],
+            atoms((Fraction(5, 2), 1)),
+            atoms((2, 1)),
+        )
+    )
+    def test_frontier_sweep_matches_all_unions_oracle(self, case):
+        balls, mu_n, mu = case
+        D, outside = prokhorov._union_mass_gaps(balls, mu.atoms)(mu_n.atoms)
+        assert D == union_mass_gap_sup_all_balls(mu_n, mu, balls)
+        assert outside == sum(
+            (w for x, w in mu_n.atoms if not any(l < x < r for l, r in balls)), Fraction(0)
+        )
+
+    @pytest.mark.parametrize("k", [4, 8, 12, 16])
+    def test_equal_drifting_atoms_one_apart(self, k):
+        # each atom has its own ball, so a search over unions grows as 2^k
+        fam = DriftingAtomFamily([(Fraction(i), Fraction(1, k), 1) for i in range(k)])
+        t0 = time.perf_counter()
+        assert eps_from_weak(fam, fam.limit(), fam.ad_modulus, 6) == 11
+        assert time.perf_counter() - t0 < 1
 
     def test_negative_modulus_index_rejected(self):
         c = mixture()
