@@ -108,11 +108,22 @@ class PolyFunc:
         return m
 
     def lipschitz(self) -> Fraction:
-        slopes = [
-            abs((y1 - y0) / (x1 - x0))
-            for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:])
-        ]
-        return max(slopes, default=Fraction(0))
+        """The largest |slope| of a piece, 0 for a single vertex.
+
+        Each piece's |dy|/dx is an ``int`` pair n/d, d > 0, compared with
+        the steepest so far by cross-multiplying, so the only ``Fraction``
+        built is the answer.
+        """
+        bn, bd = 0, 1
+        verts = self.vertices
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+            n = abs(y1.numerator * y0.denominator - y0.numerator * y1.denominator)
+            d = x1.numerator * x0.denominator - x0.numerator * x1.denominator
+            n *= x0.denominator * x1.denominator
+            d *= y0.denominator * y1.denominator
+            if n * bd > bn * d:
+                bn, bd = n, d
+        return Fraction(bn, bd)
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(x for x, _ in self.vertices)
@@ -265,9 +276,11 @@ def co_name_of_poly(p: PolyFunc) -> CompactOpenName:
 class SupportedFunc:
     """A continuous function bundled with a name of its compact support.
 
-    ``poly`` optionally records an exact polygonal backing; generic
-    algorithms must only use the name, but analytic test oracles may read
-    the backing to certify Lipschitz constants and exact values.
+    ``poly`` optionally records an exact polygonal backing, which analytic
+    oracles read to certify Lipschitz constants and exact values.  Generic
+    algorithms use only the name, under one rule: a name with an exact
+    backing (:func:`_exact_backing`) is that polygon, so fitting it through
+    range boxes would only rebuild it.
     """
 
     name: CompactOpenName
@@ -286,6 +299,13 @@ def supported_from_poly(p: PolyFunc) -> SupportedFunc:
 
 # ---------------------------------------------------------------------------
 # polygonal approximation through the name interface
+
+
+def _exact_backing(name: CompactOpenName) -> "PolyFunc | None":
+    """The polygon an exact name is backed by (:func:`co_name_of_poly`), or
+    ``None`` for an opaque or inexact name, which is fitted by range boxes."""
+    backing = getattr(name, "poly", None)
+    return backing if backing is not None and name.exact else None
 
 
 def _fit(
@@ -336,8 +356,8 @@ def polygonal_on_window(
     if not a < b:
         raise MalformedInterval("need a < b")
 
-    backing = getattr(name, "poly", None)
-    if backing is not None and name.exact:
+    backing = _exact_backing(name)
+    if backing is not None:
         # Exactly backed name: the restriction of f itself is the best
         # polygonal fit (error 0), provided any forced endpoint values
         # agree with f.  Range-box fitting below handles opaque names.
@@ -365,10 +385,19 @@ def approx_polygonal(f: SupportedFunc, err, *, hull_round: int = 8) -> PolyFunc:
     Picks rationals p < min supp f and q > max supp f inside the integer
     hull, forces the approximation to vanish there, and certifies the
     sup-error on [p, q] through range boxes alone.
+
+    A name with a ``zero-outside`` exact backing returns the backing itself,
+    with error 0: the fit would be that polygon cut at p and q, where it is
+    0, so the same function on all of R, with the same integrals,
+    :meth:`PolyFunc.lipschitz`, :meth:`PolyFunc.bound` and
+    :meth:`PolyFunc.support_components`.
     """
     err = _fraction(err)
     if err <= 0:
         raise ValueError("err must be positive")
+    backing = _exact_backing(f.name)
+    if backing is not None and backing.extension == ZERO:
+        return backing
     l, u = compact_hull_bounds(f.support, hull_round)
     # greatest integer strictly below l, smallest strictly above u
     fl = l.__ceil__() - 1

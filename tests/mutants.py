@@ -1,4 +1,5 @@
-"""Mutation check for the Prokhorov kernels, the measure protocol, the file reader and the CLI.
+"""Mutation check for the Prokhorov kernels, exact integration, the measure protocol, the
+file reader and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROKHOROV = "src/effmeas/prokhorov.py"
 MEASURES = "src/effmeas/measures.py"
 FILEFORMAT = "src/effmeas/fileformat.py"
+FUNCTIONS = "src/effmeas/functions.py"
 CLI = "src/effmeas/cli.py"
 PROKHOROV_TESTS = ("tests/test_prokhorov.py",)
 TIMEOUT_S = 600  # per pytest run; an unmutated run takes well under a minute
@@ -148,6 +150,38 @@ MUTANTS = (
         "(x1 - x0)",
         file=MEASURES,
         survives="a multiple of L is a finer weight lattice, and any lattice gives the same rho",
+    ),
+    # exact integration: the lattice moments, the slopes, the backing rule
+    Mutant(
+        "integrate: the right outside run dropped",
+        "num = lx * (Y[0] * sum(ws[: cuts[0]]) + Y[-1] * sum(ws[cuts[-1] :]))",
+        "num = lx * Y[0] * sum(ws[: cuts[0]])",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestIntegratePolyOnAtoms",),
+    ),
+    # not equivalent: a vertex off the atoms' lattice is cut at its floor
+    # there, so an atom at that floor, left of the vertex, would be read on
+    # the piece right of it
+    Mutant(
+        "integrate: cuts by bisect_left",
+        "cuts = [bisect_right(xs, v * lx // dx) for v in X]",
+        'cuts = [__import__("bisect").bisect_left(xs, v * lx // dx) for v in X]',
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestIntegratePolyOnAtoms",),
+    ),
+    Mutant(
+        "lipschitz: the gentlest slope kept",
+        "if n * bd > bn * d:",
+        "if n * bd < bn * d:",
+        file=FUNCTIONS,
+        tests=("tests/test_functions.py::TestPolyFunc",),
+    ),
+    Mutant(
+        "backing: an inexact name taken as its backing",
+        "return backing if backing is not None and name.exact else None",
+        "return backing",
+        file=FUNCTIONS,
+        tests=("tests/test_functions.py::TestPolygonalApproximation",),
     ),
     # discretisation through the measure protocol
     Mutant(

@@ -16,12 +16,14 @@ from effmeas import (
     Measure,
     MeasureSeq,
     Modulus,
+    PolyFunc,
     SearchExhausted,
     TotalMassModulus,
     UnsupportedMeasureClass,
     check_modulus,
     constant_func,
     hat_function,
+    integrate_named,
     integrate_poly,
     limit_from_vague,
     pi_from_complement,
@@ -42,7 +44,7 @@ from effmeas.convergence import (
     polygonal_surrogate,
     validate_total_mass_modulus,
 )
-from effmeas.corpora import deltan, deltashrink, mixture
+from effmeas.corpora import builtin_function, corpus_by_name, deltan, deltashrink, mixture
 from effmeas.functions import co_name_of_poly
 from effmeas.reals import _pow2
 from tests.conftest import rand_supported_poly
@@ -549,3 +551,97 @@ class TestPortmanteau:
                 deltashrink().seq, self.lazy_limit(), "almost-decidable", pair,
                 Modulus.constant(0), Ns=(1,),
             )
+
+
+# ---------------------------------------------------------------------------
+# exact outputs of the vague side, pinned
+
+
+F = Fraction
+PIN_FAMILIES = ("deltashrink", "mixture", "deltadrift")
+PIN_FUNCTIONS = ("constant-one", "hat", "clamped-identity")
+# int f dmu_n within 2^-8 for n = 0, 3, 7: a SupportedFunc for hat, a
+# bounded (name, B) pair for the other two
+PINNED_INTEGRALS = {
+    ('deltashrink', 'constant-one'): (F(1, 1), F(1, 1), F(1, 1)),
+    ('deltashrink', 'hat'): (F(4, 5), F(1, 10), F(1, 160)),
+    ('deltashrink', 'clamped-identity'): (F(1, 1), F(1, 8), F(1, 128)),
+    ('mixture', 'constant-one'): (F(1, 1), F(1, 1), F(1, 1)),
+    ('mixture', 'hat'): (F(1, 5), F(9, 20), F(129, 320)),
+    ('mixture', 'clamped-identity'): (F(1, 2), F(1, 2), F(1, 2)),
+    ('deltadrift', 'constant-one'): (F(1, 1), F(1, 1), F(1, 1)),
+    ('deltadrift', 'hat'): (F(2, 5), F(9, 10), F(129, 160)),
+    ('deltadrift', 'clamped-identity'): (F(1, 1), F(1, 1), F(1, 1)),
+}
+PINNED_POLYS = (
+    ((F(-1), F(0)), (F(0), F(1)), (F(1), F(0))),
+    ((F(-3, 2), F(0)), (F(-1, 16), F(-2)), (F(5, 8), F(3, 4)), (F(9, 4), F(0))),
+    ((F(0), F(0)), (F(1, 3), F(5)), (F(2, 3), F(5)), (F(1), F(0)), (F(7, 5), F(-1, 7)), (F(3), F(0))),
+)
+# uniformize_vague at N = 1, 4, 8, 12, the same on every family
+PINNED_UNIFORMIZE = {0: (3, 6, 10, 14), 1: (5, 8, 12, 16), 2: (6, 9, 13, 17)}
+PINNED_SPECKER_PERM = (5, 0, 11, 3, 8, 1, 14, 9, 2, 13, 6, 10, 4, 15, 7, 12)
+# interval_mass_lower((a, b)).bound(t) for t = 0..13
+PINNED_SPECKER = {
+    (F(-1, 2), F(5, 2)): (
+        F(65, 12288), F(1601, 6144), F(1601, 4096), F(1857, 4096),
+        F(1985, 4096), F(2049, 4096), F(2081, 4096), F(2097, 4096),
+        F(2105, 4096), F(2109, 4096), F(2111, 4096), F(33, 64),
+        F(4225, 8192), F(8451, 16384),
+    ),
+    (F(3, 4), F(29, 4)): (
+        F(0, 1), F(30189, 212992), F(146485, 425984), F(238773, 425984),
+        F(25705, 32768), F(26217, 32768), F(26473, 32768), F(26601, 32768),
+        F(26665, 32768), F(26697, 32768), F(26713, 32768), F(26721, 32768),
+        F(26725, 32768), F(26727, 32768),
+    ),
+    (F(2, 1), F(13, 1)): (
+        F(0, 1), F(61185, 360448), F(118769, 360448), F(13683, 32768),
+        F(14707, 32768), F(15219, 32768), F(15475, 32768), F(15603, 32768),
+        F(15667, 32768), F(15699, 32768), F(15715, 32768), F(15723, 32768),
+        F(15727, 32768), F(15729, 32768),
+    ),
+}
+
+
+class TestPinnedExactOutputs:
+    """Exact outputs of the vague side, computed with the per-atom
+    ``Fraction`` integration and the range-box rebuild of exactly backed
+    names that the lattice moments and the backing rule replaced: a change
+    of integration cost must leave every one of them as it is."""
+
+    @pytest.mark.parametrize("family", PIN_FAMILIES)
+    @pytest.mark.parametrize("fname", PIN_FUNCTIONS)
+    def test_vague_to_weak_indices(self, family, fname):
+        p, _ = builtin_function(fname)
+        c = corpus_by_name(family)
+        got = [
+            vague_to_weak(c.seq, c.limit, c.tm, c.vague_oracle, co_name_of_poly(p), int(p.bound().__ceil__()), N)
+            for N in range(1, 13)
+        ]
+        assert got == list(range(11, 23))  # the same on every pair
+
+    @pytest.mark.parametrize("family", PIN_FAMILIES)
+    @pytest.mark.parametrize("fname", PIN_FUNCTIONS)
+    def test_integrals(self, family, fname):
+        p, kind = builtin_function(fname)
+        f = supported_from_poly(p) if kind == "supported" else (co_name_of_poly(p), int(p.bound().__ceil__()))
+        c = corpus_by_name(family)
+        got = tuple(integrate_named(f, c.seq[n], 8) for n in (0, 3, 7))
+        assert got == PINNED_INTEGRALS[family, fname]
+
+    @pytest.mark.parametrize("family", PIN_FAMILIES)
+    @pytest.mark.parametrize("i", sorted(PINNED_UNIFORMIZE))
+    def test_uniformize_indices(self, family, i):
+        c = corpus_by_name(family)
+        f = supported_from_poly(PolyFunc(PINNED_POLYS[i], "zero-outside"))
+        got = tuple(uniformize_vague(c.seq, c.limit, c.vague_oracle, f, N) for N in (1, 4, 8, 12))
+        assert got == PINNED_UNIFORMIZE[i]
+
+    @pytest.mark.parametrize("interval", sorted(PINNED_SPECKER))
+    def test_specker_lower_bounds(self, interval):
+        total = sum((_pow2(v + 1) for v in PINNED_SPECKER_PERM), Fraction(0))
+        sp = specker_sequence(iter(PINNED_SPECKER_PERM))
+        rec = limit_from_vague(sp.seq, sp.vague_oracle(), CauchyReal.from_rational(total))
+        lower = rec.interval_mass_lower(*interval)
+        assert tuple(lower.bound(t) for t in range(14)) == PINNED_SPECKER[interval]

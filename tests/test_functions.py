@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effmeas import (
     CompactOpenName,
@@ -17,7 +17,7 @@ from effmeas import (
     tent_function,
 )
 from effmeas.errors import MalformedInterval
-from effmeas.functions import polygonal_on_window
+from effmeas.functions import SupportedFunc, polygonal_on_window
 from effmeas.reals import _pow2
 from effmeas.sets import merge_closed
 
@@ -65,6 +65,20 @@ class TestPolyFunc:
         p = hat_function(Fraction(0), Fraction(1), Fraction(3), Fraction(2))
         assert p.bound() == 2
         assert p.lipschitz() == 2  # rising slope 2, falling slope 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(frac, st.sampled_from([-2, -1, 0, Fraction(1, 3), 1]) | frac),
+                 min_size=1, max_size=7, unique_by=lambda v: v[0])
+    )
+    @example([(Fraction(3, 2), Fraction(-5, 7))])  # one vertex
+    @example([(0, 1), (1, 1), (2, 1)])  # one plateau
+    @example([(-1, 3), (0, 1), (Fraction(1, 2), -4), (3, -4)])  # falling only
+    def test_lipschitz_is_steepest_slope(self, verts):
+        p = PolyFunc(tuple(sorted(verts)), "constant-extend")
+        slopes = [abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(p.vertices, p.vertices[1:])]
+        L = p.lipschitz()
+        assert type(L) is Fraction and L == max(slopes, default=Fraction(0))
 
     def test_support_components(self):
         p = hat_function(Fraction(0), Fraction(1), Fraction(2), Fraction(1))
@@ -227,6 +241,31 @@ class TestPolygonalApproximation:
         assert psi.extension == "zero-outside"
         for x in grid(-2, 4, 101):
             assert abs(psi(x) - p(x)) <= _pow2(10)
+
+    @pytest.mark.parametrize("err", [Fraction(1), _pow2(10), _pow2(40)])
+    def test_exact_backing_is_returned_itself(self, err):
+        for p in (
+            hat_function(Fraction(0), Fraction(5, 4), Fraction(5, 2), Fraction(1)),
+            tent_function((Fraction(-7, 3), Fraction(1, 9))),
+            PolyFunc(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))), "zero-outside"),
+        ):
+            assert approx_polygonal(supported_from_poly(p), err) is p
+
+    def test_opaque_or_inexact_name_is_fitted(self):
+        """Without an exact backing the fit goes through range boxes: it is
+        a new polygon vanishing at p < min supp f and q > max supp f."""
+        p = hat_function(Fraction(0), Fraction(5, 4), Fraction(5, 2), Fraction(1))
+        inexact = co_name_of_poly(p)
+        inexact.exact = False
+        support = supported_from_poly(p).support
+        err = _pow2(8)
+        for name in (opaque_name_of(p), opaque_name_of(p, slop=_pow2(12)), inexact):
+            psi = approx_polygonal(SupportedFunc(name, support, p), err)
+            assert psi is not p and psi.extension == "zero-outside"
+            (x0, y0), (x1, y1) = psi.vertices[0], psi.vertices[-1]
+            assert x0 < 0 and x1 > Fraction(5, 2) and y0 == y1 == 0
+            for x in grid(-1, 3, 129):
+                assert abs(psi(x) - p(x)) <= err
 
     def test_forced_endpoints_respected(self):
         p = hat_function(Fraction(0), Fraction(1), Fraction(2), Fraction(1))

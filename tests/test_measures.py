@@ -235,27 +235,102 @@ class TestDiscreteMeasure:
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
+def integrate_poly_atom_sweep(p, mu):
+    """The per-atom ``Fraction`` sweep, kept as the oracle for the per-piece
+    lattice moments of :meth:`DiscreteMeasure.integrate_poly`.
+
+    It walks the sorted atoms and the polygon's pieces together: an atom x
+    inside piece [x0, x1] contributes w * (y0 + (y1 - y0)(x - x0)/(x1 - x0)),
+    and under ``zero-outside`` the atoms outside the vertex hull are skipped.
+    """
+    verts = p.vertices
+    (xl, yl), (xr, yr) = verts[0], verts[-1]
+    zero = p.extension == "zero-outside"
+    total = Fraction(0)
+    i = 0  # the piece verts[i] .. verts[i + 1] holding the atom
+    for loc, w in mu.atoms:
+        if xl < loc < xr:
+            while verts[i + 1][0] < loc:
+                i += 1
+            (x0, y0), (x1, y1) = verts[i], verts[i + 1]
+            y = y1 if loc == x1 else y0 + (y1 - y0) * (loc - x0) / (x1 - x0)
+        elif zero:
+            continue
+        else:
+            y = yl if loc <= xl else yr
+        total += w * y
+    return total
+
+
 @st.composite
 def polys_and_atoms(draw):
-    """A polygon of either extension and sorted-able atoms on its vertices,
-    inside its pieces and outside its hull."""
+    """A polygon of either extension and a discrete measure, made one of
+    three ways:
+
+    - by the constructor, atoms on the vertices, inside the pieces and
+      outside the hull;
+    - by ``from_ints`` from the same kind of atoms, each location's and each
+      weight's numerator and denominator multiplied by a factor 1-6 of its
+      own, so that the lattice's ``lx`` and ``lw`` may be multiples of the
+      reduced lcms;
+    - in Specker's shape: 40-48 atoms a sixth apart across the polygons'
+      range, of distinct masses 2^-(k+1).
+    """
     xs = sorted(draw(st.sets(frac, min_size=1, max_size=6)))
     ext = draw(st.sampled_from(["zero-outside", "constant-extend"]))
     ys = [draw(frac) for _ in xs]
     if ext == "zero-outside":
         ys[0] = ys[-1] = Fraction(0)
+    p = PolyFunc(tuple(zip(xs, ys)), ext)
+    how = draw(st.sampled_from(["constructor", "from_ints", "specker"]))
+    if how == "specker":
+        n = draw(st.integers(40, 48))
+        ks = draw(st.permutations(range(n)))
+        return p, DiscreteMeasure(tuple((Fraction(i, 6) - 4, _pow2(k + 1)) for i, k in enumerate(ks)))
     locs = st.one_of(st.sampled_from(xs), frac, st.sampled_from([xs[0] - 1, xs[-1] + 3]))
     weights = st.fractions(min_value=Fraction(1, 16), max_value=2, max_denominator=16)
     atoms = draw(st.lists(st.tuples(locs, weights), max_size=8))
-    return PolyFunc(tuple(zip(xs, ys)), ext), DiscreteMeasure(tuple(atoms))
+    if how == "constructor" or not atoms:
+        return p, DiscreteMeasure(tuple(atoms))
+    c = st.integers(1, 6)
+    xc, wc = [draw(c) for _ in atoms], [draw(c) for _ in atoms]
+    return p, DiscreteMeasure.from_ints(
+        [x.numerator * k for (x, _), k in zip(atoms, xc)],
+        [x.denominator * k for (x, _), k in zip(atoms, xc)],
+        [w.numerator * k for (_, w), k in zip(atoms, wc)],
+        [w.denominator * k for (_, w), k in zip(atoms, wc)],
+    )
+
+
+_TRAPEZOID = PolyFunc(
+    ((Fraction(-1), Fraction(0)), (Fraction(1, 3), Fraction(2)), (Fraction(5, 2), Fraction(2)),
+     (Fraction(3), Fraction(0))),
+    "zero-outside",
+)
+_CLAMP = PolyFunc(((Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(1))), "constant-extend")
+_STEP = PolyFunc(((Fraction(1, 2), Fraction(-3, 4)),), "constant-extend")
 
 
 class TestIntegratePolyOnAtoms:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(polys_and_atoms())
+    # an atom on every vertex, of either extension
+    @example((_TRAPEZOID, DiscreteMeasure(tuple((x, Fraction(1, 3)) for x, _ in _TRAPEZOID.vertices))))
+    @example((_CLAMP, DiscreteMeasure.from_ints([-2, 2, 6], [2, 2, 3], [1, 1, 1], [4, 2, 2])))
+    # an atom between a vertex and the floor of that vertex on the atoms' lattice
+    @example((_TRAPEZOID, DiscreteMeasure.point(0)))
+    # one vertex: every atom is left of, on, or right of it
+    @example((_STEP, DiscreteMeasure(((Fraction(-1), 1), (Fraction(1, 2), Fraction(1, 5)), (Fraction(7), 2)))))
+    @example((_STEP, DiscreteMeasure.zero()))
+    @example((_TRAPEZOID, DiscreteMeasure.zero()))
     def test_sweep_matches_pointwise_sum(self, case):
         p, mu = case
-        assert integrate_poly(p, mu) == sum((w * p(loc) for loc, w in mu.atoms), Fraction(0))
+        lazy = "atoms" not in vars(mu)
+        got = integrate_poly(p, mu)
+        if lazy:  # a from_ints measure is integrated on its lattice alone
+            assert "atoms" not in vars(mu)
+        assert got == integrate_poly_atom_sweep(p, mu)
+        assert got == sum((w * p(loc) for loc, w in mu.atoms), Fraction(0))
 
 
 class TestSpelledAtoms:
