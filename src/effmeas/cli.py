@@ -55,7 +55,7 @@ from .fileformat import (
     parse_measure,
     parse_modulus,
 )
-from .functions import co_name_of_poly, supported_from_poly
+from .functions import co_name_of_poly
 from .measures import DiscreteMeasure, integrate_poly
 from .prokhorov import (
     eps_function,
@@ -212,16 +212,15 @@ def cmd_demo_specker(args) -> int:
     poly, kind = _resolve_function(args.function or "hat")
     if kind != "supported":
         raise ParseError(1, "the demo needs a compactly supported function")
-    f = supported_from_poly(poly)
-    mod = sp.vague_modulus(f)
-    idx = mod.of(0)
+    idx = sp.vague_modulus(poly).of(0)
     top, last = idx + args.fuel, args.fuel  # the last row and the last lower bound
     if horizon is not None:  # a file's values end: the row at idx is the first one checked
         if horizon < idx:
             msg = f"enumeration {args.enum!r} holds {horizon + 1} values, needs {idx + 1}"
             raise ParseError(None, msg)
         top, last = min(top, horizon), min(last, horizon)
-    hull_hi = f.support.exact_hull[1]
+    comps = poly.support_components()
+    hull_hi = comps[-1][1] if comps else 0  # from the polygon, not the oracle
     limit_val = sum(
         (sp.weight(i) * poly(Fraction(i)) for i in range(max(0, hull_hi.__ceil__()) + 1)),
         Fraction(0),
@@ -261,7 +260,7 @@ def cmd_verify(args) -> int:
         if args.mode == "weak":
             if construct:
                 if corpus is not None and corpus.weak_oracle is not None:
-                    mod = corpus.weak_oracle((co_name_of_poly(poly), poly.bound()))
+                    mod = corpus.weak_oracle(poly)
                 else:
                     mod = weak_modulus(seq, limit, co_name_of_poly(poly), poly.bound())
             else:
@@ -269,12 +268,11 @@ def cmd_verify(args) -> int:
         elif args.mode == "vague":
             if kind != "supported":
                 raise ParseError(1, "vague verification needs a supported function")
-            f = supported_from_poly(poly)
             if construct:
                 if corpus is not None:
-                    mod = corpus.vague_oracle(f)
+                    mod = corpus.vague_oracle(poly)
                 else:
-                    mod = sp.vague_modulus(f)
+                    mod = sp.vague_modulus(poly)
             else:
                 mod = cert_mod
         else:  # vague-to-weak

@@ -24,6 +24,7 @@ from .functions import (
     PolyFunc,
     SupportedFunc,
     approx_polygonal,
+    indicator_approx,
     polygonal_on_window,
     supported_from_poly,
     tent_function,
@@ -307,7 +308,10 @@ def vague_modulus(
     return _integral_modulus(seq, limit, f, max_n, window)
 
 
-VagueOracle = Callable[[SupportedFunc], Modulus]
+# A vague oracle: a modulus for the integrals of each zero-outside polygon.
+# The converters hand it only polygons they build (tents, indicator
+# trapezoids, surrogates); uniformize_vague extends it to any named f.
+VagueOracle = Callable[[PolyFunc], Modulus]
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +327,9 @@ def uniformize_vague(
 ) -> int:
     """Uniform modulus for an arbitrary compactly supported named function.
 
+    The uniform notion of vague convergence, built from the non-uniform
+    one: ``oracle`` answers only for zero-outside polygons, and this is the
+    one route from those per-polygon moduli to a named ``f``.
     Dominating-tent construction: a plateau-1 tent T over the integer hull
     of supp f caps the local mass, a polygonal surrogate psi is taken
     2^-(N+2)/(1 + int T dmu_n0)-close to f, and the oracle's index for psi
@@ -334,13 +341,11 @@ def uniformize_vague(
     F = l.__floor__() - 1
     C = u.__ceil__() + 1
     tent = tent_function((Fraction(F), Fraction(C)))
-    tent_s = supported_from_poly(tent)
-    tent_mod = oracle(tent_s)
-    n0 = tent_mod.of(1)
-    d_up = integrate_named(tent_s, seq[n0], 6) + _pow2(6)
+    n0 = oracle(tent).of(1)
+    d_up = integrate_named(supported_from_poly(tent), seq[n0], 6) + _pow2(6)
     tol = _pow2(N + 2) / (1 + d_up)
     psi = approx_polygonal(f, tol)
-    n1 = oracle(supported_from_poly(psi)).of(N + 1)
+    n1 = oracle(psi).of(N + 1)
     return max(n0, n1)
 
 
@@ -382,14 +387,12 @@ class SpeckerSequence:
             tuple((Fraction(i), self.weight(i)) for i in range(n + 1))
         )
 
-    def vague_modulus(self, f: SupportedFunc) -> Modulus:
-        hull = f.support.exact_hull
-        if hull is not None:
-            u = hull[1]
-        else:
-            _, u = compact_hull_bounds(f.support, 8)
-        idx = max(0, u.__ceil__()) + 1
-        return Modulus.constant(idx)
+    def vague_modulus(self, p: PolyFunc) -> Modulus:
+        """Constant index 1 + the least natural number >= sup supp p (1 for
+        the zero polygon): every atom at or beyond it is outside supp p."""
+        comps = p.support_components()
+        u = comps[-1][1] if comps else 0
+        return Modulus.constant(max(0, u.__ceil__()) + 1)
 
     def vague_oracle(self) -> VagueOracle:
         return self.vague_modulus
@@ -462,13 +465,14 @@ def validate_total_mass_modulus(
         )
 
 
+_TAIL_MAX_DOUBLINGS = 24  # tent half-widths 1, 2, 4, ... tail_mass_bound tries
+
+
 def tail_mass_bound(
     seq: MeasureSeq,
     tm: TotalMassModulus,
     oracle: VagueOracle,
     N: int,
-    *,
-    max_doublings: int = 24,
 ) -> tuple[int, int]:
     """(a, n0) with mu_n(R \\ [-a, a]) < 2^-N for all n >= n0.
 
@@ -479,11 +483,11 @@ def tail_mass_bound(
     i_m = tm.of(prec)
     m_apx = seq.total_mass(i_m)
     a = 1
-    for _ in range(max_doublings):
-        tent_s = supported_from_poly(tent_function((Fraction(-a), Fraction(a))))
-        mod = oracle(tent_s)
+    for _ in range(_TAIL_MAX_DOUBLINGS):
+        tent = tent_function((Fraction(-a), Fraction(a)))
+        mod = oracle(tent)
         j = mod.of(prec)
-        l_apx = integrate_named(tent_s, seq[j], prec)
+        l_apx = integrate_named(supported_from_poly(tent), seq[j], prec)
         if m_apx - l_apx + 4 * _pow2(prec) <= _pow2(N + 2):
             n0 = max(tm.of(N + 3), mod.of(N + 3))
             return a + 1, n0
@@ -567,7 +571,7 @@ def vague_to_weak(
                 witness=(m_apx, lim_mass),
             )
     _, n1, psi = polygonal_surrogate(f_name, B, N + 2, seq, limit, tm, oracle)
-    n2 = oracle(supported_from_poly(psi)).of(N + 1)
+    n2 = oracle(psi).of(N + 1)
     return max(n1, n2)
 
 
@@ -592,17 +596,15 @@ class ReconstructedMeasure(Measure):
         return self._total
 
     def interval_mass_lower(self, a, b) -> LowerReal:
-        from .functions import indicator_approx
-
         a, b = Fraction(a), Fraction(b)
 
         def gen():
             best = None
             for t in itertools.count():
-                t_k = supported_from_poly(indicator_approx((a, b), t))
+                t_k = indicator_approx((a, b), t)
                 prec = t + 2
                 j = self.oracle(t_k).of(prec)
-                val = integrate_named(t_k, self.seq[j], prec)
+                val = integrate_named(supported_from_poly(t_k), self.seq[j], prec)
                 lower = max(val - 2 * _pow2(prec), Fraction(0))
                 best = lower if best is None else max(best, lower)
                 yield best

@@ -18,36 +18,14 @@ from .convergence import (
     Modulus,
     SpeckerSequence,
     TotalMassModulus,
+    VagueOracle,
     _check_index,
     specker_sequence,
 )
 from .errors import UnsupportedMeasureClass
-from .functions import (
-    CompactOpenName,
-    PolyFunc,
-    SupportedFunc,
-    constant_func,
-    hat_function,
-)
+from .functions import PolyFunc, constant_func, hat_function
 from .measures import AlmostDecidablePair, DiscreteMeasure, Measure
 from .reals import _fraction, _pow2
-
-
-def _poly_backing(f) -> PolyFunc:
-    """Exact polygonal backing of a named function, for analytic oracles."""
-    if isinstance(f, SupportedFunc):
-        p = f.poly
-    elif isinstance(f, tuple):
-        p = getattr(f[0], "poly", None)
-    elif isinstance(f, CompactOpenName):
-        p = getattr(f, "poly", None)
-    else:
-        p = None
-    if p is None:
-        raise UnsupportedMeasureClass(
-            "analytic corpus oracles need a polygonal-backed function name"
-        )
-    return p
 
 
 def _first_below(target: Fraction) -> int:
@@ -71,8 +49,8 @@ class Corpus:
     name: str
     seq: MeasureSeq
     limit: Measure
-    vague_oracle: Callable[[SupportedFunc], Modulus]
-    weak_oracle: Optional[Callable] = None
+    vague_oracle: VagueOracle
+    weak_oracle: Optional[Callable[[PolyFunc], Modulus]] = None
     tm: Optional[TotalMassModulus] = None
     ad_modulus: Optional[Callable[[AlmostDecidablePair], Modulus]] = None
 
@@ -115,9 +93,10 @@ class DriftingAtomFamily(MeasureSeq):
     def limit(self) -> DiscreteMeasure:
         return DiscreteMeasure(tuple((x, w) for x, w, _ in self.atoms))
 
-    def integral_oracle(self, f) -> Modulus:
-        """|int f dmu_n - int f dmu| <= total * L * 2^-n for Lipschitz L."""
-        p = _poly_backing(f)
+    def integral_oracle(self, p: PolyFunc) -> Modulus:
+        """|int p dmu_n - int p dmu| <= total * L * 2^-n, L the Lipschitz
+        constant of the polygon ``p``, which may be zero-outside (the vague
+        oracle) or any bounded polygon (the weak one)."""
         lw = p.lipschitz() * self.total
         if lw == 0:
             return Modulus.constant(0)
@@ -182,9 +161,8 @@ def deltadrift(loc: Fraction = Fraction(1)) -> Corpus:
 # the escaping-atom family: vaguely null, not weakly convergent
 
 
-def _deltan_vague_oracle(f) -> Modulus:
-    """Constant index: once n clears sup supp f, all integrals vanish."""
-    p = _poly_backing(f)
+def _deltan_vague_oracle(p: PolyFunc) -> Modulus:
+    """Constant index: once n clears sup supp p, all integrals vanish."""
     if p.extension != "zero-outside":
         raise UnsupportedMeasureClass("need a compactly supported function")
     comps = p.support_components()

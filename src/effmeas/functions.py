@@ -2,9 +2,11 @@
 
 A :class:`PolyFunc` is piecewise linear with rational vertices and one of
 two extension rules.  A :class:`CompactOpenName` names a continuous function
-by sound (compact interval, open interval) range pairs; concrete names in
-this package are backed by exact piecewise-linear range arithmetic, but
-every consumer goes through the box interface only.
+by sound (compact interval, open interval) range pairs.  A name made by
+:func:`co_name_of_poly` keeps its polygon as ``poly``, the one place a
+function's exact backing is kept: approximation and integration read that
+polygon itself, where fitting it through range boxes would only rebuild
+it, and every other name is read through its boxes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .streams import Stream
 
 CONST = "constant-extend"
 ZERO = "zero-outside"
+_FIT_MAX_DEPTH = 64  # range-box bisections before a fit gives up
+_HULL_ROUND = 8  # precision of the support hull bounds approx_polygonal reads
 
 
 @dataclass(frozen=True)
@@ -234,12 +238,14 @@ class CompactOpenName:
     ``range_box(a, b, tol)`` returns a closed [lo, hi] containing f[[a,b]]
     and at most ``tol`` wider than the exact range.  The enumeration lists,
     in the fixed code order, every (compact I, open J) pair with f[I]
-    strictly inside J.
+    strictly inside J.  ``poly`` is the polygon an exact name is backed by,
+    or ``None`` for an opaque name.
     """
 
-    def __init__(self, range_fn, exact: bool = True):
+    def __init__(self, range_fn, exact: bool = True, poly: "PolyFunc | None" = None):
         self._range_fn = range_fn
         self.exact = exact
+        self.poly = poly
 
         def pairs():
             for n in itertools.count():
@@ -267,25 +273,21 @@ def co_name_of_poly(p: PolyFunc) -> CompactOpenName:
     def range_fn(a, b, _tol):
         return p.exact_range(a, b)
 
-    name = CompactOpenName(range_fn, exact=True)
-    name.poly = p  # exact backing, used by analytic corpus oracles
-    return name
+    return CompactOpenName(range_fn, exact=True, poly=p)
 
 
 @dataclass(frozen=True)
 class SupportedFunc:
     """A continuous function bundled with a name of its compact support.
 
-    ``poly`` optionally records an exact polygonal backing, which analytic
-    oracles read to certify Lipschitz constants and exact values.  Generic
-    algorithms use only the name, under one rule: a name with an exact
-    backing (:func:`_exact_backing`) is that polygon, so fitting it through
-    range boxes would only rebuild it.
+    The input of :func:`~effmeas.convergence.uniformize_vague` and of
+    :func:`~effmeas.measures.integrate_named`.  An exact backing, if any, is
+    the name's ``poly`` (:func:`_exact_backing`); vague oracles take that
+    polygon itself, never a ``SupportedFunc``.
     """
 
     name: CompactOpenName
     support: CompactName
-    poly: "PolyFunc | None" = None
 
 
 def supported_from_poly(p: PolyFunc) -> SupportedFunc:
@@ -294,7 +296,7 @@ def supported_from_poly(p: PolyFunc) -> SupportedFunc:
     comps = p.support_components()
     if not comps:
         comps = ((Fraction(0), Fraction(0)),)  # zero function: any null set works
-    return SupportedFunc(co_name_of_poly(p), compact_from_closed_union(comps), p)
+    return SupportedFunc(co_name_of_poly(p), compact_from_closed_union(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +306,7 @@ def supported_from_poly(p: PolyFunc) -> SupportedFunc:
 def _exact_backing(name: CompactOpenName) -> "PolyFunc | None":
     """The polygon an exact name is backed by (:func:`co_name_of_poly`), or
     ``None`` for an opaque or inexact name, which is fitted by range boxes."""
-    backing = getattr(name, "poly", None)
-    return backing if backing is not None and name.exact else None
+    return name.poly if name.exact else None
 
 
 def _fit(
@@ -346,8 +347,7 @@ def _fit(
 
 
 def polygonal_on_window(
-    name: CompactOpenName, a, b, err, *, va=None, vb=None, extension=CONST,
-    max_depth: int = 64,
+    name: CompactOpenName, a, b, err, *, va=None, vb=None, extension=CONST
 ) -> PolyFunc:
     """A rational polygonal function within err of the named f on [a, b]."""
     a, b, err = _fraction(a), _fraction(b), _fraction(err)
@@ -374,12 +374,12 @@ def polygonal_on_window(
 
     va = node(a, va)
     vb = node(b, vb)
-    interior = _fit(name, a, va, b, vb, err, max_depth)
+    interior = _fit(name, a, va, b, vb, err, _FIT_MAX_DEPTH)
     verts = [(a, va)] + interior + [(b, vb)]
     return PolyFunc(tuple(verts), extension)
 
 
-def approx_polygonal(f: SupportedFunc, err, *, hull_round: int = 8) -> PolyFunc:
+def approx_polygonal(f: SupportedFunc, err) -> PolyFunc:
     """Lemma-style polygonal approximation of a compactly supported function.
 
     Picks rationals p < min supp f and q > max supp f inside the integer
@@ -398,7 +398,7 @@ def approx_polygonal(f: SupportedFunc, err, *, hull_round: int = 8) -> PolyFunc:
     backing = _exact_backing(f.name)
     if backing is not None and backing.extension == ZERO:
         return backing
-    l, u = compact_hull_bounds(f.support, hull_round)
+    l, u = compact_hull_bounds(f.support, _HULL_ROUND)
     # greatest integer strictly below l, smallest strictly above u
     fl = l.__ceil__() - 1
     cu = u.__floor__() + 1

@@ -37,6 +37,7 @@ class EpsFunction(Modulus):
 
 
 NOT_IN_CUT = "not in cut yet"
+_WITNESS_MAX_M = 64  # witness_from_eps tries neighbourhood radii 2^-k, k < this
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +507,6 @@ def witness_from_eps(
     eps: EpsFunction,
     C: PiSet,
     r: Union[Fraction, int],
-    *,
-    max_m: int = 64,
 ) -> Union[int, str]:
     """Index beyond which mu_n(C) < r, for r in the right cut of mu(C).
 
@@ -529,11 +528,11 @@ def witness_from_eps(
     m0 = 0
     while _pow2(m0) >= gap:
         m0 += 1
-    for n0_exp in range(max_m):
+    for n0_exp in range(_WITNESS_MAX_M):
         fat = expand_closed(comps, _pow2(n0_exp))
         if r - limit.mass_closed(fat) > _pow2(m0):
             return eps.of(m0 + n0_exp + 1)
     raise SearchExhausted(
-        f"search exhausted: no shrinking neighborhood certified within 2^-{max_m}"
+        f"search exhausted: no shrinking neighborhood certified within 2^-{_WITNESS_MAX_M}"
     )
 

@@ -1,5 +1,5 @@
 """Mutation check for the Prokhorov kernels, exact integration, the measure protocol, the
-file reader and the CLI.
+vague oracles' callers, the file reader and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -36,6 +36,7 @@ PROKHOROV = "src/effmeas/prokhorov.py"
 MEASURES = "src/effmeas/measures.py"
 FILEFORMAT = "src/effmeas/fileformat.py"
 FUNCTIONS = "src/effmeas/functions.py"
+CONVERGENCE = "src/effmeas/convergence.py"
 CLI = "src/effmeas/cli.py"
 PROKHOROV_TESTS = ("tests/test_prokhorov.py",)
 TIMEOUT_S = 600  # per pytest run; an unmutated run takes well under a minute
@@ -178,10 +179,25 @@ MUTANTS = (
     ),
     Mutant(
         "backing: an inexact name taken as its backing",
-        "return backing if backing is not None and name.exact else None",
-        "return backing",
+        "return name.poly if name.exact else None",
+        "return name.poly",
         file=FUNCTIONS,
         tests=("tests/test_functions.py::TestPolygonalApproximation",),
+    ),
+    # the vague oracles: what they are asked, and the Specker one's answer
+    Mutant(
+        "uniformize: the tent's index taken for the surrogate",
+        "n1 = oracle(psi).of(N + 1)",
+        "n1 = oracle(tent).of(N + 1)",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestUniformizer",),
+    ),
+    Mutant(
+        "specker oracle: the support's left end read",
+        "u = comps[-1][1] if comps else 0",
+        "u = comps[0][0] if comps else 0",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestSpecker",),
     ),
     # discretisation through the measure protocol
     Mutant(

@@ -168,6 +168,27 @@ class TestDemoSpecker:
         assert code == 1 and "certificate error" in err
 
 
+class TestZeroSupportBytes:
+    """The zero polygon has an empty support: its Specker index is 1, and the
+    demo's limit value reads atom 0 alone.  Bytes pinned from the CLI as it
+    was when oracles still took a ``SupportedFunc``."""
+
+    def test_demo_specker_zero_function(self, capsys):
+        code, out, err = run(capsys, "demo", "specker", "--function", "zero")
+        rows = "".join(f"0,1,{n},0,0,pass\n" for n in range(12))
+        bounds = "".join(f"#   fuel {k}: {2 ** (k + 1) - 1}/{2 ** (k + 1)}\n" for k in range(0, 11, 2))
+        assert (code, err) == (0, "")
+        assert out == (
+            "N,index,checked_n,quantity,bound,result\n" + rows
+            + "# total-mass lower bounds (hidden oracle; strictly partial):\n" + bounds
+        )
+
+    def test_verify_vague_specker_zero(self, capsys):
+        code, out, err = run(capsys, "verify", "vague", "specker", "zero", "zero", "1..3")
+        rows = "".join(f"{N},1,{n},0,1/{2 ** N},pass\n" for N in (1, 2, 3) for n in range(1, 12))
+        assert (code, out, err) == (0, "N,index,checked_n,quantity,bound,result\n" + rows, "")
+
+
 class TestVerify:
     def test_weak_constructed(self, capsys):
         code, out, _ = run(

@@ -300,12 +300,10 @@ class TestUniformizer:
 
     def test_works_with_scanning_oracle(self):
         c = deltashrink()
-
-        def oracle(f):  # a scanned vague modulus per function
-            return vague_modulus(c.seq, c.limit, f)
-
         f = supported_from_poly(HAT)
-        n0 = uniformize_vague(c.seq, c.limit, oracle, f, 4)
+        n0 = uniformize_vague(  # a scanned vague modulus per polygon
+            c.seq, c.limit, lambda p: vague_modulus(c.seq, c.limit, supported_from_poly(p)), f, 4
+        )
         lim = integrate_poly(HAT, c.limit)
         for n in range(n0, n0 + 8):
             assert abs(integrate_poly(HAT, c.seq[n]) - lim) < _pow2(4)
@@ -314,11 +312,16 @@ class TestUniformizer:
 class TestSpecker:
     def test_modulus_index_and_constancy(self):
         sp = specker_sequence(iter(range(100)))
-        f = supported_from_poly(HAT)
-        m = sp.vague_modulus(f)
+        m = sp.vague_modulus(HAT)
         assert m.of(0) == 4  # ceil(5/2) + 1
         vals = {integrate_poly(HAT, sp.seq[n]) for n in range(4, 20)}
         assert vals == {Fraction(1, 4)}  # frozen exact value, identity enumeration
+
+    def test_zero_polygon_index_is_one(self):
+        sp = specker_sequence(iter(range(100)))
+        zero, _ = builtin_function("zero")
+        assert zero.support_components() == ()
+        assert sp.vague_oracle()(zero).of(0) == 1
 
     def test_integrals_before_the_index_differ(self):
         sp = specker_sequence(iter(range(100)))
@@ -473,6 +476,29 @@ class TestVagueToWeak:
         one = constant_func(Fraction(1))
         with pytest.raises(DivergenceDetected):
             vague_to_weak(dn.seq, dn.limit, dn.tm, dn.vague_oracle, co_name_of_poly(one), 1, 3)
+
+
+# every converter that asks a vague oracle, on the mixture corpus
+ORACLE_CALLERS = {
+    "uniformize_vague": lambda c, o: uniformize_vague(c.seq, c.limit, o, supported_from_poly(HAT), 4),
+    "vague_to_weak": lambda c, o: vague_to_weak(
+        c.seq, c.limit, c.tm, o, co_name_of_poly(constant_func(Fraction(1))), 1, 3
+    ),
+    "tail_mass_bound": lambda c, o: tail_mass_bound(c.seq, c.tm, o, 4),
+    "interval_mass_lower": lambda c, o: limit_from_vague(
+        c.seq, o, CauchyReal.from_rational(1)
+    ).interval_mass_lower(Fraction(-1), Fraction(1)).bound(4),
+}
+
+
+class TestVagueOracleContract:
+    @pytest.mark.parametrize("call", ORACLE_CALLERS.values(), ids=ORACLE_CALLERS)
+    def test_oracle_is_asked_only_about_zero_outside_polygons(self, call):
+        c = mixture()
+        asked = []
+        call(c, lambda p: asked.append(p) or c.vague_oracle(p))
+        assert asked
+        assert all(isinstance(p, PolyFunc) and p.extension == "zero-outside" for p in asked)
 
 
 class TestLimitReconstruction:

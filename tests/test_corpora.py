@@ -17,6 +17,8 @@ from effmeas import (
     MeasureSeq,
     Modulus,
     PolyFunc,
+    UnsupportedMeasureClass,
+    constant_func,
     limit_from_vague,
     specker_sequence,
     supported_from_poly,
@@ -26,6 +28,7 @@ from effmeas import (
 from effmeas.convergence import validate_total_mass_modulus
 from effmeas.corpora import (
     DriftingAtomFamily,
+    _deltan_vague_oracle,
     _first_below,
     builtin_function,
     corpus_by_name,
@@ -215,3 +218,13 @@ class TestDriftingAtomFamily:
                 co_name_of_poly(p), int(p.bound().__ceil__()), N,
             )
             assert len(built) <= 2, built
+
+
+class TestDeltanOracle:
+    def test_constant_extend_polygon_refused(self):
+        with pytest.raises(UnsupportedMeasureClass, match="compactly supported"):
+            _deltan_vague_oracle(constant_func(Fraction(1)))
+
+    def test_zero_polygon_index_is_zero(self):
+        zero, _ = builtin_function("zero")
+        assert _deltan_vague_oracle(zero).of(0) == 0

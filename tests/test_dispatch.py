@@ -5,6 +5,11 @@ protocol.  An ``isinstance`` test against a ``Measure`` class is allowed
 only where the class itself is the question: the discrete-only guards of
 ``prokhorov_discrete`` and ``eps_from_weak``, the file writer's choice of
 format, and the CLI's choice between an exact distance and a bracket.
+
+A function's kind is fixed by the contract of its consumer: a vague oracle
+takes a ``PolyFunc``, :func:`~effmeas.convergence.uniformize_vague` a
+``SupportedFunc``.  The one place that takes either kind of name, and so
+tests it, is :func:`~effmeas.measures.integrate_named`.
 """
 
 import ast
@@ -15,6 +20,7 @@ from effmeas.measures import Measure
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "effmeas"
 ALLOWED = {"prokhorov_discrete", "eps_from_weak", "serialize_measure", "cmd_prokhorov"}
+FUNCTION_CLASSES = {"SupportedFunc", "CompactOpenName", "PolyFunc"}
 
 
 def measure_class_names() -> set[str]:
@@ -75,3 +81,12 @@ def test_measure_classes_are_dispatched_only_where_the_class_is_the_question():
             if owner not in ALLOWED:
                 stray.append(f"{path.name}:{line} in {owner}")
     assert stray == []
+
+
+def test_function_kinds_are_dispatched_only_in_integrate_named():
+    owners = [
+        (path.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, _ in measure_dispatch_sites(path.read_text(), FUNCTION_CLASSES)
+    ]
+    assert owners == [("measures.py", "integrate_named")]

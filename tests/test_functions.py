@@ -260,7 +260,7 @@ class TestPolygonalApproximation:
         support = supported_from_poly(p).support
         err = _pow2(8)
         for name in (opaque_name_of(p), opaque_name_of(p, slop=_pow2(12)), inexact):
-            psi = approx_polygonal(SupportedFunc(name, support, p), err)
+            psi = approx_polygonal(SupportedFunc(name, support), err)
             assert psi is not p and psi.extension == "zero-outside"
             (x0, y0), (x1, y1) = psi.vertices[0], psi.vertices[-1]
             assert x0 < 0 and x1 > Fraction(5, 2) and y0 == y1 == 0
