@@ -23,10 +23,9 @@ from .errors import (
 from .functions import (
     PolyFunc,
     SupportedFunc,
+    _window_vertices,
     approx_polygonal,
     indicator_approx,
-    polygonal_on_window,
-    supported_from_poly,
     tent_function,
 )
 from .measures import DiscreteMeasure, LazyDiscreteMeasure, Measure, integrate_named
@@ -342,7 +341,7 @@ def uniformize_vague(
     C = u.__ceil__() + 1
     tent = tent_function((Fraction(F), Fraction(C)))
     n0 = oracle(tent).of(1)
-    d_up = integrate_named(supported_from_poly(tent), seq[n0], 6) + _pow2(6)
+    d_up = seq[n0].integrate_zero_outside(tent, 6) + _pow2(6)
     tol = _pow2(N + 2) / (1 + d_up)
     psi = approx_polygonal(f, tol)
     n1 = oracle(psi).of(N + 1)
@@ -487,7 +486,7 @@ def tail_mass_bound(
         tent = tent_function((Fraction(-a), Fraction(a)))
         mod = oracle(tent)
         j = mod.of(prec)
-        l_apx = integrate_named(supported_from_poly(tent), seq[j], prec)
+        l_apx = seq[j].integrate_zero_outside(tent, prec)
         if m_apx - l_apx + 4 * _pow2(prec) <= _pow2(N + 2):
             n0 = max(tm.of(N + 3), mod.of(N + 3))
             return a + 1, n0
@@ -518,13 +517,9 @@ def polygonal_surrogate(
     masses = (seq.total_mass(n) for n in range(i0 + 1))
     mass_bound = max(masses, default=Fraction(0)) + 2
     tol = _pow2(N + 1) / (mass_bound + 1)
-    core = polygonal_on_window(f_name, Fraction(-a1), Fraction(a1), tol)
-    verts = (
-        [(Fraction(-W), Fraction(0))]
-        + list(core.vertices)
-        + [(Fraction(W), Fraction(0))]
-    )
-    psi = PolyFunc(tuple(verts), "zero-outside")
+    core = _window_vertices(f_name, Fraction(-a1), Fraction(a1), tol)
+    zero = Fraction(0)
+    psi = PolyFunc(tuple([(Fraction(-W), zero)] + core + [(Fraction(W), zero)]), "zero-outside")
 
     lim_tail = limit.exact_total_mass()
     if lim_tail is not None:
@@ -563,8 +558,8 @@ def vague_to_weak(
     lim_mass = limit.exact_total_mass()
     if lim_mass is not None:
         p = N + 6
-        m_apx = seq[tm.of(p)].exact_total_mass()
-        if m_apx is not None and abs(m_apx - lim_mass) - _pow2(p) > 0:
+        m_apx = seq.total_mass(tm.of(p))
+        if abs(m_apx - lim_mass) - _pow2(p) > 0:
             raise DivergenceDetected(
                 "divergence detected: the total masses converge to "
                 f"{m_apx} (within 2^-{p}) but the limit has mass {lim_mass}",
@@ -604,7 +599,7 @@ class ReconstructedMeasure(Measure):
                 t_k = indicator_approx((a, b), t)
                 prec = t + 2
                 j = self.oracle(t_k).of(prec)
-                val = integrate_named(supported_from_poly(t_k), self.seq[j], prec)
+                val = self.seq[j].integrate_zero_outside(t_k, prec)
                 lower = max(val - 2 * _pow2(prec), Fraction(0))
                 best = lower if best is None else max(best, lower)
                 yield best

@@ -31,6 +31,7 @@ CONST = "constant-extend"
 ZERO = "zero-outside"
 _FIT_MAX_DEPTH = 64  # range-box bisections before a fit gives up
 _HULL_ROUND = 8  # precision of the support hull bounds approx_polygonal reads
+_ZERO = Fraction(0)  # immutable, so shared by every polygon built here
 
 
 @dataclass(frozen=True)
@@ -114,17 +115,15 @@ class PolyFunc:
     def lipschitz(self) -> Fraction:
         """The largest |slope| of a piece, 0 for a single vertex.
 
-        Each piece's |dy|/dx is an ``int`` pair n/d, d > 0, compared with
-        the steepest so far by cross-multiplying, so the only ``Fraction``
-        built is the answer.
+        Each vertex's four ``int``s are read once; each piece's |dy|/dx is
+        an ``int`` pair n/d, d > 0, compared with the steepest so far by
+        cross-multiplying, so the only ``Fraction`` built is the answer.
         """
         bn, bd = 0, 1
-        verts = self.vertices
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            n = abs(y1.numerator * y0.denominator - y0.numerator * y1.denominator)
-            d = x1.numerator * x0.denominator - x0.numerator * x1.denominator
-            n *= x0.denominator * x1.denominator
-            d *= y0.denominator * y1.denominator
+        ints = [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in self.vertices]
+        for (xn0, xd0, yn0, yd0), (xn1, xd1, yn1, yd1) in zip(ints, ints[1:]):
+            n = abs(yn1 * yd0 - yn0 * yd1) * xd0 * xd1
+            d = (xn1 * xd0 - xn0 * xd1) * yd0 * yd1
             if n * bd > bn * d:
                 bn, bd = n, d
         return Fraction(bn, bd)
@@ -191,19 +190,13 @@ def hat_function(left, peak_x, right, peak_y=1) -> PolyFunc:
 
 def tent_function(interval) -> PolyFunc:
     """The plateau-1 tent over [c, d] with unit ramps; support [c-1, d+1]."""
-    c, d = (Fraction(interval[0]), Fraction(interval[1]))
+    c, d = _fraction(interval[0]), _fraction(interval[1])
     if c > d:
         raise MalformedInterval("need c <= d")
+    one = _pow2(0)
     if c == d:
-        verts = ((c - 1, Fraction(0)), (c, Fraction(1)), (c + 1, Fraction(0)))
-    else:
-        verts = (
-            (c - 1, Fraction(0)),
-            (c, Fraction(1)),
-            (d, Fraction(1)),
-            (d + 1, Fraction(0)),
-        )
-    return PolyFunc(verts, ZERO)
+        return PolyFunc(((c - 1, _ZERO), (c, one), (c + 1, _ZERO)), ZERO)
+    return PolyFunc(((c - 1, _ZERO), (c, one), (d, one), (d + 1, _ZERO)), ZERO)
 
 
 def indicator_approx(interval, k: int) -> PolyFunc:
@@ -212,20 +205,16 @@ def indicator_approx(interval, k: int) -> PolyFunc:
     The plateau is shrunk by 2^-k * |I|/2 per side, so T_k <= T_{k+1}
     pointwise, supp T_k = closure(I), and T_k increases to the indicator.
     """
-    a, b = Fraction(interval[0]), Fraction(interval[1])
+    a, b = _fraction(interval[0]), _fraction(interval[1])
     if not a < b:
         raise MalformedInterval("need a nondegenerate open interval")
     if k < 0:
         raise ValueError("k must be a natural number")
     s = (b - a) / 2 * _pow2(k)
+    one = _pow2(0)
     if 2 * s >= b - a:
-        mid = (a + b) / 2
-        return PolyFunc(((a, Fraction(0)), (mid, Fraction(1)), (b, Fraction(0))), ZERO)
-    return PolyFunc(
-        ((a, Fraction(0)), (a + s, Fraction(1)), (b - s, Fraction(1)),
-         (b, Fraction(0))),
-        ZERO,
-    )
+        return PolyFunc(((a, _ZERO), ((a + b) / 2, one), (b, _ZERO)), ZERO)
+    return PolyFunc(((a, _ZERO), (a + s, one), (b - s, one), (b, _ZERO)), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +269,12 @@ def co_name_of_poly(p: PolyFunc) -> CompactOpenName:
 class SupportedFunc:
     """A continuous function bundled with a name of its compact support.
 
-    The input of :func:`~effmeas.convergence.uniformize_vague` and of
+    Only the input of :func:`~effmeas.convergence.uniformize_vague` and of
     :func:`~effmeas.measures.integrate_named`.  An exact backing, if any, is
     the name's ``poly`` (:func:`_exact_backing`); vague oracles take that
-    polygon itself, never a ``SupportedFunc``.
+    polygon itself, never a ``SupportedFunc``, and the converters integrate
+    the polygons they build through
+    :meth:`~effmeas.measures.Measure.integrate_zero_outside`, unwrapped.
     """
 
     name: CompactOpenName
@@ -350,6 +341,12 @@ def polygonal_on_window(
     name: CompactOpenName, a, b, err, *, va=None, vb=None, extension=CONST
 ) -> PolyFunc:
     """A rational polygonal function within err of the named f on [a, b]."""
+    return PolyFunc(tuple(_window_vertices(name, a, b, err, va, vb)), extension)
+
+
+def _window_vertices(name: CompactOpenName, a, b, err, va=None, vb=None) -> list:
+    """The vertices of :func:`polygonal_on_window`'s polygon, from a to b,
+    for a caller that adds vertices before building the one ``PolyFunc``."""
     a, b, err = _fraction(a), _fraction(b), _fraction(err)
     if err <= 0:
         raise ValueError("err must be positive")
@@ -363,8 +360,7 @@ def polygonal_on_window(
         # agree with f.  Range-box fitting below handles opaque names.
         va0, vb0 = backing(a), backing(b)
         if (va is None or _fraction(va) == va0) and (vb is None or _fraction(vb) == vb0):
-            interior = [(x, y) for x, y in backing.vertices if a < x < b]
-            return PolyFunc(tuple([(a, va0)] + interior + [(b, vb0)]), extension)
+            return [(a, va0)] + [(x, y) for x, y in backing.vertices if a < x < b] + [(b, vb0)]
 
     def node(x, forced):
         if forced is not None:
@@ -374,9 +370,7 @@ def polygonal_on_window(
 
     va = node(a, va)
     vb = node(b, vb)
-    interior = _fit(name, a, va, b, vb, err, _FIT_MAX_DEPTH)
-    verts = [(a, va)] + interior + [(b, vb)]
-    return PolyFunc(tuple(verts), extension)
+    return [(a, va)] + _fit(name, a, va, b, vb, err, _FIT_MAX_DEPTH) + [(b, vb)]
 
 
 def approx_polygonal(f: SupportedFunc, err) -> PolyFunc:

@@ -62,8 +62,9 @@ class Measure:
     - :meth:`total_mass_real`, :meth:`total_mass_upper`;
     - :meth:`region_mass_open`, :meth:`mass_closed` and :meth:`open_mass`,
       which is built on :meth:`region_mass_open`;
-    - :meth:`integrate_poly` (exact) and :meth:`integrate_supported`
-      (within 2^-n, built on :meth:`integrate_poly`);
+    - :meth:`integrate_poly` (exact) and, built on it and within 2^-n,
+      :meth:`integrate_zero_outside` for a ``zero-outside`` polygon and
+      :meth:`integrate_supported` for a named function;
     - :meth:`null_test`, for the null spheres of almost decidable balls;
     - :meth:`support_radius`;
     - :meth:`cells`, the finite discretisation the Prokhorov bounds search.
@@ -115,6 +116,11 @@ class Measure:
     def integrate_poly(self, p: PolyFunc) -> Fraction:
         """The exact integral of a polygonal function."""
         self._unsupported("exact integration")
+
+    def integrate_zero_outside(self, p: PolyFunc, n: int) -> Fraction:
+        """The integral of a ``zero-outside`` polygon within 2^-n: the exact
+        one, unless the class reveals its atoms lazily."""
+        return self.integrate_poly(p)
 
     def integrate_supported(self, f: SupportedFunc, n: int) -> Fraction:
         """The integral of a compactly supported named function within 2^-n."""
@@ -536,6 +542,24 @@ class LazyDiscreteMeasure(Measure):
             k += 1
         return DiscreteMeasure(tuple(self.prefix(k)))
 
+    def _atoms_to(self, hi: Fraction) -> DiscreteMeasure:
+        """The atoms at or left of ``hi``, for increasing locations: the
+        atom list is cut at the first one beyond it."""
+        atoms = []
+        for k in itertools.count():
+            loc, w = self.atom_stream[k]
+            if loc > hi:
+                return DiscreteMeasure(tuple(atoms))
+            atoms.append((loc, w))
+
+    def integrate_zero_outside(self, p: PolyFunc, n: int) -> Fraction:
+        """With increasing atom locations, exact: p is 0 past its last
+        vertex, where the atoms read are cut; otherwise the prefix whose
+        tail is small enough stands in for the measure."""
+        if self.locations_increasing:
+            return self._atoms_to(p.vertices[-1][0]).integrate_poly(p)
+        return integrate_poly(p, self.truncated(_pow2(n + 1) / (p.bound() + 1)))
+
     def integrate_supported(self, f: SupportedFunc, n: int) -> Fraction:
         """With increasing atom locations the support window cuts the atom
         list after finitely many pulls, so no tail bound is needed; otherwise
@@ -546,13 +570,7 @@ class LazyDiscreteMeasure(Measure):
             psi = approx_polygonal(f, tol)
             return integrate_poly(psi, self.truncated(_pow2(n + 1) / (psi.bound() + 1)))
         _, hull_hi = compact_hull_bounds(f.support, 8)
-        atoms = []
-        for k in itertools.count():
-            loc, w = self.atom_stream[k]
-            if loc > hull_hi:
-                break
-            atoms.append((loc, w))
-        return DiscreteMeasure(tuple(atoms)).integrate_supported(f, n)
+        return self._atoms_to(hull_hi).integrate_supported(f, n)
 
     def null_test(self) -> Callable[[Fraction], bool]:
         pred = self.location_predicate

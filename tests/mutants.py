@@ -184,6 +184,28 @@ MUTANTS = (
         file=FUNCTIONS,
         tests=("tests/test_functions.py::TestPolygonalApproximation",),
     ),
+    # the polygon entry: the converters' tents, trapezoids and surrogates
+    Mutant(
+        "polygon entry: lazy atoms cut at the first vertex",
+        "return self._atoms_to(p.vertices[-1][0]).integrate_poly(p)",
+        "return self._atoms_to(p.vertices[0][0]).integrate_poly(p)",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestIntegrateZeroOutside",),
+    ),
+    Mutant(
+        "polygon entry: the truncation's + 1 dropped",
+        "return integrate_poly(p, self.truncated(_pow2(n + 1) / (p.bound() + 1)))",
+        "return integrate_poly(p, self.truncated(_pow2(n) / (p.bound() + 1)))",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestIntegrateZeroOutside",),
+    ),
+    Mutant(
+        "vague_to_weak: the divergence test reads tm.of(N)",
+        "m_apx = seq.total_mass(tm.of(p))",
+        "m_apx = seq.total_mass(tm.of(N))",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestVagueToWeak",),
+    ),
     # the vague oracles: what they are asked, and the Specker one's answer
     Mutant(
         "uniformize: the tent's index taken for the surrogate",

@@ -45,7 +45,7 @@ from effmeas.convergence import (
     validate_total_mass_modulus,
 )
 from effmeas.corpora import builtin_function, corpus_by_name, deltan, deltashrink, mixture
-from effmeas.functions import co_name_of_poly
+from effmeas.functions import CompactOpenName, co_name_of_poly, polygonal_on_window
 from effmeas.reals import _pow2
 from tests.conftest import rand_supported_poly
 
@@ -70,6 +70,31 @@ def validate_total_mass_modulus_all_pairs(seq, tm, Ns, window):
                         f"|mu_{n1}(R) - mu_{n2}(R)| = {abs(m1 - m2)} >= 2^-{N - 1}",
                         witness=(N, n1, n2, abs(m1 - m2)),
                     )
+
+
+def polygonal_surrogate_two_builds(f_name, B, N, seq, limit, tm, oracle):
+    """The surrogate as a fitted ``PolyFunc`` on [-a1, a1] rebuilt with +-W
+    added, kept as the oracle for the one build from the fitted vertices."""
+    B = int(B)
+    Nt = N + 2 + (2 * B + 1).bit_length()
+    a1, n1 = tail_mass_bound(seq, tm, oracle, Nt)
+    W = a1 + 1
+    i0 = tm.of(0)
+    masses = (seq.total_mass(n) for n in range(i0 + 1))
+    mass_bound = max(masses, default=Fraction(0)) + 2
+    tol = _pow2(N + 1) / (mass_bound + 1)
+    core = polygonal_on_window(f_name, Fraction(-a1), Fraction(a1), tol)
+    verts = [(Fraction(-W), Fraction(0))] + list(core.vertices) + [(Fraction(W), Fraction(0))]
+    psi = PolyFunc(tuple(verts), "zero-outside")
+    lim_tail = limit.exact_total_mass()
+    if lim_tail is not None:
+        inside = limit.region_mass_open([(Fraction(-a1), Fraction(a1))])
+        if lim_tail - inside >= _pow2(Nt):
+            raise ContractViolation(
+                "limit measure carries more tail mass than the certified bound",
+                witness=(a1, lim_tail - inside),
+            )
+    return W, n1, psi
 
 
 def scan_for_index_forward(value_at, err, limit_value, limit_err, N, *, max_n, window):
@@ -471,6 +496,38 @@ class TestVagueToWeak:
         with pytest.raises(UnsupportedMeasureClass, match="no exact total mass"):
             polygonal_surrogate(one, 1, 2, mixed, DiscreteMeasure.point(0), tm, lambda f: Modulus.constant(3))
 
+    @pytest.mark.parametrize("lazy_limit", [True, False], ids=["lazy-limit", "discrete-limit"])
+    def test_lazy_members_refused_with_the_missing_mass_text(self, lazy_limit):
+        # a discrete limit has a mass, so the divergence test reads the
+        # member's first; a lazy one has none, and the tail bound reads it
+        sp = specker_sequence(iter(range(64)))
+        lazy = MeasureSeq(lambda n: sp.limit_measure())
+        limit = sp.limit_measure() if lazy_limit else DiscreteMeasure.point(0)
+        one = co_name_of_poly(constant_func(Fraction(1)))
+        with pytest.raises(UnsupportedMeasureClass) as e:
+            vague_to_weak(
+                lazy, limit, TotalMassModulus.constant(0), sp.vague_oracle(), one, 1, 2,
+                validate_tm=False,
+            )
+        assert str(e.value) == "unsupported measure class LazyDiscreteMeasure: no exact total mass"
+
+    def test_divergence_test_reads_the_mass_at_precision_N_plus_6(self):
+        # mu_n = (1 + 2^-n) delta_0 -> delta_0 with tm.of(N) = N: the mass at
+        # tm.of(N + 6) is within 2^-(N+6) of the limit's, the one at tm.of(N)
+        # is not, and the answer is a valid index
+        seq = MeasureSeq(lambda n: DiscreteMeasure.point(0, 1 + _pow2(n)))
+        limit = DiscreteMeasure.point(0)
+        tm = TotalMassModulus(lambda N: N)
+
+        def oracle(p):  # |int p dmu_n - int p dmu| = |p(0)| 2^-n
+            return Modulus(lambda N: N + p.bound().__ceil__().bit_length())
+
+        one = constant_func(Fraction(1))
+        for N in (1, 3, 6):
+            idx = vague_to_weak(seq, limit, tm, oracle, co_name_of_poly(one), 1, N)
+            for n in range(idx, idx + 8):
+                assert abs(integrate_poly(one, seq[n]) - 1) < _pow2(N)
+
     def test_mass_escape_reported_as_divergence(self):
         dn = deltan()
         one = constant_func(Fraction(1))
@@ -489,6 +546,34 @@ ORACLE_CALLERS = {
         c.seq, o, CauchyReal.from_rational(1)
     ).interval_mass_lower(Fraction(-1), Fraction(1)).bound(4),
 }
+
+
+class TestNoSupportNames:
+    def test_converters_build_no_compact_open_name_on_discrete_members(self, monkeypatch):
+        c = mixture()
+        f, one = supported_from_poly(HAT), co_name_of_poly(constant_func(Fraction(1)))
+        calls = {
+            "uniformize_vague": lambda: uniformize_vague(c.seq, c.limit, c.vague_oracle, f, 4),
+            "vague_to_weak": lambda: vague_to_weak(c.seq, c.limit, c.tm, c.vague_oracle, one, 1, 3),
+            "tail_mass_bound": lambda: tail_mass_bound(c.seq, c.tm, c.vague_oracle, 4),
+            "interval_mass_lower": lambda: limit_from_vague(
+                c.seq, c.vague_oracle, CauchyReal.from_rational(1)
+            ).interval_mass_lower(Fraction(-1), Fraction(1)).bound(4),
+        }
+        built = []
+        init = CompactOpenName.__init__
+
+        def record(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompactOpenName, "__init__", record)
+        for name, call in calls.items():
+            call()
+            assert built == [], name
+        assert all(isinstance(c.seq[n], DiscreteMeasure) for n in range(8))
+        supported_from_poly(HAT)  # the recorder sees a build
+        assert len(built) == 1
 
 
 class TestVagueOracleContract:
@@ -671,3 +756,31 @@ class TestPinnedExactOutputs:
         rec = limit_from_vague(sp.seq, sp.vague_oracle(), CauchyReal.from_rational(total))
         lower = rec.interval_mass_lower(*interval)
         assert tuple(lower.bound(t) for t in range(14)) == PINNED_SPECKER[interval]
+
+
+class TestSurrogateBuild:
+    """psi of :func:`polygonal_surrogate` on the pinned families and functions."""
+
+    @pytest.mark.parametrize("family", PIN_FAMILIES)
+    @pytest.mark.parametrize("fname", PIN_FUNCTIONS)
+    def test_surrogate_equals_the_two_build_oracle_and_is_built_once(self, family, fname, monkeypatch):
+        p, _ = builtin_function(fname)
+        B = int(p.bound().__ceil__())
+        c = corpus_by_name(family)
+        built = []
+        post_init = PolyFunc.__post_init__
+
+        def record(self):
+            post_init(self)
+            built.append(self.vertices)
+
+        for N in range(1, 11):
+            want = polygonal_surrogate_two_builds(co_name_of_poly(p), B, N, c.seq, c.limit, c.tm, c.vague_oracle)
+            with monkeypatch.context() as m:
+                m.setattr(PolyFunc, "__post_init__", record)
+                got = polygonal_surrogate(co_name_of_poly(p), B, N, c.seq, c.limit, c.tm, c.vague_oracle)
+            assert got == want
+            psi = got[2]
+            assert built.count(psi.vertices) == 1
+            assert psi.vertices[1:-1] not in built  # no polygon of the fit alone
+            built.clear()

@@ -333,6 +333,102 @@ class TestIntegratePolyOnAtoms:
         assert got == sum((w * p(loc) for loc, w in mu.atoms), Fraction(0))
 
 
+# vertices off every atom lattice below: denominators 7 and 11 among them
+_off_lattice = st.sampled_from([Fraction(-23, 7), Fraction(-5, 11), Fraction(1, 7), Fraction(13, 11)])
+
+
+@st.composite
+def zero_outside_polys(draw):
+    """A ``zero-outside`` polygon: random ordinates, or the zero polygon
+    (one vertex, or several all at 0), its abscissae on the 1/16 grid or
+    off every lattice the measures below use."""
+    xs = sorted(draw(st.sets(st.one_of(frac, _off_lattice), min_size=1, max_size=6)))
+    ys = [Fraction(0)] * len(xs)
+    if draw(st.booleans()):
+        ys[1:-1] = [draw(frac) for _ in xs[2:]]
+    return PolyFunc(tuple(zip(xs, ys)), "zero-outside")
+
+
+def _lazy(kind: str) -> LazyDiscreteMeasure:
+    """Atom i of mass 2^-(i+1), so 2^-k bounds the mass beyond k atoms:
+    increasing locations i/6 - 4 (with or without the tail bound), or
+    locations hopping around 0 with the tail bound (the truncation path), or
+    hopping without it (refused)."""
+    if kind.startswith("increasing"):
+        return LazyDiscreteMeasure(
+            lambda i: (Fraction(i, 6) - 4, _pow2(i + 1)),
+            tail_bound=(lambda k: _pow2(k)) if kind == "increasing-tail" else None,
+            locations_increasing=True,
+        )
+    return LazyDiscreteMeasure(
+        lambda i: (Fraction((-1) ** i * (i % 13), 5), _pow2(i + 1)),
+        tail_bound=(lambda k: _pow2(k)) if kind == "hopping-tail" else None,
+    )
+
+
+@st.composite
+def measures_for_polygons(draw):
+    """A measure of every class that answers the polygon entry: discrete by
+    the constructor or ``from_ints``, a polygonal density, or lazy."""
+    how = draw(st.sampled_from(["constructor", "from_ints", "density", "increasing",
+                                "increasing-tail", "hopping-tail", "hopping"]))
+    if how == "density":
+        xs = sorted(draw(st.sets(frac, min_size=2, max_size=5)))
+        inner = [draw(st.fractions(min_value=0, max_value=3, max_denominator=8)) for _ in xs[2:]]
+        return PolyDensityMeasure(PolyFunc(tuple(zip(xs, [Fraction(0)] + inner + [Fraction(0)]))))
+    if how not in ("constructor", "from_ints"):
+        return _lazy(how)
+    weights = st.fractions(min_value=Fraction(1, 16), max_value=2, max_denominator=16)
+    atoms = draw(st.lists(st.tuples(st.one_of(frac, _off_lattice), weights), max_size=8))
+    if how == "constructor" or not atoms:
+        return DiscreteMeasure(tuple(atoms))
+    return DiscreteMeasure.from_ints(
+        [x.numerator for x, _ in atoms], [x.denominator for x, _ in atoms],
+        [w.numerator for _, w in atoms], [w.denominator for _, w in atoms],
+    )
+
+
+def _answer(integrate):
+    try:
+        return integrate()
+    except UnsupportedMeasureClass as exc:
+        return type(exc), str(exc)
+
+
+_HAT = hat_function(Fraction(-10), Fraction(0), Fraction(10), Fraction(1))
+
+
+class TestIntegrateZeroOutside:
+    @settings(max_examples=300, deadline=None)
+    @given(zero_outside_polys(), measures_for_polygons(), st.integers(0, 12))
+    # every hopping atom lies where the hat is positive, so the truncation's
+    # length moves the answer
+    @example(_HAT, _lazy("hopping-tail"), 3)
+    @example(_HAT, _lazy("increasing"), 5)
+    @example(PolyFunc(((Fraction(5, 7), Fraction(0)),)), _lazy("increasing"), 0)
+    @example(PolyFunc(((Fraction(5, 7), Fraction(0)),)), _lazy("hopping-tail"), 0)
+    @example(PolyFunc(((Fraction(5, 7), Fraction(0)),)), _lazy("hopping"), 0)
+    def test_matches_the_supported_name_route(self, p, mu, n):
+        """The polygon entry answers as ``integrate_named`` on the polygon's
+        supported name does: exactly, or with the same refusal."""
+        got = _answer(lambda: mu.integrate_zero_outside(p, n))
+        assert got == _answer(lambda: integrate_named(supported_from_poly(p), mu, n))
+        if isinstance(mu, LazyDiscreteMeasure) and not mu.locations_increasing and mu.tail_bound is None:
+            assert got == (UnsupportedMeasureClass, "unsupported measure class LazyDiscreteMeasure: "
+                                                     "no tail bound: total mass is only left-c.e.")
+        else:
+            assert isinstance(got, Fraction)
+
+    def test_lazy_increasing_reads_atoms_to_the_last_vertex(self):
+        mu = _lazy("increasing")
+        p = hat_function(Fraction(-4), Fraction(-3), Fraction(-2), Fraction(6))
+        # atoms at -4 + i/6 for i = 0..12 lie in [-4, -2]; the one at 13 ends the cut
+        assert mu.integrate_zero_outside(p, 4) == sum(
+            (w * p(x) for x, w in mu.prefix(13)), Fraction(0)
+        )
+        assert mu.atom_stream.pulled == 14
+
+
 class TestSpelledAtoms:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), atoms=_atom_lists)
