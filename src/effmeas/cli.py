@@ -128,7 +128,7 @@ def _resolve_measure(token: str):
     try:
         return builtin_measure(token)
     except KeyError:
-        raise ParseError(1, f"unknown measure {token!r} (no such file or builtin)")
+        raise ParseError(None, f"unknown measure {token!r} (no such file or builtin)")
 
 
 def _resolve_function(token: str):
@@ -140,7 +140,7 @@ def _resolve_function(token: str):
     try:
         return builtin_function(token)
     except KeyError:
-        raise ParseError(1, f"unknown function {token!r} (no such file or builtin)")
+        raise ParseError(None, f"unknown function {token!r} (no such file or builtin)")
 
 
 _NLIST = re.compile(r"^\d+(\.\.\d+)?(,\d+(\.\.\d+)?)*$")
@@ -148,13 +148,13 @@ _NLIST = re.compile(r"^\d+(\.\.\d+)?(,\d+(\.\.\d+)?)*$")
 
 def _parse_nlist(token: str) -> list[int]:
     if not _NLIST.match(token):
-        raise ParseError(1, f"bad N-list {token!r} (want e.g. 4, 1..8 or 1,3,5)")
+        raise ParseError(None, f"bad N-list {token!r} (want e.g. 4, 1..8 or 1,3,5)")
     ns: list[int] = []
     for part in token.split(","):
         if ".." in part:
             a, b = part.split("..")
             if int(a) > int(b):
-                raise ParseError(1, f"empty N-range {part!r} in N-list {token!r}")
+                raise ParseError(None, f"empty N-range {part!r} in N-list {token!r}")
             ns.extend(range(int(a), int(b) + 1))
         else:
             ns.append(int(part))
@@ -163,7 +163,7 @@ def _parse_nlist(token: str) -> list[int]:
 
 def _nonnegative(flag: str, value: int) -> int:
     if value < 0:
-        raise ParseError(1, f"{flag} must be nonnegative, got {value}")
+        raise ParseError(None, f"{flag} must be nonnegative, got {value}")
     return value
 
 
@@ -174,7 +174,7 @@ def _load_certificate(path: str, Ns: list[int]) -> Modulus:
         try:
             mod.of(N)
         except ContractViolation as exc:
-            raise ParseError(1, f"certificate {path}: {exc}") from None
+            raise ParseError(None, f"certificate {path}: {exc}") from None
     return mod
 
 
@@ -211,7 +211,7 @@ def cmd_demo_specker(args) -> int:
         horizon = None
     poly, kind = _resolve_function(args.function or "hat")
     if kind != "supported":
-        raise ParseError(1, "the demo needs a compactly supported function")
+        raise ParseError(None, "the demo needs a compactly supported function")
     idx = sp.vague_modulus(poly).of(0)
     top, last = idx + args.fuel, args.fuel  # the last row and the last lower bound
     if horizon is not None:  # a file's values end: the row at idx is the first one checked
@@ -267,7 +267,7 @@ def cmd_verify(args) -> int:
                 mod = cert_mod
         elif args.mode == "vague":
             if kind != "supported":
-                raise ParseError(1, "vague verification needs a supported function")
+                raise ParseError(None, "vague verification needs a supported function")
             if construct:
                 if corpus is not None:
                     mod = corpus.vague_oracle(poly)
@@ -277,7 +277,7 @@ def cmd_verify(args) -> int:
                 mod = cert_mod
         else:  # vague-to-weak
             if corpus is None or corpus.tm is None:
-                raise ParseError(1, "vague-to-weak needs a builtin corpus with mass data")
+                raise ParseError(None, "vague-to-weak needs a builtin corpus with mass data")
             # one check serves every N: it depends on seq and tm only
             validate_total_mass_modulus(seq, corpus.tm, *DEFAULT_TM_CHECK)
             entries = {}
@@ -299,7 +299,7 @@ def cmd_verify(args) -> int:
 
     elif args.mode == "eps":
         if corpus is None or corpus.ad_modulus is None:
-            raise ParseError(1, "eps verification needs a builtin corpus with ball moduli")
+            raise ParseError(None, "eps verification needs a builtin corpus with ball moduli")
         eps = (
             eps_function(seq, limit, corpus.ad_modulus)
             if construct
@@ -314,7 +314,7 @@ def cmd_verify(args) -> int:
 
     elif args.mode == "witness":
         if corpus is None or corpus.ad_modulus is None:
-            raise ParseError(1, "witness verification needs a builtin corpus")
+            raise ParseError(None, "witness verification needs a builtin corpus with ball moduli")
         eps = eps_function(seq, limit, corpus.ad_modulus)
         comps = ((Fraction(0), Fraction(1)),)
         C = pi_from_complement(comps)
@@ -329,7 +329,7 @@ def cmd_verify(args) -> int:
                 q = seq[n].mass_closed(comps)
                 rows.append(CheckRow(N, idx, n, q, r, q < r))
     else:
-        raise ParseError(1, f"unknown verify mode {args.mode!r}")
+        raise ParseError(None, f"unknown verify mode {args.mode!r}")
 
     return _emit(rows, args.out)
 

@@ -23,7 +23,8 @@ from .errors import (
 from .functions import (
     PolyFunc,
     SupportedFunc,
-    _window_vertices,
+    ZERO,
+    _window_lattice,
     approx_polygonal,
     indicator_approx,
     tent_function,
@@ -339,7 +340,7 @@ def uniformize_vague(
     l, u = compact_hull_bounds(f.support, 8)
     F = l.__floor__() - 1
     C = u.__ceil__() + 1
-    tent = tent_function((Fraction(F), Fraction(C)))
+    tent = tent_function((F, C))
     n0 = oracle(tent).of(1)
     d_up = seq[n0].integrate_zero_outside(tent, 6) + _pow2(6)
     tol = _pow2(N + 2) / (1 + d_up)
@@ -483,7 +484,7 @@ def tail_mass_bound(
     m_apx = seq.total_mass(i_m)
     a = 1
     for _ in range(_TAIL_MAX_DOUBLINGS):
-        tent = tent_function((Fraction(-a), Fraction(a)))
+        tent = tent_function((-a, a))
         mod = oracle(tent)
         j = mod.of(prec)
         l_apx = seq[j].integrate_zero_outside(tent, prec)
@@ -517,9 +518,8 @@ def polygonal_surrogate(
     masses = (seq.total_mass(n) for n in range(i0 + 1))
     mass_bound = max(masses, default=Fraction(0)) + 2
     tol = _pow2(N + 1) / (mass_bound + 1)
-    core = _window_vertices(f_name, Fraction(-a1), Fraction(a1), tol)
-    zero = Fraction(0)
-    psi = PolyFunc(tuple([(Fraction(-W), zero)] + core + [(Fraction(W), zero)]), "zero-outside")
+    X, Y, dx, dy = _window_lattice(f_name, -a1, a1, tol)
+    psi = PolyFunc.from_ints([-W * dx, *X, W * dx], [0, *Y, 0], dx, dy, ZERO)
 
     lim_tail = limit.exact_total_mass()
     if lim_tail is not None:

@@ -23,7 +23,7 @@ from .convergence import (
     specker_sequence,
 )
 from .errors import UnsupportedMeasureClass
-from .functions import PolyFunc, constant_func, hat_function
+from .functions import CONST, ZERO, PolyFunc, constant_func
 from .measures import AlmostDecidablePair, DiscreteMeasure, Measure
 from .reals import _fraction, _pow2
 
@@ -236,26 +236,11 @@ def builtin_function(name: str):
     Returns (poly, kind) where kind is "supported" or "bounded".
     """
     if name == "constant-one":
-        return constant_func(Fraction(1)), "bounded"
-    if name == "hat":
-        return (
-            hat_function(Fraction(0), Fraction(5, 4), Fraction(5, 2), Fraction(1)),
-            "supported",
-        )
+        return constant_func(1), "bounded"
+    if name == "hat":  # (0, 0), (5/4, 1), (5/2, 0)
+        return PolyFunc.from_ints((0, 5, 10), (0, 1, 0), 4, 1, ZERO), "supported"
     if name == "clamped-identity":
-        return (
-            PolyFunc(
-                ((Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(1))),
-                "constant-extend",
-            ),
-            "bounded",
-        )
+        return PolyFunc.from_ints((-1, 1), (-1, 1), 1, 1, CONST), "bounded"
     if name == "zero":
-        return (
-            PolyFunc(
-                ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))),
-                "zero-outside",
-            ),
-            "supported",
-        )
+        return PolyFunc.from_ints((0, 1), (0, 0), 1, 1, ZERO), "supported"
     raise KeyError(f"unknown builtin function {name!r}")

@@ -12,13 +12,16 @@ it, and every other name is read through its boxes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import lt
 from typing import Callable
 
 from . import codes
 from .errors import InsufficientNameProgress, MalformedInterval
-from .reals import _fraction, _pow2
+from .reals import _fraction
 from .sets import (
     ClosedComp,
     CompactName,
@@ -31,7 +34,35 @@ CONST = "constant-extend"
 ZERO = "zero-outside"
 _FIT_MAX_DEPTH = 64  # range-box bisections before a fit gives up
 _HULL_ROUND = 8  # precision of the support hull bounds approx_polygonal reads
-_ZERO = Fraction(0)  # immutable, so shared by every polygon built here
+
+
+class _Lazy:
+    """A frozen dataclass's field built from the instance on its first read
+    and stored in it.  A non-data descriptor, so a value the constructor set
+    shadows it; set on the class after ``@dataclass``, which would take a
+    class attribute for the field's default."""
+
+    def __init__(self, name: str, build):
+        self.name, self.build = name, build
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
+def _rational(v):
+    """``v`` if an ``int`` or a ``Fraction`` (both have numerator and
+    denominator), else ``Fraction(v)``."""
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+
+
+def _common(qs, base: int = 1) -> tuple[list[int], int]:
+    """Rationals as ``int``s on the lcm of ``base`` and their denominators, and that lcm."""
+    l = math.lcm(base, *[q.denominator for q in qs])
+    return [q.numerator * (l // q.denominator) for q in qs], l
 
 
 @dataclass(frozen=True)
@@ -42,10 +73,16 @@ class PolyFunc:
     ``zero-outside`` requires the boundary values to be 0 and evaluates to 0
     there.  Note a zero-outside function agrees everywhere with its
     constant-extend reading, which the algebra below exploits.
+
+    Evaluation, :meth:`lipschitz`, :meth:`bound`, :meth:`support_components`
+    and exact integration read the ``int`` :meth:`lattice`.  Built from
+    vertices, a polygon makes its lattice on the first read; built by
+    :meth:`from_ints`, its ``vertices`` (for ``==``, hash and repr).
     """
 
     vertices: tuple[tuple[Fraction, Fraction], ...]
     extension: str = ZERO
+    _lattice: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = []
@@ -61,72 +98,75 @@ class PolyFunc:
         object.__setattr__(self, "vertices", verts)
         if not verts:
             raise MalformedInterval("a polygonal function needs at least one vertex")
-        if self.extension not in (CONST, ZERO):
-            raise MalformedInterval(f"unknown extension mode {self.extension!r}")
-        if self.extension == ZERO and (verts[0][1] != 0 or verts[-1][1] != 0):
-            raise MalformedInterval("zero-outside requires zero boundary values")
+        _check_extension(self.extension, verts[0][1], verts[-1][1])
+
+    @classmethod
+    def from_ints(cls, X, Y, dx: int, dy: int, extension: str = ZERO) -> "PolyFunc":
+        """The polygon with vertices (X[i]/dx, Y[i]/dy), all ``int``, dx, dy > 0
+        (unchecked).  Refuses what the constructor refuses, with its messages;
+        the lattice is reduced to the one the same vertices would give."""
+        if not all(map(lt, X, X[1:])):
+            raise MalformedInterval("vertex abscissae must strictly increase")
+        if not X:
+            raise MalformedInterval("a polygonal function needs at least one vertex")
+        _check_extension(extension, Y[0], Y[-1])
+        g, h = math.gcd(dx, *X), math.gcd(dy, *Y)
+        if g > 1 or h > 1:
+            X, Y, dx, dy = [x // g for x in X], [y // h for y in Y], dx // g, dy // h
+        p = object.__new__(cls)
+        object.__setattr__(p, "extension", extension)
+        object.__setattr__(p, "_lattice", (tuple(X), tuple(Y), dx, dy))
+        return p
+
+    def lattice(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+        """``(X, Y, dx, dy)``: vertex i at (X[i]/dx, Y[i]/dy), on the lcms of the denominators."""
+        return self._lattice
 
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, x) -> Fraction:
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        verts = self.vertices
-        if x <= verts[0][0]:
-            if x == verts[0][0]:
-                return verts[0][1]
-            return verts[0][1] if self.extension == CONST else Fraction(0)
-        if x >= verts[-1][0]:
-            if x == verts[-1][0]:
-                return verts[-1][1]
-            return verts[-1][1] if self.extension == CONST else Fraction(0)
-        lo, hi = 0, len(verts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if verts[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid
-        (x0, y0), (x1, y1) = verts[lo], verts[hi]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        """The end value outside the hull (0 under ``zero-outside``), else the
+        piece's chord, in ``int``s: the one ``Fraction`` built is the value."""
+        x = _rational(x)
+        X, Y, dx, dy = self._lattice
+        xn, xd = x.numerator, x.denominator
+        hi = bisect_right(X, xn * dx // xd)  # the vertices at or left of x
+        if hi == 0:
+            return Fraction(Y[0], dy)
+        if hi == len(X):
+            return Fraction(Y[-1], dy)
+        x0, x1, y0, y1 = X[hi - 1], X[hi], Y[hi - 1], Y[hi]
+        w = x1 - x0
+        return Fraction(y0 * w * xd + (y1 - y0) * (xn * dx - x0 * xd), dy * w * xd)
 
     # -- exact range ------------------------------------------------------
 
     def exact_range(self, a, b) -> tuple[Fraction, Fraction]:
-        """Exact [min, max] of the function on the closed interval [a, b]."""
+        """Exact [min, max] on [a, b]: of the values at a, b and the vertices between."""
         a, b = _fraction(a), _fraction(b)
         if a > b:
             raise MalformedInterval("need a <= b")
-        values = [self(a), self(b)]
-        values.extend(y for x, y in self.vertices if a < x < b)
-        # extension plateaus inside [a, b] contribute their constant value
-        if self.extension == ZERO:
-            if a < self.vertices[0][0]:
-                values.append(Fraction(0))
-            if b > self.vertices[-1][0]:
-                values.append(Fraction(0))
+        X, Y, dx, dy = self._lattice
+        inside = Y[bisect_right(X, a.numerator * dx // a.denominator) :
+                   bisect_left(X, -(-b.numerator * dx // b.denominator))]
+        values = [self(a), self(b)] + [Fraction(y, dy) for y in inside]
         return min(values), max(values)
 
     def bound(self) -> Fraction:
         """A bound on |f| over all of R."""
-        m = max(abs(y) for _, y in self.vertices)
-        return m
+        _, Y, _, dy = self._lattice
+        return Fraction(max(map(abs, Y)), dy)
 
     def lipschitz(self) -> Fraction:
-        """The largest |slope| of a piece, 0 for a single vertex.
-
-        Each vertex's four ``int``s are read once; each piece's |dy|/dx is
-        an ``int`` pair n/d, d > 0, compared with the steepest so far by
-        cross-multiplying, so the only ``Fraction`` built is the answer.
-        """
+        """The largest |slope| of a piece, 0 for a single vertex: the steepest
+        |dY|/dX on the lattice, an ``int`` pair, times dx/dy."""
+        X, Y, dx, dy = self._lattice
         bn, bd = 0, 1
-        ints = [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in self.vertices]
-        for (xn0, xd0, yn0, yd0), (xn1, xd1, yn1, yd1) in zip(ints, ints[1:]):
-            n = abs(yn1 * yd0 - yn0 * yd1) * xd0 * xd1
-            d = (xn1 * xd0 - xn0 * xd1) * yd0 * yd1
+        for x0, x1, y0, y1 in zip(X, X[1:], Y, Y[1:]):
+            n, d = abs(y1 - y0), x1 - x0
             if n * bd > bn * d:
                 bn, bd = n, d
-        return Fraction(bn, bd)
+        return Fraction(bn * dx, bd * dy)
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(x for x, _ in self.vertices)
@@ -139,28 +179,23 @@ class PolyFunc:
         """
         if self.extension == CONST:
             raise MalformedInterval("support is only finite for zero-outside")
-        comps: list[ClosedComp] = []
-        verts = self.vertices
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+        X, Y, dx, _ = self._lattice
+        comps: list[list[int]] = []
+        for x0, x1, y0, y1 in zip(X, X[1:], Y, Y[1:]):
             if y0 or y1:
                 if comps and comps[-1][1] == x0:
-                    comps[-1] = (comps[-1][0], x1)
+                    comps[-1][1] = x1
                 else:
-                    comps.append((x0, x1))
-        return tuple(comps)
+                    comps.append([x0, x1])
+        return tuple((Fraction(l, dx), Fraction(r, dx)) for l, r in comps)
 
     # -- algebra ----------------------------------------------------------
 
     def combine(self, other: "PolyFunc", op: Callable[[Fraction, Fraction], Fraction]) -> "PolyFunc":
         xs = sorted(set(self.breakpoints()) | set(other.breakpoints()))
         ys = [op(self(x), other(x)) for x in xs]
-        ext = ZERO if (
-            self.extension == ZERO
-            and other.extension == ZERO
-            and ys[0] == 0
-            and ys[-1] == 0
-        ) else CONST
-        return PolyFunc(tuple(zip(xs, ys)), ext)
+        zero = self.extension == other.extension == ZERO and ys[0] == ys[-1] == 0
+        return PolyFunc(tuple(zip(xs, ys)), ZERO if zero else CONST)
 
     def __add__(self, other: "PolyFunc") -> "PolyFunc":
         return self.combine(other, lambda a, b: a + b)
@@ -169,34 +204,53 @@ class PolyFunc:
         return self.combine(other, lambda a, b: a - b)
 
     def scale(self, c) -> "PolyFunc":
-        c = Fraction(c)
-        return PolyFunc(
-            tuple((x, c * y) for x, y in self.vertices),
-            self.extension if c != 0 or self.extension == CONST else ZERO,
-        )
+        c = Fraction(c)  # c * 0 = 0, so the extension stays valid
+        return PolyFunc(tuple((x, c * y) for x, y in self.vertices), self.extension)
+
+
+def _check_extension(extension: str, first, last) -> None:
+    """Refuse an unknown extension, and non-zero end values under ``zero-outside``."""
+    if extension not in (CONST, ZERO):
+        raise MalformedInterval(f"unknown extension mode {extension!r}")
+    if extension == ZERO and (first != 0 or last != 0):
+        raise MalformedInterval("zero-outside requires zero boundary values")
+
+
+def _vertices_of(p: PolyFunc) -> tuple:
+    X, Y, dx, dy = p._lattice
+    return tuple(zip([Fraction(x, dx) for x in X], [Fraction(y, dy) for y in Y]))
+
+
+def _lattice_of(verts) -> tuple:
+    """Rational vertices as :meth:`PolyFunc.lattice` holds them."""
+    X, dx = _common([x for x, _ in verts])
+    Y, dy = _common([y for _, y in verts])
+    return tuple(X), tuple(Y), dx, dy
+
+
+PolyFunc.vertices = _Lazy("vertices", _vertices_of)
+PolyFunc._lattice = _Lazy("_lattice", lambda p: _lattice_of(p.vertices))
 
 
 def constant_func(c) -> PolyFunc:
-    return PolyFunc(((Fraction(0), Fraction(c)),), CONST)
+    c = _rational(c)
+    return PolyFunc.from_ints((0,), (c.numerator,), 1, c.denominator, CONST)
 
 
 def hat_function(left, peak_x, right, peak_y=1) -> PolyFunc:
-    return PolyFunc(
-        ((Fraction(left), Fraction(0)), (Fraction(peak_x), Fraction(peak_y)),
-         (Fraction(right), Fraction(0))),
-        ZERO,
-    )
+    X, dx = _common([_rational(left), _rational(peak_x), _rational(right)])
+    y = _rational(peak_y)
+    return PolyFunc.from_ints(X, (0, y.numerator, 0), dx, y.denominator, ZERO)
 
 
 def tent_function(interval) -> PolyFunc:
     """The plateau-1 tent over [c, d] with unit ramps; support [c-1, d+1]."""
-    c, d = _fraction(interval[0]), _fraction(interval[1])
+    (c, d), l = _common([_rational(interval[0]), _rational(interval[1])])
     if c > d:
         raise MalformedInterval("need c <= d")
-    one = _pow2(0)
     if c == d:
-        return PolyFunc(((c - 1, _ZERO), (c, one), (c + 1, _ZERO)), ZERO)
-    return PolyFunc(((c - 1, _ZERO), (c, one), (d, one), (d + 1, _ZERO)), ZERO)
+        return PolyFunc.from_ints((c - l, c, c + l), (0, 1, 0), l, 1)
+    return PolyFunc.from_ints((c - l, c, d, d + l), (0, 1, 1, 0), l, 1)
 
 
 def indicator_approx(interval, k: int) -> PolyFunc:
@@ -204,17 +258,17 @@ def indicator_approx(interval, k: int) -> PolyFunc:
 
     The plateau is shrunk by 2^-k * |I|/2 per side, so T_k <= T_{k+1}
     pointwise, supp T_k = closure(I), and T_k increases to the indicator.
+    On the lattice of I = (A/l, B/l) refined 2^(k+1) times, the shrink is B - A.
     """
-    a, b = _fraction(interval[0]), _fraction(interval[1])
+    (a, b), l = _common([_rational(interval[0]), _rational(interval[1])])
     if not a < b:
         raise MalformedInterval("need a nondegenerate open interval")
     if k < 0:
         raise ValueError("k must be a natural number")
-    s = (b - a) / 2 * _pow2(k)
-    one = _pow2(0)
-    if 2 * s >= b - a:
-        return PolyFunc(((a, _ZERO), ((a + b) / 2, one), (b, _ZERO)), ZERO)
-    return PolyFunc(((a, _ZERO), (a + s, one), (b - s, one), (b, _ZERO)), ZERO)
+    if k == 0:
+        return PolyFunc.from_ints((2 * a, a + b, 2 * b), (0, 1, 0), 2 * l, 1)
+    a, b, s = a << k + 1, b << k + 1, b - a
+    return PolyFunc.from_ints((a, a + s, b - s, b), (0, 1, 1, 0), l << k + 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +395,13 @@ def polygonal_on_window(
     name: CompactOpenName, a, b, err, *, va=None, vb=None, extension=CONST
 ) -> PolyFunc:
     """A rational polygonal function within err of the named f on [a, b]."""
-    return PolyFunc(tuple(_window_vertices(name, a, b, err, va, vb)), extension)
+    return PolyFunc.from_ints(*_window_lattice(name, a, b, err, va, vb), extension)
 
 
-def _window_vertices(name: CompactOpenName, a, b, err, va=None, vb=None) -> list:
-    """The vertices of :func:`polygonal_on_window`'s polygon, from a to b,
-    for a caller that adds vertices before building the one ``PolyFunc``."""
-    a, b, err = _fraction(a), _fraction(b), _fraction(err)
+def _window_lattice(name: CompactOpenName, a, b, err, va=None, vb=None) -> tuple:
+    """:func:`polygonal_on_window`'s polygon as unreduced :meth:`PolyFunc.from_ints`
+    arguments, for a caller that adds vertices before building it."""
+    a, b, err = _rational(a), _rational(b), _fraction(err)
     if err <= 0:
         raise ValueError("err must be positive")
     if not a < b:
@@ -360,7 +414,18 @@ def _window_vertices(name: CompactOpenName, a, b, err, va=None, vb=None) -> list
         # agree with f.  Range-box fitting below handles opaque names.
         va0, vb0 = backing(a), backing(b)
         if (va is None or _fraction(va) == va0) and (vb is None or _fraction(vb) == vb0):
-            return [(a, va0)] + [(x, y) for x, y in backing.vertices if a < x < b] + [(b, vb0)]
+            X, Y, dx, dy = backing.lattice()
+            i = bisect_right(X, a.numerator * dx // a.denominator)  # the first vertex > a
+            j = bisect_left(X, -(-b.numerator * dx // b.denominator))  # the first >= b
+            lx = math.lcm(dx, a.denominator, b.denominator)
+            ly = math.lcm(dy, va0.denominator, vb0.denominator)
+            X = [a.numerator * (lx // a.denominator), *[x * (lx // dx) for x in X[i:j]],
+                 b.numerator * (lx // b.denominator)]
+            Y = [va0.numerator * (ly // va0.denominator), *[y * (ly // dy) for y in Y[i:j]],
+                 vb0.numerator * (ly // vb0.denominator)]
+            return X, Y, lx, ly
+
+    a, b = _fraction(a), _fraction(b)  # _fit halves [a, b]
 
     def node(x, forced):
         if forced is not None:
@@ -370,7 +435,7 @@ def _window_vertices(name: CompactOpenName, a, b, err, va=None, vb=None) -> list
 
     va = node(a, va)
     vb = node(b, vb)
-    return [(a, va)] + _fit(name, a, va, b, vb, err, _FIT_MAX_DEPTH) + [(b, vb)]
+    return _lattice_of([(a, va)] + _fit(name, a, va, b, vb, err, _FIT_MAX_DEPTH) + [(b, vb)])
 
 
 def approx_polygonal(f: SupportedFunc, err) -> PolyFunc:

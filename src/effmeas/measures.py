@@ -21,11 +21,13 @@ from .errors import SearchExhausted, UnsupportedMeasureClass
 from .functions import (
     PolyFunc,
     SupportedFunc,
+    _common,
+    _Lazy,
     approx_polygonal,
     constant_func,
     polygonal_on_window,
 )
-from .reals import CauchyReal, LowerReal, _pow2
+from .reals import CauchyReal, LowerReal, _fraction, _pow2
 from .sets import OpenComp, SigmaSet, compact_hull_bounds, merge_open, open_contains_point
 from .streams import Stream
 
@@ -210,10 +212,8 @@ class DiscreteMeasure(Measure):
             )
             object.__setattr__(self, "_lattice", lattice)
             return
-        lx = math.lcm(*(x.denominator for x in locs))
-        lw = math.lcm(*(w.denominator for w in ws))
-        keys = [x.numerator * (lx // x.denominator) for x in locs]
-        iws = [w.numerator * (lw // w.denominator) for w in ws]
+        keys, lx = _common(locs)
+        iws, lw = _common(ws)
         xs, mws, firsts = _sort_merge(keys, iws)
         if len(xs) == len(keys):  # no repeats: every atom keeps its own Fractions
             atoms = tuple([(locs[i], ws[i]) for i in firsts])
@@ -234,7 +234,7 @@ class DiscreteMeasure(Measure):
         The same normalisation as the constructor's, on the lattices of the
         lcms of ``xd`` and ``wd``.  Only the lattice and the total are built
         here; ``atoms`` is built from the lattice on its first read
-        (:class:`_AtomsFromLattice`), so a caller that reads only :meth:`lattice`
+        (:class:`~effmeas.functions._Lazy`), so a caller that reads only :meth:`lattice`
         never makes a ``Fraction`` per atom.
         """
         lx = math.lcm(*xd)
@@ -249,7 +249,16 @@ class DiscreteMeasure(Measure):
 
     @classmethod
     def point(cls, loc, weight=1) -> "DiscreteMeasure":
-        return cls(((Fraction(loc), Fraction(weight)),))
+        """One atom, kept as given, on the lattice of its own ``int``s."""
+        loc, weight = _fraction(loc), _fraction(weight)
+        if weight.numerator <= 0:
+            raise ValueError("atom weights must be positive")
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "atoms", ((loc, weight),))
+        object.__setattr__(mu, "_total", weight)
+        lattice = ((loc.numerator,), (weight.numerator,), loc.denominator, weight.denominator)
+        object.__setattr__(mu, "_lattice", lattice)
+        return mu
 
     @classmethod
     def zero(cls) -> "DiscreteMeasure":
@@ -298,8 +307,8 @@ class DiscreteMeasure(Measure):
         to it exactly.  Under ``zero-outside``, yl = yr = 0, so the outside
         runs need no branch on the extension.
 
-        With the abscissae on ``dx``, the lcm of their denominators, and
-        the ordinates on ``dy`` (X = x*dx, Y = y*dy), dy*lx*lw times the
+        With the vertices on the polygon's lattice (X = x*dx, Y = y*dy,
+        :meth:`PolyFunc.lattice`), dy*lx*lw times the
         piece's term is (lx*W*(Y0*X1 - Y1*X0) + (Y1 - Y0)*dx*S)/(X1 - X0),
         W and S now sums of the lattice's ``int`` weights and locations; the
         terms are added over the lcm of the widths, and the one ``Fraction``
@@ -307,11 +316,7 @@ class DiscreteMeasure(Measure):
         :meth:`from_ints` builds no atoms.
         """
         xs, ws, lx, lw = self._lattice
-        verts = p.vertices
-        dx = math.lcm(*[x.denominator for x, _ in verts])
-        dy = math.lcm(*[y.denominator for _, y in verts])
-        X = [x.numerator * (dx // x.denominator) for x, _ in verts]
-        Y = [y.numerator * (dy // y.denominator) for _, y in verts]
+        X, Y, dx, dy = p.lattice()
         # cut k counts the atoms at or left of vertex k: xs[i]/lx <= v/dx
         # iff xs[i] <= v*lx//dx, with v = X[k]
         cuts = [bisect_right(xs, v * lx // dx) for v in X]
@@ -336,27 +341,12 @@ class DiscreteMeasure(Measure):
         return max((abs(loc) for loc, _ in self.atoms), default=Fraction(0))
 
 
-class _AtomsFromLattice:
-    """``atoms`` of a :class:`DiscreteMeasure` made by ``from_ints``, built
-    from its lattice on the first read and stored in the instance.
-
-    A non-data descriptor: an instance's own ``atoms`` (every measure the
-    constructor makes, and this one's after a read) shadows it, so the
-    constructor's path never reaches it.  It is set on the class after
-    ``@dataclass`` has run, which would take a class attribute for the
-    field's default.
-    """
-
-    def __get__(self, mu, cls=None):
-        if mu is None:
-            return self
-        xs, ws, lx, lw = mu._lattice
-        atoms = tuple(zip([Fraction(x, lx) for x in xs], [Fraction(w, lw) for w in ws]))
-        object.__setattr__(mu, "atoms", atoms)
-        return atoms
+def _atoms_of(mu: DiscreteMeasure) -> tuple:
+    xs, ws, lx, lw = mu._lattice
+    return tuple(zip([Fraction(x, lx) for x in xs], [Fraction(w, lw) for w in ws]))
 
 
-DiscreteMeasure.atoms = _AtomsFromLattice()
+DiscreteMeasure.atoms = _Lazy("atoms", _atoms_of)
 
 
 @dataclass(frozen=True)
@@ -444,10 +434,8 @@ class PolyDensityMeasure(Measure):
         """
         verts = self.density.vertices
         p, q = pitch.numerator, pitch.denominator
-        dx = math.lcm(q, *(x.denominator for x, _ in verts))
-        dy = math.lcm(*(y.denominator for _, y in verts))
-        X = [x.numerator * (dx // x.denominator) for x, _ in verts]
-        Y = [y.numerator * (dy // y.denominator) for _, y in verts]
+        X, dx = _common([x for x, _ in verts], q)
+        Y, dy = _common([y for _, y in verts])
         steps = list(zip(X, X[1:], Y, Y[1:]))
         L = math.lcm(*((x1 - x0) // math.gcd(x1 - x0, y1 - y0) for x0, x1, y0, y1 in steps))
         P = p * (dx // q)
@@ -557,7 +545,8 @@ class LazyDiscreteMeasure(Measure):
         vertex, where the atoms read are cut; otherwise the prefix whose
         tail is small enough stands in for the measure."""
         if self.locations_increasing:
-            return self._atoms_to(p.vertices[-1][0]).integrate_poly(p)
+            X, _, dx, _ = p.lattice()
+            return self._atoms_to(Fraction(X[-1], dx)).integrate_poly(p)
         return integrate_poly(p, self.truncated(_pow2(n + 1) / (p.bound() + 1)))
 
     def integrate_supported(self, f: SupportedFunc, n: int) -> Fraction:

@@ -177,6 +177,28 @@ MUTANTS = (
         file=FUNCTIONS,
         tests=("tests/test_functions.py::TestPolyFunc",),
     ),
+    # polygons on the int lattice, against the Fraction polygon of tests/test_polylattice.py
+    Mutant(
+        "lattice polygon: equal abscissae accepted",
+        "if not all(map(lt, X, X[1:])):",
+        "if not all(map(int.__le__, X, X[1:])):",
+        file=FUNCTIONS,
+        tests=("tests/test_polylattice.py",),
+    ),
+    Mutant(
+        "lattice polygon: lipschitz not rescaled by dx/dy",
+        "return Fraction(bn * dx, bd * dy)",
+        "return Fraction(bn, bd)",
+        file=FUNCTIONS,
+        tests=("tests/test_polylattice.py",),
+    ),
+    Mutant(
+        "lattice polygon: interpolated from the piece's right value",
+        "return Fraction(y0 * w * xd + (y1 - y0) * (xn * dx - x0 * xd), dy * w * xd)",
+        "return Fraction(y1 * w * xd + (y1 - y0) * (xn * dx - x0 * xd), dy * w * xd)",
+        file=FUNCTIONS,
+        tests=("tests/test_polylattice.py",),
+    ),
     Mutant(
         "backing: an inexact name taken as its backing",
         "return name.poly if name.exact else None",
@@ -187,8 +209,8 @@ MUTANTS = (
     # the polygon entry: the converters' tents, trapezoids and surrogates
     Mutant(
         "polygon entry: lazy atoms cut at the first vertex",
-        "return self._atoms_to(p.vertices[-1][0]).integrate_poly(p)",
-        "return self._atoms_to(p.vertices[0][0]).integrate_poly(p)",
+        "return self._atoms_to(Fraction(X[-1], dx)).integrate_poly(p)",
+        "return self._atoms_to(Fraction(X[0], dx)).integrate_poly(p)",
         file=MEASURES,
         tests=("tests/test_measures.py::TestIntegrateZeroOutside",),
     ),
@@ -286,17 +308,18 @@ MUTANTS = (
     # eager, so that only the oracle test, which never looks at vars(), runs
     Mutant(
         "lazy atoms: built from the unmerged rows",
-        "        mu = object.__new__(cls)\n",
+        '        mu = object.__new__(cls)\n        object.__setattr__(mu, "_total"',
         "        mu = object.__new__(cls)\n"
-        '        object.__setattr__(mu, "atoms", tuple(zip(map(Fraction, xn, xd), map(Fraction, wn, wd))))\n',
+        '        object.__setattr__(mu, "atoms", tuple(zip(map(Fraction, xn, xd), map(Fraction, wn, wd))))\n'
+        '        object.__setattr__(mu, "_total"',
         file=MEASURES,
         tests=("tests/test_fileformat.py::TestIntReader::test_discrete_files_match_oracle",),
     ),
     Mutant(
         "lazy atoms: rebuilt on every read, never kept",
-        '        object.__setattr__(mu, "atoms", atoms)\n        return atoms',
-        "        return atoms",
-        file=MEASURES,
+        "        object.__setattr__(obj, self.name, value)\n        return value",
+        "        return value",
+        file=FUNCTIONS,
         tests=("tests/test_fileformat.py",),
     ),
     # the CLI

@@ -342,6 +342,31 @@ class TestFailClosed:
             capsys, "verify", "weak", "deltashrink", "delta0", "1..2", "--precision", "1..5"
         )
 
+    def test_witness_without_ball_moduli(self, capsys):
+        # deltan is a builtin corpus; what it lacks is ball moduli
+        code, out, err = run(capsys, "verify", "witness", "deltan", "delta0", "hat", "1")
+        assert (code, out) == (3, "")
+        assert err == "parse error: witness verification needs a builtin corpus with ball moduli\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prokhorov", "no-such-measure", "delta0"),
+            ("verify", "weak", "deltashrink", "delta0", "no-such-function", "1"),
+            ("verify", "weak", "deltashrink", "delta0", "hat", "5..2"),
+            ("verify", "weak", "deltashrink", "delta0", "hat", "1", "--fuel", "-1"),
+            ("verify", "vague", "deltashrink", "delta0", "constant-one", "1"),
+            ("verify", "vague-to-weak", "specker", "delta0", "constant-one", "1"),
+            ("verify", "eps", "deltan", "delta0", "hat", "1"),
+            ("demo", "specker", "--function", "constant-one"),
+        ],
+    )
+    def test_argument_errors_name_no_line(self, capsys, argv):
+        # a command-line token is at fault, not a line of any file
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("parse error: ")
+        assert not err.startswith("parse error: line ")
+
     def test_certificate_with_repeated_row(self, capsys, tmp_path):
         cert = tmp_path / "dup.modulus"
         cert.write_text("modulus\n1 3\n1 5\n")
@@ -616,7 +641,7 @@ class TestInputResolution:
         token = str(tmp_path / "none") if kind == "missing" else str(plain / "delta0")
         code, out, err = run(capsys, "prokhorov", token, "delta0")
         assert code == 3 and out == ""
-        assert err == f"parse error: line 1: unknown measure {token!r} (no such file or builtin)\n"
+        assert err == f"parse error: unknown measure {token!r} (no such file or builtin)\n"
         code, _, err = run(capsys, "demo", "specker", "--function", token)
         assert code == 3 and "unknown function" in err
 

@@ -768,16 +768,22 @@ class TestSurrogateBuild:
         B = int(p.bound().__ceil__())
         c = corpus_by_name(family)
         built = []
-        post_init = PolyFunc.__post_init__
+        post_init, from_ints = PolyFunc.__post_init__, PolyFunc.from_ints
 
         def record(self):
             post_init(self)
             built.append(self.vertices)
 
+        def record_ints(*args):
+            p = from_ints(*args)
+            built.append(p.vertices)
+            return p
+
         for N in range(1, 11):
             want = polygonal_surrogate_two_builds(co_name_of_poly(p), B, N, c.seq, c.limit, c.tm, c.vague_oracle)
             with monkeypatch.context() as m:
                 m.setattr(PolyFunc, "__post_init__", record)
+                m.setattr(PolyFunc, "from_ints", record_ints)
                 got = polygonal_surrogate(co_name_of_poly(p), B, N, c.seq, c.limit, c.tm, c.vague_oracle)
             assert got == want
             psi = got[2]

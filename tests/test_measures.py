@@ -200,15 +200,21 @@ class TestDiscreteMeasure:
     @example([("1/2", 2), (-1, _SubFraction(1, 9))])
     @example([(-2, 1), ("-2", Fraction(1, 3)), (_SubFraction(-2), _SubFraction(1, 6))])
     @example([(0, 1), (1, 0)])
+    @example([("-7/3", "5/6")])
+    @example([(Fraction(2), 0)])
     def test_int_keys_match_fraction_loop(self, atoms):
         """int, str, Fraction and Fraction-subclass spellings, repeated and
         negative locations, weights <= 0: the same atoms, total, == and hash
-        as the sort and merge on Fraction keys."""
+        as the sort and merge on Fraction keys; one atom the same through
+        ``DiscreteMeasure.point``."""
         got = _normalised(lambda a: DiscreteMeasure(tuple(a)), atoms)
         want = _normalised(discrete_atoms_fraction_loop, atoms)
+        point = _normalised(lambda a: DiscreteMeasure.point(*a[0]), atoms) if len(atoms) == 1 else got
         if isinstance(want, tuple) and want and want[0] is ValueError:
-            assert got == want == (ValueError, "atom weights must be positive")
+            assert got == want == point == (ValueError, "atom weights must be positive")
             return
+        assert point == got and point.lattice() == got.lattice()
+        assert point.exact_total_mass() == got.exact_total_mass()
         want_atoms, want_total = want
         assert got.atoms == want_atoms
         assert all(type(loc) is Fraction and type(w) is Fraction for loc, w in got.atoms)
