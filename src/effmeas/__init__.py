@@ -10,17 +10,16 @@ and Prokhorov-metric convergence.
 
 from .convergence import (
     CheckReport,
-    LimsupWitness,
-    LiminfWitness,
+    CheckRow,
     MeasureSeq,
     Modulus,
     ReconstructedMeasure,
     SpeckerSequence,
     TotalMassModulus,
+    check_cut,
     check_modulus,
     limit_from_vague,
     polygonal_surrogate,
-    portmanteau_check,
     specker_sequence,
     tail_mass_bound,
     uniformize_vague,

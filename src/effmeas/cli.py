@@ -29,8 +29,10 @@ from fractions import Fraction
 
 from .convergence import (
     DEFAULT_TM_CHECK,
+    CheckReport,
     CheckRow,
     Modulus,
+    check_cut,
     check_modulus,
     vague_to_weak,
     validate_total_mass_modulus,
@@ -85,15 +87,15 @@ def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _emit(rows: list[CheckRow], out_path=None) -> int:
-    """Write ``rows`` as the CSV report to stdout and to ``out_path``, if
-    given; the exit code, 0 when every row passes and 1 otherwise."""
+def _emit(report: CheckReport, out_path=None) -> int:
+    """Write ``report`` as the CSV report to stdout and to ``out_path``, if
+    given; the exit code, 0 when the report passed and 1 otherwise."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_HEADER)
     writer.writerows(
         (r.N, r.index, r.checked_n, r.quantity, r.bound, "pass" if r.ok else "fail")
-        for r in rows
+        for r in report.rows
     )
     text = buf.getvalue()
     if out_path:
@@ -103,7 +105,7 @@ def _emit(rows: list[CheckRow], out_path=None) -> int:
         except OSError as exc:
             raise ParseError(None, f"cannot write {out_path!r}: {exc}") from None
     sys.stdout.write(text)
-    return 0 if all(r.ok for r in rows) else 1
+    return 0 if report.passed else 1
 
 
 def _read(path: str, missing_ok: bool = False) -> str | None:
@@ -229,7 +231,7 @@ def cmd_demo_specker(args) -> int:
     for n in range(top + 1):
         q = abs(integrate_poly(poly, sp.seq[n]) - limit_val)
         rows.append(CheckRow(0, idx, n, q, Fraction(0), n < idx or q == 0))
-    code = _emit(rows, args.out)
+    code = _emit(CheckReport(rows), args.out)
     print("# total-mass lower bounds (hidden oracle; strictly partial):")
     lower = sp.total_mass_lower()
     for k in range(0, last + 1, max(1, args.fuel // 5)):
@@ -240,7 +242,6 @@ def cmd_demo_specker(args) -> int:
 def cmd_verify(args) -> int:
     Ns = args.ns if args.ns is not None else list(range(1, 7))
     window = _nonnegative("--fuel", args.fuel)
-    rows: list[CheckRow] = []
     corpus = None
     if args.seq.startswith("specker"):
         sp = specker_corpus(args.seq.split(":", 1)[1] if ":" in args.seq else "identity")
@@ -255,7 +256,7 @@ def cmd_verify(args) -> int:
 
     if args.mode in ("weak", "vague", "vague-to-weak"):
         poly, kind = _resolve_function(args.function or ("hat" if args.mode == "vague" else "constant-one"))
-        exact_limit = integrate_poly(poly, limit)
+        target = integrate_poly(poly, limit)
 
         if args.mode == "weak":
             if construct:
@@ -293,24 +294,13 @@ def cmd_verify(args) -> int:
                     validate_tm=False,
                 )
             mod = Modulus.from_table(entries)
-        rows = check_modulus(
-            lambda n: integrate_poly(poly, seq[n]), exact_limit, mod, Ns, Fuel(window)
-        ).rows
+        of_member = functools.partial(integrate_poly, poly)
 
     elif args.mode == "eps":
         if corpus is None or corpus.ad_modulus is None:
             raise ParseError(None, "eps verification needs a builtin corpus with ball moduli")
-        eps = (
-            eps_function(seq, limit, corpus.ad_modulus)
-            if construct
-            else cert_mod
-        )
-        for N in Ns:
-            idx = eps.of(N)
-            bound = _pow2(N)
-            for n in range(idx, idx + window + 1):
-                d = prokhorov_discrete(seq[n], limit)
-                rows.append(CheckRow(N, idx, n, d, bound, d < bound))
+        mod = eps_function(seq, limit, corpus.ad_modulus) if construct else cert_mod
+        target, of_member = 0, functools.partial(prokhorov_discrete, nu=limit)
 
     elif args.mode == "witness":
         if corpus is None or corpus.ad_modulus is None:
@@ -319,19 +309,20 @@ def cmd_verify(args) -> int:
         comps = ((Fraction(0), Fraction(1)),)
         C = pi_from_complement(comps)
         mu_c = limit.mass_closed(comps)
+        rows: list[CheckRow] = []
         for N in Ns:
             r = mu_c + _pow2(N)
             idx = witness_from_eps(seq, limit, eps, C, r)
-            if idx == NOT_IN_CUT:
-                rows.append(CheckRow(N, -1, -1, r, mu_c, False))
-                continue
-            for n in range(idx, idx + window + 1):
-                q = seq[n].mass_closed(comps)
-                rows.append(CheckRow(N, idx, n, q, r, q < r))
+            rows += check_cut(
+                N, None if idx == NOT_IN_CUT else idx, r, mu_c,
+                lambda n: seq[n].mass_closed(comps), window,
+            ).rows
+        return _emit(CheckReport(rows), args.out)
     else:
         raise ParseError(None, f"unknown verify mode {args.mode!r}")
 
-    return _emit(rows, args.out)
+    report = check_modulus(lambda n: of_member(seq[n]), target, mod, Ns, Fuel(window))
+    return _emit(report, args.out)
 
 
 class _UsageError(Exception):

@@ -1,10 +1,13 @@
-"""Moduli, witnesses, and the convergence converters.
+"""Moduli, the convergence converters, and the certificate checks.
 
 A modulus maps a precision exponent N to an index beyond which the target
 sequence stays within 2^-N of its limit.  Converters in this module build
 new moduli out of supplied ones; convergence of the input sequence is
 always caller-asserted (it is undecidable), and every produced certificate
-is meant to be re-checked by :func:`check_modulus` on concrete data.
+is meant to be re-checked on concrete data, on a window of members past
+its index: a modulus or an eps-function (|a_n - a| < 2^-N) by
+:func:`check_modulus`, a limsup or liminf witness (mu_n(C) < r or
+mu_n(U) > r) by :func:`check_cut`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     ContractViolation,
@@ -114,26 +117,6 @@ TotalMassModulus = Modulus
 
 
 @dataclass(frozen=True)
-class LimsupWitness:
-    """Partial map on the right Dedekind cut: r > a_n for n >= g(r)."""
-
-    entries: tuple[tuple[Fraction, int], ...]
-
-    def items(self):
-        return self.entries
-
-
-@dataclass(frozen=True)
-class LiminfWitness:
-    """Partial map on the left Dedekind cut: r < a_n for n >= g(r)."""
-
-    entries: tuple[tuple[Fraction, int], ...]
-
-    def items(self):
-        return self.entries
-
-
-@dataclass(frozen=True)
 class CheckRow:
     N: int
     index: int
@@ -145,14 +128,38 @@ class CheckRow:
 
 @dataclass
 class CheckReport:
-    rows: list[Union[CheckRow, PortmanteauRow]]
+    rows: list[CheckRow]
 
     @property
     def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
+        """True when some row was checked and every row passed: an empty
+        report vouches for nothing, so it fails."""
+        return bool(self.rows) and all(r.ok for r in self.rows)
 
     def failures(self) -> list[CheckRow]:
         return [r for r in self.rows if not r.ok]
+
+
+def _window_rows(
+    N: int,
+    idx: int,
+    window: int,
+    quantity: Callable[[int], Fraction],
+    bound: Fraction,
+    above: bool = False,
+) -> list[CheckRow]:
+    """One row per member idx .. idx + window; a row passes when its
+    quantity is strictly below ``bound``, or strictly above with ``above``.
+
+    A negative ``window`` would check no member: refuse it.
+    """
+    if window < 0:
+        raise ValueError(f"check window must be nonnegative, got {window}")
+    rows = []
+    for n in range(idx, idx + window + 1):
+        q = quantity(n)
+        rows.append(CheckRow(N, idx, n, q, bound, q > bound if above else q < bound))
+    return rows
 
 
 def _limit_value_and_error(limit, prec: int) -> tuple[Fraction, Fraction]:
@@ -171,17 +178,39 @@ def check_modulus(
     """Validate a modulus against exactly computed sequence values.
 
     For each N the indices of(N) .. of(N)+budget are sampled; a row passes
-    when |a_n - limit| < 2^-N is certified.
+    when its quantity, |a_n - limit| plus the error of the limit's
+    approximation (0 for an exact limit), is below 2^-N.
     """
     rows: list[CheckRow] = []
     for N in Ns:
-        idx = m.of(N)
         lim, lim_err = _limit_value_and_error(limit, N + 3)
-        bound = _pow2(N)
-        for n in range(idx, idx + fuel.budget + 1):
-            q = abs(Fraction(values(n)) - lim)
-            rows.append(CheckRow(N, idx, n, q, bound, q + lim_err < bound))
+        rows += _window_rows(
+            N, m.of(N), fuel.budget, lambda n: abs(Fraction(values(n)) - lim) + lim_err, _pow2(N)
+        )
     return CheckReport(rows)
+
+
+def check_cut(
+    N: int,
+    idx: Optional[int],
+    r: Union[Fraction, int],
+    cut: Fraction,
+    values: Callable[[int], Fraction],
+    window: int,
+    above: bool = False,
+) -> CheckReport:
+    """Validate a cut witness: values(n) < r for idx <= n <= idx + window,
+    or values(n) > r with ``above``.
+
+    ``cut`` is the limit's value, mu(C) of a closed C for a limsup witness or
+    mu(U) of an open U for a liminf one (``above``), and r must lie strictly
+    past it on its side.  Otherwise, or when ``idx`` is ``None`` (no index
+    yet), the one row ``N, -1, -1, r, cut`` fails.
+    """
+    r = Fraction(r)
+    if idx is None or (r >= cut if above else r <= cut):
+        return CheckReport([CheckRow(N, -1, -1, r, cut, False)])
+    return CheckReport(_window_rows(N, idx, window, values, r, above))
 
 
 # ---------------------------------------------------------------------------
@@ -637,74 +666,3 @@ def limit_from_vague(
     seq: MeasureSeq, oracle: VagueOracle, total_mass: CauchyReal
 ) -> ReconstructedMeasure:
     return ReconstructedMeasure(seq, oracle, total_mass)
-
-
-# ---------------------------------------------------------------------------
-# portmanteau certificate checking
-
-
-@dataclass(frozen=True)
-class PortmanteauRow:
-    label: str
-    checked_n: int
-    quantity: Fraction
-    bound: Fraction
-    ok: bool
-
-
-def portmanteau_check(
-    seq: MeasureSeq,
-    limit: Measure,
-    mode: str,
-    target,
-    certificate,
-    *,
-    window: int = 20,
-    Ns: Sequence[int] = (1, 2, 3, 4, 5, 6),
-) -> CheckReport:
-    """Validate a supplied convergence certificate on concrete data.
-
-    Modes: ``closed-limsup`` (LimsupWitness on a PiSet), ``open-liminf``
-    (LiminfWitness on a SigmaSet), ``almost-decidable`` (Modulus on an
-    AlmostDecidablePair).
-    """
-    rows: list[PortmanteauRow] = []
-    if mode == "closed-limsup":
-        mu_c = limit.mass_closed(target.closed_components)
-        for r, idx in certificate.items():
-            r = Fraction(r)
-            in_cut = r > mu_c
-            rows.append(
-                PortmanteauRow(f"r={r} in right cut", idx, mu_c, r, in_cut)
-            )
-            if not in_cut:
-                continue
-            for n in range(idx, idx + window + 1):
-                q = seq[n].mass_closed(target.closed_components)
-                rows.append(PortmanteauRow(f"mu_n(C) < {r}", n, q, r, q < r))
-    elif mode == "open-liminf":
-        mu_u = limit.region_mass_open(target.components)
-        for r, idx in certificate.items():
-            r = Fraction(r)
-            in_cut = r < mu_u
-            rows.append(
-                PortmanteauRow(f"r={r} in left cut", idx, mu_u, r, in_cut)
-            )
-            if not in_cut:
-                continue
-            for n in range(idx, idx + window + 1):
-                q = seq[n].region_mass_open(target.components)
-                rows.append(PortmanteauRow(f"mu_n(U) > {r}", n, q, r, q > r))
-    elif mode == "almost-decidable":
-        mu_a = limit.region_mass_open(target.U.components)
-        for N in Ns:
-            idx = certificate.of(N)
-            bound = _pow2(N)
-            for n in range(idx, idx + window + 1):
-                q = abs(seq[n].region_mass_open(target.U.components) - mu_a)
-                rows.append(
-                    PortmanteauRow(f"|mu_n(A)-mu(A)| < 2^-{N}", n, q, bound, q < bound)
-                )
-    else:
-        raise ValueError(f"unknown portmanteau mode {mode!r}")
-    return CheckReport(rows)

@@ -1,5 +1,5 @@
 """Mutation check for the Prokhorov kernels, exact integration, the measure protocol, the
-vague oracles' callers, the file reader and the CLI.
+vague oracles' callers, the certificate checks, the file reader and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -322,14 +322,36 @@ MUTANTS = (
         file=FUNCTIONS,
         tests=("tests/test_fileformat.py",),
     ),
-    # the CLI
+    # the certificate checks: one window, one cut test, one pass rule
     Mutant(
-        "report: exit 0 when any row passes",
-        "return 0 if all(r.ok for r in rows) else 1",
-        "return 0 if any(r.ok for r in rows) else 1",
-        file=CLI,
+        "report: passed when any row passes",
+        "return bool(self.rows) and all(r.ok for r in self.rows)",
+        "return bool(self.rows) and any(r.ok for r in self.rows)",
+        file=CONVERGENCE,
         tests=("tests/test_cli.py",),
     ),
+    Mutant(
+        "cut: r equal to the limit's value taken as in the cut",
+        "r >= cut if above else r <= cut",
+        "r >= cut if above else r < cut",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestPortmanteau",),
+    ),
+    Mutant(
+        "window: the above comparison flipped",
+        "q > bound if above else q < bound",
+        "q < bound if above else q < bound",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestPortmanteau",),
+    ),
+    Mutant(
+        "window: the last member dropped",
+        "for n in range(idx, idx + window + 1):\n        q = quantity(n)",
+        "for n in range(idx, idx + window):\n        q = quantity(n)",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestCheckModulus",),
+    ),
+    # the CLI
     Mutant(
         "input: a path under a non-directory is a read error",
         "isinstance(exc, (FileNotFoundError, NotADirectoryError))",

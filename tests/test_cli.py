@@ -505,6 +505,21 @@ class TestReportBytes:
             "4,0,2,1/5,1/16,fail\n",
         )
 
+    def test_eps_fail_rows(self, capsys, tmp_path):
+        # 1/2,1/2 and 1/8,1/8: a distance equal to the bound fails
+        cert = tmp_path / "bad.modulus"
+        cert.write_text("modulus\n1 0\n3 2\n")
+        self.assert_bytes(
+            capsys, tmp_path,
+            ("verify", "eps", "deltashrink", "delta0", "1,3", "--fuel", "1",
+             "--certificate", str(cert)), 1,
+            "N,index,checked_n,quantity,bound,result\n"
+            "1,0,0,1,1/2,fail\n"
+            "1,0,1,1/2,1/2,fail\n"
+            "3,2,2,1/4,1/8,fail\n"
+            "3,2,3,1/8,1/8,fail\n",
+        )
+
 
 class TestUnreadablePaths:
     """A path that cannot be read or written as text is a parse error, not a traceback."""

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from effmeas import (
     CauchyReal,
+    CheckReport,
+    CheckRow,
     ContractViolation,
     DiscreteMeasure,
     DivergenceDetected,
@@ -20,6 +22,7 @@ from effmeas import (
     SearchExhausted,
     TotalMassModulus,
     UnsupportedMeasureClass,
+    check_cut,
     check_modulus,
     constant_func,
     hat_function,
@@ -27,7 +30,6 @@ from effmeas import (
     integrate_poly,
     limit_from_vague,
     pi_from_complement,
-    portmanteau_check,
     specker_sequence,
     supported_from_poly,
     tail_mass_bound,
@@ -38,8 +40,6 @@ from effmeas import (
 )
 import effmeas.convergence as convergence
 from effmeas.convergence import (
-    LimsupWitness,
-    LiminfWitness,
     _scan_for_index,
     polygonal_surrogate,
     validate_total_mass_modulus,
@@ -229,6 +229,22 @@ class TestCheckModulus:
             Fuel(3),
         )
         assert rep.passed
+
+    def test_window_rows(self):
+        # members of(N) .. of(N) + budget, both ends included
+        rep = check_modulus(lambda n: _pow2(n), 0, Modulus(lambda N: N + 1), [2], Fuel(2))
+        assert [(r.N, r.index, r.checked_n) for r in rep.rows] == [(2, 3, 3), (2, 3, 4), (2, 3, 5)]
+
+    def test_no_precisions_fails(self):
+        # a report that checked nothing vouches for nothing
+        assert not CheckReport([]).passed
+        rep = check_modulus(lambda n: _pow2(n), 0, Modulus(lambda N: N + 1), [], Fuel(4))
+        assert rep.rows == [] and not rep.passed
+
+    def test_negative_window_refused(self):
+        # members idx .. idx - 1: no member, so a pass would check nothing
+        with pytest.raises(ValueError):
+            check_cut(1, 2, Fraction(1, 4), Fraction(0), lambda n: Fraction(0), -1)
 
 
 class TestScanModuli:
@@ -604,21 +620,60 @@ class TestLimitReconstruction:
 
 
 class TestPortmanteau:
+    """Cut witnesses through ``check_cut``, region masses through ``check_modulus``."""
+
+    C = pi_from_complement([(Fraction(1, 2), Fraction(1))])  # mu(C) = 0 for deltashrink
+
+    @staticmethod
+    def closed_mass(seq, C):
+        return lambda n: seq[n].mass_closed(C.closed_components)
+
+    @staticmethod
+    def open_mass(seq, U):
+        return lambda n: seq[n].region_mass_open(U.components)
+
     def test_closed_limsup_pass_and_fail(self):
         c = deltashrink()
-        C = pi_from_complement([(Fraction(1, 2), Fraction(1))])  # mu(C) = 0
-        good = LimsupWitness(((Fraction(1, 4), 2),))
-        assert portmanteau_check(c.seq, c.limit, "closed-limsup", C, good).passed
-        bad = LimsupWitness(((Fraction(-1, 4), 2),))  # not in the right cut
-        assert not portmanteau_check(c.seq, c.limit, "closed-limsup", C, bad).passed
+        mu_c = c.limit.mass_closed(self.C.closed_components)
+        member = self.closed_mass(c.seq, self.C)
+        assert check_cut(0, 2, Fraction(1, 4), mu_c, member, 20).passed
+        bad = check_cut(0, 2, Fraction(-1, 4), mu_c, member, 20)  # not in the right cut
+        assert bad.rows == [CheckRow(0, -1, -1, Fraction(-1, 4), mu_c, False)]
 
     def test_open_liminf(self):
         from effmeas import SigmaSet
 
         c = deltashrink()
         U = SigmaSet.from_components([(Fraction(-1), Fraction(1))])  # mu(U) = 1
-        wit = LiminfWitness(((Fraction(1, 2), 1),))
-        assert portmanteau_check(c.seq, c.limit, "open-liminf", U, wit).passed
+        mu_u = c.limit.region_mass_open(U.components)
+        rep = check_cut(0, 1, Fraction(1, 2), mu_u, self.open_mass(c.seq, U), 20, above=True)
+        assert rep.passed and len(rep.rows) == 21
+
+    def test_cut_boundary_is_not_in_the_cut(self):
+        # r must be strictly past the limit's value: r == cut is refused on
+        # both sides, and so is r on the wrong side or a missing index
+        from effmeas import SigmaSet
+
+        c = deltashrink()
+        mu_c = c.limit.mass_closed(self.C.closed_components)
+        U = SigmaSet.from_components([(Fraction(-1), Fraction(1))])
+        mu_u = c.limit.region_mass_open(U.components)
+        closed, opened = self.closed_mass(c.seq, self.C), self.open_mass(c.seq, U)
+        for r, cut, member, above in (
+            (mu_c, mu_c, closed, False),
+            (mu_c - Fraction(1, 4), mu_c, closed, False),
+            (mu_u, mu_u, opened, True),
+            (mu_u + Fraction(1, 4), mu_u, opened, True),
+        ):
+            rep = check_cut(3, 2, r, cut, member, 2, above=above)
+            assert rep.rows == [CheckRow(3, -1, -1, r, cut, False)]
+        rep = check_cut(3, None, mu_c + 1, mu_c, closed, 2)
+        assert rep.rows == [CheckRow(3, -1, -1, mu_c + 1, mu_c, False)]
+
+    def test_cut_window_rows(self):
+        c = deltashrink()
+        rep = check_cut(2, 4, Fraction(1, 4), Fraction(0), self.closed_mass(c.seq, self.C), 2)
+        assert rep.rows == [CheckRow(2, 4, n, Fraction(0), Fraction(1, 4), True) for n in (4, 5, 6)]
 
     def test_almost_decidable_mode(self):
         from effmeas import almost_decidable_ball
@@ -626,15 +681,14 @@ class TestPortmanteau:
         c = deltashrink()
         _, pair = almost_decidable_ball(c.limit, Fraction(0), Fraction(1))
         mod = c.ad_modulus(pair)
-        rep = portmanteau_check(
-            c.seq, c.limit, "almost-decidable", pair, mod, Ns=(1, 3, 5)
+        rep = check_modulus(
+            self.open_mass(c.seq, pair.U),
+            c.limit.region_mass_open(pair.U.components),
+            mod,
+            (1, 3, 5),
+            Fuel(20),
         )
         assert rep.passed
-
-    def test_unknown_mode_rejected(self):
-        c = deltashrink()
-        with pytest.raises(ValueError):
-            portmanteau_check(c.seq, c.limit, "bogus", None, None)
 
     @staticmethod
     def lazy_limit():
@@ -645,22 +699,31 @@ class TestPortmanteau:
             location_predicate=lambda x: x == int(x) and x >= 0,
         )
 
+    # the cut and the target are the limit's values, so the limit refuses
+    # before any member is read
     def test_open_liminf_lazy_limit_unsupported(self):
         from effmeas import SigmaSet
 
         U = SigmaSet.from_components([(Fraction(-1), Fraction(1))])
-        wit = LiminfWitness(((Fraction(1, 2), 1),))
+        seq = deltashrink().seq
         with pytest.raises(UnsupportedMeasureClass):
-            portmanteau_check(deltashrink().seq, self.lazy_limit(), "open-liminf", U, wit)
+            check_cut(
+                0, 1, Fraction(1, 2), self.lazy_limit().region_mass_open(U.components),
+                self.open_mass(seq, U), 20, above=True,
+            )
 
     def test_almost_decidable_lazy_limit_unsupported(self):
         from effmeas import almost_decidable_ball
 
         _, pair = almost_decidable_ball(self.lazy_limit(), Fraction(1, 2), Fraction(1))
+        seq = deltashrink().seq
         with pytest.raises(UnsupportedMeasureClass):
-            portmanteau_check(
-                deltashrink().seq, self.lazy_limit(), "almost-decidable", pair,
-                Modulus.constant(0), Ns=(1,),
+            check_modulus(
+                self.open_mass(seq, pair.U),
+                self.lazy_limit().region_mass_open(pair.U.components),
+                Modulus.constant(0),
+                (1,),
+                Fuel(20),
             )
 
 
