@@ -34,7 +34,6 @@ from .functions import (
 )
 from .measures import DiscreteMeasure, LazyDiscreteMeasure, Measure, integrate_named
 from .reals import CauchyReal, LowerReal, _pow2
-from .sets import compact_hull_bounds, merge_open
 from .streams import Fuel, Stream
 
 
@@ -366,7 +365,7 @@ def uniformize_vague(
     budget.  The tent plateau is widened by one unit on each side so that
     it also covers the surrogate's support.
     """
-    l, u = compact_hull_bounds(f.support, 8)
+    l, u = f.hull()
     F = l.__floor__() - 1
     C = u.__ceil__() + 1
     tent = tent_function((F, C))
@@ -648,14 +647,8 @@ class ReconstructedMeasure(Measure):
 
         def gen():
             best = None
-            pulled = []
             for t in itertools.count():
-                if U.components is not None:
-                    comps = U.components
-                else:
-                    pulled.append(U.interval(t))
-                    comps = merge_open(pulled)
-                v = sum((comp_lower(c, t) for c in comps), Fraction(0))
+                v = sum((comp_lower(c, t) for c in U.inner(t)), Fraction(0))
                 best = v if best is None else max(best, v)
                 yield best
 

@@ -28,18 +28,20 @@ from .measures import AlmostDecidablePair, DiscreteMeasure, Measure
 from .reals import _fraction, _pow2
 
 
-def _first_below(target: Fraction) -> int:
-    """Smallest n >= 0 with 2^-n < target, read off bit lengths.
+def _exp_above(p: int, q: int) -> int:
+    """Least integer e with p/q < 2^e, for positive ints p and q, coprime or
+    not: at e = bitlen(p) - bitlen(q), 2^(e-1) < p/q < 2^(e+1)."""
+    e = p.bit_length() - q.bit_length()
+    return e if (p < q << e if e >= 0 else p << -e < q) else e + 1
 
-    For target = p/q in lowest terms, 2^-n < target iff q < p * 2^n.  At
-    n = bitlen(q) - bitlen(p) the two sides have equal bit lengths, so n
-    fails only if n + 1 is the answer.  A target <= 0 has no such n.
-    """
+
+def _first_below(target: Fraction) -> int:
+    """Smallest n >= 0 with 2^-n < target: 1/target < 2^n.  A target <= 0
+    has no such n."""
     p, q = target.numerator, target.denominator
     if p <= 0:
         raise ValueError(f"need a positive target, got {target}")
-    n = max(0, q.bit_length() - p.bit_length())
-    return n if q < p << n else n + 1
+    return max(0, _exp_above(q, p))
 
 
 @dataclass
@@ -97,10 +99,13 @@ class DriftingAtomFamily(MeasureSeq):
         """|int p dmu_n - int p dmu| <= total * L * 2^-n, L the Lipschitz
         constant of the polygon ``p``, which may be zero-outside (the vague
         oracle) or any bounded polygon (the weak one)."""
-        lw = p.lipschitz() * self.total
-        if lw == 0:
+        L, total = p.lipschitz(), self.total
+        if L == 0 or total == 0:
             return Modulus.constant(0)
-        return Modulus(lambda N: _first_below(_pow2(N) / lw))
+        # with lw = L * total, 2^-n < 2^-N / lw iff lw < 2^(n - N): the
+        # index is N + e floored at 0, e the least integer with lw < 2^e
+        e = _exp_above(L.numerator * total.numerator, L.denominator * total.denominator)
+        return Modulus(lambda N: max(0, N + e))
 
     def ad_modulus(self, pair: AlmostDecidablePair) -> Modulus:
         """Exact-stability index: drift below every boundary clearance.

@@ -33,7 +33,7 @@ from .streams import Stream
 CONST = "constant-extend"
 ZERO = "zero-outside"
 _FIT_MAX_DEPTH = 64  # range-box bisections before a fit gives up
-_HULL_ROUND = 8  # precision of the support hull bounds approx_polygonal reads
+_HULL_ROUND = 8  # the support cover SupportedFunc.hull reads
 
 
 class _Lazy:
@@ -285,9 +285,8 @@ class CompactOpenName:
     or ``None`` for an opaque name.
     """
 
-    def __init__(self, range_fn, exact: bool = True, poly: "PolyFunc | None" = None):
+    def __init__(self, range_fn, poly: "PolyFunc | None" = None):
         self._range_fn = range_fn
-        self.exact = exact
         self.poly = poly
 
         def pairs():
@@ -316,7 +315,7 @@ def co_name_of_poly(p: PolyFunc) -> CompactOpenName:
     def range_fn(a, b, _tol):
         return p.exact_range(a, b)
 
-    return CompactOpenName(range_fn, exact=True, poly=p)
+    return CompactOpenName(range_fn, poly=p)
 
 
 @dataclass(frozen=True)
@@ -325,14 +324,18 @@ class SupportedFunc:
 
     Only the input of :func:`~effmeas.convergence.uniformize_vague` and of
     :func:`~effmeas.measures.integrate_named`.  An exact backing, if any, is
-    the name's ``poly`` (:func:`_exact_backing`); vague oracles take that
-    polygon itself, never a ``SupportedFunc``, and the converters integrate
-    the polygons they build through
-    :meth:`~effmeas.measures.Measure.integrate_zero_outside`, unwrapped.
+    the name's ``poly``; vague oracles take that polygon itself, never a
+    ``SupportedFunc``, and the converters integrate the polygons they build
+    through :meth:`~effmeas.measures.Measure.integrate_zero_outside`,
+    unwrapped.
     """
 
     name: CompactOpenName
     support: CompactName
+
+    def hull(self) -> tuple[Fraction, Fraction]:
+        """Rationals l <= min supp f and max supp f <= u, from cover ``_HULL_ROUND``."""
+        return compact_hull_bounds(self.support, _HULL_ROUND)
 
 
 def supported_from_poly(p: PolyFunc) -> SupportedFunc:
@@ -346,12 +349,6 @@ def supported_from_poly(p: PolyFunc) -> SupportedFunc:
 
 # ---------------------------------------------------------------------------
 # polygonal approximation through the name interface
-
-
-def _exact_backing(name: CompactOpenName) -> "PolyFunc | None":
-    """The polygon an exact name is backed by (:func:`co_name_of_poly`), or
-    ``None`` for an opaque or inexact name, which is fitted by range boxes."""
-    return name.poly if name.exact else None
 
 
 def _fit(
@@ -407,7 +404,7 @@ def _window_lattice(name: CompactOpenName, a, b, err, va=None, vb=None) -> tuple
     if not a < b:
         raise MalformedInterval("need a < b")
 
-    backing = _exact_backing(name)
+    backing = name.poly
     if backing is not None:
         # Exactly backed name: the restriction of f itself is the best
         # polygonal fit (error 0), provided any forced endpoint values
@@ -454,10 +451,10 @@ def approx_polygonal(f: SupportedFunc, err) -> PolyFunc:
     err = _fraction(err)
     if err <= 0:
         raise ValueError("err must be positive")
-    backing = _exact_backing(f.name)
+    backing = f.name.poly
     if backing is not None and backing.extension == ZERO:
         return backing
-    l, u = compact_hull_bounds(f.support, _HULL_ROUND)
+    l, u = f.hull()
     # greatest integer strictly below l, smallest strictly above u
     fl = l.__ceil__() - 1
     cu = u.__floor__() + 1

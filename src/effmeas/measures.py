@@ -28,7 +28,7 @@ from .functions import (
     polygonal_on_window,
 )
 from .reals import CauchyReal, LowerReal, _fraction, _pow2
-from .sets import OpenComp, SigmaSet, compact_hull_bounds, merge_open, open_contains_point
+from .sets import OpenComp, SigmaSet, merge_open, open_contains_point
 from .streams import Stream
 
 # (xs, ws, lx, lw): atom i at xs[i]/lx with mass ws[i]/lw
@@ -106,14 +106,7 @@ class Measure:
         """mu(U) from below: the exact mass of each finite union pulled."""
         if U.components is not None:
             return LowerReal.from_rational(self.region_mass_open(U.components))
-
-        def gen():
-            pulled = []
-            for k in itertools.count():
-                pulled.append(U.interval(k))
-                yield self.region_mass_open(merge_open(pulled))
-
-        return LowerReal(gen())
+        return LowerReal(lambda k: self.region_mass_open(U.pulled_union(k)))
 
     def integrate_poly(self, p: PolyFunc) -> Fraction:
         """The exact integral of a polygonal function."""
@@ -558,7 +551,7 @@ class LazyDiscreteMeasure(Measure):
             tol = _pow2(n + 1) / (self.total_mass_upper() + 1)
             psi = approx_polygonal(f, tol)
             return integrate_poly(psi, self.truncated(_pow2(n + 1) / (psi.bound() + 1)))
-        _, hull_hi = compact_hull_bounds(f.support, 8)
+        _, hull_hi = f.hull()
         return self._atoms_to(hull_hi).integrate_supported(f, n)
 
     def null_test(self) -> Callable[[Fraction], bool]:
@@ -568,24 +561,14 @@ class LazyDiscreteMeasure(Measure):
         return lambda x: not pred(x)
 
     def open_mass(self, U: SigmaSet) -> LowerReal:
-        def gen():
-            pulled = []
-            for k in itertools.count():
-                if U.components is None:
-                    pulled.append(U.interval(k))
-                    comps = merge_open(pulled)
-                else:
-                    comps = U.components
-                yield sum(
-                    (
-                        w
-                        for loc, w in self.prefix(k)
-                        if open_contains_point(comps, loc)
-                    ),
-                    Fraction(0),
-                )
+        def bound(k: int) -> Fraction:
+            comps = U.inner(k)
+            return sum(
+                (w for loc, w in self.prefix(k) if open_contains_point(comps, loc)),
+                Fraction(0),
+            )
 
-        return LowerReal(gen())
+        return LowerReal(bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Effective subsets of the real line.
 
-Open sets are enumerations of rational open intervals they contain, closed
-sets are enumerations of rational open intervals they avoid, and compact
-sets are enumerations of minimal finite covers.  Sets built from concrete
-rational data additionally carry an exact finite description, on which every
-semi-decision collapses to a decidable rational-geometry check; the stream
-interfaces stay fully general.
+Open sets are enumerations of rational open intervals they contain.  A
+closed set is the complement of an open one: the intervals it avoids are
+the enumeration of that open set.  Compact sets are enumerations of minimal
+finite covers.  Sets built from concrete rational data additionally carry an
+exact finite description, on which every semi-decision collapses to a
+decidable rational-geometry check; the stream interfaces stay fully general.
 
 Open components are ``(left, right)`` pairs of rationals where ``None``
 stands for an infinite endpoint; closed components are finite ``[left,
@@ -172,6 +172,16 @@ def _safe_inner_exhaustion(comps) -> Iterator[tuple[Fraction, Fraction]]:
                 yield (l, r)
 
 
+def _exhaustion(comps: tuple[OpenComp, ...]) -> Iterator[tuple[Fraction, Fraction]]:
+    """The enumeration of an exact open set: the codes inside it interleaved
+    with its inner exhaustion.  Nothing is decoded before the first pull."""
+    if comps:
+        yield from interleave(
+            _code_filtered(lambda l, r: open_contains_interval(comps, l, r)),
+            _safe_inner_exhaustion(comps),
+        )
+
+
 # Guards the first build of a SigmaSet's enumeration stream, so concurrent
 # first readers share one stream.
 _LAZY_STREAM_LOCK = threading.Lock()
@@ -185,13 +195,8 @@ class SigmaSet:
     """
 
     def __init__(self, enumeration, components: Sequence[OpenComp] | None = None):
-        merged = merge_open(components) if components is not None else None
-        self._setup(lambda: enumeration, merged)
-
-    def _setup(self, source, components: tuple[OpenComp, ...] | None) -> None:
-        # ``components`` arrives merged; ``source()`` gives the enumeration.
-        self.components = components
-        self._source = source
+        self.components = merge_open(components) if components is not None else None
+        self._source = enumeration
         self._stream: Stream | None = None
 
     @property
@@ -199,7 +204,7 @@ class SigmaSet:
         if self._stream is None:
             with _LAZY_STREAM_LOCK:
                 if self._stream is None:
-                    self._stream = Stream(self._source(), validate=self._check_inside)
+                    self._stream = Stream(self._source, validate=self._check_inside)
         return self._stream
 
     def _check_inside(self, _i: int, prefix: list) -> None:
@@ -213,18 +218,13 @@ class SigmaSet:
 
     @classmethod
     def from_components(cls, comps: Sequence[OpenComp]) -> "SigmaSet":
-        comps = merge_open(comps)
+        return cls._exact(merge_open(comps))
 
-        def source():
-            if not comps:
-                return iter(())
-            return interleave(
-                _code_filtered(lambda l, r: open_contains_interval(comps, l, r)),
-                _safe_inner_exhaustion(comps),
-            )
-
-        made = cls.__new__(cls)
-        made._setup(source, comps)
+    @classmethod
+    def _exact(cls, comps: tuple[OpenComp, ...]) -> "SigmaSet":
+        """The set on the merged ``comps``, enumerated by :func:`_exhaustion`."""
+        made = cls(_exhaustion(comps))
+        made.components = comps
         return made
 
     @classmethod
@@ -240,6 +240,15 @@ class SigmaSet:
     def interval(self, k: int) -> tuple[Fraction, Fraction]:
         return self.enumeration[k]
 
+    def pulled_union(self, k: int) -> tuple[OpenComp, ...]:
+        """The union of enumerated intervals 0..k, as merged components."""
+        return merge_open(self.enumeration.prefix(k + 1))
+
+    def inner(self, k: int) -> tuple[OpenComp, ...]:
+        """Components inside the set: the exact ones when known, else
+        :meth:`pulled_union` ``(k)``."""
+        return self.components if self.components is not None else self.pulled_union(k)
+
     def enumerates_interval(self, l: Fraction, r: Fraction) -> bool:
         """Decidable membership of an interval code in the enumeration
         (exact-description sets only)."""
@@ -249,33 +258,25 @@ class SigmaSet:
 
 
 class PiSet:
-    """An effectively closed subset of R: a stream of avoided open intervals."""
+    """An effectively closed subset of R, named by its open complement: the
+    intervals it avoids are the enumeration of the SigmaSet ``complement``.
+
+    An interval misses C exactly when it lies in one component of the
+    complement, so exact ``closed_components`` give its exact components.
+    """
 
     def __init__(self, avoid_enumeration, closed_components: Sequence[ClosedComp] | None = None):
-        self.closed_components = (
-            merge_closed(closed_components) if closed_components is not None else None
-        )
-
-        def check_disjoint(_i: int, prefix: list):
-            l, r = prefix[-1]
-            if self.closed_components is not None and not open_disjoint_from_closed(
-                l, r, self.closed_components
-            ):
-                raise MalformedInterval(
-                    f"enumerated interval ({l}, {r}) meets the closed set"
-                )
-
-        self.avoid_enumeration = Stream(avoid_enumeration, validate=check_disjoint)
+        self.closed_components = None
+        self.complement = SigmaSet(avoid_enumeration)
+        if closed_components is not None:
+            self.closed_components = merge_closed(closed_components)
+            self.complement.components = complement_of_closed(self.closed_components)
 
     def avoided(self, k: int) -> tuple[Fraction, Fraction]:
-        return self.avoid_enumeration[k]
+        return self.complement.interval(k)
 
     def avoids_interval(self, l: Fraction, r: Fraction) -> bool:
-        if self.closed_components is None:
-            raise ValueError("no exact description; pull the enumeration instead")
-        return open_disjoint_from_closed(
-            Fraction(l), Fraction(r), self.closed_components
-        )
+        return self.complement.enumerates_interval(l, r)
 
 
 def pi_from_complement(closed_intervals) -> PiSet:
@@ -292,13 +293,10 @@ def pi_from_complement(closed_intervals) -> PiSet:
             if l > r:
                 raise MalformedInterval(f"malformed closed interval [{l}, {r}]")
             comps.append((l, r))
-    merged = merge_closed(comps)
-    hole = complement_of_closed(merged)
-    stream = interleave(
-        _code_filtered(lambda l, r: open_disjoint_from_closed(l, r, merged)),
-        _safe_inner_exhaustion(hole),
-    )
-    return PiSet(stream, closed_components=merged)
+    made = PiSet.__new__(PiSet)
+    made.closed_components = merge_closed(comps)
+    made.complement = SigmaSet._exact(complement_of_closed(made.closed_components))
+    return made
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +333,8 @@ def dist_to_closed(x: CauchyReal, C: PiSet) -> LowerReal:
 
     def gen():
         best = Fraction(0)
-        pulled: list[OpenComp] = []
         for n in itertools.count():
-            pulled.append(C.avoided(n))
-            merged = merge_open(pulled)
+            merged = C.complement.pulled_union(n)
             xn = x.approx(n)
             t = Fraction(0)
             for l, r in merged:

@@ -1,5 +1,6 @@
 """Mutation check for the Prokhorov kernels, exact integration, the measure protocol, the
-vague oracles' callers, the certificate checks, the file reader and the CLI.
+open and closed sets, the vague oracles' callers, the certificate checks, the file reader
+and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -38,6 +39,7 @@ FILEFORMAT = "src/effmeas/fileformat.py"
 FUNCTIONS = "src/effmeas/functions.py"
 CONVERGENCE = "src/effmeas/convergence.py"
 CLI = "src/effmeas/cli.py"
+SETS = "src/effmeas/sets.py"
 PROKHOROV_TESTS = ("tests/test_prokhorov.py",)
 TIMEOUT_S = 600  # per pytest run; an unmutated run takes well under a minute
 
@@ -199,13 +201,6 @@ MUTANTS = (
         file=FUNCTIONS,
         tests=("tests/test_polylattice.py",),
     ),
-    Mutant(
-        "backing: an inexact name taken as its backing",
-        "return name.poly if name.exact else None",
-        "return name.poly",
-        file=FUNCTIONS,
-        tests=("tests/test_functions.py::TestPolygonalApproximation",),
-    ),
     # the polygon entry: the converters' tents, trapezoids and surrogates
     Mutant(
         "polygon entry: lazy atoms cut at the first vertex",
@@ -242,6 +237,33 @@ MUTANTS = (
         "u = comps[0][0] if comps else 0",
         file=CONVERGENCE,
         tests=("tests/test_convergence.py::TestSpecker",),
+    ),
+    # a closed set on its open complement, and what the pulls have shown
+    Mutant(
+        "pulled union: k intervals read instead of k + 1",
+        "return merge_open(self.enumeration.prefix(k + 1))",
+        "return merge_open(self.enumeration.prefix(k))",
+        file=SETS,
+        tests=("tests/test_sets.py::TestPiSetOnComplement", "tests/test_measures.py::TestOpenMassPulls"),
+    ),
+    Mutant(
+        "inner: the exact components ignored",
+        "return self.components if self.components is not None else self.pulled_union(k)",
+        "return self.pulled_union(k)",
+        file=SETS,
+        tests=("tests/test_sets.py::TestPiSetOnComplement", "tests/test_measures.py::TestOpenMassPulls"),
+    ),
+    # killed by the exact components; the avoided-stream test would pull a
+    # set of points forever
+    Mutant(
+        "complement: built from the closed components themselves",
+        "made.complement = SigmaSet._exact(complement_of_closed(made.closed_components))",
+        "made.complement = SigmaSet._exact(made.closed_components)",
+        file=SETS,
+        tests=(
+            "tests/test_sets.py::TestPiSetOnComplement::test_no_stream_built",
+            "tests/test_sets.py::TestPiSetOnComplement::test_avoids_interval_is_disjointness",
+        ),
     ),
     # discretisation through the measure protocol
     Mutant(

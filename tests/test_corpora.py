@@ -29,11 +29,13 @@ from effmeas.convergence import validate_total_mass_modulus
 from effmeas.corpora import (
     DriftingAtomFamily,
     _deltan_vague_oracle,
+    _exp_above,
     _first_below,
     builtin_function,
     corpus_by_name,
 )
 from effmeas.functions import co_name_of_poly
+from effmeas.reals import _pow2
 
 
 def first_below_loop(target: Fraction) -> int:
@@ -65,6 +67,14 @@ class TestFirstBelow:
     def test_nonpositive_target_rejected(self, t):
         with pytest.raises(ValueError):
             _first_below(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**80), st.integers(1, 2**80), st.integers(1, 2**40))
+    def test_exp_above_is_the_least_exponent(self, p, q, g):
+        # unreduced pairs too: p * g / (q * g) is the same number
+        e = _exp_above(p * g, q * g)
+        x = Fraction(p, q)
+        assert x < Fraction(2) ** e and not x < Fraction(2) ** (e - 1)
 
 
 V2W_INDICES = {
@@ -128,6 +138,23 @@ _DEN = st.sampled_from((1, 2, 3, 4, 5, 7, 8, 12, 16, 64, 1024))
 _LOC = st.builds(Fraction, st.integers(-8, 8), _DEN)
 _WEIGHT = st.builds(Fraction, st.integers(1, 8), _DEN)
 _ATOMS = st.lists(st.tuples(_LOC, _WEIGHT, st.integers(0, 1)), min_size=1, max_size=4)
+
+
+class TestIntegralOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(_ATOMS, st.lists(_LOC, min_size=2, max_size=6, unique=True), st.lists(_LOC, min_size=4, max_size=4))
+    def test_index_is_the_counting_loop(self, atoms, xs, ys):
+        """The modulus of lw = L * total at N is the least n >= 0 with
+        2^-n < 2^-N / lw, for zero-outside and constant-extend polygons."""
+        fam = DriftingAtomFamily(atoms)
+        xs = sorted(xs)
+        ys = [ys[i % len(ys)] for i in range(len(xs))]
+        for p in (PolyFunc(tuple(zip(xs, ys)), "constant-extend"),
+                  PolyFunc(tuple(zip(xs, [Fraction(0)] + ys[1:-1] + [Fraction(0)])), "zero-outside")):
+            lw = p.lipschitz() * fam.total
+            mod = fam.integral_oracle(p)
+            for N in range(43):
+                assert mod.of(N) == (first_below_loop(_pow2(N) / lw) if lw else 0)
 
 
 def _outcome(fn, *args):

@@ -208,7 +208,7 @@ def opaque_name_of(p: PolyFunc, slop=Fraction(0)) -> CompactOpenName:
         pad = min(slop, Fraction(tol) / 2)
         return lo - pad, hi + pad
 
-    return CompactOpenName(range_fn, exact=(slop == 0))
+    return CompactOpenName(range_fn)
 
 
 class TestPolygonalApproximation:
@@ -256,7 +256,7 @@ class TestPolygonalApproximation:
         a new polygon vanishing at p < min supp f and q > max supp f."""
         p = hat_function(Fraction(0), Fraction(5, 4), Fraction(5, 2), Fraction(1))
         inexact = co_name_of_poly(p)
-        inexact.exact = False
+        inexact.poly = None
         support = supported_from_poly(p).support
         err = _pow2(8)
         for name in (opaque_name_of(p), opaque_name_of(p, slop=_pow2(12)), inexact):

@@ -1,5 +1,6 @@
 """Concrete measure classes, exact integration, and almost decidable sets."""
 
+import itertools
 from fractions import Fraction
 from operator import itemgetter
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from effmeas import (
     AlmostDecidablePair,
+    CauchyReal,
     DiscreteMeasure,
     Fuel,
     LazyDiscreteMeasure,
@@ -22,14 +24,16 @@ from effmeas import (
     indicator_approx,
     integrate_named,
     integrate_poly,
+    limit_from_vague,
     supported_from_poly,
     tent_function,
 )
+from effmeas.corpora import deltashrink
 from effmeas.errors import UnsupportedMeasureClass
 from effmeas.functions import co_name_of_poly
 from effmeas.measures import first_cover_balls, integrate_product
-from effmeas.reals import _pow2
-from effmeas.sets import open_contains_point
+from effmeas.reals import LowerReal, _pow2
+from effmeas.sets import merge_open, open_contains_point
 from tests.test_functions import _SubFraction, opaque_name_of, spelled
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=16)
@@ -487,6 +491,95 @@ class TestPolyDensityMeasure:
         u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
         t = tent_function((Fraction(-1), Fraction(2)))  # equals 1 on [0,1] support
         assert abs(integrate_poly(t, u) - 1) <= _pow2(18)
+
+
+# mu(U) from below with the pulled intervals kept in a list and merged
+# afresh per bound, one oracle per open_mass: the shared one, the lazy
+# atoms' and the reconstructed limit's
+
+
+def open_mass_shared(mu, U) -> LowerReal:
+    if U.components is not None:
+        return LowerReal.from_rational(mu.region_mass_open(U.components))
+
+    def gen():
+        pulled = []
+        for k in itertools.count():
+            pulled.append(U.interval(k))
+            yield mu.region_mass_open(merge_open(pulled))
+
+    return LowerReal(gen())
+
+
+def open_mass_lazy(mu, U) -> LowerReal:
+    def gen():
+        pulled = []
+        for k in itertools.count():
+            if U.components is None:
+                pulled.append(U.interval(k))
+                comps = merge_open(pulled)
+            else:
+                comps = U.components
+            yield sum((w for loc, w in mu.prefix(k) if open_contains_point(comps, loc)), Fraction(0))
+
+    return LowerReal(gen())
+
+
+def open_mass_reconstructed(mu, U) -> LowerReal:
+    def comp_lower(comp, t: int) -> Fraction:
+        l, r = comp
+        l = -Fraction(2**t) if l is None else l
+        r = Fraction(2**t) if r is None else r
+        return mu.interval_mass_lower(l, r).bound(t) if l < r else Fraction(0)
+
+    def gen():
+        best = None
+        pulled = []
+        for t in itertools.count():
+            if U.components is not None:
+                comps = U.components
+            else:
+                pulled.append(U.interval(t))
+                comps = merge_open(pulled)
+            v = sum((comp_lower(c, t) for c in comps), Fraction(0))
+            best = v if best is None else max(best, v)
+            yield best
+
+    return LowerReal(gen())
+
+
+def _reconstructed():
+    c = deltashrink()
+    return limit_from_vague(c.seq, c.vague_oracle, CauchyReal.from_rational(1))
+
+
+OPEN_MASS_CASES = {
+    "discrete": (lambda: DiscreteMeasure(((Fraction(0), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 4)),
+                                          (Fraction(-2), Fraction(1, 4)))), open_mass_shared, 10),
+    "density": (lambda: PolyDensityMeasure.uniform(Fraction(-1), Fraction(1)), open_mass_shared, 10),
+    "lazy-increasing": (lambda: _lazy("increasing"), open_mass_lazy, 10),
+    "lazy-hopping": (lambda: _lazy("hopping-tail"), open_mass_lazy, 10),
+    "reconstructed": (_reconstructed, open_mass_reconstructed, 4),
+}
+_END = st.one_of(st.none(), frac)
+
+
+class TestOpenMassPulls:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(OPEN_MASS_CASES)),
+        st.lists(st.tuples(_END, _END), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_bounds_match_the_pulled_list(self, kind, ends, opaque):
+        build, oracle, n = OPEN_MASS_CASES[kind]
+        ivs = [(l, r) for l, r in ends if l is None or r is None or l < r] or [(Fraction(0), Fraction(1))]
+        if opaque:
+            got_U, want_U = (SigmaSet(lambda k: ivs[k % len(ivs)]) for _ in range(2))
+        else:
+            got_U, want_U = (SigmaSet.from_components(ivs) for _ in range(2))
+        got, want = build().open_mass(got_U), oracle(build(), want_U)
+        assert [got.bound(k) for k in range(n)] == [want.bound(k) for k in range(n)]
 
 
 class TestLazyDiscrete:

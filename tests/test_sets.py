@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +20,9 @@ from effmeas import (
     pi_from_complement,
     sigma_member,
 )
+import effmeas.sets as sets
 from effmeas.errors import EmptyCompact, MalformedInterval
-from effmeas.reals import _pow2
+from effmeas.reals import LowerReal, _pow2
 from effmeas.sets import (
     compact_bounds,
     compact_hull_bounds,
@@ -32,7 +34,7 @@ from effmeas.sets import (
     open_contains_interval,
     open_disjoint_from_closed,
 )
-from effmeas.streams import Stream
+from effmeas.streams import Stream, interleave
 
 frac = st.fractions(min_value=-6, max_value=6, max_denominator=24)
 
@@ -215,6 +217,114 @@ class TestPiSet:
             l, r = N.avoided(k)
             # avoided intervals must miss [0,1] fattened by 1/2
             assert r <= Fraction(-1, 2) or l >= Fraction(3, 2)
+
+
+def avoided_direct(closed) -> Iterator:
+    """The avoided intervals of a closed union built from the closed set
+    itself: the codes disjoint from it, interleaved with the inner
+    exhaustion of its complement.  The oracle for the complement's
+    enumeration."""
+    merged = merge_closed(closed)
+    return interleave(
+        sets._code_filtered(lambda l, r: open_disjoint_from_closed(l, r, merged)),
+        sets._safe_inner_exhaustion(complement_of_closed(merged)),
+    )
+
+
+def dist_direct(x: CauchyReal, avoided) -> LowerReal:
+    """d(x, C) from a list of the avoided intervals pulled so far, merged
+    afresh at each step: the oracle for :func:`dist_to_closed`."""
+
+    def gen():
+        best = Fraction(0)
+        pulled = []
+        for n in itertools.count():
+            pulled.append(avoided(n))
+            merged = merge_open(pulled)
+            xn = x.approx(n)
+            t = Fraction(0)
+            for l, r in merged:
+                if (l is None or l < xn) and (r is None or xn < r):
+                    ends = []
+                    if l is not None:
+                        ends.append(xn - l)
+                    if r is not None:
+                        ends.append(r - xn)
+                    if not ends:
+                        raise ValueError("C avoids all of R")
+                    t = min(ends)
+                    break
+            best = max(best, t - _pow2(n - 1), Fraction(0))
+            yield best
+
+    return LowerReal(gen())
+
+
+# closed unions, points included
+closed_unions = st.lists(
+    st.one_of(frac.map(lambda a: (a, a)), st.tuples(frac, frac).map(lambda ab: (min(ab), max(ab)))),
+    max_size=4,
+)
+
+
+class TestPiSetOnComplement:
+    @settings(max_examples=40, deadline=None)
+    @given(closed_unions)
+    def test_avoided_stream_is_the_direct_one(self, closed):
+        C = pi_from_complement(closed)
+        want = list(itertools.islice(avoided_direct(closed), 200))
+        assert [C.avoided(k) for k in range(200)] == want
+
+    @given(closed_unions, frac, frac)
+    def test_avoids_interval_is_disjointness(self, closed, a, b):
+        if not a < b:
+            return
+        C = pi_from_complement(closed)
+        assert C.avoids_interval(a, b) == open_disjoint_from_closed(a, b, C.closed_components)
+
+    @settings(max_examples=60, deadline=None)
+    @given(closed_unions.filter(bool), frac, st.booleans())
+    def test_dist_to_closed_bounds_unchanged(self, closed, x, opaque):
+        base = pi_from_complement(closed)
+        C = PiSet(lambda k: base.avoided(k)) if opaque else base
+        want = dist_direct(CauchyReal.from_rational(x), Stream(avoided_direct(closed)).__getitem__)
+        got = dist_to_closed(CauchyReal.from_rational(x), C)
+        assert [got.bound(n) for n in range(12)] == [want.bound(n) for n in range(12)]
+
+    @pytest.mark.parametrize("avoid", [(None, Fraction(-1)), (Fraction(2), None), (None, None)])
+    def test_dist_to_closed_on_unbounded_avoided(self, avoid):
+        x = CauchyReal.from_rational(Fraction(-3))
+        got = dist_to_closed(x, PiSet(itertools.repeat(avoid)))
+        want = dist_direct(x, lambda _k: avoid)
+        if avoid == (None, None):
+            for d in (got, want):
+                with pytest.raises(ValueError):
+                    d.bound(0)
+            return
+        assert [got.bound(n) for n in range(10)] == [want.bound(n) for n in range(10)]
+
+    def test_no_stream_built(self, monkeypatch):
+        def refuse(*_args, **_kw):
+            raise AssertionError("a Stream was built")
+
+        monkeypatch.setattr(sets, "Stream", refuse)
+        C = pi_from_complement([(Fraction(0), Fraction(1)), (Fraction(2), Fraction(2))])
+        assert C.avoids_interval(Fraction(3, 2), Fraction(7, 4))
+        assert not C.avoids_interval(Fraction(3, 2), Fraction(5, 2))
+        assert C.complement.components == (
+            (None, Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(2), None)
+        )
+        with pytest.raises(AssertionError, match="Stream"):
+            C.avoided(0)
+
+    def test_pulled_union_and_inner(self):
+        ivs = [(Fraction(0), Fraction(1)), (Fraction(3), Fraction(4)), (Fraction(1, 2), Fraction(2))]
+        U = SigmaSet(iter(ivs))
+        assert U.pulled_union(0) == ((Fraction(0), Fraction(1)),)
+        assert U.pulled_union(2) == ((Fraction(0), Fraction(2)), (Fraction(3), Fraction(4)))
+        assert U.inner(1) == U.pulled_union(1)
+        exact = SigmaSet.from_components(ivs)
+        assert exact.inner(0) == exact.components == U.pulled_union(2)
 
 
 class TestExpandClosed:
