@@ -4,17 +4,21 @@ Subcommands::
 
     effmeas prokhorov A.measure B.measure [--precision n]
     effmeas demo specker [--enum NAME|FILE] [--function NAME|FILE] [--fuel k]
-    effmeas verify MODE SEQ LIMIT [FUNCTION] [N-LIST] [--construct]
+    effmeas verify MODE SEQ LIMIT [FUNCTION] [N-LIST]
                    [--certificate FILE] [--fuel k] [--out FILE.csv]
 
 MODE is one of weak, vague, eps, witness, vague-to-weak.  SEQ names a
-builtin family (deltashrink, deltan, mixture, deltadrift, specker); LIMIT
-is a builtin measure name or a measure file.  N-LIST tokens look like
-``4`` or ``1..8`` or ``1,3,5``; a second FUNCTION or a second N-LIST
+builtin family (deltashrink, deltan, mixture, deltadrift,
+specker[:identity|squares]); LIMIT is a builtin measure name or a measure
+file; ``--enum`` is identity, squares or an enumeration file.  weak, vague
+and vague-to-weak take a FUNCTION; eps and witness refuse one.  weak,
+vague and eps check the ``--certificate`` modulus in place of the one they
+would construct; witness and vague-to-weak refuse one.  N-LIST tokens look
+like ``4`` or ``1..8`` or ``1,3,5``; a second FUNCTION or a second N-LIST
 (positional or ``--precision``) is a usage error.  Exit codes: 0 all rows
 pass, 1 some row fails, 2 certified divergence, 3 parse error (a malformed
-file, a path that cannot be read or written as text, or a usage error on
-the command line).
+file, a path that cannot be read or written as text, an unknown name, an
+input the mode does not use, or a usage error on the command line).
 """
 
 from __future__ import annotations
@@ -34,16 +38,12 @@ from .convergence import (
     Modulus,
     check_cut,
     check_modulus,
+    specker_sequence,
     vague_to_weak,
     validate_total_mass_modulus,
     weak_modulus,
 )
-from .corpora import (
-    builtin_function,
-    builtin_measure,
-    corpus_by_name,
-    specker_corpus,
-)
+from .corpora import builtin_function, builtin_measure, corpus_by_name, specker_enumeration
 from .errors import (
     ContractViolation,
     DivergenceDetected,
@@ -123,26 +123,22 @@ def _read(path: str, missing_ok: bool = False) -> str | None:
         raise ParseError(None, f"cannot read {path!r}: {exc}") from None
 
 
-def _resolve_measure(token: str):
-    text = _read(token, missing_ok=True)
+def _resolve(token: str, parse, builtin, what: str):
+    """The file ``token`` read through ``parse``, else the builtin ``token``;
+    with ``parse`` None, builtin names only.  A name nothing knows is a
+    parse error."""
+    text = _read(token, missing_ok=True) if parse else None
     if text is not None:
-        return parse_measure(text)
+        return parse(text)
     try:
-        return builtin_measure(token)
+        return builtin(token)
     except KeyError:
-        raise ParseError(None, f"unknown measure {token!r} (no such file or builtin)")
+        where = "file or builtin" if parse else "builtin"
+        raise ParseError(None, f"unknown {what} {token!r} (no such {where})") from None
 
 
-def _resolve_function(token: str):
-    """(PolyFunc, kind) from a builtin name or a polyfunc file."""
-    text = _read(token, missing_ok=True)
-    if text is not None:
-        p = parse_function(text)
-        return p, ("supported" if p.extension == "zero-outside" else "bounded")
-    try:
-        return builtin_function(token)
-    except KeyError:
-        raise ParseError(None, f"unknown function {token!r} (no such file or builtin)")
+def _builtin_poly(name: str):
+    return builtin_function(name)[0]  # a polygon's extension tells its kind
 
 
 _NLIST = re.compile(r"^\d+(\.\.\d+)?(,\d+(\.\.\d+)?)*$")
@@ -186,8 +182,8 @@ def _load_certificate(path: str, Ns: list[int]) -> Modulus:
 
 def cmd_prokhorov(args) -> int:
     _nonnegative("--precision", args.precision)
-    a = _resolve_measure(args.file_a)
-    b = _resolve_measure(args.file_b)
+    a = _resolve(args.file_a, parse_measure, builtin_measure, "measure")
+    b = _resolve(args.file_b, parse_measure, builtin_measure, "measure")
     if isinstance(a, DiscreteMeasure) and isinstance(b, DiscreteMeasure):
         d = prokhorov_discrete(a, b)
         print(_frac(d))
@@ -201,22 +197,15 @@ def cmd_prokhorov(args) -> int:
 
 def cmd_demo_specker(args) -> int:
     _nonnegative("--fuel", args.fuel)
-    text = _read(args.enum, missing_ok=True) if args.enum else None
-    if text is not None:
-        from .convergence import specker_sequence
-
-        values = parse_enumeration(text)
-        sp = specker_sequence(iter(values))
-        horizon = len(values) - 1
-    else:
-        sp = specker_corpus(args.enum or "identity")
-        horizon = None
-    poly, kind = _resolve_function(args.function or "hat")
-    if kind != "supported":
+    values = _resolve(args.enum or "identity", parse_enumeration, specker_enumeration, "enumeration")
+    sp = specker_sequence(iter(values))
+    horizon = len(values) - 1 if isinstance(values, list) else None  # a file's values end
+    poly = _resolve(args.function or "hat", parse_function, _builtin_poly, "function")
+    if poly.extension != "zero-outside":
         raise ParseError(None, "the demo needs a compactly supported function")
     idx = sp.vague_modulus(poly).of(0)
     top, last = idx + args.fuel, args.fuel  # the last row and the last lower bound
-    if horizon is not None:  # a file's values end: the row at idx is the first one checked
+    if horizon is not None:  # the row at idx is the first one checked
         if horizon < idx:
             msg = f"enumeration {args.enum!r} holds {horizon + 1} values, needs {idx + 1}"
             raise ParseError(None, msg)
@@ -242,42 +231,30 @@ def cmd_demo_specker(args) -> int:
 def cmd_verify(args) -> int:
     Ns = args.ns if args.ns is not None else list(range(1, 7))
     window = _nonnegative("--fuel", args.fuel)
-    corpus = None
-    if args.seq.startswith("specker"):
-        sp = specker_corpus(args.seq.split(":", 1)[1] if ":" in args.seq else "identity")
-        seq = sp.seq
-    else:
-        corpus = corpus_by_name(args.seq)
-        seq = corpus.seq
-    limit = _resolve_measure(args.limit)
-
-    cert_mod = _load_certificate(args.certificate, Ns) if args.certificate else None
-    construct = args.construct or cert_mod is None
+    corpus = _resolve(args.seq, None, corpus_by_name, "corpus")
+    seq = corpus.seq
+    limit = _resolve(args.limit, parse_measure, builtin_measure, "measure")
+    if args.certificate and args.mode in ("witness", "vague-to-weak"):
+        raise ParseError(None, f"{args.mode} verification reads no certificate")
+    mod = _load_certificate(args.certificate, Ns) if args.certificate else None
 
     if args.mode in ("weak", "vague", "vague-to-weak"):
-        poly, kind = _resolve_function(args.function or ("hat" if args.mode == "vague" else "constant-one"))
+        token = args.function or ("hat" if args.mode == "vague" else "constant-one")
+        poly = _resolve(token, parse_function, _builtin_poly, "function")
         target = integrate_poly(poly, limit)
 
         if args.mode == "weak":
-            if construct:
-                if corpus is not None and corpus.weak_oracle is not None:
-                    mod = corpus.weak_oracle(poly)
-                else:
-                    mod = weak_modulus(seq, limit, co_name_of_poly(poly), poly.bound())
-            else:
-                mod = cert_mod
+            if mod is None and corpus.weak_oracle is not None:
+                mod = corpus.weak_oracle(poly)
+            elif mod is None:
+                mod = weak_modulus(seq, limit, co_name_of_poly(poly), poly.bound())
         elif args.mode == "vague":
-            if kind != "supported":
+            if poly.extension != "zero-outside":
                 raise ParseError(None, "vague verification needs a supported function")
-            if construct:
-                if corpus is not None:
-                    mod = corpus.vague_oracle(poly)
-                else:
-                    mod = sp.vague_modulus(poly)
-            else:
-                mod = cert_mod
+            if mod is None:
+                mod = corpus.vague_oracle(poly)
         else:  # vague-to-weak
-            if corpus is None or corpus.tm is None:
+            if corpus.tm is None:
                 raise ParseError(None, "vague-to-weak needs a builtin corpus with mass data")
             # one check serves every N: it depends on seq and tm only
             validate_total_mass_modulus(seq, corpus.tm, *DEFAULT_TM_CHECK)
@@ -296,28 +273,28 @@ def cmd_verify(args) -> int:
             mod = Modulus.from_table(entries)
         of_member = functools.partial(integrate_poly, poly)
 
-    elif args.mode == "eps":
-        if corpus is None or corpus.ad_modulus is None:
-            raise ParseError(None, "eps verification needs a builtin corpus with ball moduli")
-        mod = eps_function(seq, limit, corpus.ad_modulus) if construct else cert_mod
+    elif args.mode in ("eps", "witness"):
+        if corpus.ad_modulus is None:
+            msg = f"{args.mode} verification needs a builtin corpus with ball moduli"
+            raise ParseError(None, msg)
+        if args.function is not None:
+            raise ParseError(None, f"{args.mode} verification takes no function {args.function!r}")
+        if mod is None:
+            mod = eps_function(seq, limit, corpus.ad_modulus)
         target, of_member = 0, functools.partial(prokhorov_discrete, nu=limit)
-
-    elif args.mode == "witness":
-        if corpus is None or corpus.ad_modulus is None:
-            raise ParseError(None, "witness verification needs a builtin corpus with ball moduli")
-        eps = eps_function(seq, limit, corpus.ad_modulus)
-        comps = ((Fraction(0), Fraction(1)),)
-        C = pi_from_complement(comps)
-        mu_c = limit.mass_closed(comps)
-        rows: list[CheckRow] = []
-        for N in Ns:
-            r = mu_c + _pow2(N)
-            idx = witness_from_eps(seq, limit, eps, C, r)
-            rows += check_cut(
-                N, None if idx == NOT_IN_CUT else idx, r, mu_c,
-                lambda n: seq[n].mass_closed(comps), window,
-            ).rows
-        return _emit(CheckReport(rows), args.out)
+        if args.mode == "witness":
+            comps = ((Fraction(0), Fraction(1)),)
+            C = pi_from_complement(comps)
+            mu_c = limit.mass_closed(comps)
+            rows: list[CheckRow] = []
+            for N in Ns:
+                r = mu_c + _pow2(N)
+                idx = witness_from_eps(seq, limit, mod, C, r)
+                rows += check_cut(
+                    N, None if idx == NOT_IN_CUT else idx, r, mu_c,
+                    lambda n: seq[n].mass_closed(comps), window,
+                ).rows
+            return _emit(CheckReport(rows), args.out)
     else:
         raise ParseError(None, f"unknown verify mode {args.mode!r}")
 
@@ -363,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("limit", help="builtin measure name or measure file")
     v.add_argument("extras", nargs="*", help="optional function and N-list tokens")
     v.add_argument("--certificate", default=None)
-    v.add_argument("--construct", action="store_true")
     v.add_argument("--precision", default=None, help="N list, e.g. 1..8")
     v.add_argument("--fuel", type=int, default=10)
     v.add_argument("--out", default=None)
@@ -371,6 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # an exact rational is printed whatever its length (Specker weights
+    # reach thousands of digits); the interpreter's limit is restored after
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         parser = build_parser()
         args, leftover = parser.parse_known_args(argv)
@@ -407,6 +387,8 @@ def main(argv=None) -> int:
     except EffmeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

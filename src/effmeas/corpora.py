@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 from .convergence import (
     MeasureSeq,
     Modulus,
-    SpeckerSequence,
     TotalMassModulus,
     VagueOracle,
     _check_index,
@@ -201,8 +200,11 @@ def specker_enumeration(name: str):
     raise KeyError(f"unknown builtin enumeration {name!r}")
 
 
-def specker_corpus(enum_name: str = "identity") -> SpeckerSequence:
-    return specker_sequence(specker_enumeration(enum_name))
+def specker(enum_name: str) -> Corpus:
+    """The Specker sequence on a builtin enumeration, with its lazy limit and
+    closed-form vague oracle; no weak oracle, mass data or ball moduli."""
+    sp = specker_sequence(specker_enumeration(enum_name))
+    return Corpus(f"specker:{enum_name}", sp.seq, sp.limit_measure(), sp.vague_modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,11 @@ def specker_corpus(enum_name: str = "identity") -> SpeckerSequence:
 
 
 def corpus_by_name(name: str, **params) -> Corpus:
+    """The builtin corpus ``name``: a family below, ``specker`` or
+    ``specker:ENUM``; any other name raises ``KeyError``."""
+    family, colon, enum = name.partition(":")
+    if family == "specker":
+        return specker(enum if colon else "identity", **params)
     table = {
         "deltashrink": deltashrink,
         "deltan": deltan,

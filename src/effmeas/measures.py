@@ -28,7 +28,7 @@ from .functions import (
     polygonal_on_window,
 )
 from .reals import CauchyReal, LowerReal, _fraction, _pow2
-from .sets import OpenComp, SigmaSet, merge_open, open_contains_point
+from .sets import OpenComp, SigmaSet, merge_closed, merge_open, open_contains_point
 from .streams import Stream
 
 # (xs, ws, lx, lw): atom i at xs[i]/lx with mass ws[i]/lw
@@ -381,7 +381,7 @@ class PolyDensityMeasure(Measure):
         hi = self.density.vertices[-1][0]
         total = Fraction(0)
         one = constant_func(1)
-        for l, r in comps:
+        for l, r in merge_open(comps):  # a union, each point counted once
             a = lo if l is None else max(lo, l)
             b = hi if r is None else min(hi, r)
             total += integrate_product(self.density, one, a, b)
@@ -389,10 +389,7 @@ class PolyDensityMeasure(Measure):
 
     def mass_closed(self, comps) -> Fraction:
         # points are null for a density measure
-        return sum(
-            (self.region_mass_open([(l, r)]) for l, r in comps if l < r),
-            Fraction(0),
-        )
+        return self.region_mass_open(merge_closed([(l, r) for l, r in comps if l < r]))
 
     def integrate_poly(self, p: PolyFunc) -> Fraction:
         verts = self.density.vertices

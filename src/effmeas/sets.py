@@ -95,10 +95,11 @@ def merge_closed(intervals: Sequence[ClosedComp]) -> tuple[ClosedComp, ...]:
     return tuple(out)
 
 
-def open_contains_interval(comps: Sequence[OpenComp], l: Fraction, r: Fraction) -> bool:
-    """Is the open interval (l, r) contained in the union of components?"""
+def open_contains_interval(comps: Sequence[OpenComp], l, r) -> bool:
+    """Is the open interval (l, r) contained in the union of components?  A
+    ``None`` end is infinite: only an unbounded component end reaches it."""
     for cl, cr in comps:
-        if (cl is None or cl <= l) and (cr is None or r <= cr):
+        if (cl is None or l is not None and cl <= l) and (cr is None or r is not None and r <= cr):
             return True
     return False
 

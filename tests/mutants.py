@@ -1,6 +1,6 @@
 """Mutation check for the Prokhorov kernels, exact integration, the measure protocol, the
-open and closed sets, the vague oracles' callers, the certificate checks, the file reader
-and the CLI.
+open and closed sets, the vague oracles' callers, the certificate checks, the file reader,
+the builtin names and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -40,6 +40,7 @@ FUNCTIONS = "src/effmeas/functions.py"
 CONVERGENCE = "src/effmeas/convergence.py"
 CLI = "src/effmeas/cli.py"
 SETS = "src/effmeas/sets.py"
+CORPORA = "src/effmeas/corpora.py"
 PROKHOROV_TESTS = ("tests/test_prokhorov.py",)
 TIMEOUT_S = 600  # per pytest run; an unmutated run takes well under a minute
 
@@ -265,6 +266,20 @@ MUTANTS = (
             "tests/test_sets.py::TestPiSetOnComplement::test_avoids_interval_is_disjointness",
         ),
     ),
+    Mutant(
+        "open containment: None ends compared again",
+        "(cl is None or l is not None and cl <= l) and (cr is None or r is not None and r <= cr)",
+        "(cl is None or cl <= l) and (cr is None or r <= cr)",
+        file=SETS,
+        tests=("tests/test_sets.py::TestSigmaSet",),
+    ),
+    Mutant(
+        "density masses: components not merged",
+        "for l, r in merge_open(comps):  # a union, each point counted once",
+        "for l, r in comps:",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestUnionMasses",),
+    ),
     # discretisation through the measure protocol
     Mutant(
         "cells: a density's err taken as 0",
@@ -380,6 +395,27 @@ MUTANTS = (
         "isinstance(exc, FileNotFoundError)",
         file=CLI,
         tests=("tests/test_cli.py",),
+    ),
+    Mutant(
+        "input: the resolver lets a KeyError through",
+        "    except KeyError:\n        where = ",
+        "    except ():\n        where = ",
+        file=CLI,
+        tests=("tests/test_cli.py::TestMainProperty",),
+    ),
+    Mutant(
+        "names: a misspelled specker prefix accepted",
+        'if family == "specker":',
+        'if family.startswith("specker"):',
+        file=CORPORA,
+        tests=("tests/test_corpora.py::TestSpeckerCorpus", "tests/test_cli.py::TestMainProperty"),
+    ),
+    Mutant(
+        "verify: witness mode accepts a certificate",
+        'if args.certificate and args.mode in ("witness", "vague-to-weak"):',
+        'if args.certificate and args.mode in ("vague-to-weak",):',
+        file=CLI,
+        tests=("tests/test_cli.py::TestMainProperty",),
     ),
     Mutant(
         "demo: the short-enumeration check off by one",

@@ -1,5 +1,6 @@
 """The command-line interface, driven in process through main()."""
 
+import contextlib
 import csv
 import io
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effmeas import cli, convergence
 from effmeas.cli import REPORT_HEADER, _decimal, _parse_nlist, main
@@ -367,6 +368,40 @@ class TestFailClosed:
         assert code == 3 and out == "" and err.startswith("parse error: ")
         assert not err.startswith("parse error: line ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "weak", "nosuch", "delta0", "hat", "1"), "unknown corpus 'nosuch'"),
+            (("verify", "weak", "specker:nosuch", "delta0", "hat", "1"),
+             "unknown corpus 'specker:nosuch'"),
+            (("verify", "weak", "specker:", "delta0", "hat", "1"), "unknown corpus 'specker:'"),
+            (("verify", "weak", "speckerfoo", "zero", "hat", "1"), "unknown corpus 'speckerfoo'"),
+            (("demo", "specker", "--enum", "nosuch"), "unknown enumeration 'nosuch'"),
+            (("verify", "eps", "deltashrink", "delta0", "hat", "1"),
+             "eps verification takes no function 'hat'"),
+            (("verify", "witness", "deltadrift", "delta1", "hat", "1"),
+             "witness verification takes no function 'hat'"),
+            (("verify", "weak", "deltashrink", "delta0", "hat", "1", "--construct"),
+             "effmeas: unrecognized arguments: --construct"),
+        ],
+    )
+    def test_unknown_name_or_unused_input(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and err.startswith(f"parse error: {message}"), err
+
+    @pytest.mark.parametrize("mode", ["witness", "vague-to-weak"])
+    @pytest.mark.parametrize("cert", ["modulus\n1 0\n", None], ids=["bad", "missing"])
+    def test_certificate_refused_before_it_is_read(self, capsys, tmp_path, mode, cert):
+        # these modes construct what they check and read no certificate
+        path = tmp_path / "cert.modulus"
+        if cert is not None:
+            path.write_text(cert)
+        code, out, err = run(
+            capsys, "verify", mode, "deltadrift", "delta1", "1", "--certificate", str(path)
+        )
+        assert (code, out) == (3, "")
+        assert err == f"parse error: {mode} verification reads no certificate\n"
+
     def test_certificate_with_repeated_row(self, capsys, tmp_path):
         cert = tmp_path / "dup.modulus"
         cert.write_text("modulus\n1 3\n1 5\n")
@@ -457,19 +492,65 @@ class TestReportBytes:
             '#   fuel 3: 15/16\n'
             '#   fuel 4: 31/32\n'
         )),
+        # the Specker route, pinned from the CLI before Specker was a Corpus
+        (("verify", "vague", "specker:squares", "zero", "hat", "1..3", "--fuel", "2"), 1, (
+            'N,index,checked_n,quantity,bound,result\n'
+            '1,4,4,17/80,1/2,pass\n'
+            '1,4,5,17/80,1/2,pass\n'
+            '1,4,6,17/80,1/2,pass\n'
+            '2,4,4,17/80,1/4,pass\n'
+            '2,4,5,17/80,1/4,pass\n'
+            '2,4,6,17/80,1/4,pass\n'
+            '3,4,4,17/80,1/8,fail\n'
+            '3,4,5,17/80,1/8,fail\n'
+            '3,4,6,17/80,1/8,fail\n'
+        )),
+        # no report: the scan for a weak modulus of a sequence that does not
+        # converge to the zero measure runs out
+        (("verify", "weak", "specker", "zero", "hat", "1..2", "--fuel", "1"), 1, "",
+         "error: insufficient name progress: no stable index below 128\n"),
+        (("demo", "specker", "--enum", "squares", "--fuel", "4"), 0, (
+            'N,index,checked_n,quantity,bound,result\n'
+            '0,4,0,17/80,0,pass\n'
+            '0,4,1,1/80,0,pass\n'
+            '0,4,2,0,0,pass\n'
+            '0,4,3,0,0,pass\n'
+            '0,4,4,0,0,pass\n'
+            '0,4,5,0,0,pass\n'
+            '0,4,6,0,0,pass\n'
+            '0,4,7,0,0,pass\n'
+            '0,4,8,0,0,pass\n'
+            '# total-mass lower bounds (hidden oracle; strictly partial):\n'
+            '#   fuel 0: 1/2\n'
+            '#   fuel 1: 3/4\n'
+            '#   fuel 2: 25/32\n'
+            '#   fuel 3: 801/1024\n'
+            '#   fuel 4: 102529/131072\n'
+        )),
     ]
 
     @staticmethod
-    def assert_bytes(capsys, tmp_path, argv, code, expect):
+    def assert_bytes(capsys, tmp_path, argv, code, expect, expect_err=""):
         out_path = tmp_path / "report.csv"
         got, out, err = run(capsys, *argv, "--out", str(out_path))
-        assert (got, out, err) == (code, expect, "")
+        assert (got, out, err) == (code, expect, expect_err)
         table = "".join(ln for ln in expect.splitlines(True) if not ln.startswith("#"))
-        assert out_path.read_bytes() == table.encode()
+        assert (out_path.read_bytes() if out_path.exists() else b"") == table.encode()
 
-    @pytest.mark.parametrize("argv, code, lines", CASES, ids=[c[0][1] for c in CASES])
-    def test_report(self, capsys, tmp_path, argv, code, lines):
-        self.assert_bytes(capsys, tmp_path, argv, code, "".join(lines))
+    @staticmethod
+    def case_ids(cases):
+        """The mode or demo name; a name seen before gets the whole command."""
+        seen, ids = set(), []
+        for argv, *_ in cases:
+            ids.append(argv[1] if argv[1] not in seen else " ".join(argv[1:]))
+            seen.add(argv[1])
+        return ids
+
+    @pytest.mark.parametrize(
+        "argv, code, lines, err", [(*c, "")[:4] for c in CASES], ids=case_ids(CASES)
+    )
+    def test_report(self, capsys, tmp_path, argv, code, lines, err):
+        self.assert_bytes(capsys, tmp_path, argv, code, "".join(lines), err)
 
     def test_witness_not_in_cut_row(self, capsys, tmp_path, monkeypatch):
         # r = mu(C) + 2^-N clears the cut at every N, so the -1,-1 row needs
@@ -665,3 +746,159 @@ class TestInputResolution:
         monkeypatch.chdir(tmp_path)
         code, out, _ = run(capsys, "prokhorov", "halfhalf", "delta0")
         assert code == 0 and out.splitlines()[0] == "1/1"
+
+
+# Files for the property over main, by the token that stands for each in a
+# generated argv; "@dir" is a directory, "@binary" is not text.
+FILES = {
+    "@discrete": "discrete\natom 0 1/2\natom 1 1/2\n",
+    "@density": "polydensity\n0 0\n1/2 1\n1 0\n",
+    "@truncated-measure": "discrete\natom 0 1/2\natom 1 1/",
+    "@polyfunc": "polyfunc zero-outside\n-1 0\n0 1\n1 0\n",
+    "@bounded-polyfunc": "polyfunc constant\n-1 0\n1 1\n",
+    "@wide-polyfunc": "polyfunc zero-outside\n0 0\n1 1\n130 0\n",
+    "@truncated-function": "polyfunc zero-outside\n-1 0\n0 ",
+    "@enum": "0\n2\n1\n5\n3\n4\n6\n7\n8\n9\n10\n",
+    "@short-enum": "0\n2\n1\n",
+    "@cert": "modulus\n0 6\n1 7\n2 8\n3 9\n4 10\n",
+    "@bad-cert": "modulus\n0 0\n1 0\n2 0\n3 0\n4 0\n",
+    "@short-cert": "modulus\n1 3\n",
+    "@truncated-cert": "modulus\n1 3\n2 ",
+}
+UNREADABLE = ["@binary", "@dir"]
+BAD_NAMES = {"nosuch", "speckerfoo", "specker:nosuch", "specker:"}
+# (well-formed tokens, tokens to refuse) for each slot of a command line
+MEASURE_TOKENS = (["delta0", "delta1", "zero", "halfhalf", "@discrete", "@density"],
+                  ["nosuch", "speckerfoo", "@truncated-measure", *UNREADABLE])
+FUNCTION_TOKENS = (["hat", "zero", "constant-one", "clamped-identity", "@polyfunc",
+                    "@bounded-polyfunc", "@wide-polyfunc"],
+                   ["nosuch", "@truncated-function", *UNREADABLE])
+ENUM_TOKENS = (["identity", "squares", "@enum"],
+               ["nosuch", "specker:nosuch", "@short-enum", *UNREADABLE])
+SEQ_TOKENS = (["deltashrink", "deltan", "mixture", "deltadrift", "specker", "specker:identity",
+               "specker:squares"],
+              sorted(BAD_NAMES))
+CERT_TOKENS = (["@cert", "@bad-cert"], ["@short-cert", "@truncated-cert", *UNREADABLE])
+FUEL_TOKENS = (["0", "1", "2"], ["-1"])
+MODES = ["weak", "vague", "eps", "witness", "vague-to-weak"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv over every subcommand and mode, with "@..." file tokens.
+    Each slot holds a token to refuse one time in four, and each optional
+    input is given one time in four.  N-lists hold at most three values,
+    each at most 4, and ``--fuel`` is at most 2, so that one run stays
+    cheap."""
+
+    def pick(slot):
+        good, bad = slot
+        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 3 else good))
+
+    def maybe():
+        return draw(st.integers(0, 3)) == 3
+
+    fuel = ["--fuel", pick(FUEL_TOKENS)]
+    command = draw(st.sampled_from(["prokhorov", "demo", "verify"]))
+    if command == "prokhorov":
+        argv = ["prokhorov", pick(MEASURE_TOKENS), pick(MEASURE_TOKENS)]
+        if maybe():
+            argv += ["--precision", pick(FUEL_TOKENS)]
+        return argv
+    if command == "demo":
+        argv = ["demo", "specker", *fuel]
+        if draw(st.booleans()):
+            argv += ["--enum", pick(ENUM_TOKENS)]
+        if draw(st.booleans()):
+            argv += ["--function", pick(FUNCTION_TOKENS)]
+        return argv
+    argv = ["verify", draw(st.sampled_from(MODES)), pick(SEQ_TOKENS), pick(MEASURE_TOKENS)]
+    if draw(st.booleans()):
+        argv.append(pick(FUNCTION_TOKENS))
+    ns = ",".join(map(str, draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))))
+    argv += [ns, *fuel] if draw(st.booleans()) else ["--precision", ns, *fuel]
+    if maybe():
+        argv += ["--certificate", pick(CERT_TOKENS)]
+    if maybe():
+        argv.append("--construct")
+    return argv
+
+
+def must_refuse(argv) -> bool:
+    """An unknown name, or an input the mode would not use."""
+    if BAD_NAMES & set(argv) or "--construct" in argv:
+        return True
+    if argv[0] != "verify":
+        return False
+    has_function = len(argv) > 4 and argv[4] in sum(FUNCTION_TOKENS, [])  # after LIMIT
+    return (argv[1] in ("witness", "vague-to-weak") and "--certificate" in argv) or (
+        argv[1] in ("eps", "witness") and has_function
+    )
+
+
+class TestMainProperty:
+    """``main`` over generated command lines ends in a documented exit code."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv")
+        paths = {}
+        for token, text in FILES.items():
+            paths[token] = root / token[1:]
+            paths[token].write_text(text)
+        paths["@binary"] = root / "binary"
+        paths["@binary"].write_bytes(b"\xff\xfe\x00discrete\n")
+        paths["@dir"] = root / "dir"
+        paths["@dir"].mkdir()
+        return {token: str(path) for token, path in paths.items()}
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=command_lines())
+    # the reproducers: each leaked a traceback or passed (nosuch, specker:nosuch,
+    # --enum nosuch: KeyError; speckerfoo ran Specker; a certificate or
+    # --construct was taken and never checked)
+    @example(argv=["verify", "weak", "nosuch", "delta0", "hat", "1"])
+    @example(argv=["verify", "weak", "specker:nosuch", "delta0", "hat", "1"])
+    @example(argv=["demo", "specker", "--enum", "nosuch"])
+    @example(argv=["verify", "weak", "speckerfoo", "zero", "hat", "1"])
+    @example(argv=["verify", "witness", "deltadrift", "delta1", "1", "--certificate", "@bad-cert"])
+    @example(argv=["verify", "vague-to-weak", "deltashrink", "delta0", "1",
+                   "--certificate", "@bad-cert"])
+    @example(argv=["verify", "eps", "deltashrink", "delta0", "hat", "1"])
+    @example(argv=["verify", "weak", "deltashrink", "delta0", "hat", "1", "--construct"])
+    # rationals past the interpreter's 4,300-digit limit: in a divergence
+    # message, and in a report row
+    @example(argv=["verify", "weak", "specker:squares", "delta0", "--precision", "3",
+                   "--fuel", "0"])
+    @example(argv=["verify", "vague", "specker:squares", "zero", "@wide-polyfunc", "1",
+                   "--fuel", "0"])
+    def test_documented_exit_codes(self, paths, argv):
+        refuse = must_refuse(argv)
+        argv = [paths.get(t, t) for t in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        read_a_file = any(a in paths.values() for a in argv)
+        assert code in (0, 1, 2, 3), (code, out, err)
+        if code == 0 and argv[0] != "prokhorov":
+            rows = rows_of(out)
+            assert rows and all(r[-1] == "pass" for r in rows), out
+        if code == 0 and argv[0] == "prokhorov":
+            assert len(out.splitlines()) == 2 and err == ""
+        if code in (1, 2):
+            assert err or any(r[-1] == "fail" for r in rows_of(out)), (code, out)
+        if code == 3:
+            assert err.startswith("parse error: ") and out == "", (out, err)
+            assert read_a_file or not err.startswith("parse error: line "), err
+        if refuse:
+            assert code == 3, (argv, code, out, err)
+
+    def test_digit_limit_restored(self, paths):
+        limit = sys.get_int_max_str_digits()
+        argv = ["verify", "vague", "specker:squares", "zero", paths["@wide-polyfunc"], "1"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([*argv, "--fuel", "0"]) == 0
+        # 2^-(130^2 + 1) and smaller weights: denominators of over 5,000 digits
+        assert len(rows_of(out.getvalue())[0][3]) > 5000
+        assert sys.get_int_max_str_digits() == limit

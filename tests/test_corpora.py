@@ -247,6 +247,29 @@ class TestDriftingAtomFamily:
             assert len(built) <= 2, built
 
 
+class TestSpeckerCorpus:
+    """``corpus_by_name`` is the one registry of SEQ names, Specker included."""
+
+    @pytest.mark.parametrize(
+        "name, enum",
+        [("specker", "identity"), ("specker:identity", "identity"), ("specker:squares", "squares")],
+    )
+    def test_specker_names(self, name, enum):
+        c = corpus_by_name(name)
+        values = [0, 1, 2, 3] if enum == "identity" else [0, 1, 4, 9]
+        sp = specker_sequence(iter(values))
+        assert [c.seq[n].atoms for n in range(4)] == [sp.seq[n].atoms for n in range(4)]
+        assert c.limit.prefix(4) == [(Fraction(i), sp.weight(i)) for i in range(4)]
+        hat, _ = builtin_function("hat")
+        assert c.vague_oracle(hat).of(3) == sp.vague_modulus(hat).of(3) == 4
+        assert (c.weak_oracle, c.tm, c.ad_modulus) == (None, None, None)
+
+    @pytest.mark.parametrize("name", ["speckerfoo", "specker:nosuch", "specker:", "Specker", "nosuch"])
+    def test_other_names_refused(self, name):
+        with pytest.raises(KeyError):
+            corpus_by_name(name)
+
+
 class TestDeltanOracle:
     def test_constant_extend_polygon_refused(self):
         with pytest.raises(UnsupportedMeasureClass, match="compactly supported"):

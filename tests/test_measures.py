@@ -33,7 +33,7 @@ from effmeas.errors import UnsupportedMeasureClass
 from effmeas.functions import co_name_of_poly
 from effmeas.measures import first_cover_balls, integrate_product
 from effmeas.reals import LowerReal, _pow2
-from effmeas.sets import merge_open, open_contains_point
+from effmeas.sets import merge_closed, merge_open, open_contains_point
 from tests.test_functions import _SubFraction, opaque_name_of, spelled
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=16)
@@ -580,6 +580,37 @@ class TestOpenMassPulls:
             got_U, want_U = (SigmaSet.from_components(ivs) for _ in range(2))
         got, want = build().open_mass(got_U), oracle(build(), want_U)
         assert [got.bound(k) for k in range(n)] == [want.bound(k) for k in range(n)]
+
+
+@st.composite
+def discrete_or_density(draw):
+    if draw(st.booleans()):
+        weights = st.fractions(min_value=Fraction(1, 16), max_value=2, max_denominator=16)
+        return DiscreteMeasure(tuple(draw(st.lists(st.tuples(frac, weights), max_size=6))))
+    xs = sorted(draw(st.sets(frac, min_size=2, max_size=5)))
+    inner = [draw(st.fractions(min_value=0, max_value=3, max_denominator=8)) for _ in xs[2:]]
+    return PolyDensityMeasure(PolyFunc(tuple(zip(xs, [Fraction(0)] + inner + [Fraction(0)]))))
+
+
+class TestUnionMasses:
+    """A list of components names its union, whose every point counts once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        discrete_or_density(),
+        st.lists(st.tuples(_END, _END), max_size=5),
+        st.lists(st.tuples(frac, frac).map(sorted).map(tuple), max_size=5),
+    )
+    @example(PolyDensityMeasure.uniform(0, 1), [(0, 1), (0, 1)], [(0, 1), (Fraction(1, 2), 1)])
+    def test_same_masses_as_the_merged_union(self, mu, opens, closeds):
+        total = mu.exact_total_mass()
+        assert mu.region_mass_open(opens) == mu.region_mass_open(merge_open(opens)) <= total
+        assert mu.mass_closed(closeds) == mu.mass_closed(merge_closed(closeds)) <= total
+
+    def test_overlaps_counted_once(self):
+        u = PolyDensityMeasure.uniform(0, 1)
+        assert u.region_mass_open([(0, 1), (0, 1)]) == u.region_mass_open([(0, 1)])
+        assert u.mass_closed([(0, 1), (Fraction(1, 2), 1)]) == u.mass_closed([(0, 1)])
 
 
 class TestLazyDiscrete:

@@ -148,6 +148,27 @@ class TestSigmaSet:
         with pytest.raises(MalformedInterval):
             U.interval(0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SigmaSet(iter([(None, 2)]), components=[(1, None)]).interval(0),
+            lambda: SigmaSet(iter([(0, None)]), components=[(None, 1)]).interval(0),
+            lambda: PiSet(iter([(None, 2)]), closed_components=[(0, 1)]).avoided(0),
+        ],
+        ids=["left end", "right end", "pi set"],
+    )
+    def test_escaping_unbounded_interval_rejected(self, make):
+        # an infinite end lies inside only an unbounded component end
+        with pytest.raises(MalformedInterval, match="escapes the open set"):
+            make()
+
+    def test_unbounded_interval_inside_accepted(self):
+        U = SigmaSet(iter([(None, 0), (3, None)]), components=[(None, 1), (2, None)])
+        assert (U.interval(0), U.interval(1)) == ((None, 0), (3, None))
+        C = PiSet(iter([(None, -1)]), closed_components=[(0, 1)])
+        assert C.avoided(0) == (None, -1)
+        assert open_contains_interval([(None, None)], None, None)
+
     def test_enumerates_interval_decidable(self):
         U = SigmaSet.from_components([(Fraction(0), Fraction(1)), (Fraction(2), None)])
         assert U.enumerates_interval(Fraction(1, 4), Fraction(1, 2))
