@@ -12,6 +12,7 @@ mu_n(U) > r) by :func:`check_cut`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,6 +23,7 @@ from .errors import (
     DivergenceDetected,
     DuplicateEnumeration,
     SearchExhausted,
+    show,
 )
 from .functions import (
     PolyFunc,
@@ -266,7 +268,7 @@ def _scan_for_index(
     if tail_dev - slack >= bound:
         raise DivergenceDetected(
             "divergence detected: certified deviation "
-            f"{tail_dev} at index {max_n} is not below 2^-{N}",
+            f"{show(tail_dev)} at index {max_n} is not below 2^-{N}",
             witness=(N, max_n, tail_dev),
         )
     raise SearchExhausted(
@@ -405,15 +407,11 @@ class SpeckerSequence:
             seen.add(int(v))
 
         self.enum = Stream(enum_source, validate=check)
-        self.seq = MeasureSeq(self._measure_at)
+        # members read the enumeration, not self: no cycle through the sequence
+        self.seq = MeasureSeq(functools.partial(_specker_member, self.enum))
 
     def weight(self, i: int) -> Fraction:
         return _pow2(int(self.enum[i]) + 1)
-
-    def _measure_at(self, n: int) -> DiscreteMeasure:
-        return DiscreteMeasure(
-            tuple((Fraction(i), self.weight(i)) for i in range(n + 1))
-        )
 
     def vague_modulus(self, p: PolyFunc) -> Modulus:
         """Constant index 1 + the least natural number >= sup supp p (1 for
@@ -436,6 +434,11 @@ class SpeckerSequence:
         return LowerReal(
             lambda k: sum((self.weight(i) for i in range(k + 1)), Fraction(0))
         )
+
+
+def _specker_member(enum: Stream, n: int) -> DiscreteMeasure:
+    """mu_n of the Specker sequence on the enumeration ``enum``."""
+    return DiscreteMeasure(tuple((Fraction(i), _pow2(int(enum[i]) + 1)) for i in range(n + 1)))
 
 
 def specker_sequence(enum_source) -> SpeckerSequence:
@@ -488,7 +491,7 @@ def validate_total_mass_modulus(
         n2, m2 = next((n, m) for n, m in zip(ns, ms) if abs(m1 - m) >= b)
         raise ContractViolation(
             "total-mass modulus contract failure: "
-            f"|mu_{n1}(R) - mu_{n2}(R)| = {abs(m1 - m2)} >= 2^-{N - 1}",
+            f"|mu_{n1}(R) - mu_{n2}(R)| = {show(abs(m1 - m2))} >= 2^-{N - 1}",
             witness=(N, n1, n2, abs(m1 - m2)),
         )
 
@@ -590,7 +593,7 @@ def vague_to_weak(
         if abs(m_apx - lim_mass) - _pow2(p) > 0:
             raise DivergenceDetected(
                 "divergence detected: the total masses converge to "
-                f"{m_apx} (within 2^-{p}) but the limit has mass {lim_mass}",
+                f"{show(m_apx)} (within 2^-{p}) but the limit has mass {show(lim_mass)}",
                 witness=(m_apx, lim_mass),
             )
     _, n1, psi = polygonal_surrogate(f_name, B, N + 2, seq, limit, tm, oracle)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`show` for their messages."""
 
 
 class EffmeasError(Exception):
@@ -63,3 +63,14 @@ class ParseError(EffmeasError):
     def __init__(self, line_no, message):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def show(q) -> str:
+    """``str(q)`` for a rational in a message, or its sign and bit lengths
+    where its digits pass the interpreter's limit on ``int`` to ``str``
+    conversion: never raises and never changes the limit."""
+    try:
+        return str(q)
+    except ValueError:
+        n, d = q.numerator, q.denominator
+        return f"a {'negative ' * (n < 0)}rational of {abs(n).bit_length()}/{d.bit_length()} bits"

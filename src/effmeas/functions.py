@@ -85,31 +85,16 @@ class PolyFunc:
     _lattice: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verts = []
-        for x, y in self.vertices:
-            if type(x) is not Fraction:
-                x = Fraction(x)
-            if type(y) is not Fraction:
-                y = Fraction(y)
-            if verts and not verts[-1][0] < x:
-                raise MalformedInterval("vertex abscissae must strictly increase")
-            verts.append((x, y))
-        verts = tuple(verts)
+        verts = tuple((_fraction(x), _fraction(y)) for x, y in self.vertices)
         object.__setattr__(self, "vertices", verts)
-        if not verts:
-            raise MalformedInterval("a polygonal function needs at least one vertex")
-        _check_extension(self.extension, verts[0][1], verts[-1][1])
+        _check([x for x, _ in verts], [y for _, y in verts], self.extension)
 
     @classmethod
     def from_ints(cls, X, Y, dx: int, dy: int, extension: str = ZERO) -> "PolyFunc":
         """The polygon with vertices (X[i]/dx, Y[i]/dy), all ``int``, dx, dy > 0
-        (unchecked).  Refuses what the constructor refuses, with its messages;
+        (unchecked).  Refuses through :func:`_check`, as the constructor does;
         the lattice is reduced to the one the same vertices would give."""
-        if not all(map(lt, X, X[1:])):
-            raise MalformedInterval("vertex abscissae must strictly increase")
-        if not X:
-            raise MalformedInterval("a polygonal function needs at least one vertex")
-        _check_extension(extension, Y[0], Y[-1])
+        _check(X, Y, extension)
         g, h = math.gcd(dx, *X), math.gcd(dy, *Y)
         if g > 1 or h > 1:
             X, Y, dx, dy = [x // g for x in X], [y // h for y in Y], dx // g, dy // h
@@ -208,11 +193,18 @@ class PolyFunc:
         return PolyFunc(tuple((x, c * y) for x, y in self.vertices), self.extension)
 
 
-def _check_extension(extension: str, first, last) -> None:
-    """Refuse an unknown extension, and non-zero end values under ``zero-outside``."""
+def _check(X, Y, extension: str) -> None:
+    """The refusals of both builds, on the abscissae ``X`` and ordinates ``Y``
+    (``Fraction``s, or ``int``s on one lattice each): abscissae that do not
+    strictly increase, no vertex, an unknown extension, and non-zero end
+    values under ``zero-outside``, in that order."""
+    if not all(map(lt, X, X[1:])):
+        raise MalformedInterval("vertex abscissae must strictly increase")
+    if not X:
+        raise MalformedInterval("a polygonal function needs at least one vertex")
     if extension not in (CONST, ZERO):
         raise MalformedInterval(f"unknown extension mode {extension!r}")
-    if extension == ZERO and (first != 0 or last != 0):
+    if extension == ZERO and (Y[0] != 0 or Y[-1] != 0):
         raise MalformedInterval("zero-outside requires zero boundary values")
 
 

@@ -27,7 +27,7 @@ from .functions import (
     constant_func,
     polygonal_on_window,
 )
-from .reals import CauchyReal, LowerReal, _fraction, _pow2
+from .reals import CauchyReal, LowerReal, _pow2
 from .sets import OpenComp, SigmaSet, merge_closed, merge_open, open_contains_point
 from .streams import Stream
 
@@ -61,7 +61,7 @@ class Measure:
     raises :class:`UnsupportedMeasureClass` through :meth:`_unsupported`,
     the one place a class is refused:
 
-    - :meth:`total_mass_real`, :meth:`total_mass_upper`;
+    - :meth:`total_mass_real` and :meth:`total_mass_upper`, from an exact mass;
     - :meth:`region_mass_open`, :meth:`mass_closed` and :meth:`open_mass`,
       which is built on :meth:`region_mass_open`;
     - :meth:`integrate_poly` (exact) and, built on it and within 2^-n,
@@ -82,7 +82,10 @@ class Measure:
         )
 
     def total_mass_real(self) -> CauchyReal:
-        self._unsupported("total mass name")
+        m = self.exact_total_mass()
+        if m is None:
+            self._unsupported("total mass name")
+        return CauchyReal.from_rational(m)
 
     def exact_total_mass(self) -> Optional[Fraction]:
         return None
@@ -243,15 +246,7 @@ class DiscreteMeasure(Measure):
     @classmethod
     def point(cls, loc, weight=1) -> "DiscreteMeasure":
         """One atom, kept as given, on the lattice of its own ``int``s."""
-        loc, weight = _fraction(loc), _fraction(weight)
-        if weight.numerator <= 0:
-            raise ValueError("atom weights must be positive")
-        mu = object.__new__(cls)
-        object.__setattr__(mu, "atoms", ((loc, weight),))
-        object.__setattr__(mu, "_total", weight)
-        lattice = ((loc.numerator,), (weight.numerator,), loc.denominator, weight.denominator)
-        object.__setattr__(mu, "_lattice", lattice)
-        return mu
+        return cls(((loc, weight),))
 
     @classmethod
     def zero(cls) -> "DiscreteMeasure":
@@ -271,9 +266,6 @@ class DiscreteMeasure(Measure):
     def cells(self, pitch: Fraction) -> tuple[Side, Fraction]:
         """The atoms themselves, for any pitch: :meth:`lattice`, error 0."""
         return self.lattice(), 0
-
-    def total_mass_real(self) -> CauchyReal:
-        return CauchyReal.from_rational(self.exact_total_mass())
 
     def region_mass_open(self, comps) -> Fraction:
         return sum(
@@ -369,12 +361,7 @@ class PolyDensityMeasure(Measure):
         )
 
     def exact_total_mass(self) -> Fraction:
-        lo = self.density.vertices[0][0]
-        hi = self.density.vertices[-1][0]
-        return integrate_product(self.density, constant_func(1), lo, hi)
-
-    def total_mass_real(self) -> CauchyReal:
-        return CauchyReal.from_rational(self.exact_total_mass())
+        return self.integrate_poly(constant_func(1))
 
     def region_mass_open(self, comps) -> Fraction:
         lo = self.density.vertices[0][0]
@@ -407,12 +394,13 @@ class PolyDensityMeasure(Measure):
         """Cell [k*pitch, (k+1)*pitch] becomes one atom at its midpoint with
         the cell's whole mass, a difference of the cumulative integral F, in
         one ``int`` sweep; no mass moves farther than half the pitch, so the
-        pitch bounds the distance.  With pitch = p/q, abscissae go on ``dx``,
-        the lcm of q and their denominators, and ordinates on ``dy``, the lcm
-        of theirs; the pitch is P = p*dx/q, and a piece from (X0, Y0) to
-        (X1, Y1) has width w.  With L the lcm over the pieces of
-        w/gcd(w, Y1 - Y0) and M = 2*dx*dy*L, M*F at the offset D on a piece
-        is M*F(X0) + D*(2*L*Y0 + (Y1 - Y0)*(L/w)*D), an ``int`` quadratic.
+        pitch bounds the distance.  With pitch = p/q, the density's
+        :meth:`~effmeas.functions.PolyFunc.lattice` is read, its abscissae
+        rescaled once to ``dx``, the lcm of q and its own; the pitch is
+        P = p*dx/q, and a piece from (X0, Y0) to (X1, Y1) has width w.
+        With L the lcm over the pieces of w/gcd(w, Y1 - Y0) and
+        M = 2*dx*dy*L, M*F at the offset D on a piece is
+        M*F(X0) + D*(2*L*Y0 + (Y1 - Y0)*(L/w)*D), an ``int`` quadratic.
         Cell k has the key (2k + 1)*p on ``lx`` = 2q and the weight
         M*F((k+1)*P) - M*F(k*P) on ``lw`` = M.
 
@@ -422,10 +410,10 @@ class PolyDensityMeasure(Measure):
         positive but at finitely many points, so its mass is positive.
         O(cells + vertices).
         """
-        verts = self.density.vertices
+        X, Y, dx, dy = self.density.lattice()
         p, q = pitch.numerator, pitch.denominator
-        X, dx = _common([x for x, _ in verts], q)
-        Y, dy = _common([y for _, y in verts])
+        l = math.lcm(dx, q)
+        X, dx = [x * (l // dx) for x in X], l
         steps = list(zip(X, X[1:], Y, Y[1:]))
         L = math.lcm(*((x1 - x0) // math.gcd(x1 - x0, y1 - y0) for x0, x1, y0, y1 in steps))
         P = p * (dx // q)
@@ -498,31 +486,33 @@ class LazyDiscreteMeasure(Measure):
             self._unsupported("tail bound: total mass is only left-c.e.")
         return self.tail_bound
 
-    def total_mass_real(self) -> CauchyReal:
+    def _prefix_len(self, err: Fraction) -> int:
+        """The least k with ``tail_bound(k) <= err``."""
         tail = self._tail()
+        k = 0
+        while tail(k) > err:
+            k += 1
+        return k
 
-        def term(n):
-            k = 0
-            while tail(k) > _pow2(n + 1):
-                k += 1
-            return self.prefix_mass(k)
-
-        return CauchyReal(term)
+    def total_mass_real(self) -> CauchyReal:
+        self._tail()  # refused here, not at the first term
+        return CauchyReal(lambda n: self.prefix_mass(self._prefix_len(_pow2(n + 1))))
 
     def total_mass_upper(self) -> Fraction:
         return Fraction(self._tail()(0))
 
     def truncated(self, err: Fraction) -> DiscreteMeasure:
         """The first k atoms, k the least with ``tail_bound(k) <= err``."""
-        tail = self._tail()
-        k = 0
-        while tail(k) > err:
-            k += 1
-        return DiscreteMeasure(tuple(self.prefix(k)))
+        return DiscreteMeasure(tuple(self.prefix(self._prefix_len(err))))
 
-    def _atoms_to(self, hi: Fraction) -> DiscreteMeasure:
-        """The atoms at or left of ``hi``, for increasing locations: the
-        atom list is cut at the first one beyond it."""
+    def _finite_part(self, hi: Fraction, err) -> DiscreteMeasure:
+        """The finite measure that stands in for this one under a function
+        that is 0 right of ``hi``.  With increasing locations, the atoms at
+        or left of ``hi``, the list cut at the first one beyond it: no such
+        integral changes and no tail bound is needed.  Otherwise
+        ``truncated(err)``."""
+        if not self.locations_increasing:
+            return self.truncated(err)
         atoms = []
         for k in itertools.count():
             loc, w = self.atom_stream[k]
@@ -531,25 +521,19 @@ class LazyDiscreteMeasure(Measure):
             atoms.append((loc, w))
 
     def integrate_zero_outside(self, p: PolyFunc, n: int) -> Fraction:
-        """With increasing atom locations, exact: p is 0 past its last
-        vertex, where the atoms read are cut; otherwise the prefix whose
-        tail is small enough stands in for the measure."""
-        if self.locations_increasing:
-            X, _, dx, _ = p.lattice()
-            return self._atoms_to(Fraction(X[-1], dx)).integrate_poly(p)
-        return integrate_poly(p, self.truncated(_pow2(n + 1) / (p.bound() + 1)))
+        """Exact on the part of the measure left of p's last vertex, or on
+        the prefix whose tail is small enough for p."""
+        X, _, dx, _ = p.lattice()
+        part = self._finite_part(Fraction(X[-1], dx), _pow2(n + 1) / (p.bound() + 1))
+        return part.integrate_poly(p)
 
     def integrate_supported(self, f: SupportedFunc, n: int) -> Fraction:
-        """With increasing atom locations the support window cuts the atom
-        list after finitely many pulls, so no tail bound is needed; otherwise
-        the prefix whose tail is small enough stands in for the measure.
-        """
-        if not self.locations_increasing:
-            tol = _pow2(n + 1) / (self.total_mass_upper() + 1)
-            psi = approx_polygonal(f, tol)
-            return integrate_poly(psi, self.truncated(_pow2(n + 1) / (psi.bound() + 1)))
-        _, hull_hi = f.hull()
-        return self._atoms_to(hull_hi).integrate_supported(f, n)
+        """With increasing locations, over the atoms up to the support's hull;
+        otherwise :meth:`integrate_zero_outside` of a polygon close to f."""
+        if self.locations_increasing:
+            return self._finite_part(f.hull()[1], None).integrate_supported(f, n)
+        psi = approx_polygonal(f, _pow2(n + 1) / (self.total_mass_upper() + 1))
+        return self.integrate_zero_outside(psi, n)
 
     def null_test(self) -> Callable[[Fraction], bool]:
         pred = self.location_predicate

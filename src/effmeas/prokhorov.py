@@ -25,7 +25,6 @@ from .measures import (
     DiscreteMeasure,
     Measure,
     Side,
-    almost_decidable_cover,
     first_cover_balls,
 )
 from .reals import RationalLike, _pow2
@@ -408,7 +407,8 @@ def eps_from_weak(
     is at most 2^-(N+2).  That is the walk's own stopping rule, so the balls
     are a subset of the walk's first k0+1 balls, and there are at most as
     many as the limit has atoms: no precision ceiling.  If u starts at most
-    2^-(N+2), the walk's first ball is taken.
+    2^-(N+2), the walk's first ball is taken: centred at 0, it is the first
+    ball that holds 0.
 
     Certificate.  Let D be the sup over unions A of the balls of
     |mu_n(A) - mu(A)|, o_n = mu_n(R \\ union of the balls), and for a Borel
@@ -456,7 +456,7 @@ def eps_from_weak(
         chosen[j] = pair
         uncovered -= w
     if not chosen:
-        chosen[0] = almost_decidable_cover(limit, s)[0]
+        chosen[0] = first_cover_balls(limit, s, [0])[0][1]
     pulled = [chosen[j] for j in sorted(chosen)]
     balls = [p.U.components[0] for p in pulled]
 

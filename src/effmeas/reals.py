@@ -6,7 +6,8 @@ Three name disciplines are supported:
   hence ``|q_n - lim| <= 2^{-n+1}``;
 * :class:`LowerReal` -- a nondecreasing stream of lower bounds whose
   supremum is the represented value (an enumeration of the left cut);
-* :class:`UpperReal` -- the mirror image for upper bounds.
+* :class:`UpperReal` -- the mirror image for upper bounds, the same class
+  body with the direction flipped.
 
 All validation is lazy: invariants are checked at the first pull that can
 refute them, never eagerly.
@@ -17,9 +18,10 @@ from __future__ import annotations
 import enum
 import functools
 from fractions import Fraction
+from operator import gt, lt
 from typing import Union
 
-from .errors import MonotonicityViolation, NameViolation
+from .errors import MonotonicityViolation, NameViolation, show
 from .streams import Fuel, Stream
 
 RationalLike = Union[Fraction, int]
@@ -50,7 +52,7 @@ class CauchyReal:
             if i >= 1 and abs(prefix[i - 1] - prefix[i]) >= _pow2(i - 1):
                 raise NameViolation(
                     f"name violation at index {i - 1}: "
-                    f"|q_{i - 1} - q_{i}| = {abs(prefix[i - 1] - prefix[i])} >= 2^-{i - 1}"
+                    f"|q_{i - 1} - q_{i}| = {show(abs(prefix[i - 1] - prefix[i]))} >= 2^-{i - 1}"
                 )
 
         self._terms = Stream(terms, validate=check_gap)
@@ -131,55 +133,45 @@ def compare_apart(x: CauchyReal, y: CauchyReal, fuel: Fuel) -> Comparison:
     return Comparison.UNDETERMINED
 
 
-class LowerReal:
+class _Bounds:
+    """Monotone rational bounds on a real, checked at each pull: a bound
+    ``_worse`` than the one before is refused.  The subclasses set the direction."""
+
+    _worse, _sign = lt, "<"
+
+    def __init__(self, bounds):
+        worse, sign = self._worse, self._sign
+
+        def check_monotone(i: int, prefix: list):
+            if i >= 1 and worse(prefix[i], prefix[i - 1]):
+                raise MonotonicityViolation(
+                    f"monotonicity violation at index {i}: "
+                    f"{show(prefix[i])} {sign} {show(prefix[i - 1])}"
+                )
+
+        self._bounds = Stream(bounds, validate=check_monotone)
+
+    @classmethod
+    def from_rational(cls, q: RationalLike):
+        q = Fraction(q)
+        return cls(lambda _n: q)
+
+    def bound(self, n: int) -> Fraction:
+        return self._bounds[n]
+
+    def approx(self, fuel: Fuel) -> Fraction:
+        """The last bound enumerated within fuel, the best so far."""
+        return self._bounds[fuel.budget]
+
+    def add(self, other):
+        return type(self)(lambda n: self.bound(n) + other.bound(n))
+
+
+class LowerReal(_Bounds):
     """A left-c.e. real: nondecreasing rational lower bounds with sup = value."""
 
-    def __init__(self, bounds):
-        def check_monotone(i: int, prefix: list):
-            if i >= 1 and prefix[i] < prefix[i - 1]:
-                raise MonotonicityViolation(
-                    f"monotonicity violation at index {i}: "
-                    f"{prefix[i]} < {prefix[i - 1]}"
-                )
 
-        self._bounds = Stream(bounds, validate=check_monotone)
-
-    @classmethod
-    def from_rational(cls, q: RationalLike) -> "LowerReal":
-        q = Fraction(q)
-        return cls(lambda _n: q)
-
-    def bound(self, n: int) -> Fraction:
-        return self._bounds[n]
-
-    def approx(self, fuel: Fuel) -> Fraction:
-        """Largest lower bound enumerated within fuel."""
-        return self._bounds[fuel.budget]
-
-    def add(self, other: "LowerReal") -> "LowerReal":
-        return LowerReal(lambda n: self.bound(n) + other.bound(n))
-
-
-class UpperReal:
+class UpperReal(_Bounds):
     """A right-c.e. real: nonincreasing rational upper bounds with inf = value."""
 
-    def __init__(self, bounds):
-        def check_monotone(i: int, prefix: list):
-            if i >= 1 and prefix[i] > prefix[i - 1]:
-                raise MonotonicityViolation(
-                    f"monotonicity violation at index {i}: "
-                    f"{prefix[i]} > {prefix[i - 1]}"
-                )
-
-        self._bounds = Stream(bounds, validate=check_monotone)
-
-    @classmethod
-    def from_rational(cls, q: RationalLike) -> "UpperReal":
-        q = Fraction(q)
-        return cls(lambda _n: q)
-
-    def bound(self, n: int) -> Fraction:
-        return self._bounds[n]
-
-    def approx(self, fuel: Fuel) -> Fraction:
-        return self._bounds[fuel.budget]
+    _worse, _sign = gt, ">"

@@ -394,9 +394,8 @@ class CompactName:
     covers surfaces as a name violation downstream).
     """
 
-    def __init__(self, cover_at, exact_hull: ClosedComp | None = None):
+    def __init__(self, cover_at):
         self._cover_at = cover_at
-        self.exact_hull = exact_hull
 
     def cover(self, m: int) -> tuple[tuple[Fraction, Fraction], ...]:
         if m < 0:
@@ -421,8 +420,7 @@ def compact_from_closed_union(closed_intervals) -> CompactName:
             delta = min(delta, max_delta)
         return tuple((l - delta, r + delta) for l, r in comps)
 
-    hull = (comps[0][0], comps[-1][1])
-    return CompactName(cover_at, exact_hull=hull)
+    return CompactName(cover_at)
 
 
 def compact_bounds(K: CompactName) -> tuple[CauchyReal, CauchyReal]:

@@ -1,6 +1,6 @@
-"""Mutation check for the Prokhorov kernels, exact integration, the measure protocol, the
-open and closed sets, the vague oracles' callers, the certificate checks, the file reader,
-the builtin names and the CLI.
+"""Mutation check for the Prokhorov kernels, exact integration, the polygon check, the
+bound streams, the measure protocol, the open and closed sets, the vague oracles' callers,
+the certificate checks, the file reader, the builtin names and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -41,6 +41,7 @@ CONVERGENCE = "src/effmeas/convergence.py"
 CLI = "src/effmeas/cli.py"
 SETS = "src/effmeas/sets.py"
 CORPORA = "src/effmeas/corpora.py"
+REALS = "src/effmeas/reals.py"
 PROKHOROV_TESTS = ("tests/test_prokhorov.py",)
 TIMEOUT_S = 600  # per pytest run; an unmutated run takes well under a minute
 
@@ -202,18 +203,41 @@ MUTANTS = (
         file=FUNCTIONS,
         tests=("tests/test_polylattice.py",),
     ),
+    # one check for both polygon builds
+    Mutant(
+        "polygon check: the vertex build refuses nothing",
+        "        _check([x for x, _ in verts], [y for _, y in verts], self.extension)\n",
+        "",
+        file=FUNCTIONS,
+        tests=("tests/test_polylattice.py::TestRefusals",),
+    ),
+    # one class body for both bound streams
+    Mutant(
+        "bound streams: upper bounds checked as lower ones",
+        '_worse, _sign = gt, ">"',
+        '_worse, _sign = lt, ">"',
+        file=REALS,
+        tests=("tests/test_reals.py",),
+    ),
     # the polygon entry: the converters' tents, trapezoids and surrogates
     Mutant(
         "polygon entry: lazy atoms cut at the first vertex",
-        "return self._atoms_to(Fraction(X[-1], dx)).integrate_poly(p)",
-        "return self._atoms_to(Fraction(X[0], dx)).integrate_poly(p)",
+        "part = self._finite_part(Fraction(X[-1], dx),",
+        "part = self._finite_part(Fraction(X[0], dx),",
         file=MEASURES,
         tests=("tests/test_measures.py::TestIntegrateZeroOutside",),
     ),
     Mutant(
         "polygon entry: the truncation's + 1 dropped",
-        "return integrate_poly(p, self.truncated(_pow2(n + 1) / (p.bound() + 1)))",
-        "return integrate_poly(p, self.truncated(_pow2(n) / (p.bound() + 1)))",
+        "_pow2(n + 1) / (p.bound() + 1))\n        return part",
+        "_pow2(n) / (p.bound() + 1))\n        return part",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestIntegrateZeroOutside",),
+    ),
+    Mutant(
+        "finite part: atoms read past the polygon's end",
+        "            if loc > hi:",
+        "            if loc > hi + 1:",
         file=MEASURES,
         tests=("tests/test_measures.py::TestIntegrateZeroOutside",),
     ),

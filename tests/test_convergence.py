@@ -1,5 +1,6 @@
 """Moduli, the uniformizer, Specker demo, and the vague-to-weak pipeline."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -391,6 +392,21 @@ class TestSpecker:
         from effmeas import integrate_named
 
         assert abs(integrate_named(f, mu, 8) - Fraction(1, 4)) <= _pow2(8)
+
+    def test_huge_deviation_raised_as_divergence(self):
+        # the squares' weights pass 4,300 digits by index 128; the message
+        # shows the deviation through errors.show, under the default limit
+        p, _ = builtin_function("constant-one")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            seq = corpus_by_name("specker:squares").seq
+            m = weak_modulus(seq, DiscreteMeasure.point(0), co_name_of_poly(p), p.bound())
+            with pytest.raises(DivergenceDetected, match="deviation a rational of 16383/16386 bits at index 128"):
+                m.of(3)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestVagueToWeak:

@@ -204,7 +204,10 @@ class TestDriftingAtomFamily:
         with pytest.raises(ValueError, match="atom weights must be positive"):
             DriftingAtomFamily([(Fraction(0), Fraction(1), 1), (Fraction(1), w, 0)])
 
-    @pytest.mark.parametrize("fam", ["deltashrink", "mixture", "deltadrift"])
+    @pytest.mark.parametrize(
+        "fam",
+        ["deltashrink", "deltan", "mixture", "deltadrift", "specker", "specker:identity", "specker:squares"],
+    )
     def test_corpus_freed_without_cycle_collector(self, fam):
         c = corpus_by_name(fam)
         c.seq[3]

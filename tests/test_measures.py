@@ -438,6 +438,13 @@ class TestIntegrateZeroOutside:
         )
         assert mu.atom_stream.pulled == 14
 
+    def test_lazy_hopping_reads_the_prefix_its_tail_allows(self):
+        # err = 2^-(n+1)/(|hat| + 1) = 2^-(n+2), and the tail 2^-k is first at
+        # most that at k = n + 2; every hopping atom counts under the hat
+        mu, n = _lazy("hopping-tail"), 3
+        want = sum((w * _HAT(x) for x, w in mu.prefix(n + 2)), Fraction(0))
+        assert mu.integrate_zero_outside(_HAT, n) == want
+
 
 class TestSpelledAtoms:
     @settings(max_examples=200, deadline=None)

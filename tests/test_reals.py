@@ -1,5 +1,6 @@
 """Cauchy-name arithmetic and the monotone bound streams."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,14 +92,39 @@ class TestMonotoneReals:
     def test_lower_real_monotone_violation(self):
         x = LowerReal(iter([Fraction(0), Fraction(1), Fraction(1, 2)]))
         assert x.bound(1) == 1
-        with pytest.raises(MonotonicityViolation):
+        with pytest.raises(MonotonicityViolation, match=r"^monotonicity violation at index 2: 1/2 < 1$"):
             x.bound(2)
 
     def test_upper_real_monotone_violation(self):
         x = UpperReal(iter([Fraction(3), Fraction(2), Fraction(5, 2)]))
         assert x.bound(1) == 2
-        with pytest.raises(MonotonicityViolation):
+        with pytest.raises(MonotonicityViolation, match=r"^monotonicity violation at index 2: 5/2 > 2$"):
             x.bound(2)
+
+    def test_upper_add_stays_upper(self):
+        assert not isinstance(UpperReal.from_rational(1), LowerReal)
+        s = UpperReal(lambda n: 1 + _pow2(n)).add(UpperReal.from_rational(1))
+        assert isinstance(s, UpperReal) and s.approx(Fuel(3)) == 2 + _pow2(3)
+
+    @pytest.mark.parametrize(
+        "read, error",
+        [
+            (lambda big: LowerReal(iter([big, big - 1])).bound(1), MonotonicityViolation),
+            (lambda big: UpperReal(iter([big, big + 1])).bound(1), MonotonicityViolation),
+            (lambda big: make_cauchy(iter([big, -big])).approx(1), NameViolation),
+        ],
+        ids=["lower", "upper", "cauchy"],
+    )
+    def test_violation_of_huge_values_raised_as_itself(self, read, error):
+        big = Fraction(10**5000 + 1, 3)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(error, match=r"a rational of 1661[01]/2 bits"):
+                read(big)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_lower_add_and_fuel(self):
         a = LowerReal(lambda n: Fraction(1) - _pow2(n))
