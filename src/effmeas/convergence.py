@@ -398,11 +398,11 @@ class SpeckerSequence:
             v = prefix[i]
             if v != int(v) or int(v) < 0:
                 raise DuplicateEnumeration(
-                    f"enumeration value {v!r} is not a natural number"
+                    f"enumeration value {show(v)} is not a natural number"
                 )
             if int(v) in seen:
                 raise DuplicateEnumeration(
-                    f"duplicate enumeration of {int(v)} at position {i}"
+                    f"duplicate enumeration of {show(int(v))} at position {i}"
                 )
             seen.add(int(v))
 

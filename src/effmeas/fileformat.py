@@ -20,8 +20,8 @@ Function files::
 
 Certificate files are modulus tables (``modulus`` header, then ``N index``
 rows, at most one per N, every index nonnegative).  Enumeration files carry
-one natural number per line.  All numbers are exact rationals ``p/q`` or
-integers; serialization always emits reduced fractions.
+one natural number below 2^16 per line.  All numbers are exact rationals
+``p/q`` or integers; serialization always emits reduced fractions.
 
 Each ``p/q`` token is read once into an ``int`` pair with a positive
 denominator, not reduced (``2/-4`` is ``(-2, 4)``).  A discrete file goes
@@ -160,6 +160,10 @@ def serialize_function(p: PolyFunc) -> str:
     return "\n".join(out) + "\n"
 
 
+# value a has weight 2^-(a+1): a 16-bit value keeps each weight at 64 Kibit
+_ENUM_BITS = 16
+
+
 def parse_enumeration(text: str) -> list[int]:
     values = []
     for line_no, line in _lines(text):
@@ -169,6 +173,9 @@ def parse_enumeration(text: str) -> list[int]:
             raise ParseError(line_no, f"expected a natural number, got {line!r}") from None
         if v < 0:
             raise ParseError(line_no, "enumeration values must be nonnegative")
+        if v.bit_length() > _ENUM_BITS:
+            msg = f"enumeration value of {v.bit_length()} bits is above the {_ENUM_BITS}-bit cap"
+            raise ParseError(line_no, msg)
         values.append(v)
     return values
 

@@ -37,10 +37,10 @@ _HULL_ROUND = 8  # the support cover SupportedFunc.hull reads
 
 
 class _Lazy:
-    """A frozen dataclass's field built from the instance on its first read
-    and stored in it.  A non-data descriptor, so a value the constructor set
-    shadows it; set on the class after ``@dataclass``, which would take a
-    class attribute for the field's default."""
+    """A field built from the instance on its first read and stored in it,
+    a frozen dataclass's too.  A non-data descriptor, so a value the
+    constructor set shadows it; set on the class after ``@dataclass``, which
+    would take a class attribute for the field's default."""
 
     def __init__(self, name: str, build):
         self.name, self.build = name, build
@@ -273,25 +273,24 @@ class CompactOpenName:
     ``range_box(a, b, tol)`` returns a closed [lo, hi] containing f[[a,b]]
     and at most ``tol`` wider than the exact range.  The enumeration lists,
     in the fixed code order, every (compact I, open J) pair with f[I]
-    strictly inside J.  ``poly`` is the polygon an exact name is backed by,
-    or ``None`` for an opaque name.
+    strictly inside J; its ``Stream`` is built on the first read.  ``poly``
+    is the polygon an exact name is backed by, or ``None`` for an opaque
+    name.
     """
 
     def __init__(self, range_fn, poly: "PolyFunc | None" = None):
         self._range_fn = range_fn
         self.poly = poly
 
-        def pairs():
-            for n in itertools.count():
-                i, j = codes.decode_pair_code(n)
-                ca, ra = codes.decode_ball(i)
-                jl, jr = codes.decode_open_interval(j)
-                I = (ca - ra, ca + ra)
-                lo, hi = self._range_fn(I[0], I[1], (jr - jl) / 8)
-                if jl < lo and hi < jr:
-                    yield (I, (jl, jr))
-
-        self.enumeration = Stream(pairs())
+    def _pairs(self):
+        for n in itertools.count():
+            i, j = codes.decode_pair_code(n)
+            ca, ra = codes.decode_ball(i)
+            jl, jr = codes.decode_open_interval(j)
+            I = (ca - ra, ca + ra)
+            lo, hi = self._range_fn(I[0], I[1], (jr - jl) / 8)
+            if jl < lo and hi < jr:
+                yield (I, (jl, jr))
 
     def range_box(self, a, b, tol) -> tuple[Fraction, Fraction]:
         a, b, tol = _fraction(a), _fraction(b), _fraction(tol)
@@ -301,6 +300,9 @@ class CompactOpenName:
 
     def value_box(self, x, tol) -> tuple[Fraction, Fraction]:
         return self.range_box(x, x, tol)
+
+
+CompactOpenName.enumeration = _Lazy("enumeration", lambda name: Stream(name._pairs()))
 
 
 def co_name_of_poly(p: PolyFunc) -> CompactOpenName:

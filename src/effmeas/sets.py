@@ -19,12 +19,12 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterator, Optional, Sequence, Union
 
-from . import codes
-from .errors import EmptyCompact, MalformedInterval
+from .errors import EmptyCompact, MalformedInterval, show
 from .reals import CauchyReal, LowerReal, _fraction, _pow2
-from .streams import Fuel, Stream, interleave
+from .streams import Fuel, Stream
 
 OpenComp = tuple[Optional[Fraction], Optional[Fraction]]
 ClosedComp = tuple[Fraction, Fraction]
@@ -139,8 +139,6 @@ def complement_of_closed(comps: Sequence[ClosedComp]) -> tuple[OpenComp, ...]:
         out.append((prev, l))
         prev = r
     out.append((prev, None))
-    if not comps:
-        return ((None, None),)
     return tuple(iv for iv in out if iv[0] is None or iv[1] is None or iv[0] < iv[1])
 
 
@@ -148,21 +146,19 @@ def complement_of_closed(comps: Sequence[ClosedComp]) -> tuple[OpenComp, ...]:
 # enumeration schedules
 
 
-def _code_filtered(predicate) -> Iterator[tuple[Fraction, Fraction]]:
-    """Intervals whose codes pass ``predicate``, in code order."""
-    for i in itertools.count():
-        l, r = codes.decode_open_interval(i)
-        if predicate(l, r):
-            yield (l, r)
-
-
-def _safe_inner_exhaustion(comps) -> Iterator[tuple[Fraction, Fraction]]:
-    """Bounded open intervals exhausting the open components from inside.
-
-    Round m emits, per component, the sub-interval staying 2^-m away from
-    finite endpoints and truncated to [-2^m, 2^m]; a component thinner than
-    2^-m contributes nothing in round m.
+def _exhaustion(comps: tuple[OpenComp, ...]) -> Iterator[tuple[Fraction, Fraction]]:
+    """The enumeration of an exact open set, its inner exhaustion: round
+    m = 1, 2, ... emits each component shrunk by 2^-m at its finite ends,
+    its infinite ends cut to -2^m and 2^m, when that is not empty.  What a
+    round emits, every later round does, so the first pull walks up to the
+    first nonempty round (a bounded component of width W needs W > 2^(1-m),
+    about log2(2/W) rounds) and each later pull at most one more round; no
+    code is decoded.  A point x at distance d > 2^-m from its component's
+    finite ends, with |x| < 2^m, lies in that component's round-m interval,
+    so within the first m * len(comps) pulls.  The empty set emits nothing.
     """
+    if not comps:
+        return
     for m in itertools.count(1):
         delta = _pow2(m)
         span = Fraction(2**m)
@@ -173,14 +169,10 @@ def _safe_inner_exhaustion(comps) -> Iterator[tuple[Fraction, Fraction]]:
                 yield (l, r)
 
 
-def _exhaustion(comps: tuple[OpenComp, ...]) -> Iterator[tuple[Fraction, Fraction]]:
-    """The enumeration of an exact open set: the codes inside it interleaved
-    with its inner exhaustion.  Nothing is decoded before the first pull."""
-    if comps:
-        yield from interleave(
-            _code_filtered(lambda l, r: open_contains_interval(comps, l, r)),
-            _safe_inner_exhaustion(comps),
-        )
+def _radius(radius):
+    if radius < 0:
+        raise MalformedInterval(f"negative radius {show(radius)}")
+    return radius
 
 
 # Guards the first build of a SigmaSet's enumeration stream, so concurrent
@@ -199,6 +191,8 @@ class SigmaSet:
         self.components = merge_open(components) if components is not None else None
         self._source = enumeration
         self._stream: Stream | None = None
+        # (n, union of 0..n-1), set whole: a race stores an older, true pair
+        self._pulled: tuple[int, tuple[OpenComp, ...]] = (0, ())
 
     @property
     def enumeration(self) -> Stream:
@@ -230,20 +224,27 @@ class SigmaSet:
 
     @classmethod
     def ball(cls, center: Fraction, radius: Fraction) -> "SigmaSet":
-        return cls.from_components([(center - radius, center + radius)])
+        return cls.from_components([(center - _radius(radius), center + radius)])
 
     @classmethod
     def ball_exterior(cls, center: Fraction, radius: Fraction) -> "SigmaSet":
         return cls.from_components(
-            [(None, center - radius), (center + radius, None)]
+            [(None, center - _radius(radius)), (center + radius, None)]
         )
 
     def interval(self, k: int) -> tuple[Fraction, Fraction]:
         return self.enumeration[k]
 
     def pulled_union(self, k: int) -> tuple[OpenComp, ...]:
-        """The union of enumerated intervals 0..k, as merged components."""
-        return merge_open(self.enumeration.prefix(k + 1))
+        """The union of enumerated intervals 0..k, as merged components: the
+        union of the furthest prefix read is kept and only later intervals
+        are merged onto it (an earlier ``k`` is merged afresh)."""
+        n, union = self._pulled
+        if k + 1 < n:
+            return merge_open(self.enumeration.prefix(k + 1))
+        union = merge_open(union + tuple(self.enumeration[i] for i in range(n, k + 1)))
+        self._pulled = (k + 1, union)
+        return union
 
     def inner(self, k: int) -> tuple[OpenComp, ...]:
         """Components inside the set: the exact ones when known, else
@@ -290,9 +291,12 @@ def pi_from_complement(closed_intervals) -> PiSet:
             comps.append((iv.left, iv.right))
         else:
             l, r = iv
+            if not (isinstance(l, Rational) and isinstance(r, Rational)):
+                kinds = f"{type(l).__name__}, {type(r).__name__}"
+                raise MalformedInterval(f"closed interval ends must be rationals, got ({kinds})")
             l, r = Fraction(l), Fraction(r)
             if l > r:
-                raise MalformedInterval(f"malformed closed interval [{l}, {r}]")
+                raise MalformedInterval(f"malformed closed interval [{show(l)}, {show(r)}]")
             comps.append((l, r))
     made = PiSet.__new__(PiSet)
     made.closed_components = merge_closed(comps)
@@ -323,19 +327,21 @@ def sigma_member(x: CauchyReal, U: SigmaSet, fuel: Fuel) -> str:
 
 
 def dist_to_closed(x: CauchyReal, C: PiSet) -> LowerReal:
-    """d(x, C) as a left-c.e. real, from the avoided-interval enumeration.
+    """d(x, C) as a left-c.e. real, from ``C.complement.inner(n)``: the exact
+    components of the complement when known, else the avoided intervals
+    merged so far.
 
-    If the merged avoided intervals contain a ball of radius t around the
-    approximant, the true point is at distance > t - 2^{-n+1} from C; t is
-    the distance to the nearer finite end of the component holding it.
-    Pulling a bound raises ``ValueError`` once the avoided intervals merge
-    into all of R: then C is empty and d(x, C) is no real number.
+    If those components contain a ball of radius t around the approximant,
+    the true point is at distance > t - 2^{-n+1} from C; t is the distance
+    to the nearer finite end of the component holding it.  Pulling a bound
+    raises ``ValueError`` once the components are all of R: then C is empty
+    and d(x, C) is no real number.
     """
 
     def gen():
         best = Fraction(0)
         for n in itertools.count():
-            merged = C.complement.pulled_union(n)
+            merged = C.complement.inner(n)
             xn = x.approx(n)
             t = Fraction(0)
             for l, r in merged:
@@ -370,12 +376,9 @@ def closed_neighborhood(C: PiSet, s: Fraction) -> PiSet:
 
     def gen():
         for m in itertools.count(2):
-            step = _pow2(m)
             radius = _pow2(m)
-            span = m
-            j_range = range(-span * 2**m, span * 2**m + 1)
-            for j in j_range:
-                a = j * step
+            for j in range(-m * 2**m, m * 2**m + 1):
+                a = j * radius
                 d = dist_to_closed(CauchyReal.from_rational(a), C)
                 if d.approx(Fuel(m)) > radius + s:
                     yield (a - radius, a + radius)

@@ -11,9 +11,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
-
-T = TypeVar("T")
+from typing import Callable
 
 
 class Stream:
@@ -72,26 +70,14 @@ class Stream:
             return len(self._memo)
 
 
-def interleave(*sources: Iterable) -> Iterator:
-    """Round-robin over finitely many iterables, dropping exhausted ones."""
-    iters = [iter(s) for s in sources]
-    while iters:
-        alive = []
-        for it in iters:
-            try:
-                yield next(it)
-            except StopIteration:
-                continue
-            alive.append(it)
-        iters = alive
-
-
 @dataclass(frozen=True)
 class Fuel:
     """A budget of stream pulls for semi-decision procedures.
 
-    Procedures taking fuel never diverge: they either certify an answer
-    within ``budget`` pulls or report "undetermined".
+    Procedures taking fuel make at most ``budget`` pulls: they either
+    certify an answer within them or report "undetermined".  Each pull of
+    an exact set's enumeration is bounded, but a pull of an opaque set runs
+    that set's own stream, which can still diverge.
     """
 
     budget: int

@@ -265,18 +265,41 @@ MUTANTS = (
     ),
     # a closed set on its open complement, and what the pulls have shown
     Mutant(
-        "pulled union: k intervals read instead of k + 1",
-        "return merge_open(self.enumeration.prefix(k + 1))",
-        "return merge_open(self.enumeration.prefix(k))",
+        "pulled union: intervals n..k-1 merged on, not n..k",
+        "for i in range(n, k + 1)",
+        "for i in range(n, k)",
         file=SETS,
-        tests=("tests/test_sets.py::TestPiSetOnComplement", "tests/test_measures.py::TestOpenMassPulls"),
+        tests=("tests/test_sets.py::TestPulledUnion", "tests/test_measures.py::TestOpenMassPulls"),
     ),
+    Mutant(
+        "pulled union: the carried union dropped",
+        "union = merge_open(union + tuple(",
+        "union = merge_open(tuple(",
+        file=SETS,
+        tests=("tests/test_sets.py::TestPulledUnion",),
+    ),
+    # dist_to_closed then reads an exact closed set's enumeration
     Mutant(
         "inner: the exact components ignored",
         "return self.components if self.components is not None else self.pulled_union(k)",
         "return self.pulled_union(k)",
         file=SETS,
         tests=("tests/test_sets.py::TestPiSetOnComplement", "tests/test_measures.py::TestOpenMassPulls"),
+    ),
+    # an exact set enumerated by its inner exhaustion, and its refusals
+    Mutant(
+        "exhaustion: components not shrunk by 2^-m",
+        "delta = _pow2(m)\n        span = Fraction(2**m)",
+        "delta = 0\n        span = Fraction(2**m)",
+        file=SETS,
+        tests=("tests/test_sets.py::TestExactEnumeration",),
+    ),
+    Mutant(
+        "ball: a negative radius taken",
+        "if radius < 0:",
+        "if False:",
+        file=SETS,
+        tests=("tests/test_sets.py::TestMalformedSets",),
     ),
     # killed by the exact components; the avoided-stream test would pull a
     # set of points forever

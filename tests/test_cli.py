@@ -162,6 +162,15 @@ class TestDemoSpecker:
         assert code == 0 and [r[2] for r in rows_of(out)] == ["0", "1", "2", "3", "4"]
         assert out.splitlines()[-3:] == ["#   fuel 0: 1/2", "#   fuel 2: 7/8", "#   fuel 4: 31/32"]
 
+    def test_huge_value_is_a_parse_error(self, capsys, tmp_path):
+        # weight 2^-(10^5000 + 1) cannot be built: refused at the file's line
+        e = tmp_path / "enum.txt"
+        e.write_text(FILES["@huge-enum"])
+        code, out, err = run(capsys, "demo", "specker", "--enum", str(e))
+        assert (code, out) == (3, "")
+        bits = (10**5000).bit_length()
+        assert err == f"parse error: line 5: enumeration value of {bits} bits is above the 16-bit cap\n"
+
     def test_duplicate_enumeration_fails(self, capsys, tmp_path):
         e = tmp_path / "enum.txt"
         e.write_text("0\n1\n1\n2\n3\n4\n5\n")
@@ -760,6 +769,7 @@ FILES = {
     "@truncated-function": "polyfunc zero-outside\n-1 0\n0 ",
     "@enum": "0\n2\n1\n5\n3\n4\n6\n7\n8\n9\n10\n",
     "@short-enum": "0\n2\n1\n",
+    "@huge-enum": "0\n1\n2\n3\n1" + "0" * 5000 + "\n5\n6\n",  # 10^5000 on line 5
     "@cert": "modulus\n0 6\n1 7\n2 8\n3 9\n4 10\n",
     "@bad-cert": "modulus\n0 0\n1 0\n2 0\n3 0\n4 0\n",
     "@short-cert": "modulus\n1 3\n",
@@ -860,6 +870,7 @@ class TestMainProperty:
     @example(argv=["verify", "weak", "nosuch", "delta0", "hat", "1"])
     @example(argv=["verify", "weak", "specker:nosuch", "delta0", "hat", "1"])
     @example(argv=["demo", "specker", "--enum", "nosuch"])
+    @example(argv=["demo", "specker", "--enum", "@huge-enum"])
     @example(argv=["verify", "weak", "speckerfoo", "zero", "hat", "1"])
     @example(argv=["verify", "witness", "deltadrift", "delta1", "1", "--certificate", "@bad-cert"])
     @example(argv=["verify", "vague-to-weak", "deltashrink", "delta0", "1",

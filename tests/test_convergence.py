@@ -375,6 +375,18 @@ class TestSpecker:
         with pytest.raises(DuplicateEnumeration):
             sp.seq[2]
 
+    @pytest.mark.parametrize("v", [Fraction(10**5000 + 1, 3), Fraction(1, 2)])
+    def test_bad_enumeration_message_never_breaks(self, v):
+        # a value of more digits than the interpreter's limit prints its bit lengths
+        with pytest.raises(DuplicateEnumeration, match="is not a natural number") as exc:
+            specker_sequence(iter([v])).seq[0]
+        assert str(exc.value)
+
+    def test_huge_duplicate_message_never_breaks(self):
+        sp = specker_sequence(iter([10**5000, 10**5000]))
+        with pytest.raises(DuplicateEnumeration, match="^duplicate enumeration of a rational of "):
+            sp.enum[1]
+
     def test_total_mass_lower_strictly_increases(self):
         sp = specker_sequence(iter(range(100)))
         lower = sp.total_mass_lower()

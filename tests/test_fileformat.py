@@ -129,6 +129,11 @@ class TestEnumerationAndModulus:
         with pytest.raises(ParseError):
             parse_enumeration("1\nx\n")
 
+    def test_enumeration_value_capped(self):
+        assert parse_enumeration(f"{2**16 - 1}\n") == [2**16 - 1]
+        with pytest.raises(ParseError, match="^line 2: enumeration value of 17 bits is above the 16-bit cap$"):
+            parse_enumeration(f"0\n{2**16}\n")
+
     def test_modulus_round_trip(self):
         m = parse_modulus(serialize_modulus({2: 5, 4: 9}))
         assert m.of(4) == 9

@@ -16,6 +16,7 @@ from effmeas import (
     supported_from_poly,
     tent_function,
 )
+import effmeas.functions as functions
 from effmeas.errors import MalformedInterval
 from effmeas.functions import SupportedFunc, polygonal_on_window
 from effmeas.reals import _pow2
@@ -192,6 +193,18 @@ class TestCompactOpenName:
             (i_l, i_r), (j_l, j_r) = name.enumeration[k]
             lo, hi = p.exact_range(i_l, i_r)
             assert j_l < lo and hi < j_r
+
+    def test_no_stream_built(self, monkeypatch):
+        def refuse(*_args, **_kw):
+            raise AssertionError("a Stream was built")
+
+        monkeypatch.setattr(functions, "Stream", refuse)
+        p = hat_function(Fraction(0), Fraction(1), Fraction(2), Fraction(1))
+        name = co_name_of_poly(p)
+        assert name.range_box(Fraction(0), Fraction(2), Fraction(1, 64)) == (0, 1)
+        assert name.value_box(Fraction(1), Fraction(1, 8)) == (1, 1)
+        with pytest.raises(AssertionError, match="Stream"):
+            name.enumeration
 
     def test_value_box(self):
         p = constant_func(Fraction(7, 3))

@@ -20,6 +20,7 @@ from effmeas import (
     pi_from_complement,
     sigma_member,
 )
+import effmeas.codes as codes
 import effmeas.sets as sets
 from effmeas.errors import EmptyCompact, MalformedInterval
 from effmeas.reals import LowerReal, _pow2
@@ -32,9 +33,10 @@ from effmeas.sets import (
     merge_closed,
     merge_open,
     open_contains_interval,
+    open_contains_point,
     open_disjoint_from_closed,
 )
-from effmeas.streams import Stream, interleave
+from effmeas.streams import Stream
 
 frac = st.fractions(min_value=-6, max_value=6, max_denominator=24)
 
@@ -240,16 +242,35 @@ class TestPiSet:
             assert r <= Fraction(-1, 2) or l >= Fraction(3, 2)
 
 
+def gaps_of(closed) -> list:
+    """The gaps of a closed union, with the half-lines beyond it, in order:
+    the complement's components read off the closed set's own ends."""
+    merged = merge_closed(closed)
+    ends = [None, *(x for comp in merged for x in comp), None]
+    return [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
+
+
 def avoided_direct(closed) -> Iterator:
     """The avoided intervals of a closed union built from the closed set
-    itself: the codes disjoint from it, interleaved with the inner
-    exhaustion of its complement.  The oracle for the complement's
-    enumeration."""
-    merged = merge_closed(closed)
-    return interleave(
-        sets._code_filtered(lambda l, r: open_disjoint_from_closed(l, r, merged)),
-        sets._safe_inner_exhaustion(complement_of_closed(merged)),
-    )
+    itself: the inner exhaustion of its complement, where round m = 1, 2, ...
+    gives each gap shrunk by 2^-m at its finite ends and cut to -2^m, 2^m at
+    its infinite ones.  The oracle for the complement's enumeration."""
+    gaps = gaps_of(closed)
+    for m in itertools.count(1):
+        for l, r in gaps:
+            lo = -(2**m) if l is None else l + _pow2(m)
+            hi = 2**m if r is None else r - _pow2(m)
+            if lo < hi:
+                yield (lo, hi)
+
+
+def dist_off_gaps(x: Fraction, closed) -> Fraction:
+    """d(x, C) read off the exact complement components: the distance to
+    the nearer finite end of the gap holding x, or 0 inside C."""
+    for l, r in gaps_of(closed):
+        if (l is None or l < x) and (r is None or x < r):
+            return min(abs(x - e) for e in (l, r) if e is not None)
+    return Fraction(0)
 
 
 def dist_direct(x: CauchyReal, avoided) -> LowerReal:
@@ -306,11 +327,20 @@ class TestPiSetOnComplement:
     @settings(max_examples=60, deadline=None)
     @given(closed_unions.filter(bool), frac, st.booleans())
     def test_dist_to_closed_bounds_unchanged(self, closed, x, opaque):
+        # an opaque set's bounds read its pulls; an exact set's read the
+        # exact components of its complement, whatever its enumeration
         base = pi_from_complement(closed)
-        C = PiSet(lambda k: base.avoided(k)) if opaque else base
-        want = dist_direct(CauchyReal.from_rational(x), Stream(avoided_direct(closed)).__getitem__)
+        if opaque:
+            C = PiSet(lambda k: base.avoided(k))
+            direct = dist_direct(CauchyReal.from_rational(x), Stream(avoided_direct(closed)).__getitem__)
+            want = [direct.bound(n) for n in range(12)]
+        else:
+            C = base
+            t = dist_off_gaps(x, closed)
+            assert t == dist_point_to_closed(x, merge_closed(closed))
+            want = [max(Fraction(0), t - _pow2(n - 1)) for n in range(12)]
         got = dist_to_closed(CauchyReal.from_rational(x), C)
-        assert [got.bound(n) for n in range(12)] == [want.bound(n) for n in range(12)]
+        assert [got.bound(n) for n in range(12)] == want
 
     @pytest.mark.parametrize("avoid", [(None, Fraction(-1)), (Fraction(2), None), (None, None)])
     def test_dist_to_closed_on_unbounded_avoided(self, avoid):
@@ -346,6 +376,98 @@ class TestPiSetOnComplement:
         assert U.inner(1) == U.pulled_union(1)
         exact = SigmaSet.from_components(ivs)
         assert exact.inner(0) == exact.components == U.pulled_union(2)
+
+
+end = st.one_of(st.none(), frac)
+open_intervals = st.tuples(end, end).filter(lambda iv: None in iv or iv[0] < iv[1])
+
+
+class TestExactEnumeration:
+    """An exact open set is enumerated by its inner exhaustion alone."""
+
+    def test_exact_sets_decode_no_code(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a code was decoded")
+
+        monkeypatch.setattr(codes, "decode_open_interval", refuse)
+        for U in (
+            SigmaSet.ball(Fraction(0), Fraction(1, 16)),
+            SigmaSet.ball_exterior(Fraction(1), Fraction(2)),
+            SigmaSet.from_components([(None, Fraction(-3)), (Fraction(5), Fraction(6))]),
+            pi_from_complement([(Fraction(0), Fraction(1)), (Fraction(2), Fraction(2))]).complement,
+        ):
+            for k in range(64):
+                l, r = U.interval(k)
+                assert open_contains_interval(U.components, l, r)
+
+    def test_tiny_ball_first_pull(self):
+        radius = Fraction(1, 2**64)
+        l, r = SigmaSet.ball(Fraction(0), radius).interval(0)
+        assert -radius < l < r < radius
+
+    def test_fuel_one_on_a_small_ball_returns(self):
+        zero = CauchyReal.from_rational(Fraction(0))
+        U = SigmaSet.ball(Fraction(0), Fraction(1, 16))
+        assert sigma_member(zero, U, Fuel(1)) == Membership.UNDETERMINED
+        assert sigma_member(zero, U, Fuel(16)) == Membership.INSIDE
+
+    def test_empty_set_enumerates_nothing(self):
+        for U in (SigmaSet.from_components([]), SigmaSet.ball(Fraction(3), Fraction(0))):
+            with pytest.raises(IndexError, match="exhausted at index 0"):
+                U.interval(0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(open_intervals, min_size=1, max_size=4), frac)
+    def test_pulls_inside_and_covering(self, ivs, x):
+        # each pulled interval's closure lies in the set, and a point at
+        # distance d from its component's finite ends with |x| < 2^m, for
+        # 2^-m < d, is covered within the first m * len(comps) pulls
+        U = SigmaSet.from_components(ivs)
+        comps = U.components
+        holding = [c for c in comps if open_contains_point((c,), x)]
+        d = min((abs(x - e) for c in holding for e in c if e is not None), default=None)
+        m = 1
+        while not ((d is None or _pow2(m) < d) and abs(x) < 2**m):
+            m += 1
+        pulls = [U.interval(k) for k in range(m * len(comps))]
+        for l, r in pulls:
+            assert open_contains_point(comps, l) and open_contains_point(comps, r)
+        assert any(l < x < r for l, r in pulls) == bool(holding)
+
+
+class TestPulledUnion:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(open_intervals, min_size=1, max_size=12),
+        st.lists(st.integers(0, 11), min_size=1, max_size=12),
+    )
+    def test_running_union_is_the_merged_prefix(self, ivs, ks):
+        # read in any order, the carried union is the prefix merged afresh
+        U = SigmaSet(iter(ivs))
+        for k in (k % len(ivs) for k in ks):
+            assert U.pulled_union(k) == merge_open(U.enumeration.prefix(k + 1))
+
+
+class TestMalformedSets:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SigmaSet.ball(Fraction(0), Fraction(-1)),
+            lambda: SigmaSet.ball_exterior(Fraction(0), Fraction(-1)),
+            lambda: SigmaSet.ball(Fraction(0), -Fraction(10**5000)),
+            lambda: pi_from_complement([(None, Fraction(1))]),
+            lambda: pi_from_complement([(Fraction(0), None)]),
+            lambda: pi_from_complement([(Fraction(0), "1")]),
+            lambda: pi_from_complement([(0.5, Fraction(1))]),
+            lambda: pi_from_complement([(Fraction(10**5000), Fraction(0))]),
+        ],
+        ids=["ball", "ball exterior", "huge radius", "None left", "None right",
+             "string end", "float end", "huge reversed"],
+    )
+    def test_refused_loudly(self, make):
+        with pytest.raises(MalformedInterval) as exc:
+            make()
+        assert str(exc.value)  # never breaks on a rational's digits
 
 
 class TestExpandClosed:

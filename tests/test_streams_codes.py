@@ -20,7 +20,6 @@ from effmeas.codes import (
     posrat_to_nat,
     rat_to_nat,
 )
-from effmeas.streams import interleave
 
 
 class TestStream:
@@ -68,10 +67,6 @@ class TestStream:
                 s[n]
             assert again.value is first.value
         assert s.pulled == 1
-
-    def test_interleave_round_robin(self):
-        it = interleave(iter("ab"), iter("xyz"))
-        assert list(it) == ["a", "x", "b", "y", "z"]
 
     def test_fuel_requires_nonnegative(self):
         assert Fuel(3).budget == 3
