@@ -383,6 +383,9 @@ def uniformize_vague(
 # the Specker-style demonstration sequence
 
 
+_ENUM_BITS = 20  # value a weighs 2^-(a+1): at most 128 KiB each in _pow2's memo of 256
+
+
 class SpeckerSequence:
     """mu_n = sum_{i<=n} 2^-(a_i+1) delta_i for an injective enumeration a.
 
@@ -396,15 +399,15 @@ class SpeckerSequence:
 
         def check(i: int, prefix: list):
             v = prefix[i]
-            if v != int(v) or int(v) < 0:
-                raise DuplicateEnumeration(
-                    f"enumeration value {show(v)} is not a natural number"
-                )
-            if int(v) in seen:
-                raise DuplicateEnumeration(
-                    f"duplicate enumeration of {show(int(v))} at position {i}"
-                )
-            seen.add(int(v))
+            a = int(v)
+            if v != a or a < 0:
+                raise DuplicateEnumeration(f"enumeration value {show(v)} is not a natural number")
+            if a.bit_length() > _ENUM_BITS:
+                where = f"of {a.bit_length()} bits at position {i}"
+                raise DuplicateEnumeration(f"enumeration value {where} is above the {_ENUM_BITS}-bit cap")
+            if a in seen:
+                raise DuplicateEnumeration(f"duplicate enumeration of {show(a)} at position {i}")
+            seen.add(a)
 
         self.enum = Stream(enum_source, validate=check)
         # members read the enumeration, not self: no cycle through the sequence

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -27,7 +27,7 @@ from .functions import (
     constant_func,
     polygonal_on_window,
 )
-from .reals import CauchyReal, LowerReal, _pow2
+from .reals import CauchyReal, LowerReal, _fraction, _pow2
 from .sets import OpenComp, SigmaSet, merge_closed, merge_open, open_contains_point
 from .streams import Stream
 
@@ -191,9 +191,9 @@ class DiscreteMeasure(Measure):
         locs, ws = [], []
         for loc, w in self.atoms:
             if type(loc) is not Fraction:
-                loc = Fraction(loc)
+                loc = _fraction(loc)
             if type(w) is not Fraction:
-                w = Fraction(w)
+                w = _fraction(w)
             if w.numerator <= 0:  # a Fraction's denominator is positive
                 raise ValueError("atom weights must be positive")
             locs.append(loc)
@@ -225,7 +225,7 @@ class DiscreteMeasure(Measure):
     @classmethod
     def from_ints(cls, xn, xd, wn, wd) -> "DiscreteMeasure":
         """The measure with atoms at ``xn[i]/xd[i]`` of mass ``wn[i]/wd[i]``,
-        all ``int``, every denominator and weight positive (unchecked).
+        all ``int``, every denominator nonzero and weight positive (unchecked).
 
         The same normalisation as the constructor's, on the lattices of the
         lcms of ``xd`` and ``wd``.  Only the lattice and the total are built
@@ -319,8 +319,17 @@ class DiscreteMeasure(Measure):
         return Fraction(num, dy * lx * lw * den)
 
     def null_test(self) -> Callable[[Fraction], bool]:
-        locs = {loc for loc, _ in self.atoms}
-        return lambda x: x not in locs
+        """x is null unless x*lx is an ``int`` that :meth:`lattice` holds."""
+        xs, _, lx, _ = self._lattice
+
+        def null(x) -> bool:
+            k, off = divmod(x.numerator * lx, x.denominator)
+            if off:  # off the lattice, so at no atom
+                return True
+            i = bisect_left(xs, k)
+            return i == len(xs) or xs[i] != k
+
+        return null
 
     def support_radius(self) -> Fraction:
         return max((abs(loc) for loc, _ in self.atoms), default=Fraction(0))
@@ -639,25 +648,26 @@ def _null_sphere_search(
     """center -> the first candidate radius whose sphere is mu-null.
 
     The candidates (see :func:`almost_decidable_ball`) do not depend on the
-    center, so each grid is built once, on first use, and shared by every
-    center searched.
+    center, so each is built once, when a search first reaches it, and
+    shared by every center searched.
     """
     if not min_radius < radius_bound:
         raise ValueError("need min_radius < radius_bound")
     null = mu.null_test()
     span = radius_bound - min_radius
-    grids: list[list[Fraction]] = []
+    grid = (min_radius + span * Fraction(2 * i + 1, 2 * K) for K in _RADIUS_GRIDS for i in range(K))
+    built: list[Fraction] = []
 
     def radius(center: Fraction) -> Fraction:
-        for g, K in enumerate(_RADIUS_GRIDS):
-            if g == len(grids):
-                grids.append(
-                    [min_radius + span * Fraction(2 * i + 1, 2 * K) for i in range(K)]
-                )
-            for r in grids[g]:
-                if null(center - r) and null(center + r):
-                    return r
-        raise SearchExhausted("search exhausted: no null sphere found")
+        for j in itertools.count():
+            if j == len(built):
+                r = next(grid, None)
+                if r is None:
+                    raise SearchExhausted("search exhausted: no null sphere found")
+                built.append(r)
+            r = built[j]
+            if null(center - r) and null(center + r):
+                return r
 
     return radius
 
@@ -741,11 +751,11 @@ def first_cover_balls(
     if s <= 0:
         raise ValueError("s must be positive")
     pitch, radius = _cover_search(mu, s)
-    reach = Fraction(15, 8)  # 15s/16 in units of the pitch
     out = []
     for x in points:
-        t = Fraction(x) / pitch
-        near = range(math.floor(t - reach) + 1, math.ceil(t + reach))
+        # the k with |k - x/pitch| < 15/8 (15s/16 in pitches), x/pitch = p/q
+        p, q = x.numerator * pitch.denominator, x.denominator * pitch.numerator
+        near = range((8 * p - 15 * q) // (8 * q) + 1, -((-8 * p - 15 * q) // (8 * q)))
         for k in sorted(near, key=_walk_place):
             c = k * pitch
             r = radius(c)

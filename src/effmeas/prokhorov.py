@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .convergence import MeasureSeq, Modulus
 from .errors import ContractViolation, SearchExhausted, UnsupportedMeasureClass
+from .functions import _common
 from .measures import (
     AlmostDecidablePair,
     DiscreteMeasure,
@@ -167,6 +168,11 @@ def _level_above(xs: Sequence[int], ys: Sequence[int], T: int) -> Optional[int]:
     return level
 
 
+def _onto(vs: Sequence[int], s: int, l: int) -> Sequence[int]:
+    """``int``s on the lattice 1/s moved onto the lattice 1/l, l a multiple of s."""
+    return vs if s == l else [v * (l // s) for v in vs]
+
+
 def _rho_on_lattice(a: Side, b: Side) -> Fraction:
     """Exact Prokhorov distance between two sides ``(xs, ws, lx, lw)``, each
     sorted by location with positive weights.
@@ -218,10 +224,8 @@ def _rho_on_lattice(a: Side, b: Side) -> Fraction:
     deficit also says how far to jump.
     """
     lx, lw = math.lcm(a[2], b[2]), math.lcm(a[3], b[3])
-    xa, wa, xb, wb = (
-        vs if s == l else [v * (l // s) for v in vs]
-        for vs, s, l in ((a[0], a[2], lx), (a[1], a[3], lw), (b[0], b[2], lx), (b[1], b[3], lw))
-    )
+    xa, wa = _onto(a[0], a[2], lx), _onto(a[1], a[3], lw)
+    xb, wb = _onto(b[0], b[2], lx), _onto(b[1], b[3], lw)
 
     def deficit(T: int) -> int:
         return max(_direction_deficit(xa, wa, xb, wb, T), _direction_deficit(xb, wb, xa, wa, T))
@@ -291,27 +295,6 @@ def prokhorov_discrete_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> F
     return _infimum_over_levels(mu.atoms, nu.atoms, _brute_deficit)
 
 
-def brute_force_valid(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, eps: Fraction
-) -> bool:
-    """Check every test-set inequality at a fixed eps (open neighborhoods)."""
-
-    def one_way(a, b) -> bool:
-        n = len(a)
-        for mask in range(1, 1 << n):
-            s = [a[i] for i in range(n) if mask >> i & 1]
-            s_mass = sum((w for _, w in s), Fraction(0))
-            nb = sum(
-                (v for y, v in b if any(abs(x - y) < eps for x, _ in s)),
-                Fraction(0),
-            )
-            if s_mass > nb + eps:
-                return False
-        return True
-
-    return one_way(mu.atoms, nu.atoms) and one_way(nu.atoms, mu.atoms)
-
-
 # ---------------------------------------------------------------------------
 # bounds through a discretisation of each side
 
@@ -336,10 +319,10 @@ def prokhorov_bounds(mu: Measure, nu: Measure, n: int) -> tuple[Fraction, Fracti
 
 
 def _union_mass_gaps(
-    balls: Sequence[tuple[Fraction, Fraction]],
-    limit_atoms: Sequence[tuple[Fraction, Fraction]],
-) -> Callable[[Sequence[tuple[Fraction, Fraction]]], tuple[Fraction, Fraction]]:
-    """member atoms -> (D, o_n) on the open ``balls`` against the limit atoms.
+    balls: Sequence[tuple[Fraction, Fraction]], limit_side: Side
+) -> Callable[[Side], tuple[Fraction, Fraction]]:
+    """member's :data:`Side` -> (D, o_n) on the open ``balls`` against the
+    limit's (:meth:`~effmeas.measures.DiscreteMeasure.lattice`).
 
     D is the sup over unions A of the balls of |mu_n(A) - mu(A)|, and o_n
     the member mass outside every ball.  D is one sweep over the balls
@@ -351,28 +334,36 @@ def _union_mass_gaps(
     alone, so each frontier keeps only its largest and smallest signed sum,
     and D = max(max, -min) over them.  There are at most #balls + 1
     frontiers, so the sweep takes O(#balls^2) bisections over one
-    prefix-sum list, for any balls.
+    prefix-sum list, for any balls.  It runs on ``int``s: the ball ends and
+    both measures' locations on the lcm of the ends' denominators and both
+    ``lx``, the signed weights on the lcm of both ``lw``.
     """
-    order = sorted(balls)
-    union = merge_open(balls)
-    union_lefts = [l for l, _ in union]
-    negated = [(x, -w) for x, w in limit_atoms]
+    ys, vs, ly, lv = limit_side
+    ends, le = _common([e for ball in balls for e in ball], ly)
+    order = sorted(zip(ends[::2], ends[1::2]))
+    ends = [e for ball in order for e in ball]  # (l, r) of each ball, by left end
+    union = [e for comp in merge_open(order) for e in comp]
+    ys, negated = _onto(ys, ly, le), [-v for v in vs]
 
-    def gaps(member_atoms: Sequence[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
+    def gaps(member_side: Side) -> tuple[Fraction, Fraction]:
+        xs, ws, lx, lw = member_side
+        L, W = math.lcm(le, lx), math.lcm(lv, lw)
+        xs, es, us = _onto(xs, lx, L), _onto(ends, le, L), _onto(union, le, L)
         # two runs sorted by location: the sort is one merge
-        signed = sorted([*member_atoms, *negated], key=itemgetter(0))
-        xs = [x for x, _ in signed]
-        pre = list(accumulate((w for _, w in signed), initial=Fraction(0)))
+        member, limit = zip(xs, _onto(ws, lw, W)), zip(_onto(ys, le, L), _onto(negated, lv, W))
+        signed = sorted([*member, *limit], key=itemgetter(0))
+        keys = [x for x, _ in signed]
+        pre = list(accumulate((w for _, w in signed), initial=0))
         # frontier -> (max, min) signed sum; None is the empty set's
-        sums: dict = {None: (Fraction(0), Fraction(0))}
-        for l, r in order:
-            hi = pre[bisect_left(xs, r)]
+        sums: dict = {None: (0, 0)}
+        for l, r in zip(es[::2], es[1::2]):
+            hi = pre[bisect_left(keys, r)]
             tops, bots = [], []
             for F, (top, bot) in sums.items():
                 if F is None or F <= l:
-                    gain = hi - pre[bisect_right(xs, l)]
+                    gain = hi - pre[bisect_right(keys, l)]
                 elif F < r:
-                    gain = hi - pre[bisect_left(xs, F)]
+                    gain = hi - pre[bisect_left(keys, F)]
                 else:
                     continue
                 tops.append(top + gain)
@@ -381,12 +372,12 @@ def _union_mass_gaps(
                 tops.append(sums[r][0])
                 bots.append(sums[r][1])
             sums[r] = max(tops), min(bots)
-        outside = Fraction(0)
-        for x, w in member_atoms:
-            i = bisect_left(union_lefts, x)
-            if not i or x >= union[i - 1][1]:
+        outside = 0
+        for x, w in zip(xs, ws):
+            i = bisect_left(us, x)  # odd inside a component (us[i - 1], us[i])
+            if i % 2 == 0 or us[i] == x:
                 outside += w
-        return max(max(t, -b) for t, b in sums.values()), outside
+        return Fraction(max(max(t, -b) for t, b in sums.values()), W), Fraction(outside, lw)
 
     return gaps
 
@@ -427,6 +418,10 @@ def eps_from_weak(
     left end (:func:`_union_mass_gaps`): O(#balls^2) bisections over the
     prefix sums of mu_n - mu, not one test per union.
 
+    The cover and the sweep run on the ``int`` lattices of the limit and the
+    members (:meth:`~effmeas.measures.DiscreteMeasure.lattice`), read through
+    nothing else: a member built by ``from_ints`` never builds its ``atoms``.
+
     The supplied per-ball moduli must certify exact stability (their index
     bounds the drift below every ball boundary), which makes D < 2^-(N+2)
     hold from their largest index n_hi on.  n_hi must be a natural number
@@ -438,23 +433,20 @@ def eps_from_weak(
     convergence), keeps o_n <= u + D + |mu_n(R) - mu(R)| small.
     """
     if not isinstance(limit, DiscreteMeasure):
-        raise UnsupportedMeasureClass(
-            "eps_from_weak requires a finite discrete limit"
-        )
+        raise UnsupportedMeasureClass("eps_from_weak requires a finite discrete limit")
     s = _pow2(N + 3)
     slack = _pow2(N + 2)
-    firsts = first_cover_balls(limit, s, [x for x, _ in limit.atoms])
+    ys, vs, ly, lv = side = limit.lattice()
+    firsts = first_cover_balls(limit, s, [Fraction(y, ly) for y in ys])
     # Atoms in the order the walk would cover them; take their balls until
-    # the uncovered limit mass drops to the slack.
+    # the uncovered limit mass, uncovered/lv, drops to the slack.
     chosen: dict[int, AlmostDecidablePair] = {}
-    uncovered = limit.exact_total_mass()
-    for (j, pair), (_, w) in sorted(
-        zip(firsts, limit.atoms), key=lambda t: t[0][0]
-    ):
-        if uncovered <= slack:
+    uncovered = sum(vs)
+    for (j, pair), v in sorted(zip(firsts, vs), key=lambda t: t[0][0]):
+        if uncovered * slack.denominator <= slack.numerator * lv:
             break
         chosen[j] = pair
-        uncovered -= w
+        uncovered -= v
     if not chosen:
         chosen[0] = first_cover_balls(limit, s, [0])[0][1]
     pulled = [chosen[j] for j in sorted(chosen)]
@@ -468,8 +460,8 @@ def eps_from_weak(
         )
     bound = _pow2(N + 2)
     outside_bound = _pow2(N + 1)
-    gaps_at = _union_mass_gaps(balls, limit.atoms)
-    top, outside = gaps_at(seq[n_hi].atoms)
+    gaps_at = _union_mass_gaps(balls, side)
+    top, outside = gaps_at(seq[n_hi].lattice())
     if top >= bound:
         raise ContractViolation(
             "almost-decidable modulus contract failure at its own index",
@@ -482,7 +474,7 @@ def eps_from_weak(
         )
     n0 = n_hi
     while n0 > 0:
-        sup, outside = gaps_at(seq[n0 - 1].atoms)
+        sup, outside = gaps_at(seq[n0 - 1].lattice())
         if sup >= bound or outside >= outside_bound:
             break
         n0 -= 1

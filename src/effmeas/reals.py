@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import gt, lt
 from typing import Union
 
-from .errors import MonotonicityViolation, NameViolation, show
+from .errors import MalformedInterval, MonotonicityViolation, NameViolation, show
 from .streams import Fuel, Stream
 
 RationalLike = Union[Fraction, int]
@@ -38,8 +38,14 @@ def _pow2(n: int) -> Fraction:
 
 
 def _fraction(v) -> Fraction:
-    """``v`` as a Fraction, built only when ``v`` is not exactly one already."""
-    return v if type(v) is Fraction else Fraction(v)
+    """``v`` as a Fraction, built only when ``v`` is not exactly one already;
+    a value no Fraction takes, ``None`` say, raises :class:`MalformedInterval`."""
+    if type(v) is Fraction:
+        return v
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ArithmeticError):
+        raise MalformedInterval(f"expected a rational number, got {v!r}") from None
 
 
 class CauchyReal:

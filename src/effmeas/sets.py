@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -175,11 +174,6 @@ def _radius(radius):
     return radius
 
 
-# Guards the first build of a SigmaSet's enumeration stream, so concurrent
-# first readers share one stream.
-_LAZY_STREAM_LOCK = threading.Lock()
-
-
 class SigmaSet:
     """An effectively open subset of R: a stream of open intervals inside it.
 
@@ -191,15 +185,13 @@ class SigmaSet:
         self.components = merge_open(components) if components is not None else None
         self._source = enumeration
         self._stream: Stream | None = None
-        # (n, union of 0..n-1), set whole: a race stores an older, true pair
+        # (n, union of 0..n-1)
         self._pulled: tuple[int, tuple[OpenComp, ...]] = (0, ())
 
     @property
     def enumeration(self) -> Stream:
         if self._stream is None:
-            with _LAZY_STREAM_LOCK:
-                if self._stream is None:
-                    self._stream = Stream(self._source, validate=self._check_inside)
+            self._stream = Stream(self._source, validate=self._check_inside)
         return self._stream
 
     def _check_inside(self, _i: int, prefix: list) -> None:
@@ -224,13 +216,15 @@ class SigmaSet:
 
     @classmethod
     def ball(cls, center: Fraction, radius: Fraction) -> "SigmaSet":
-        return cls.from_components([(center - _radius(radius), center + radius)])
+        """(center - radius, center + radius); empty at radius 0."""
+        r = _radius(radius)
+        return cls._exact(((center - r, center + r),) if r else ())
 
     @classmethod
     def ball_exterior(cls, center: Fraction, radius: Fraction) -> "SigmaSet":
-        return cls.from_components(
-            [(None, center - _radius(radius)), (center + radius, None)]
-        )
+        """The two open rays outside the closed ball, already disjoint."""
+        r = _radius(radius)
+        return cls._exact(((None, center - r), (center + r, None)))
 
     def interval(self, k: int) -> tuple[Fraction, Fraction]:
         return self.enumeration[k]

@@ -2,14 +2,13 @@
 
 All lazily-described objects in this package (real-number names, set
 enumerations, cover names) are built on :class:`Stream`.  A stream memoizes
-every pulled element behind a lock, so concurrent readers observe a single
-consistent prefix and validators only ever run once per index.
+every pulled element, so its validator runs once per index.  The package is
+single-threaded: a stream is not safe to pull from two threads at once.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,42 +31,38 @@ class Stream:
         self._memo: list = []
         self._validate = validate
         self._error: Exception | None = None
-        self._lock = threading.Lock()
 
     def __getitem__(self, n: int):
         if n < 0:
             raise IndexError("stream indices start at 0")
-        with self._lock:
-            if self._error is not None:
-                raise self._error
-            while len(self._memo) <= n:
+        if self._error is not None:
+            raise self._error
+        while len(self._memo) <= n:
+            try:
+                value = next(self._it)
+            except StopIteration:
+                raise IndexError(
+                    f"finite source exhausted at index {len(self._memo)}"
+                ) from None
+            self._memo.append(value)
+            if self._validate is not None:
                 try:
-                    value = next(self._it)
-                except StopIteration:
-                    raise IndexError(
-                        f"finite source exhausted at index {len(self._memo)}"
-                    ) from None
-                self._memo.append(value)
-                if self._validate is not None:
-                    try:
-                        self._validate(len(self._memo) - 1, self._memo)
-                    except Exception as exc:
-                        self._memo.pop()
-                        self._error = exc
-                        raise
-            return self._memo[n]
+                    self._validate(len(self._memo) - 1, self._memo)
+                except Exception as exc:
+                    self._memo.pop()
+                    self._error = exc
+                    raise
+        return self._memo[n]
 
     def prefix(self, n: int) -> list:
         """Elements ``0..n-1``."""
         if n > 0:
             self[n - 1]
-        with self._lock:
-            return list(self._memo[:n])
+        return self._memo[:n]
 
     @property
     def pulled(self) -> int:
-        with self._lock:
-            return len(self._memo)
+        return len(self._memo)
 
 
 @dataclass(frozen=True)

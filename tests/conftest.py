@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from effmeas import DiscreteMeasure, PolyFunc
 
@@ -34,6 +35,19 @@ def rand_discrete(rng: random.Random, max_atoms=5) -> DiscreteMeasure:
         budget -= w
         atoms.append((rand_rational(rng), w))
     return DiscreteMeasure(tuple(atoms))
+
+
+@st.composite
+def spelled_from_ints(draw, atoms):
+    """``DiscreteMeasure.from_ints`` of the rational ``atoms``, each token
+    unreduced by a factor 1-3 and the sign of its denominator drawn."""
+    cols = ([], [], [], [])  # xn, xd, wn, wd
+    for atom in atoms:
+        for q, num, den in zip(atom, cols[::2], cols[1::2]):
+            m, sign = draw(st.integers(1, 3)), draw(st.sampled_from((1, -1)))
+            num.append(sign * m * q.numerator)
+            den.append(sign * m * q.denominator)
+    return DiscreteMeasure.from_ints(*cols)
 
 
 def rand_supported_poly(rng: random.Random, span=3, max_verts=5) -> PolyFunc:

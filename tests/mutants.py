@@ -111,17 +111,23 @@ MUTANTS = (
             " hi = need < lo = above, and the final test returns D(T)/lw"
         ),
     ),
-    # the frontier sweep of eps_from_weak's union-mass sup
+    # the frontier sweep of eps_from_weak's union-mass sup, on the int lattice
     Mutant(
         "union sweep: the frontier point dropped",
-        "pre[bisect_left(xs, F)]",
-        "pre[bisect_right(xs, F)]",
+        "pre[bisect_left(keys, F)]",
+        "pre[bisect_right(keys, F)]",
         tests=("tests/test_prokhorov.py::TestEpsFromWeak",),
     ),
     Mutant(
         "union sweep: a ball touching the frontier taken as overlapping",
         "if F is None or F <= l:",
         "if F is None or F < l:",
+        tests=("tests/test_prokhorov.py::TestEpsFromWeak",),
+    ),
+    Mutant(
+        "union sweep: ball ends left off the common lattice",
+        "_onto(ends, le, L)",
+        "ends",
         tests=("tests/test_prokhorov.py::TestEpsFromWeak",),
     ),
     # the int sweep of PolyDensityMeasure.cells
@@ -355,10 +361,24 @@ MUTANTS = (
     # the measure protocol
     Mutant(
         "protocol: a discrete measure's atoms taken as null",
-        "return lambda x: x not in locs",
-        "return lambda x: x in locs",
+        "return i == len(xs) or xs[i] != k",
+        "return True",
         file=MEASURES,
         tests=("tests/test_measures.py",),
+    ),
+    Mutant(
+        "protocol: a point off the lattice tested at its floor",
+        "if off:  # off the lattice",
+        "if False:  # off the lattice",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestDiscreteMeasure",),
+    ),
+    Mutant(
+        "null spheres: each grid's candidates in reverse order",
+        "for K in _RADIUS_GRIDS for i in range(K))",
+        "for K in _RADIUS_GRIDS for i in reversed(range(K)))",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestAlmostDecidable",),
     ),
     Mutant(
         "protocol: truncated stops at a tail equal to err",

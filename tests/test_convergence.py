@@ -382,9 +382,19 @@ class TestSpecker:
             specker_sequence(iter([v])).seq[0]
         assert str(exc.value)
 
-    def test_huge_duplicate_message_never_breaks(self):
-        sp = specker_sequence(iter([10**5000, 10**5000]))
-        with pytest.raises(DuplicateEnumeration, match="^duplicate enumeration of a rational of "):
+    def test_huge_value_refused_by_its_bit_length(self):
+        # 2^-(a+1) of a 16,610-bit a is past what an int can hold; the value
+        # is refused before any weight is built, and its message holds no digits
+        sp = specker_sequence(iter([10**5000, 1]))
+        with pytest.raises(DuplicateEnumeration, match="^enumeration value of 16610 bits at position 0 is above the 20-bit cap$"):
+            sp.seq[0]
+        with pytest.raises(DuplicateEnumeration, match="16610 bits"):
+            sp.enum[1]  # the stream stays poisoned
+
+    def test_bit_cap_boundary(self):
+        sp = specker_sequence(iter([2**20 - 1, 2**20]))
+        assert sp.weight(0) == _pow2(2**20)
+        with pytest.raises(DuplicateEnumeration, match="21 bits at position 1"):
             sp.enum[1]
 
     def test_total_mass_lower_strictly_increases(self):

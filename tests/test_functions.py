@@ -48,6 +48,11 @@ class TestPolyFunc:
         with pytest.raises(MalformedInterval):
             PolyFunc(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))), "zero-outside")
 
+    @pytest.mark.parametrize("verts", [((None, 0), (1, 0)), ((0, 0), (1, None)), ((0, 0), ("x", 0))])
+    def test_non_rational_vertex_refused(self, verts):
+        with pytest.raises(MalformedInterval, match="expected a rational number, got"):
+            PolyFunc(verts, "zero-outside")
+
     def test_vertices_strictly_increasing(self):
         with pytest.raises(MalformedInterval):
             PolyFunc(((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))), "constant-extend")

@@ -29,11 +29,12 @@ from effmeas import (
     tent_function,
 )
 from effmeas.corpora import deltashrink
-from effmeas.errors import UnsupportedMeasureClass
+from effmeas.errors import MalformedInterval, UnsupportedMeasureClass
 from effmeas.functions import co_name_of_poly
 from effmeas.measures import first_cover_balls, integrate_product
 from effmeas.reals import LowerReal, _pow2
 from effmeas.sets import merge_closed, merge_open, open_contains_point
+from tests.conftest import spelled_from_ints
 from tests.test_functions import _SubFraction, opaque_name_of, spelled
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=16)
@@ -152,6 +153,26 @@ class TestDiscreteMeasure:
         assert mu.region_mass_open([(Fraction(-1, 2), Fraction(1, 2))]) == Fraction(1, 2)
         assert mu.mass_closed(((Fraction(0), Fraction(1)),)) == 1
         assert mu.mass_closed(((Fraction(1, 4), Fraction(3, 4)),)) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), atoms=st.lists(st.tuples(frac, frac.filter(lambda w: w > 0)), max_size=6))
+    def test_null_test_matches_the_location_set(self, data, atoms):
+        """The lattice test against the set of the atoms' ``Fraction``s, on
+        measures spelled through ``from_ints``, at atoms, at points on the
+        lattice between them and at points off it."""
+        mu = data.draw(spelled_from_ints(atoms))
+        null = mu.null_test()
+        locs = {Fraction(x) for x, _ in atoms}
+        lx = mu.lattice()[2]
+        on = st.integers(-4 * lx - 2, 4 * lx + 2).map(lambda k: Fraction(k, lx))
+        points = [on, frac] + ([st.sampled_from(sorted(locs))] if locs else [])
+        for x in data.draw(st.lists(st.one_of(*points))):
+            assert null(x) is (x not in locs)
+
+    @pytest.mark.parametrize("atoms", [((None, 1),), ((0, None),), ((Fraction(1), "1/0"),)])
+    def test_non_rational_data_refused(self, atoms):
+        with pytest.raises(MalformedInterval, match="expected a rational number, got"):
+            DiscreteMeasure(atoms)
 
     def test_open_mass_enumeration(self):
         mu = DiscreteMeasure(((Fraction(0), Fraction(1, 2)), (Fraction(2), Fraction(1, 2))))

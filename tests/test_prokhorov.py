@@ -33,13 +33,33 @@ from effmeas.prokhorov import (
     _critical_thresholds,
     _direction_deficit,
     _infimum_over_levels,
-    brute_force_valid,
     eps_from_weak,
     eps_function,
 )
 from effmeas.corpora import DriftingAtomFamily, deltadrift, deltashrink, mixture
 from effmeas.reals import CauchyReal, _pow2
-from tests.conftest import rand_discrete
+from tests.conftest import rand_discrete, spelled_from_ints
+
+
+def brute_force_valid(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, eps: Fraction
+) -> bool:
+    """Check every test-set inequality at a fixed eps (open neighborhoods): oracle."""
+
+    def one_way(a, b) -> bool:
+        n = len(a)
+        for mask in range(1, 1 << n):
+            s = [a[i] for i in range(n) if mask >> i & 1]
+            s_mass = sum((w for _, w in s), Fraction(0))
+            nb = sum(
+                (v for y, v in b if any(abs(x - y) < eps for x, _ in s)),
+                Fraction(0),
+            )
+            if s_mass > nb + eps:
+                return False
+        return True
+
+    return one_way(mu.atoms, nu.atoms) and one_way(nu.atoms, mu.atoms)
 
 
 def delta(x) -> DiscreteMeasure:
@@ -673,7 +693,10 @@ def union_gap_cases(draw):
     weight = st.builds(Fraction, st.integers(1, 5), st.sampled_from((1, 2, 3, 8)))
 
     def measure():
-        return DiscreteMeasure(tuple(draw(st.lists(st.tuples(loc, weight), max_size=6))))
+        atoms = draw(st.lists(st.tuples(loc, weight), max_size=6))
+        if draw(st.booleans()):
+            return DiscreteMeasure(tuple(atoms))
+        return draw(spelled_from_ints(atoms))
 
     return balls, measure(), measure()
 
@@ -823,6 +846,30 @@ class TestEpsFromWeak:
             eps_from_weak(c.seq, c.limit, c.ad_modulus, N)
             assert 0 < len(searches) <= 4 * len(c.limit.atoms)
 
+    @pytest.mark.parametrize("N", [1, 4, 9])
+    def test_members_atoms_never_built(self, N, monkeypatch):
+        # mu_n = 1/2 delta_(2^-n) + 1/2 delta_1 -> 1/2 delta_0 + 1/2 delta_1,
+        # every measure from int tokens: no atoms until something reads them
+        def member(n):
+            return DiscreteMeasure.from_ints((1, 1), (1 << n, 1), (1, 1), (2, 2))
+
+        limit = DiscreteMeasure.from_ints((0, 1), (1, 1), (1, 1), (2, 2))
+        ad = lambda p: Modulus.constant(N + 8)
+        built = []
+
+        def spy(mu):
+            built.append(mu)
+            return measures._atoms_of(mu)
+
+        same = eps_from_weak(MeasureSeq(lambda n: DiscreteMeasure(member(n).atoms)), limit, ad, N)
+        monkeypatch.setattr(DiscreteMeasure.atoms, "build", spy)
+        idx = eps_from_weak(MeasureSeq(member), limit, ad, N)
+        assert built == [] and idx == same
+        member(0).atoms
+        assert len(built) == 1  # the spy does see a read
+        for n in range(idx, idx + 8):
+            assert prokhorov_discrete(member(n), limit) < _pow2(N)
+
     @pytest.mark.parametrize("N", [1, 3, 5])
     def test_member_mass_outside_the_balls_rejected(self, N):
         # mu_n = delta_0 + 2^-n delta_100 -> delta_0; the constant modulus 0 is
@@ -854,7 +901,7 @@ class TestEpsFromWeak:
     )
     def test_frontier_sweep_matches_all_unions_oracle(self, case):
         balls, mu_n, mu = case
-        D, outside = prokhorov._union_mass_gaps(balls, mu.atoms)(mu_n.atoms)
+        D, outside = prokhorov._union_mass_gaps(balls, mu.lattice())(mu_n.lattice())
         assert D == union_mass_gap_sup_all_balls(mu_n, mu, balls)
         assert outside == sum(
             (w for x, w in mu_n.atoms if not any(l < x < r for l, r in balls)), Fraction(0)
