@@ -399,8 +399,7 @@ class SpeckerSequence:
 
         def check(i: int, prefix: list):
             v = prefix[i]
-            a = int(v)
-            if v != a or a < 0:
+            if not isinstance(v, (int, Fraction)) or v != (a := int(v)) or a < 0:
                 raise DuplicateEnumeration(f"enumeration value {show(v)} is not a natural number")
             if a.bit_length() > _ENUM_BITS:
                 where = f"of {a.bit_length()} bits at position {i}"
@@ -557,7 +556,7 @@ def polygonal_surrogate(
 
     lim_tail = limit.exact_total_mass()
     if lim_tail is not None:
-        inside = limit.region_mass_open([(Fraction(-a1), Fraction(a1))])
+        inside = limit.region_mass_open([(-a1, a1)])
         if lim_tail - inside >= _pow2(Nt):
             raise ContractViolation(
                 "limit measure carries more tail mass than the certified bound",

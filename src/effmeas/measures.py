@@ -24,11 +24,10 @@ from .functions import (
     _common,
     _Lazy,
     approx_polygonal,
-    constant_func,
     polygonal_on_window,
 )
 from .reals import CauchyReal, LowerReal, _fraction, _pow2
-from .sets import OpenComp, SigmaSet, merge_closed, merge_open, open_contains_point
+from .sets import OpenComp, SigmaSet, merge_closed, merge_open
 from .streams import Stream
 
 # (xs, ws, lx, lw): atom i at xs[i]/lx with mass ws[i]/lw
@@ -62,8 +61,8 @@ class Measure:
     the one place a class is refused:
 
     - :meth:`total_mass_real` and :meth:`total_mass_upper`, from an exact mass;
-    - :meth:`region_mass_open`, :meth:`mass_closed` and :meth:`open_mass`,
-      which is built on :meth:`region_mass_open`;
+    - :meth:`cumulative`, exact masses left of points on an ``int`` lattice,
+      on which :meth:`region_mass_open`, :meth:`mass_closed` and :meth:`open_mass` are built;
     - :meth:`integrate_poly` (exact) and, built on it and within 2^-n,
       :meth:`integrate_zero_outside` for a ``zero-outside`` polygon and
       :meth:`integrate_supported` for a named function;
@@ -97,13 +96,30 @@ class Measure:
             self._unsupported("exact total mass")
         return m
 
-    def region_mass_open(self, comps: Sequence[OpenComp]) -> Fraction:
-        """mu of a finite union of open intervals, exact."""
+    def cumulative(self, points: Sequence[int], l: int) -> tuple[list[int], list[int], int, int]:
+        """``(below, upto, total, lw)``: lw times mu((-inf, x)) and mu((-inf, x])
+        at each x = ``points[i]/l``, the points sorted, and lw times mu(R)."""
         self._unsupported("exact region masses")
 
+    def region_mass_open(self, comps: Sequence[OpenComp]) -> Fraction:
+        """mu of a finite union of open intervals, exact: (l, r) has mass below(r) - upto(l)."""
+        return self._union_mass(merge_open(comps), closed=False)
+
     def mass_closed(self, comps) -> Fraction:
-        """mu of a finite union of closed intervals ``(l, r)``, exact."""
-        self._unsupported("exact closed masses")
+        """mu of a finite union of closed intervals ``(l, r)``, exact: upto(r) - below(l)."""
+        return self._union_mass(merge_closed(comps), closed=True)
+
+    def _union_mass(self, comps, closed: bool) -> Fraction:
+        """The mass of merged components from one :meth:`cumulative` call at
+        their finite ends; a ``None`` end reads 0 on the left, the total on the right."""
+        keys, l = _common([e for comp in comps for e in comp if e is not None])
+        below, upto, total, lw = self.cumulative(keys, l)
+        at = iter(zip(below, upto) if closed else zip(upto, below))
+        mass = 0
+        for a, b in comps:
+            mass -= 0 if a is None else next(at)[0]
+            mass += total if b is None else next(at)[1]
+        return Fraction(mass, lw)
 
     def open_mass(self, U: SigmaSet) -> LowerReal:
         """mu(U) from below: the exact mass of each finite union pulled."""
@@ -267,17 +283,14 @@ class DiscreteMeasure(Measure):
         """The atoms themselves, for any pitch: :meth:`lattice`, error 0."""
         return self.lattice(), 0
 
-    def region_mass_open(self, comps) -> Fraction:
-        return sum(
-            (w for loc, w in self.atoms if open_contains_point(comps, loc)),
-            Fraction(0),
-        )
-
-    def mass_closed(self, comps) -> Fraction:
-        return sum(
-            (w for loc, w in self.atoms if any(l <= loc <= r for l, r in comps)),
-            Fraction(0),
-        )
+    def cumulative(self, points, l) -> tuple[list[int], list[int], int, int]:
+        """A prefix sum of the lattice weights, bisected at ceil(p*lx/l) for
+        x/lx < p/l and at floor(p*lx/l) for x/lx <= p/l."""
+        xs, ws, lx, lw = self._lattice
+        pre = list(itertools.accumulate(ws, initial=0))
+        below = [pre[bisect_left(xs, -(-p * lx // l))] for p in points]
+        upto = [pre[bisect_right(xs, p * lx // l)] for p in points]
+        return below, upto, pre[-1], lw
 
     def integrate_poly(self, p: PolyFunc) -> Fraction:
         """Per-piece moments of the atoms, on the ``int`` lattice.
@@ -332,7 +345,8 @@ class DiscreteMeasure(Measure):
         return null
 
     def support_radius(self) -> Fraction:
-        return max((abs(loc) for loc, _ in self.atoms), default=Fraction(0))
+        xs, _, lx, _ = self._lattice
+        return Fraction(max(abs(xs[0]), abs(xs[-1])), lx) if xs else Fraction(0)
 
 
 def _atoms_of(mu: DiscreteMeasure) -> tuple:
@@ -370,22 +384,47 @@ class PolyDensityMeasure(Measure):
         )
 
     def exact_total_mass(self) -> Fraction:
-        return self.integrate_poly(constant_func(1))
+        _, _, total, lw = self.cumulative((), 1)
+        return Fraction(total, lw)
 
-    def region_mass_open(self, comps) -> Fraction:
-        lo = self.density.vertices[0][0]
-        hi = self.density.vertices[-1][0]
-        total = Fraction(0)
-        one = constant_func(1)
-        for l, r in merge_open(comps):  # a union, each point counted once
-            a = lo if l is None else max(lo, l)
-            b = hi if r is None else min(hi, r)
-            total += integrate_product(self.density, one, a, b)
-        return total
+    def cumulative(self, points, l) -> tuple[list[int], list[int], int, int]:
+        """M*F at each point from :meth:`_table`; a density has no atoms, so
+        (-inf, x) and (-inf, x] have the same mass."""
+        _, MF, dx, M, total = self._table(l)
+        F = [MF(p * (dx // l)) for p in points]
+        return F, F, total, M
 
-    def mass_closed(self, comps) -> Fraction:
-        # points are null for a density measure
-        return self.region_mass_open(merge_closed([(l, r) for l, r in comps if l < r]))
+    def _table(self, q: int):
+        """``(pieces, MF, dx, M, total)``: the cumulative integral F, an ``int``
+        quadratic per piece, for :meth:`cells` and :meth:`cumulative`.  The
+        abscissae of the :meth:`~effmeas.functions.PolyFunc.lattice` go onto
+        ``dx``, the lcm of q and theirs; with L the lcm over the pieces, (X0,
+        Y0) to (X1, Y1) of width w, of w/gcd(w, Y1 - Y0) and M = 2*dx*dy*L,
+        M*F at offset D on a piece is M*F(X0) + D*(2*L*Y0 + (Y1 - Y0)*(L/w)*D).
+        ``MF(x)``, for x not below the last call's, is M*F(x/dx): 0 left of
+        the first vertex and ``total`` = M*F(+inf) right of the last."""
+        X, Y, dx, dy = self.density.lattice()
+        l = math.lcm(dx, q)
+        X, dx = [x * (l // dx) for x in X], l
+        steps = list(zip(X, X[1:], Y, Y[1:]))
+        L = math.lcm(*((x1 - x0) // math.gcd(x1 - x0, y1 - y0) for x0, x1, y0, y1 in steps))
+        pieces = []  # right end, left end, M*F there, 2*L*Y0, (Y1 - Y0)*L/w
+        total = 0
+        for x0, x1, y0, y1 in steps:
+            pieces.append((x1, x0, total, 2 * L * y0, (y1 - y0) * L // (x1 - x0)))
+            total += L * (x1 - x0) * (y0 + y1)
+        pieces.append((math.inf, X[-1], total, 0, 0))  # right of the last vertex, F is the total
+        i = 0  # the piece holding the last point evaluated
+
+        def MF(x: int) -> int:
+            nonlocal i
+            while pieces[i][0] < x:
+                i += 1
+            _, x0, f0, a, b = pieces[i]
+            d = x - x0
+            return f0 + d * (a + b * d) if d > 0 else f0
+
+        return pieces, MF, dx, 2 * dx * dy * L, total
 
     def integrate_poly(self, p: PolyFunc) -> Fraction:
         verts = self.density.vertices
@@ -403,15 +442,10 @@ class PolyDensityMeasure(Measure):
         """Cell [k*pitch, (k+1)*pitch] becomes one atom at its midpoint with
         the cell's whole mass, a difference of the cumulative integral F, in
         one ``int`` sweep; no mass moves farther than half the pitch, so the
-        pitch bounds the distance.  With pitch = p/q, the density's
-        :meth:`~effmeas.functions.PolyFunc.lattice` is read, its abscissae
-        rescaled once to ``dx``, the lcm of q and its own; the pitch is
-        P = p*dx/q, and a piece from (X0, Y0) to (X1, Y1) has width w.
-        With L the lcm over the pieces of w/gcd(w, Y1 - Y0) and
-        M = 2*dx*dy*L, M*F at the offset D on a piece is
-        M*F(X0) + D*(2*L*Y0 + (Y1 - Y0)*(L/w)*D), an ``int`` quadratic.
-        Cell k has the key (2k + 1)*p on ``lx`` = 2q and the weight
-        M*F((k+1)*P) - M*F(k*P) on ``lw`` = M.
+        pitch bounds the distance.  With pitch = p/q, F is :meth:`_table`'s
+        on the lattice of the density's abscissae and 1/q, where the pitch is
+        P = p*dx/q.  Cell k has the key (2k + 1)*p on ``lx`` = 2q and the
+        weight M*F((k+1)*P) - M*F(k*P) on ``lw`` = M.
 
         Only the cells of pieces with a nonzero end are visited, so any gap
         is skipped, and a cell straddling one is emitted once.  A cell meets
@@ -419,30 +453,9 @@ class PolyDensityMeasure(Measure):
         positive but at finitely many points, so its mass is positive.
         O(cells + vertices).
         """
-        X, Y, dx, dy = self.density.lattice()
         p, q = pitch.numerator, pitch.denominator
-        l = math.lcm(dx, q)
-        X, dx = [x * (l // dx) for x in X], l
-        steps = list(zip(X, X[1:], Y, Y[1:]))
-        L = math.lcm(*((x1 - x0) // math.gcd(x1 - x0, y1 - y0) for x0, x1, y0, y1 in steps))
+        pieces, MF, dx, M, _ = self._table(q)
         P = p * (dx // q)
-        pieces = []  # right end, left end, M*F there, 2*L*Y0, (Y1 - Y0)*L/w
-        total = 0
-        for x0, x1, y0, y1 in steps:
-            pieces.append((x1, x0, total, 2 * L * y0, (y1 - y0) * L // (x1 - x0)))
-            total += L * (x1 - x0) * (y0 + y1)
-        # past the last vertex, up to the farthest cell end evaluated, F is total
-        pieces.append((X[-1] + P, X[-1], total, 0, 0))
-        i = 0  # the piece holding the last point evaluated
-
-        def MF(x: int) -> int:
-            nonlocal i
-            while pieces[i][0] < x:
-                i += 1
-            _, x0, f0, a, b = pieces[i]
-            d = x - x0
-            return f0 + d * (a + b * d) if d > 0 else f0
-
         xs: list[int] = []
         ws: list[int] = []
         k = None  # the first cell not yet emitted; f is M*F at its left end
@@ -458,7 +471,7 @@ class PolyDensityMeasure(Measure):
                 ws.append(f_hi - f)
                 f = f_hi
                 k += 1
-        return (xs, ws, 2 * q, 2 * dx * dy * L), pitch
+        return (xs, ws, 2 * q, M), pitch
 
 
 class LazyDiscreteMeasure(Measure):
@@ -551,14 +564,8 @@ class LazyDiscreteMeasure(Measure):
         return lambda x: not pred(x)
 
     def open_mass(self, U: SigmaSet) -> LowerReal:
-        def bound(k: int) -> Fraction:
-            comps = U.inner(k)
-            return sum(
-                (w for loc, w in self.prefix(k) if open_contains_point(comps, loc)),
-                Fraction(0),
-            )
-
-        return LowerReal(bound)
+        """Bound k: the mass of U's k-th inner union under the first k atoms."""
+        return LowerReal(lambda k: DiscreteMeasure(tuple(self.prefix(k))).region_mass_open(U.inner(k)))
 
 
 # ---------------------------------------------------------------------------

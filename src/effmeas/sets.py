@@ -103,10 +103,6 @@ def open_contains_interval(comps: Sequence[OpenComp], l, r) -> bool:
     return False
 
 
-def open_contains_point(comps: Sequence[OpenComp], x: Fraction) -> bool:
-    return any((cl is None or cl < x) and (cr is None or x < cr) for cl, cr in comps)
-
-
 def open_disjoint_from_closed(
     l: Fraction, r: Fraction, comps: Sequence[ClosedComp]
 ) -> bool:

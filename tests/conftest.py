@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from effmeas import DiscreteMeasure, PolyFunc
+import effmeas.measures as measures
+from effmeas import DiscreteMeasure, PolyFunc, constant_func
+from effmeas.sets import merge_closed, merge_open
 
 
 def rand_rational(rng: random.Random, lo=-4, hi=4, max_den=16) -> Fraction:
@@ -48,6 +50,40 @@ def spelled_from_ints(draw, atoms):
             num.append(sign * m * q.numerator)
             den.append(sign * m * q.denominator)
     return DiscreteMeasure.from_ints(*cols)
+
+
+def open_contains_point(comps, x: Fraction) -> bool:
+    """Is x in the union of the open components?  A ``None`` end is infinite."""
+    return any((cl is None or cl < x) and (cr is None or x < cr) for cl, cr in comps)
+
+
+# region masses by the loops that each class once ran, kept as the oracles
+# for the one cumulative-mass primitive: per atom for a discrete measure,
+# per component through integrate_product for a density
+
+
+def region_mass_open_per_atom(mu: DiscreteMeasure, comps) -> Fraction:
+    return sum((w for loc, w in mu.atoms if open_contains_point(comps, loc)), Fraction(0))
+
+
+def mass_closed_per_atom(mu: DiscreteMeasure, comps) -> Fraction:
+    return sum((w for loc, w in mu.atoms if any(l <= loc <= r for l, r in comps)), Fraction(0))
+
+
+def region_mass_open_per_component(mu, comps) -> Fraction:
+    lo, hi = mu.density.vertices[0][0], mu.density.vertices[-1][0]
+    total = Fraction(0)
+    for l, r in merge_open(comps):
+        a = lo if l is None else max(lo, l)
+        b = hi if r is None else min(hi, r)
+        # read through the module, so that a test can count the calls
+        total += measures.integrate_product(mu.density, constant_func(1), a, b)
+    return total
+
+
+def mass_closed_per_component(mu, comps) -> Fraction:
+    # points are null for a density measure
+    return region_mass_open_per_component(mu, merge_closed([(l, r) for l, r in comps if l < r]))
 
 
 def rand_supported_poly(rng: random.Random, span=3, max_verts=5) -> PolyFunc:

@@ -151,8 +151,8 @@ MUTANTS = (
     ),
     Mutant(
         "sweep: lw without the factor 2",
-        "return (xs, ws, 2 * q, 2 * dx * dy * L), pitch",
-        "return (xs, ws, 2 * q, dx * dy * L), pitch",
+        "return pieces, MF, dx, 2 * dx * dy * L, total",
+        "return pieces, MF, dx, dx * dy * L, total",
         file=MEASURES,
     ),
     Mutant(
@@ -327,17 +327,40 @@ MUTANTS = (
         tests=("tests/test_sets.py::TestSigmaSet",),
     ),
     Mutant(
-        "density masses: components not merged",
-        "for l, r in merge_open(comps):  # a union, each point counted once",
-        "for l, r in comps:",
+        "union masses: components not merged",
+        "return self._union_mass(merge_open(comps), closed=False)",
+        "return self._union_mass(comps, closed=False)",
         file=MEASURES,
         tests=("tests/test_measures.py::TestUnionMasses",),
+    ),
+    # the one cumulative-mass primitive under region_mass_open and mass_closed
+    Mutant(
+        "primitive: open and closed ends swapped (discrete)",
+        "return below, upto, pre[-1], lw",
+        "return upto, below, pre[-1], lw",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestUnionMasses",),
+    ),
+    Mutant(
+        "primitive: open and closed ends swapped (density)",
+        "at = iter(zip(below, upto) if closed else zip(upto, below))",
+        "at = iter(zip(upto, below) if closed else zip(below, upto))",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestUnionMasses::test_masses_match_the_loops[density]",),
+        survives="a density has no atoms, so (-inf, x) and (-inf, x] have one mass and either reading gives it",
+    ),
+    Mutant(
+        "density primitive: right of the last vertex not clamped to the total",
+        "pieces.append((math.inf, X[-1], total, 0, 0))",
+        "pieces.append((math.inf, *pieces[-1][1:]))",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestPolyDensityMeasure",),
     ),
     # discretisation through the measure protocol
     Mutant(
         "cells: a density's err taken as 0",
-        "return (xs, ws, 2 * q, 2 * dx * dy * L), pitch",
-        "return (xs, ws, 2 * q, 2 * dx * dy * L), 0",
+        "return (xs, ws, 2 * q, M), pitch",
+        "return (xs, ws, 2 * q, M), 0",
         file=MEASURES,
     ),
     Mutant(
@@ -388,7 +411,7 @@ MUTANTS = (
         tests=("tests/test_measures.py",),
     ),
     Mutant(
-        "protocol: the default region_mass_open returns None",
+        "protocol: the default cumulative returns None",
         'self._unsupported("exact region masses")',
         "return None",
         file=MEASURES,

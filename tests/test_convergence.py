@@ -382,6 +382,12 @@ class TestSpecker:
             specker_sequence(iter([v])).seq[0]
         assert str(exc.value)
 
+    @pytest.mark.parametrize("v", [float("inf"), float("nan"), None])
+    def test_non_rational_value_refused(self, v):
+        # the type is tested before int(v), which would raise on each
+        with pytest.raises(DuplicateEnumeration, match=f"^enumeration value {v} is not a natural number$"):
+            specker_sequence(iter([v])).seq[0]
+
     def test_huge_value_refused_by_its_bit_length(self):
         # 2^-(a+1) of a 16,610-bit a is past what an int can hold; the value
         # is refused before any weight is built, and its message holds no digits

@@ -33,8 +33,15 @@ from effmeas.errors import MalformedInterval, UnsupportedMeasureClass
 from effmeas.functions import co_name_of_poly
 from effmeas.measures import first_cover_balls, integrate_product
 from effmeas.reals import LowerReal, _pow2
-from effmeas.sets import merge_closed, merge_open, open_contains_point
-from tests.conftest import spelled_from_ints
+from effmeas.sets import merge_closed, merge_open
+from tests.conftest import (
+    mass_closed_per_atom,
+    mass_closed_per_component,
+    open_contains_point,
+    region_mass_open_per_atom,
+    region_mass_open_per_component,
+    spelled_from_ints,
+)
 from tests.test_functions import _SubFraction, opaque_name_of, spelled
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=16)
@@ -154,6 +161,32 @@ class TestDiscreteMeasure:
         assert mu.mass_closed(((Fraction(0), Fraction(1)),)) == 1
         assert mu.mass_closed(((Fraction(1, 4), Fraction(3, 4)),)) == 0
 
+    def test_reversed_closed_component_refused(self):
+        with pytest.raises(MalformedInterval, match="closed component needs left <= right"):
+            DiscreteMeasure(((Fraction(1, 2), 1),)).mass_closed([(1, 0)])
+
+    def test_lattice_readers_build_no_atoms(self):
+        # -3/4, 2/4 and 10/6 of mass 1/6, 2/6 and 2/5, tokens unreduced
+        mu = DiscreteMeasure.from_ints([-3, 2, 10], [4, 4, 6], [1, 2, 2], [6, 6, 5])
+        twin = DiscreteMeasure(
+            ((Fraction(-3, 4), Fraction(1, 6)), (Fraction(1, 2), Fraction(1, 3)), (Fraction(5, 3), Fraction(2, 5)))
+        )
+
+        def answers(m):
+            return (
+                m.region_mass_open([(None, Fraction(1, 2)), (Fraction(1, 2), 2)]),
+                m.mass_closed([(Fraction(1, 2), 2)]),
+                m.support_radius(),
+                m.integrate_poly(tent_function((Fraction(-1), Fraction(2)))),
+                m.null_test()(Fraction(1, 2)),
+                m.cells(Fraction(1, 4)),
+            )
+
+        got = answers(mu)
+        assert "atoms" not in vars(mu)
+        assert got == answers(twin)
+        assert got[:3] == (Fraction(17, 30), Fraction(11, 15), Fraction(5, 3))
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), atoms=st.lists(st.tuples(frac, frac.filter(lambda w: w > 0)), max_size=6))
     def test_null_test_matches_the_location_set(self, data, atoms):
@@ -168,6 +201,10 @@ class TestDiscreteMeasure:
         points = [on, frac] + ([st.sampled_from(sorted(locs))] if locs else [])
         for x in data.draw(st.lists(st.one_of(*points))):
             assert null(x) is (x not in locs)
+
+    def test_point_off_the_lattice_above_an_atom_is_null(self):
+        # 1/2 is off the lattice of an atom at 0, and its floor there is that atom
+        assert DiscreteMeasure.point(0).null_test()(Fraction(1, 2))
 
     @pytest.mark.parametrize("atoms", [((None, 1),), ((0, None),), ((Fraction(1), "1/0"),)])
     def test_non_rational_data_refused(self, atoms):
@@ -514,6 +551,15 @@ class TestPolyDensityMeasure:
         u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
         assert u.mass_closed(((Fraction(1, 2), Fraction(1, 2)),)) == 0
 
+    def test_reversed_closed_component_refused(self):
+        with pytest.raises(MalformedInterval, match="closed component needs left <= right"):
+            PolyDensityMeasure.uniform(0, 1).mass_closed([(1, 0)])
+
+    def test_masses_outside_the_vertices(self):
+        u = PolyDensityMeasure.uniform(0, 1)
+        assert u.region_mass_open([(-1, 2)]) == u.mass_closed([(-1, 2)]) == u.exact_total_mass()
+        assert u.region_mass_open([(-3, -2), (2, 3)]) == u.mass_closed([(-3, -2), (2, 3)]) == 0
+
     def test_integrate_against_hat(self):
         # density 1 on [0,1] (with thin ramps), f = tent plateau over [0,1]
         u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
@@ -639,6 +685,46 @@ class TestUnionMasses:
         u = PolyDensityMeasure.uniform(0, 1)
         assert u.region_mass_open([(0, 1), (0, 1)]) == u.region_mass_open([(0, 1)])
         assert u.mass_closed([(0, 1), (Fraction(1, 2), 1)]) == u.mass_closed([(0, 1)])
+
+    @pytest.mark.parametrize("kind", ["constructor", "from_ints", "density"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_masses_match_the_loops(self, kind, data):
+        """The masses built on :meth:`Measure.cumulative` equal the loops
+        each class once ran: per atom, or per component through
+        ``integrate_product``.  The ends come from a small pool holding the
+        atoms or the vertices, so they repeat, touch and are shared; an open
+        end may be ``None``, and components are repeated."""
+        if kind == "density":
+            xs = sorted(data.draw(st.sets(frac, min_size=1, max_size=5)))
+            inner = [data.draw(st.fractions(min_value=0, max_value=3, max_denominator=8)) for _ in xs[2:]]
+            ys = ([Fraction(0)] + inner + [Fraction(0)])[: len(xs)]
+            mu = PolyDensityMeasure(PolyFunc(tuple(zip(xs, ys)), "zero-outside"))
+            marks, by_open, by_closed = xs, region_mass_open_per_component, mass_closed_per_component
+        else:
+            weights = st.fractions(min_value=Fraction(1, 16), max_value=2, max_denominator=16)
+            atoms = data.draw(st.lists(st.tuples(frac, weights), max_size=6))
+            if kind == "constructor":
+                mu = DiscreteMeasure(tuple(atoms))
+            else:
+                mu = data.draw(spelled_from_ints(atoms))
+            marks, by_open, by_closed = [x for x, _ in atoms], region_mass_open_per_atom, mass_closed_per_atom
+        pool = st.sampled_from(marks + data.draw(st.lists(frac, min_size=1, max_size=3)))
+        end = st.one_of(st.none(), pool)
+        opens = data.draw(st.lists(st.tuples(end, end), max_size=5))
+        closeds = data.draw(st.lists(st.tuples(pool, pool).map(sorted).map(tuple), max_size=5))
+        opens += opens[: data.draw(st.integers(0, 2))]
+        closeds += closeds[: data.draw(st.integers(0, 2))]
+        assert mu.region_mass_open(opens) == by_open(mu, opens)
+        assert mu.mass_closed(closeds) == by_closed(mu, closeds)
+
+    def test_ends_on_atoms(self):
+        mu = DiscreteMeasure(((0, Fraction(1, 4)), (1, Fraction(1, 2)), (2, Fraction(1, 4))))
+        assert mu.region_mass_open([(0, 1), (1, 2)]) == 0
+        assert mu.region_mass_open([(None, 1), (1, None)]) == Fraction(1, 2)
+        assert mu.region_mass_open([(None, None)]) == 1
+        assert mu.mass_closed([(0, 1), (1, 2)]) == 1
+        assert mu.mass_closed([(1, 1), (1, 1)]) == Fraction(1, 2)
 
 
 class TestLazyDiscrete:

@@ -33,10 +33,10 @@ from effmeas.sets import (
     merge_closed,
     merge_open,
     open_contains_interval,
-    open_contains_point,
     open_disjoint_from_closed,
 )
 from effmeas.streams import Stream
+from tests.conftest import open_contains_point
 
 frac = st.fractions(min_value=-6, max_value=6, max_denominator=24)
 
