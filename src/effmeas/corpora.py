@@ -22,9 +22,9 @@ from .convergence import (
     specker_sequence,
 )
 from .errors import UnsupportedMeasureClass
-from .functions import CONST, ZERO, PolyFunc, constant_func
+from .functions import CONST, ZERO, PolyFunc, _common, constant_func
 from .measures import AlmostDecidablePair, DiscreteMeasure, Measure
-from .reals import _fraction, _pow2
+from .reals import _fraction
 
 
 def _exp_above(p: int, q: int) -> int:
@@ -60,15 +60,17 @@ class Corpus:
 # drifting-atom families: fixed weights, locations x_i + d_i * 2^-n
 
 
-def _drifting_member(atoms, n: int) -> DiscreteMeasure:
-    step = _pow2(n)
-    return DiscreteMeasure(tuple((x + step if d else x, w) for x, w, d in atoms))
+def _drifting_member(lattice, n: int) -> DiscreteMeasure:
+    """x_i + d_i 2^-n = (k_i 2^n + d_i lx) / (lx 2^n), the weights unchanged."""
+    keys, drifts, ws, lx, lw = lattice
+    return DiscreteMeasure._from_lattice([(k << n) + d * lx for k, d in zip(keys, drifts)], ws, lx << n, lw)
 
 
 class DriftingAtomFamily(MeasureSeq):
     """mu_n = sum_i w_i delta_{x_i + d_i 2^-n}, every member of mass ``total``.
 
-    A weight <= 0 is refused, as ``DiscreteMeasure`` would refuse every member.
+    The limit and every member are built on one ``int`` lattice, x_i = k_i/lx
+    and w_i = ws_i/lw.  A weight <= 0 is refused, as ``DiscreteMeasure`` would refuse every member.
     """
 
     def __init__(self, atoms: Sequence[tuple[Fraction, Fraction, int]]):
@@ -78,9 +80,12 @@ class DriftingAtomFamily(MeasureSeq):
             raise ValueError("drift flags must be 0 or 1")
         if any(w.numerator <= 0 for _, w, _ in self.atoms):  # denominators are positive
             raise ValueError("atom weights must be positive")
-        self.total = sum((w for _, w, _ in self.atoms), Fraction(0))
-        # over the atoms, not a bound method: no cycle waits for the collector
-        self.member = partial(_drifting_member, self.atoms)
+        keys, lx = _common([x for x, _, _ in self.atoms])
+        ws, lw = _common([w for _, w, _ in self.atoms])
+        self.total = Fraction(sum(ws), lw)
+        self._lattice = (keys, [d for _, _, d in self.atoms], ws, lx, lw)
+        # over a tuple, not a bound method: no cycle waits for the collector
+        self.member = partial(_drifting_member, self._lattice)
         super().__init__(self.member)
 
     def total_mass(self, n: int) -> Fraction:
@@ -92,7 +97,8 @@ class DriftingAtomFamily(MeasureSeq):
         return self.total, self.total
 
     def limit(self) -> DiscreteMeasure:
-        return DiscreteMeasure(tuple((x, w) for x, w, _ in self.atoms))
+        keys, _, ws, lx, lw = self._lattice
+        return DiscreteMeasure._from_lattice(keys, ws, lx, lw)
 
     def integral_oracle(self, p: PolyFunc) -> Modulus:
         """|int p dmu_n - int p dmu| <= total * L * 2^-n, L the Lipschitz

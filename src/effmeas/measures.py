@@ -98,7 +98,7 @@ class Measure:
 
     def cumulative(self, points: Sequence[int], l: int) -> tuple[list[int], list[int], int, int]:
         """``(below, upto, total, lw)``: lw times mu((-inf, x)) and mu((-inf, x])
-        at each x = ``points[i]/l``, the points sorted, and lw times mu(R)."""
+        at each x = ``points[i]/l``, the points in any order, and lw times mu(R)."""
         self._unsupported("exact region masses")
 
     def region_mass_open(self, comps: Sequence[OpenComp]) -> Fraction:
@@ -194,9 +194,9 @@ class DiscreteMeasure(Measure):
     ``Fraction(sum, lw)``.  The merged ``int`` keys and weights are kept as
     :meth:`lattice`.  Neither takes part in ``==``, hash or repr.
 
-    :meth:`from_ints` builds the same measure from ``int`` numerators and
-    denominators through the same sort and merge (:func:`_sort_merge`),
-    and defers ``atoms`` to its first read.
+    :meth:`from_ints` and :meth:`_from_lattice` build the same measure from
+    ``int``s through the same sort and merge (:func:`_sort_merge`), and
+    defer ``atoms`` to its first read.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
@@ -249,11 +249,15 @@ class DiscreteMeasure(Measure):
         (:class:`~effmeas.functions._Lazy`), so a caller that reads only :meth:`lattice`
         never makes a ``Fraction`` per atom.
         """
-        lx = math.lcm(*xd)
-        lw = math.lcm(*wd)
-        xs, ws, _ = _sort_merge(
-            [n * (lx // d) for n, d in zip(xn, xd)], [n * (lw // d) for n, d in zip(wn, wd)]
-        )
+        lx, lw = math.lcm(*xd), math.lcm(*wd)
+        keys, iws = [n * (lx // d) for n, d in zip(xn, xd)], [n * (lw // d) for n, d in zip(wn, wd)]
+        return cls._from_lattice(keys, iws, lx, lw)
+
+    @classmethod
+    def _from_lattice(cls, keys, iws, lx: int, lw: int) -> "DiscreteMeasure":
+        """Atom i at ``keys[i]/lx`` of mass ``iws[i]/lw``, all ``int``, weights
+        positive (unchecked): one :func:`_sort_merge` and one ``Fraction``, the total."""
+        xs, ws, _ = _sort_merge(keys, iws)
         mu = object.__new__(cls)
         object.__setattr__(mu, "_total", Fraction(sum(ws), lw))
         object.__setattr__(mu, "_lattice", (tuple(xs), tuple(ws), lx, lw))
@@ -388,8 +392,8 @@ class PolyDensityMeasure(Measure):
         return Fraction(total, lw)
 
     def cumulative(self, points, l) -> tuple[list[int], list[int], int, int]:
-        """M*F at each point from :meth:`_table`; a density has no atoms, so
-        (-inf, x) and (-inf, x] have the same mass."""
+        """M*F at each point from :meth:`_table`, the points in any order; a
+        density has no atoms, so (-inf, x) and (-inf, x] have the same mass."""
         _, MF, dx, M, total = self._table(l)
         F = [MF(p * (dx // l)) for p in points]
         return F, F, total, M
@@ -401,8 +405,8 @@ class PolyDensityMeasure(Measure):
         ``dx``, the lcm of q and theirs; with L the lcm over the pieces, (X0,
         Y0) to (X1, Y1) of width w, of w/gcd(w, Y1 - Y0) and M = 2*dx*dy*L,
         M*F at offset D on a piece is M*F(X0) + D*(2*L*Y0 + (Y1 - Y0)*(L/w)*D).
-        ``MF(x)``, for x not below the last call's, is M*F(x/dx): 0 left of
-        the first vertex and ``total`` = M*F(+inf) right of the last."""
+        ``MF(x)``, x in any order, is M*F(x/dx): 0 left of the first vertex
+        and ``total`` = M*F(+inf) right of the last."""
         X, Y, dx, dy = self.density.lattice()
         l = math.lcm(dx, q)
         X, dx = [x * (l // dx) for x in X], l
@@ -420,6 +424,8 @@ class PolyDensityMeasure(Measure):
             nonlocal i
             while pieces[i][0] < x:
                 i += 1
+            while i and pieces[i][1] > x:
+                i -= 1
             _, x0, f0, a, b = pieces[i]
             d = x - x0
             return f0 + d * (a + b * d) if d > 0 else f0
@@ -649,32 +655,25 @@ def _union_is_dense(a_comps, b_comps) -> bool:
 _RADIUS_GRIDS = (4, 16, 64, 256, 1024, 4096)
 
 
+def _radius_grid():
+    """(u, v) per candidate radius min + (bound - min)*u/v, u/v = (2i + 1)/(2K) on finer and finer K."""
+    return ((2 * i + 1, 2 * K) for K in _RADIUS_GRIDS for i in range(K))
+
+
 def _null_sphere_search(
     mu: Measure, radius_bound: Fraction, min_radius: Fraction
 ) -> Callable[[Fraction], Fraction]:
-    """center -> the first candidate radius whose sphere is mu-null.
-
-    The candidates (see :func:`almost_decidable_ball`) do not depend on the
-    center, so each is built once, when a search first reaches it, and
-    shared by every center searched.
-    """
+    """center -> the first candidate radius (:func:`_radius_grid`) whose sphere is mu-null."""
     if not min_radius < radius_bound:
         raise ValueError("need min_radius < radius_bound")
-    null = mu.null_test()
-    span = radius_bound - min_radius
-    grid = (min_radius + span * Fraction(2 * i + 1, 2 * K) for K in _RADIUS_GRIDS for i in range(K))
-    built: list[Fraction] = []
+    null, span = mu.null_test(), radius_bound - min_radius
 
     def radius(center: Fraction) -> Fraction:
-        for j in itertools.count():
-            if j == len(built):
-                r = next(grid, None)
-                if r is None:
-                    raise SearchExhausted("search exhausted: no null sphere found")
-                built.append(r)
-            r = built[j]
+        for u, v in _radius_grid():
+            r = min_radius + span * Fraction(u, v)
             if null(center - r) and null(center + r):
                 return r
+        raise SearchExhausted("search exhausted: no null sphere found")
 
     return radius
 
@@ -711,11 +710,6 @@ def _walk_place(k: int) -> int:
     return 2 * k - 1 if k > 0 else -2 * k
 
 
-def _cover_search(mu: Measure, s: Fraction) -> tuple[Fraction, Callable[[Fraction], Fraction]]:
-    """(pitch, center -> radius) of the cover of radius below s."""
-    return s / 2, _null_sphere_search(mu, s * Fraction(15, 16), s / 4)
-
-
 def almost_decidable_cover(mu: Measure, s) -> Stream:
     """An open cover of R by mu-almost decidable balls with radius < s.
 
@@ -733,7 +727,7 @@ def almost_decidable_cover(mu: Measure, s) -> Stream:
         raise ValueError("s must be positive")
 
     def pairs():
-        pitch, radius = _cover_search(mu, s)
+        pitch, radius = s / 2, _null_sphere_search(mu, s * Fraction(15, 16), s / 4)
         for j in itertools.count():
             c = _walk_step(j) * pitch
             yield _ball_pair(mu, c, radius(c))
@@ -741,8 +735,23 @@ def almost_decidable_cover(mu: Measure, s) -> Stream:
     return Stream(pairs())
 
 
+def _cover_radius(on: set, lx: int, p: int, q: int, k: int) -> tuple[int, int]:
+    """``(m, D)`` of the walk's first radius r = s/4 + 11s/16*u/v = s*m/D whose
+    sphere about k*s/2 misses the atoms, keys ``on`` over ``lx``, s = p/q: c -+ r =
+    s*(8kv -+ m)/D is an atom iff p*(8kv -+ m)*lx over q*D is an ``int`` key."""
+    for u, v in _radius_grid():
+        m, D = 4 * v + 11 * u, 16 * v
+        for t in (8 * k * v - m, 8 * k * v + m):
+            key, off = divmod(p * t * lx, q * D)
+            if not off and key in on:
+                break
+        else:
+            return m, D
+    raise SearchExhausted("search exhausted: no null sphere found")
+
+
 def first_cover_balls(
-    mu: Measure, s, points: Sequence[Fraction]
+    mu: DiscreteMeasure, s, points: Sequence[Fraction]
 ) -> list[tuple[int, AlmostDecidablePair]]:
     """For each point x, the first ball of the cover that holds x.
 
@@ -752,22 +761,24 @@ def first_cover_balls(
     |k*s/2 - x| < 15s/16 can hold x: at most four, tried in walk order
     with one radius search each, however far x lies from 0.  The two
     centers next to x are among them, and radii above s/4 make one of
-    those hold x.
+    those hold x.  All in ``int``s on mu's :meth:`~DiscreteMeasure.lattice`:
+    with x = a/b, |k*s/2 - x| < s*m/D iff |p*(kD/2)*b - a*q*D| < p*m*b.
     """
     s = Fraction(s)
     if s <= 0:
         raise ValueError("s must be positive")
-    pitch, radius = _cover_search(mu, s)
+    xs, _, lx, _ = mu.lattice()
+    on = set(xs)
+    p, q = s.numerator, s.denominator
     out = []
     for x in points:
-        # the k with |k - x/pitch| < 15/8 (15s/16 in pitches), x/pitch = p/q
-        p, q = x.numerator * pitch.denominator, x.denominator * pitch.numerator
-        near = range((8 * p - 15 * q) // (8 * q) + 1, -((-8 * p - 15 * q) // (8 * q)))
+        a, b = x.numerator, x.denominator
+        # the k with |k*s/2 - x| < 15s/16, that is |8kpb - 16aq| < 15pb
+        A, B = 16 * a * q, p * b
+        near = range((A - 15 * B) // (8 * B) + 1, -((-A - 15 * B) // (8 * B)))
         for k in sorted(near, key=_walk_place):
-            c = k * pitch
-            r = radius(c)
-            if abs(c - x) < r:
-                out.append((_walk_place(k), _ball_pair(mu, c, r)))
+            m, D = _cover_radius(on, lx, p, q, k)
+            if abs(p * (k * D // 2) * b - a * q * D) < p * m * b:
+                out.append((_walk_place(k), _ball_pair(mu, Fraction(k * p, 2 * q), Fraction(p * m, q * D))))
                 break
     return out
-

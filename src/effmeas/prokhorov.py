@@ -420,7 +420,8 @@ def eps_from_weak(
 
     The cover and the sweep run on the ``int`` lattices of the limit and the
     members (:meth:`~effmeas.measures.DiscreteMeasure.lattice`), read through
-    nothing else: a member built by ``from_ints`` never builds its ``atoms``.
+    nothing else: a member built by ``from_ints`` or a drifting family never
+    builds its ``atoms``, nor does such a limit.
 
     The supplied per-ball moduli must certify exact stability (their index
     bounds the drift below every ball boundary), which makes D < 2^-(N+2)

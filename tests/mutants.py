@@ -1,6 +1,7 @@
 """Mutation check for the Prokhorov kernels, exact integration, the polygon check, the
 bound streams, the measure protocol, the open and closed sets, the vague oracles' callers,
-the certificate checks, the file reader, the builtin names and the CLI.
+the certificate checks, the file reader, the builtin names, the drifting families, the
+lattice cover search and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -437,7 +438,7 @@ MUTANTS = (
         "lazy atoms: built from the unmerged rows",
         '        mu = object.__new__(cls)\n        object.__setattr__(mu, "_total"',
         "        mu = object.__new__(cls)\n"
-        '        object.__setattr__(mu, "atoms", tuple(zip(map(Fraction, xn, xd), map(Fraction, wn, wd))))\n'
+        '        object.__setattr__(mu, "atoms", tuple(zip(map(Fraction, keys, [lx] * len(keys)), map(Fraction, iws, [lw] * len(iws)))))\n'
         '        object.__setattr__(mu, "_total"',
         file=MEASURES,
         tests=("tests/test_fileformat.py::TestIntReader::test_discrete_files_match_oracle",),
@@ -448,6 +449,42 @@ MUTANTS = (
         "        return value",
         file=FUNCTIONS,
         tests=("tests/test_fileformat.py",),
+    ),
+    # a drifting family built on its lattice, and the cover search in ints
+    Mutant(
+        "family: the drift added in the location lattice's unit 1, not lx",
+        "[(k << n) + d * lx for k, d in zip(keys, drifts)]",
+        "[(k << n) + d for k, d in zip(keys, drifts)]",
+        file=CORPORA,
+        tests=("tests/test_corpora.py::TestDriftingAtomFamily::test_members_match_the_constructor",),
+    ),
+    Mutant(
+        "family: atoms whose keys meet not merged",
+        "if xs and k == xs[-1]:",
+        "if False:",
+        file=MEASURES,
+        tests=("tests/test_corpora.py::TestDriftingAtomFamily::test_members_match_the_constructor",),
+    ),
+    Mutant(
+        "cover search: each lattice grid's radii in reverse order",
+        "m, D = 4 * v + 11 * u, 16 * v",
+        "m, D = 4 * v + 11 * (v - u), 16 * v",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestAlmostDecidable::test_first_cover_balls_match_the_walk",),
+    ),
+    Mutant(
+        "cover search: a point on the sphere taken as in the ball",
+        "if abs(p * (k * D // 2) * b - a * q * D) < p * m * b:",
+        "if abs(p * (k * D // 2) * b - a * q * D) <= p * m * b:",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestAlmostDecidable::test_point_on_a_sphere_is_outside_its_ball",),
+    ),
+    Mutant(
+        "density primitive: the table walked forward only",
+        "            while i and pieces[i][1] > x:\n                i -= 1\n",
+        "",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestUnionMasses::test_cumulative_points_in_any_order",),
     ),
     # the certificate checks: one window, one cut test, one pass rule
     Mutant(

@@ -35,6 +35,7 @@ from effmeas.corpora import (
     corpus_by_name,
 )
 from effmeas.functions import co_name_of_poly
+from effmeas.measures import DiscreteMeasure
 from effmeas.reals import _pow2
 
 
@@ -192,6 +193,43 @@ class TestDriftingAtomFamily:
         for lo in (start, start + slope):
             hi = lo + max(window, 0)
             assert _outcome(fam.mass_spread, lo, hi) == _outcome(plain.mass_spread, lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        atoms=st.lists(st.tuples(_LOC, _WEIGHT, st.integers(0, 1)), min_size=1, max_size=3),
+        twin=st.one_of(st.none(), st.tuples(st.integers(0, 2), _WEIGHT)),
+        meet=st.one_of(st.none(), st.tuples(_LOC, st.integers(0, 8), _WEIGHT, _WEIGHT)),
+    )
+    # one limit location, both drift flags: they part at every n and meet
+    # the fixed atom at 1/4 at n = 2
+    @example(
+        atoms=[(Fraction(0), Fraction(1, 2), 1), (Fraction(1, 4), Fraction(1, 3), 0)],
+        twin=(0, Fraction(1, 5)), meet=None,
+    )
+    def test_members_match_the_constructor(self, atoms, twin, meet):
+        """The limit and members 0..64, built on the family's lattice, against
+        ``DiscreteMeasure`` built from the drifted ``Fraction``s: one limit
+        location with both drift flags, and a drifting atom that meets a
+        fixed one at some n."""
+        if twin is not None:
+            x, _, d = atoms[twin[0] % len(atoms)]
+            atoms = [*atoms, (x, twin[1], 1 - d)]
+        if meet is not None:
+            y, n, w, v = meet
+            atoms = [*atoms, (y - _pow2(n), w, 1), (y, v, 0)]
+        fam = DriftingAtomFamily(atoms)
+
+        def values(mu):
+            xs, ws, lx, lw = mu.lattice()
+            assert all(a < b for a, b in zip(xs, xs[1:]))
+            return [Fraction(x, lx) for x in xs], [Fraction(w, lw) for w in ws]
+
+        pairs = [(fam.limit(), DiscreteMeasure(tuple((x, w) for x, w, _ in atoms)))]
+        pairs += [(fam[n], DiscreteMeasure(tuple((x + d * _pow2(n), w) for x, w, d in atoms))) for n in range(65)]
+        for got, want in pairs:
+            assert values(got) == values(want)
+            assert got.exact_total_mass() == want.exact_total_mass()
+            assert got.atoms == want.atoms
 
     def test_pinned_merge_case_merges(self):
         fam = DriftingAtomFamily(

@@ -681,6 +681,17 @@ class TestUnionMasses:
         assert mu.region_mass_open(opens) == mu.region_mass_open(merge_open(opens)) <= total
         assert mu.mass_closed(closeds) == mu.mass_closed(merge_closed(closeds)) <= total
 
+    @settings(max_examples=100, deadline=None)
+    @given(discrete_or_density(), st.lists(st.integers(-40, 40), max_size=8), st.integers(1, 8))
+    @example(PolyDensityMeasure.uniform(0, 1), [5, 0], 1)
+    def test_cumulative_points_in_any_order(self, mu, points, l):
+        """Each point's masses are those it has asked alone: a density's
+        table walks back as well as forward."""
+        below, upto, total, lw = mu.cumulative(points, l)
+        alone = [mu.cumulative([p], l) for p in points]
+        assert below == [b for (b,), _, _, _ in alone] and upto == [u for _, (u,), _, _ in alone]
+        assert all(t == total and w == lw for _, _, t, w in alone)
+
     def test_overlaps_counted_once(self):
         u = PolyDensityMeasure.uniform(0, 1)
         assert u.region_mass_open([(0, 1), (0, 1)]) == u.region_mass_open([(0, 1)])
@@ -902,6 +913,17 @@ class TestAlmostDecidable:
             assert pair.V.components == cover[j].V.components
             holds = [i for i in range(j + 1) if open_contains_point(cover[i].U.components, x)]
             assert holds[:1] == [j]
+
+    @pytest.mark.parametrize("s", [Fraction(1), Fraction(1, 3), Fraction(5, 2)])
+    def test_point_on_a_sphere_is_outside_its_ball(self, s):
+        # with no atoms ball 0 is (-r, r), r = 43s/128: its right end lies
+        # in ball 1, centred at s/2, and not in ball 0
+        r = 43 * s / 128
+        mu = DiscreteMeasure.zero()
+        cover = almost_decidable_cover(mu, s)
+        assert cover[0].U.components[0] == (-r, r)
+        [(j, pair)] = first_cover_balls(mu, s, [r])
+        assert j == 1 and pair.U.components == cover[1].U.components
 
     def test_mass_of_interval_lower(self):
         mu = DiscreteMeasure(((Fraction(1, 2), Fraction(1)),))

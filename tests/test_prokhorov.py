@@ -36,7 +36,7 @@ from effmeas.prokhorov import (
     eps_from_weak,
     eps_function,
 )
-from effmeas.corpora import DriftingAtomFamily, deltadrift, deltashrink, mixture
+from effmeas.corpora import DriftingAtomFamily, corpus_by_name, deltadrift, deltashrink, mixture
 from effmeas.reals import CauchyReal, _pow2
 from tests.conftest import mass_closed_per_component, rand_discrete, spelled_from_ints
 
@@ -830,18 +830,13 @@ class TestEpsFromWeak:
     @pytest.mark.parametrize("make", [mixture, deltadrift, deltashrink])
     def test_radius_searches_per_limit_atom(self, make, monkeypatch):
         searches = []
-        real_search = measures._null_sphere_search
+        real_search = measures._cover_radius
 
         def counted(*args):
-            radius = real_search(*args)
+            searches.append(args[-1])  # the centre's k
+            return real_search(*args)
 
-            def search(center):
-                searches.append(center)
-                return radius(center)
-
-            return search
-
-        monkeypatch.setattr(measures, "_null_sphere_search", counted)
+        monkeypatch.setattr(measures, "_cover_radius", counted)
         c = make()
         for N in (1, 8, 30):
             searches.clear()
@@ -871,6 +866,38 @@ class TestEpsFromWeak:
         assert len(built) == 1  # the spy does see a read
         for n in range(idx, idx + 8):
             assert prokhorov_discrete(member(n), limit) < _pow2(N)
+
+    @pytest.mark.parametrize("family", ["mixture", "deltadrift"])
+    def test_family_atoms_never_built(self, family, monkeypatch):
+        """An eps job (the index, then rho over the members of its window)
+        and a limsup witness job read a drifting family's members and limit
+        on their lattices alone, with the answers of the same measures built
+        from ``Fraction``s."""
+        C = pi_from_complement(((Fraction(0), Fraction(1)),))
+
+        def jobs(seq, limit, ad):
+            out = []
+            for N in (1, 4):
+                idx = eps_from_weak(seq, limit, ad, N)
+                out.append((idx, [prokhorov_discrete(seq[n], limit) for n in range(idx, idx + 4)]))
+            eps = eps_function(seq, limit, ad)
+            return out + [witness_from_eps(seq, limit, eps, C, Fraction(11, 8))]
+
+        c = corpus_by_name(family)
+        plain = MeasureSeq(lambda n: DiscreteMeasure(c.seq[n].atoms))
+        same = jobs(plain, DiscreteMeasure(c.limit.atoms), c.ad_modulus)
+        built = []
+
+        def spy(mu):
+            built.append(mu)
+            return measures._atoms_of(mu)
+
+        monkeypatch.setattr(DiscreteMeasure.atoms, "build", spy)
+        c = corpus_by_name(family)
+        assert jobs(c.seq, c.limit, c.ad_modulus) == same
+        assert built == []
+        c.limit.atoms
+        assert len(built) == 1  # the spy does see a read
 
     @pytest.mark.parametrize("N", [1, 3, 5])
     def test_member_mass_outside_the_balls_rejected(self, N):
