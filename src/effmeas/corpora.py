@@ -22,9 +22,8 @@ from .convergence import (
     specker_sequence,
 )
 from .errors import UnsupportedMeasureClass
-from .functions import CONST, ZERO, PolyFunc, _common, constant_func
-from .measures import AlmostDecidablePair, DiscreteMeasure, Measure
-from .reals import _fraction
+from .functions import CONST, ZERO, PolyFunc, constant_func
+from .measures import AlmostDecidablePair, DiscreteMeasure, Measure, _atom_lattice
 
 
 def _exp_above(p: int, q: int) -> int:
@@ -70,20 +69,20 @@ class DriftingAtomFamily(MeasureSeq):
     """mu_n = sum_i w_i delta_{x_i + d_i 2^-n}, every member of mass ``total``.
 
     The limit and every member are built on one ``int`` lattice, x_i = k_i/lx
-    and w_i = ws_i/lw.  A weight <= 0 is refused, as ``DiscreteMeasure`` would refuse every member.
+    and w_i = ws_i/lw.
     """
 
     def __init__(self, atoms: Sequence[tuple[Fraction, Fraction, int]]):
-        """``atoms``: (limit location, weight, drift flag 0/1)."""
-        self.atoms = [(_fraction(x), _fraction(w), int(d)) for x, w, d in atoms]
-        if any(d not in (0, 1) for _, _, d in self.atoms):
+        """``atoms``: (limit location, weight, drift flag 0/1).  An atom is refused
+        as ``DiscreteMeasure`` refuses it (:func:`~effmeas.measures._atom_lattice`),
+        and a drift flag not 0 or 1 with ``ValueError``."""
+        atoms = list(atoms)
+        keys, ws, lx, lw = _atom_lattice([(x, w) for x, w, _ in atoms])
+        drifts = [d for _, _, d in atoms]
+        if any(d not in (0, 1) for d in drifts):
             raise ValueError("drift flags must be 0 or 1")
-        if any(w.numerator <= 0 for _, w, _ in self.atoms):  # denominators are positive
-            raise ValueError("atom weights must be positive")
-        keys, lx = _common([x for x, _, _ in self.atoms])
-        ws, lw = _common([w for _, w, _ in self.atoms])
         self.total = Fraction(sum(ws), lw)
-        self._lattice = (keys, [d for _, _, d in self.atoms], ws, lx, lw)
+        self._lattice = (keys, list(map(int, drifts)), ws, lx, lw)
         # over a tuple, not a bound method: no cycle waits for the collector
         self.member = partial(_drifting_member, self._lattice)
         super().__init__(self.member)
@@ -123,9 +122,9 @@ class DriftingAtomFamily(MeasureSeq):
         if comps is None:
             raise UnsupportedMeasureClass("need exact components")
         ends = [e for c in comps for e in c if e is not None]
-        gaps = [
-            abs(x - e) for x, _, d in self.atoms if d for e in ends
-        ]
+        keys, drifts, _, lx, _ = self._lattice
+        locs = [Fraction(k, lx) for k, d in zip(keys, drifts) if d]
+        gaps = [abs(x - e) for x in locs for e in ends]
         if not gaps:
             return Modulus.constant(0)
         delta = min(gaps)
@@ -185,7 +184,7 @@ def _deltan_vague_oracle(p: PolyFunc) -> Modulus:
 def deltan() -> Corpus:
     return Corpus(
         name="deltan",
-        seq=MeasureSeq(lambda n: DiscreteMeasure.point(Fraction(n))),
+        seq=MeasureSeq(lambda n: DiscreteMeasure._from_lattice((n,), (1,), 1, 1)),
         limit=DiscreteMeasure.zero(),
         vague_oracle=_deltan_vague_oracle,
         weak_oracle=None,

@@ -38,9 +38,9 @@ _HULL_ROUND = 8  # the support cover SupportedFunc.hull reads
 
 class _Lazy:
     """A field built from the instance on its first read and stored in it,
-    a frozen dataclass's too.  A non-data descriptor, so a value the
-    constructor set shadows it; set on the class after ``@dataclass``, which
-    would take a class attribute for the field's default."""
+    a frozen dataclass's too: a rational view of an ``int`` lattice, which no
+    constructor sets.  Set on the class after ``@dataclass``, which would
+    take a class attribute for the field's default."""
 
     def __init__(self, name: str, build):
         self.name, self.build = name, build
@@ -74,10 +74,12 @@ class PolyFunc:
     there.  Note a zero-outside function agrees everywhere with its
     constant-extend reading, which the algebra below exploits.
 
-    Evaluation, :meth:`lipschitz`, :meth:`bound`, :meth:`support_components`
-    and exact integration read the ``int`` :meth:`lattice`.  Built from
-    vertices, a polygon makes its lattice on the first read; built by
-    :meth:`from_ints`, its ``vertices`` (for ``==``, hash and repr).
+    The one stored form of both builds is the ``int`` :meth:`lattice`, which
+    evaluation, :meth:`lipschitz`, :meth:`bound`, :meth:`support_components`
+    and exact integration read; ``vertices``, for ``==``, hash and repr, is
+    built from it on the first read (:class:`_Lazy`).  The constructor raises
+    :class:`MalformedInterval` for a coordinate no ``Fraction`` takes, then
+    as :func:`_check` does, and drops the ``vertices`` it was given.
     """
 
     vertices: tuple[tuple[Fraction, Fraction], ...]
@@ -85,9 +87,10 @@ class PolyFunc:
     _lattice: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verts = tuple((_fraction(x), _fraction(y)) for x, y in self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        _check([x for x, _ in verts], [y for _, y in verts], self.extension)
+        X, Y, dx, dy = lattice = _lattice_of([(_fraction(x), _fraction(y)) for x, y in self.vertices])
+        _check(X, Y, self.extension)
+        object.__setattr__(self, "_lattice", lattice)
+        object.__delattr__(self, "vertices")
 
     @classmethod
     def from_ints(cls, X, Y, dx: int, dy: int, extension: str = ZERO) -> "PolyFunc":
@@ -154,7 +157,8 @@ class PolyFunc:
         return Fraction(bn * dx, bd * dy)
 
     def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.vertices)
+        X, _, dx, _ = self._lattice
+        return tuple(Fraction(x, dx) for x in X)
 
     def support_components(self) -> tuple[ClosedComp, ...]:
         """Closure of {f != 0}, exact, for zero-outside functions.
@@ -208,20 +212,21 @@ def _check(X, Y, extension: str) -> None:
         raise MalformedInterval("zero-outside requires zero boundary values")
 
 
-def _vertices_of(p: PolyFunc) -> tuple:
-    X, Y, dx, dy = p._lattice
+def _pairs_of(lattice) -> tuple:
+    """The ``Fraction`` pairs (X[i]/dx, Y[i]/dy) of a lattice ``(X, Y, dx, dy)``."""
+    X, Y, dx, dy = lattice
     return tuple(zip([Fraction(x, dx) for x in X], [Fraction(y, dy) for y in Y]))
 
 
-def _lattice_of(verts) -> tuple:
-    """Rational vertices as :meth:`PolyFunc.lattice` holds them."""
-    X, dx = _common([x for x, _ in verts])
-    Y, dy = _common([y for _, y in verts])
+def _lattice_of(pairs) -> tuple:
+    """Rational pairs (x, y) as ``(X, Y, dx, dy)``, each column on the lcm of
+    its denominators: the inverse of :func:`_pairs_of`."""
+    X, dx = _common([x for x, _ in pairs])
+    Y, dy = _common([y for _, y in pairs])
     return tuple(X), tuple(Y), dx, dy
 
 
-PolyFunc.vertices = _Lazy("vertices", _vertices_of)
-PolyFunc._lattice = _Lazy("_lattice", lambda p: _lattice_of(p.vertices))
+PolyFunc.vertices = _Lazy("vertices", lambda p: _pairs_of(p._lattice))
 
 
 def constant_func(c) -> PolyFunc:

@@ -23,6 +23,9 @@ from .functions import (
     SupportedFunc,
     _common,
     _Lazy,
+    _lattice_of,
+    _pairs_of,
+    _rational,
     approx_polygonal,
     polygonal_on_window,
 )
@@ -161,15 +164,28 @@ class Measure:
         self._unsupported("discretisation")
 
 
-def _sort_merge(keys: list[int], iws: list[int]):
+def _atom_lattice(atoms) -> tuple:
+    """Atoms ``(location, weight)`` on their lattice ``(keys, iws, lx, lw)``
+    (:func:`~effmeas.functions._lattice_of`), the one place an atom is refused:
+    :class:`~effmeas.errors.MalformedInterval` names a value no ``Fraction``
+    takes, and a weight <= 0 raises ``ValueError``."""
+    pairs = []
+    for loc, w in atoms:
+        loc, w = _fraction(loc), _fraction(w)
+        if w.numerator <= 0:  # a Fraction's denominator is positive
+            raise ValueError("atom weights must be positive")
+        pairs.append((loc, w))
+    return _lattice_of(pairs)
+
+
+def _sort_merge(keys: Sequence[int], iws: Sequence[int]) -> tuple[list[int], list[int]]:
     """The one sort and merge of a discrete measure's atoms, on ``int``s.
 
     Atom i lies at lattice point ``keys[i]`` with lattice weight ``iws[i]``.
-    Returns ``(xs, ws, firsts)``: the distinct points in increasing order,
-    the summed weight at each, and the input index of each point's first
-    atom.
+    Returns ``(xs, ws)``: the distinct points in increasing order and the
+    summed weight at each.
     """
-    xs, ws, firsts = [], [], []
+    xs, ws = [], []
     for i in sorted(range(len(keys)), key=keys.__getitem__):
         k = keys[i]
         if xs and k == xs[-1]:
@@ -177,78 +193,37 @@ def _sort_merge(keys: list[int], iws: list[int]):
         else:
             xs.append(k)
             ws.append(iws[i])
-            firsts.append(i)
-    return xs, ws, firsts
+    return xs, ws
 
 
 @dataclass(frozen=True)
 class DiscreteMeasure(Measure):
     """A finite purely atomic measure with rational data.
 
-    ``atoms`` is normalised to strictly increasing locations with the
-    weights at a repeated location summed.  The sort, the merge and the
-    total run on ``int`` keys and weights, the locations scaled by the lcm
-    of their denominators and the weights by that of theirs, so no
-    ``Fraction`` is compared or added: an atom keeps its own ``Fraction``s
-    unless a repeat adds to its weight, and the total is one
-    ``Fraction(sum, lw)``.  The merged ``int`` keys and weights are kept as
-    :meth:`lattice`.  Neither takes part in ``==``, hash or repr.
-
-    :meth:`from_ints` and :meth:`_from_lattice` build the same measure from
-    ``int``s through the same sort and merge (:func:`_sort_merge`), and
-    defer ``atoms`` to its first read.
+    Its one stored form is :meth:`lattice`, the atoms as ``int`` keys and
+    weights, sorted and merged on ``int``s (:func:`_sort_merge`).  ``atoms``
+    (reduced ``Fraction`` pairs, for ``==``, hash and repr) and the total are
+    built from it on their first read (:class:`~effmeas.functions._Lazy`).
+    The constructor refuses an atom as :func:`_atom_lattice` does, with
+    :class:`~effmeas.errors.MalformedInterval` or ``ValueError``, then drops
+    the ``atoms`` it was given; :meth:`from_ints` and :meth:`_from_lattice`
+    build the same measure from ``int``s.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
-    _total: Fraction = field(init=False, repr=False, compare=False)
     _lattice: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        locs, ws = [], []
-        for loc, w in self.atoms:
-            if type(loc) is not Fraction:
-                loc = _fraction(loc)
-            if type(w) is not Fraction:
-                w = _fraction(w)
-            if w.numerator <= 0:  # a Fraction's denominator is positive
-                raise ValueError("atom weights must be positive")
-            locs.append(loc)
-            ws.append(w)
-        if len(ws) < 2:  # nothing to sort, merge or add
-            object.__setattr__(self, "atoms", tuple(zip(locs, ws)))
-            object.__setattr__(self, "_total", ws[0] if ws else Fraction(0))
-            lattice = (
-                ((locs[0].numerator,), (ws[0].numerator,), locs[0].denominator, ws[0].denominator)
-                if ws
-                else ((), (), 1, 1)
-            )
-            object.__setattr__(self, "_lattice", lattice)
-            return
-        keys, lx = _common(locs)
-        iws, lw = _common(ws)
-        xs, mws, firsts = _sort_merge(keys, iws)
-        if len(xs) == len(keys):  # no repeats: every atom keeps its own Fractions
-            atoms = tuple([(locs[i], ws[i]) for i in firsts])
-        else:
-            atoms = tuple(
-                (locs[i], ws[i] if iws[i] == m else Fraction(m, lw))
-                for i, m in zip(firsts, mws)
-            )
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_total", Fraction(sum(iws), lw))
-        object.__setattr__(self, "_lattice", (tuple(xs), tuple(mws), lx, lw))
+        keys, iws, lx, lw = _atom_lattice(self.atoms)
+        xs, ws = _sort_merge(keys, iws)
+        object.__setattr__(self, "_lattice", (tuple(xs), tuple(ws), lx, lw))
+        object.__delattr__(self, "atoms")
 
     @classmethod
     def from_ints(cls, xn, xd, wn, wd) -> "DiscreteMeasure":
         """The measure with atoms at ``xn[i]/xd[i]`` of mass ``wn[i]/wd[i]``,
-        all ``int``, every denominator nonzero and weight positive (unchecked).
-
-        The same normalisation as the constructor's, on the lattices of the
-        lcms of ``xd`` and ``wd``.  Only the lattice and the total are built
-        here; ``atoms`` is built from the lattice on its first read
-        (:class:`~effmeas.functions._Lazy`), so a caller that reads only :meth:`lattice`
-        never makes a ``Fraction`` per atom.
-        """
+        all ``int``, every denominator nonzero and weight positive (unchecked),
+        on the lattices of the lcms of ``xd`` and ``wd``."""
         lx, lw = math.lcm(*xd), math.lcm(*wd)
         keys, iws = [n * (lx // d) for n, d in zip(xn, xd)], [n * (lw // d) for n, d in zip(wn, wd)]
         return cls._from_lattice(keys, iws, lx, lw)
@@ -256,16 +231,16 @@ class DiscreteMeasure(Measure):
     @classmethod
     def _from_lattice(cls, keys, iws, lx: int, lw: int) -> "DiscreteMeasure":
         """Atom i at ``keys[i]/lx`` of mass ``iws[i]/lw``, all ``int``, weights
-        positive (unchecked): one :func:`_sort_merge` and one ``Fraction``, the total."""
-        xs, ws, _ = _sort_merge(keys, iws)
+        positive (unchecked): one :func:`_sort_merge` and no ``Fraction``."""
+        xs, ws = _sort_merge(keys, iws)
         mu = object.__new__(cls)
-        object.__setattr__(mu, "_total", Fraction(sum(ws), lw))
         object.__setattr__(mu, "_lattice", (tuple(xs), tuple(ws), lx, lw))
         return mu
 
     @classmethod
     def point(cls, loc, weight=1) -> "DiscreteMeasure":
-        """One atom, kept as given, on the lattice of its own ``int``s."""
+        """One atom of mass ``weight`` at ``loc``, refused as the constructor
+        refuses it: :class:`~effmeas.errors.MalformedInterval` or ``ValueError``."""
         return cls(((loc, weight),))
 
     @classmethod
@@ -280,7 +255,7 @@ class DiscreteMeasure(Measure):
         """The atoms as ``(xs, ws, lx, lw)``: atom i at ``xs[i]/lx`` with mass
         ``ws[i]/lw``, ``lx`` and ``lw`` the lcms of the input's location and
         weight denominators (unreduced ones, from :meth:`from_ints`, may give
-        a multiple of the reduced lcm), built with the normalisation."""
+        a multiple of the reduced lcm): the measure's one stored form."""
         return self._lattice
 
     def cells(self, pitch: Fraction) -> tuple[Side, Fraction]:
@@ -354,16 +329,20 @@ class DiscreteMeasure(Measure):
 
 
 def _atoms_of(mu: DiscreteMeasure) -> tuple:
-    xs, ws, lx, lw = mu._lattice
-    return tuple(zip([Fraction(x, lx) for x in xs], [Fraction(w, lw) for w in ws]))
+    return _pairs_of(mu._lattice)
 
 
 DiscreteMeasure.atoms = _Lazy("atoms", _atoms_of)
+DiscreteMeasure._total = _Lazy("_total", lambda mu: Fraction(sum(mu._lattice[1]), mu._lattice[3]))
 
 
 @dataclass(frozen=True)
 class PolyDensityMeasure(Measure):
-    """Absolutely continuous with a nonnegative zero-outside polygonal density."""
+    """Absolutely continuous with a nonnegative zero-outside polygonal density.
+
+    The constructor raises ``ValueError`` for a :class:`PolyFunc` that is not
+    ``zero-outside`` or has a negative ordinate on its :meth:`~PolyFunc.lattice`.
+    """
 
     density: PolyFunc
 
@@ -371,21 +350,16 @@ class PolyDensityMeasure(Measure):
         d = self.density
         if d.extension != "zero-outside":
             raise ValueError("density must be zero-outside")
-        if any(y < 0 for _, y in d.vertices):
+        if any(y < 0 for y in d.lattice()[1]):
             raise ValueError("density must be nonnegative")
 
     @classmethod
     def uniform(cls, a, b) -> "PolyDensityMeasure":
-        a, b = Fraction(a), Fraction(b)
-        eps = (b - a) / 2**20
-        # plateau 1 on [a, b] with hair-thin ramps keeps the density polygonal
-        return cls(
-            PolyFunc(
-                ((a - eps, Fraction(0)), (a, Fraction(1)), (b, Fraction(1)),
-                 (b + eps, Fraction(0))),
-                "zero-outside",
-            )
-        )
+        """Plateau 1 on [a, b] with ramps (b - a)/2^20 wide, which keep the
+        density polygonal: on the lattice of a = A/l and b = B/l refined 2^20 times."""
+        (A, B), l = _common([_rational(a), _rational(b)])
+        A, B, s = A << 20, B << 20, B - A
+        return cls(PolyFunc.from_ints((A - s, A, B, B + s), (0, 1, 1, 0), l << 20, 1))
 
     def exact_total_mass(self) -> Fraction:
         _, _, total, lw = self.cumulative((), 1)
@@ -433,16 +407,15 @@ class PolyDensityMeasure(Measure):
         return pieces, MF, dx, 2 * dx * dy * L, total
 
     def integrate_poly(self, p: PolyFunc) -> Fraction:
-        verts = self.density.vertices
-        return integrate_product(p, self.density, verts[0][0], verts[-1][0])
+        X, _, dx, _ = self.density.lattice()
+        return integrate_product(p, self.density, Fraction(X[0], dx), Fraction(X[-1], dx))
 
     def null_test(self) -> Callable[[Fraction], bool]:
         return lambda x: True
 
     def support_radius(self) -> Fraction:
-        return max(
-            abs(self.density.vertices[0][0]), abs(self.density.vertices[-1][0])
-        )
+        X, _, dx, _ = self.density.lattice()
+        return Fraction(max(abs(X[0]), abs(X[-1])), dx)
 
     def cells(self, pitch: Fraction) -> tuple[Side, Fraction]:
         """Cell [k*pitch, (k+1)*pitch] becomes one atom at its midpoint with

@@ -213,7 +213,7 @@ MUTANTS = (
     # one check for both polygon builds
     Mutant(
         "polygon check: the vertex build refuses nothing",
-        "        _check([x for x, _ in verts], [y for _, y in verts], self.extension)\n",
+        "        _check(X, Y, self.extension)\n",
         "",
         file=FUNCTIONS,
         tests=("tests/test_polylattice.py::TestRefusals",),
@@ -376,11 +376,25 @@ MUTANTS = (
         "vs",
     ),
     Mutant(
-        "lattice: a one-atom measure's lx taken as 1",
-        "(ws[0].numerator,), locs[0].denominator, ws[0].denominator)",
-        "(ws[0].numerator,), 1, ws[0].denominator)",
+        "lattice: the constructor's lx taken as 1",
+        'object.__setattr__(self, "_lattice", (tuple(xs), tuple(ws), lx, lw))',
+        'object.__setattr__(self, "_lattice", (tuple(xs), tuple(ws), 1, lw))',
         file=MEASURES,
         tests=("tests/test_measures.py",),
+    ),
+    Mutant(
+        "total: read from the first lattice weight",
+        "Fraction(sum(mu._lattice[1]), mu._lattice[3])",
+        "Fraction(mu._lattice[1][0], mu._lattice[3])",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestDiscreteMeasure::test_masses",),
+    ),
+    Mutant(
+        "density check: a negative ordinate accepted on the lattice",
+        "if any(y < 0 for y in d.lattice()[1]):",
+        "if any(y < -1 for y in d.lattice()[1]):",
+        file=MEASURES,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
     ),
     # the measure protocol
     Mutant(
@@ -436,10 +450,10 @@ MUTANTS = (
     # eager, so that only the oracle test, which never looks at vars(), runs
     Mutant(
         "lazy atoms: built from the unmerged rows",
-        '        mu = object.__new__(cls)\n        object.__setattr__(mu, "_total"',
+        '        mu = object.__new__(cls)\n        object.__setattr__(mu, "_lattice"',
         "        mu = object.__new__(cls)\n"
         '        object.__setattr__(mu, "atoms", tuple(zip(map(Fraction, keys, [lx] * len(keys)), map(Fraction, iws, [lw] * len(iws)))))\n'
-        '        object.__setattr__(mu, "_total"',
+        '        object.__setattr__(mu, "_lattice"',
         file=MEASURES,
         tests=("tests/test_fileformat.py::TestIntReader::test_discrete_files_match_oracle",),
     ),

@@ -185,6 +185,7 @@ class TestDiscreteMeasure:
         got = answers(mu)
         assert "atoms" not in vars(mu)
         assert got == answers(twin)
+        assert "atoms" not in vars(twin)
         assert got[:3] == (Fraction(17, 30), Fraction(11, 15), Fraction(5, 3))
 
     @settings(max_examples=200, deadline=None)

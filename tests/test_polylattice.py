@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effmeas import DiscreteMeasure, PolyFunc, constant_func, hat_function, indicator_approx
+from effmeas import DiscreteMeasure, PolyDensityMeasure, PolyFunc, constant_func, hat_function, indicator_approx
 from effmeas import co_name_of_poly, tent_function
 from effmeas.errors import MalformedInterval
 from effmeas.fileformat import serialize_function
@@ -197,6 +197,23 @@ class TestAgainstFractionPolygon:
             assert repr(p) == repr(oracle).replace("FractionPolyFunc", "PolyFunc")
             assert serialize_function(p) == serialize_function(oracle)
         assert vars(ints)["vertices"] is ints.vertices  # built once, then kept
+
+    def test_lattice_readers_build_no_vertices(self):
+        """A polygon built from its vertices keeps only its lattice: the
+        readers below, a density's among them, never rebuild ``vertices``."""
+        verts = ((Fraction(-3, 4), 0), (Fraction(1, 3), Fraction(5, 2)), (Fraction(3, 2), Fraction(1, 7)), (2, 0))
+        oracle, p = FractionPolyFunc(verts), PolyFunc(verts)
+        points = [-1, Fraction(-3, 4), 0, Fraction(1, 3), 1, Fraction(7, 4), 3]
+        assert [p(x) for x in points] == [oracle(x) for x in points]
+        assert (p.lipschitz(), p.bound()) == (oracle.lipschitz(), oracle.bound())
+        assert p.support_components() == oracle.support_components()
+        mu = PolyDensityMeasure(p)
+        total = sum(((x1 - x0) * (y0 + y1) / 2 for (x0, y0), (x1, y1) in zip(oracle.vertices, oracle.vertices[1:])))
+        (_, ws, _, lw), err = mu.cells(Fraction(1, 4))
+        assert (Fraction(sum(ws), lw), err) == (total, Fraction(1, 4))
+        assert mu.integrate_poly(constant_func(1)) == mu.exact_total_mass() == total
+        assert mu.support_radius() == 2
+        assert "vertices" not in vars(p)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -899,6 +899,17 @@ class TestEpsFromWeak:
         c.limit.atoms
         assert len(built) == 1  # the spy does see a read
 
+    @pytest.mark.parametrize("N", [1, 4, 6])
+    def test_eps_job_builds_no_member_total(self, N):
+        """The eps index and rho over the members of its window, as the
+        weak-to-Prokhorov job asks them, read each member's lattice and the
+        family's mass, never a member's own ``Fraction`` total."""
+        c = mixture()
+        idx = eps_from_weak(c.seq, c.limit, c.ad_modulus, N)
+        window = range(idx, idx + 4)
+        assert all(prokhorov_discrete(c.seq[n], c.limit) < _pow2(N) for n in window)
+        assert all("_total" not in vars(c.seq[n]) for n in (*range(idx), *window))
+
     @pytest.mark.parametrize("N", [1, 3, 5])
     def test_member_mass_outside_the_balls_rejected(self, N):
         # mu_n = delta_0 + 2^-n delta_100 -> delta_0; the constant modulus 0 is
