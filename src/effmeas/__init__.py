@@ -85,17 +85,14 @@ from .prokhorov import (
 )
 from .reals import (
     CauchyReal,
-    Comparison,
     LowerReal,
     UpperReal,
-    compare_apart,
     make_cauchy,
 )
 from .sets import (
     CompactName,
     Membership,
     PiSet,
-    RationalInterval,
     SigmaSet,
     closed_neighborhood,
     compact_from_closed_union,

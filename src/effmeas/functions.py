@@ -17,7 +17,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import lt
-from typing import Callable
 
 from . import codes
 from .errors import InsufficientNameProgress, MalformedInterval
@@ -55,8 +54,9 @@ class _Lazy:
 
 def _rational(v):
     """``v`` if an ``int`` or a ``Fraction`` (both have numerator and
-    denominator), else ``Fraction(v)``."""
-    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+    denominator), else :func:`~effmeas.reals._fraction` of it, which refuses
+    a value no ``Fraction`` takes."""
+    return v if type(v) is int or type(v) is Fraction else _fraction(v)
 
 
 def _common(qs, base: int = 1) -> tuple[list[int], int]:
@@ -71,8 +71,7 @@ class PolyFunc:
 
     ``constant-extend`` keeps the boundary values outside the vertex hull;
     ``zero-outside`` requires the boundary values to be 0 and evaluates to 0
-    there.  Note a zero-outside function agrees everywhere with its
-    constant-extend reading, which the algebra below exploits.
+    there, so it agrees everywhere with its constant-extend reading.
 
     The one stored form of both builds is the ``int`` :meth:`lattice`, which
     evaluation, :meth:`lipschitz`, :meth:`bound`, :meth:`support_components`
@@ -177,24 +176,6 @@ class PolyFunc:
                 else:
                     comps.append([x0, x1])
         return tuple((Fraction(l, dx), Fraction(r, dx)) for l, r in comps)
-
-    # -- algebra ----------------------------------------------------------
-
-    def combine(self, other: "PolyFunc", op: Callable[[Fraction, Fraction], Fraction]) -> "PolyFunc":
-        xs = sorted(set(self.breakpoints()) | set(other.breakpoints()))
-        ys = [op(self(x), other(x)) for x in xs]
-        zero = self.extension == other.extension == ZERO and ys[0] == ys[-1] == 0
-        return PolyFunc(tuple(zip(xs, ys)), ZERO if zero else CONST)
-
-    def __add__(self, other: "PolyFunc") -> "PolyFunc":
-        return self.combine(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "PolyFunc") -> "PolyFunc":
-        return self.combine(other, lambda a, b: a - b)
-
-    def scale(self, c) -> "PolyFunc":
-        c = Fraction(c)  # c * 0 = 0, so the extension stays valid
-        return PolyFunc(tuple((x, c * y) for x, y in self.vertices), self.extension)
 
 
 def _check(X, Y, extension: str) -> None:

@@ -15,7 +15,6 @@ refute them, never eagerly.
 
 from __future__ import annotations
 
-import enum
 import functools
 from fractions import Fraction
 from operator import gt, lt
@@ -39,13 +38,20 @@ def _pow2(n: int) -> Fraction:
 
 def _fraction(v) -> Fraction:
     """``v`` as a Fraction, built only when ``v`` is not exactly one already;
-    a value no Fraction takes, ``None`` say, raises :class:`MalformedInterval`."""
+    a value no Fraction takes, ``None`` say, raises :class:`MalformedInterval`.
+    Its message shows ``repr(v)``, or the type where that repr raises, as for
+    a tuple holding an ``int`` past the interpreter's digit limit."""
     if type(v) is Fraction:
         return v
     try:
         return Fraction(v)
     except (TypeError, ValueError, ArithmeticError):
-        raise MalformedInterval(f"expected a rational number, got {v!r}") from None
+        pass
+    try:
+        shown = repr(v)
+    except Exception:  # whatever the repr raises, the refusal stays this one
+        shown = f"a {type(v).__name__} that cannot be printed"
+    raise MalformedInterval(f"expected a rational number, got {shown}")
 
 
 class CauchyReal:
@@ -74,69 +80,10 @@ class CauchyReal:
             raise ValueError("precision exponent must be nonnegative")
         return self._terms[n]
 
-    # Arithmetic.  Each operation shifts the precision of its inputs just
-    # enough that the output gaps provably satisfy the name discipline.
-
-    def __add__(self, other: "CauchyReal") -> "CauchyReal":
-        return CauchyReal(lambda n: self.approx(n + 2) + other.approx(n + 2))
-
-    def __sub__(self, other: "CauchyReal") -> "CauchyReal":
-        return CauchyReal(lambda n: self.approx(n + 2) - other.approx(n + 2))
-
-    def __neg__(self) -> "CauchyReal":
-        return CauchyReal(lambda n: -self.approx(n))
-
-    def __abs__(self) -> "CauchyReal":
-        return CauchyReal(lambda n: abs(self.approx(n)))
-
-    def magnitude_bound(self) -> Fraction:
-        """A rational bound on ``|self|`` (and on every term of the name)."""
-        return abs(self.approx(0)) + 2
-
-    def __mul__(self, other: "CauchyReal") -> "CauchyReal":
-        bound = self.magnitude_bound() + other.magnitude_bound() + 1
-        s = max(1, int(bound).bit_length())
-        return CauchyReal(lambda n: self.approx(n + s) * other.approx(n + s))
-
-    def scale(self, q: RationalLike) -> "CauchyReal":
-        q = Fraction(q)
-        if q == 0:
-            return CauchyReal.from_rational(0)
-        s = max(abs(q.numerator), q.denominator).bit_length()
-        return CauchyReal(lambda n: q * self.approx(n + s))
-
-    def min_with(self, other: "CauchyReal") -> "CauchyReal":
-        return CauchyReal(lambda n: min(self.approx(n + 2), other.approx(n + 2)))
-
-    def max_with(self, other: "CauchyReal") -> "CauchyReal":
-        return CauchyReal(lambda n: max(self.approx(n + 2), other.approx(n + 2)))
-
 
 def make_cauchy(terms) -> CauchyReal:
     """Wrap a rational stream as a lazily validated Cauchy name."""
     return CauchyReal(terms)
-
-
-class Comparison(enum.Enum):
-    LESS = "less"
-    GREATER = "greater"
-    UNDETERMINED = "undetermined"
-
-
-def compare_apart(x: CauchyReal, y: CauchyReal, fuel: Fuel) -> Comparison:
-    """Semi-decide strict order; equality is never certified.
-
-    At precision ``k`` both approximants carry error at most ``2^{-k+1}``,
-    so strict separation of the error intervals certifies the order.
-    """
-    for k in range(fuel.budget):
-        xk, yk = x.approx(k), y.approx(k)
-        err = _pow2(k - 1)
-        if xk + err < yk - err:
-            return Comparison.LESS
-        if yk + err < xk - err:
-            return Comparison.GREATER
-    return Comparison.UNDETERMINED
 
 
 class _Bounds:
@@ -168,9 +115,6 @@ class _Bounds:
     def approx(self, fuel: Fuel) -> Fraction:
         """The last bound enumerated within fuel, the best so far."""
         return self._bounds[fuel.budget]
-
-    def add(self, other):
-        return type(self)(lambda n: self.bound(n) + other.bound(n))
 
 
 class LowerReal(_Bounds):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, Optional, Sequence, Union
@@ -27,25 +26,6 @@ from .streams import Fuel, Stream
 
 OpenComp = tuple[Optional[Fraction], Optional[Fraction]]
 ClosedComp = tuple[Fraction, Fraction]
-
-
-@dataclass(frozen=True)
-class RationalInterval:
-    """A bounded rational interval, open or closed."""
-
-    left: Fraction
-    right: Fraction
-    kind: str = "open"  # "open" | "closed"
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", Fraction(self.left))
-        object.__setattr__(self, "right", Fraction(self.right))
-        if self.kind not in ("open", "closed"):
-            raise MalformedInterval(f"unknown interval kind {self.kind!r}")
-        if self.kind == "open" and not self.left < self.right:
-            raise MalformedInterval("open interval needs left < right")
-        if self.kind == "closed" and not self.left <= self.right:
-            raise MalformedInterval("closed interval needs left <= right")
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +83,6 @@ def open_contains_interval(comps: Sequence[OpenComp], l, r) -> bool:
     return False
 
 
-def open_disjoint_from_closed(
-    l: Fraction, r: Fraction, comps: Sequence[ClosedComp]
-) -> bool:
-    """Is the open interval (l, r) disjoint from the closed union?"""
-    return all(r <= cl or cr <= l for cl, cr in comps)
-
-
 def dist_point_to_closed(x: Fraction, comps: Sequence[ClosedComp]) -> Fraction:
     if not comps:
         raise ValueError("distance to the empty set is undefined")
@@ -164,7 +137,8 @@ def _exhaustion(comps: tuple[OpenComp, ...]) -> Iterator[tuple[Fraction, Fractio
                 yield (l, r)
 
 
-def _radius(radius):
+def _radius(radius) -> Fraction:
+    radius = _fraction(radius)
     if radius < 0:
         raise MalformedInterval(f"negative radius {show(radius)}")
     return radius
@@ -213,13 +187,13 @@ class SigmaSet:
     @classmethod
     def ball(cls, center: Fraction, radius: Fraction) -> "SigmaSet":
         """(center - radius, center + radius); empty at radius 0."""
-        r = _radius(radius)
+        center, r = _fraction(center), _radius(radius)
         return cls._exact(((center - r, center + r),) if r else ())
 
     @classmethod
     def ball_exterior(cls, center: Fraction, radius: Fraction) -> "SigmaSet":
         """The two open rays outside the closed ball, already disjoint."""
-        r = _radius(radius)
+        center, r = _fraction(center), _radius(radius)
         return cls._exact(((None, center - r), (center + r, None)))
 
     def interval(self, k: int) -> tuple[Fraction, Fraction]:
@@ -241,13 +215,6 @@ class SigmaSet:
         :meth:`pulled_union` ``(k)``."""
         return self.components if self.components is not None else self.pulled_union(k)
 
-    def enumerates_interval(self, l: Fraction, r: Fraction) -> bool:
-        """Decidable membership of an interval code in the enumeration
-        (exact-description sets only)."""
-        if self.components is None:
-            raise ValueError("no exact description; pull the enumeration instead")
-        return open_contains_interval(self.components, Fraction(l), Fraction(r))
-
 
 class PiSet:
     """An effectively closed subset of R, named by its open complement: the
@@ -267,27 +234,18 @@ class PiSet:
     def avoided(self, k: int) -> tuple[Fraction, Fraction]:
         return self.complement.interval(k)
 
-    def avoids_interval(self, l: Fraction, r: Fraction) -> bool:
-        return self.complement.enumerates_interval(l, r)
-
 
 def pi_from_complement(closed_intervals) -> PiSet:
     """PiSet for a finite union of closed rational intervals (points allowed)."""
     comps: list[ClosedComp] = []
-    for iv in closed_intervals:
-        if isinstance(iv, RationalInterval):
-            if iv.kind != "closed":
-                raise MalformedInterval("pi_from_complement expects closed intervals")
-            comps.append((iv.left, iv.right))
-        else:
-            l, r = iv
-            if not (isinstance(l, Rational) and isinstance(r, Rational)):
-                kinds = f"{type(l).__name__}, {type(r).__name__}"
-                raise MalformedInterval(f"closed interval ends must be rationals, got ({kinds})")
-            l, r = Fraction(l), Fraction(r)
-            if l > r:
-                raise MalformedInterval(f"malformed closed interval [{show(l)}, {show(r)}]")
-            comps.append((l, r))
+    for l, r in closed_intervals:
+        if not (isinstance(l, Rational) and isinstance(r, Rational)):
+            kinds = f"{type(l).__name__}, {type(r).__name__}"
+            raise MalformedInterval(f"closed interval ends must be rationals, got ({kinds})")
+        l, r = Fraction(l), Fraction(r)
+        if l > r:
+            raise MalformedInterval(f"malformed closed interval [{show(l)}, {show(r)}]")
+        comps.append((l, r))
     made = PiSet.__new__(PiSet)
     made.closed_components = merge_closed(comps)
     made.complement = SigmaSet._exact(complement_of_closed(made.closed_components))
@@ -382,9 +340,7 @@ class CompactName:
     ``cover_at`` is a pure function ``m -> cover m``; each cover is computed
     on demand, so reading cover m builds none of the covers before it.
     Names constructed by :func:`compact_from_closed_union` shrink their
-    cover hull by at least 2^-m per index m; :func:`compact_bounds` relies
-    on that schedule to emit valid Cauchy names (a foreign name with slower
-    covers surfaces as a name violation downstream).
+    cover hull by at least 2^-m per index m.
     """
 
     def __init__(self, cover_at):
@@ -397,11 +353,7 @@ class CompactName:
 
 
 def compact_from_closed_union(closed_intervals) -> CompactName:
-    raw = [
-        (iv.left, iv.right) if isinstance(iv, RationalInterval) else iv
-        for iv in closed_intervals
-    ]
-    comps = merge_closed([(_fraction(l), _fraction(r)) for l, r in raw])
+    comps = merge_closed([(_fraction(l), _fraction(r)) for l, r in closed_intervals])
     if not comps:
         raise EmptyCompact("empty compact")
     gaps = [comps[i + 1][0] - comps[i][1] for i in range(len(comps) - 1)]
@@ -414,13 +366,6 @@ def compact_from_closed_union(closed_intervals) -> CompactName:
         return tuple((l - delta, r + delta) for l, r in comps)
 
     return CompactName(cover_at)
-
-
-def compact_bounds(K: CompactName) -> tuple[CauchyReal, CauchyReal]:
-    """(min K, max K) as Cauchy names read off shrinking cover hulls."""
-    lo = CauchyReal(lambda n: compact_hull_bounds(K, n + 2)[0])
-    hi = CauchyReal(lambda n: compact_hull_bounds(K, n + 2)[1])
-    return lo, hi
 
 
 def compact_hull_bounds(K: CompactName, m: int) -> tuple[Fraction, Fraction]:

@@ -1,7 +1,7 @@
 """Mutation check for the Prokhorov kernels, exact integration, the polygon check, the
 bound streams, the measure protocol, the open and closed sets, the vague oracles' callers,
 the certificate checks, the file reader, the builtin names, the drifting families, the
-lattice cover search and the CLI.
+lattice cover search, the refusals of non-rational values and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -308,16 +308,53 @@ MUTANTS = (
         file=SETS,
         tests=("tests/test_sets.py::TestMalformedSets",),
     ),
-    # killed by the exact components; the avoided-stream test would pull a
-    # set of points forever
+    # a value no Fraction takes refused as MalformedInterval by every build
+    Mutant(
+        "refusal: a repr that raises escapes the message",
+        "        shown = repr(v)\n    except Exception:",
+        "        shown = repr(v)\n    except TypeError:",
+        file=REALS,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
+    ),
+    Mutant(
+        "refusal: a tent end coerced by Fraction itself",
+        "else _fraction(v)",
+        "else Fraction(v)",
+        file=FUNCTIONS,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
+    ),
+    Mutant(
+        "ball: the centre taken as given",
+        'radius); empty at radius 0."""\n        center, r = _fraction(center), _radius(radius)',
+        'radius); empty at radius 0."""\n        r = _radius(radius)',
+        file=SETS,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
+    ),
+    Mutant(
+        "ball exterior: the centre taken as given",
+        'already disjoint."""\n        center, r = _fraction(center), _radius(radius)',
+        'already disjoint."""\n        r = _radius(radius)',
+        file=SETS,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
+    ),
+    Mutant(
+        "ball: the radius taken as given",
+        "    radius = _fraction(radius)\n",
+        "",
+        file=SETS,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
+    ),
+    # killed by the exact components and by the complement's containment
+    # check against pointwise disjointness; the avoided-stream test would
+    # pull a set of points forever
     Mutant(
         "complement: built from the closed components themselves",
         "made.complement = SigmaSet._exact(complement_of_closed(made.closed_components))",
         "made.complement = SigmaSet._exact(made.closed_components)",
         file=SETS,
         tests=(
-            "tests/test_sets.py::TestPiSetOnComplement::test_no_stream_built",
             "tests/test_sets.py::TestPiSetOnComplement::test_avoids_interval_is_disjointness",
+            "tests/test_sets.py::TestPiSetOnComplement::test_no_stream_built",
         ),
     ),
     Mutant(

@@ -94,14 +94,6 @@ class TestPolyFunc:
         q = PolyFunc(tuple((Fraction(x), Fraction(y)) for x, y in enumerate(ys)), "zero-outside")
         assert q.support_components() == ((0, 3), (4, 6), (7, 9))
 
-    @given(frac)
-    def test_add_sub_pointwise(self, x):
-        p = hat_function(Fraction(-1), Fraction(0), Fraction(1), Fraction(1))
-        q = hat_function(Fraction(0), Fraction(1), Fraction(2), Fraction(2))
-        assert (p + q)(x) == p(x) + q(x)
-        assert (p - q)(x) == p(x) - q(x)
-        assert p.scale(Fraction(3, 2))(x) == Fraction(3, 2) * p(x)
-
 
 def support_components_merge_oracle(p: PolyFunc):
     """Nonzero pieces and nonzero vertices merged by ``merge_closed``: the

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+public function or class a library module defines is read by the library.
 
 ``__init__.py`` is left out: its imports are the package's exports.
 """
@@ -52,3 +53,72 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Public names no library module reads, each kept for the role its comment
+# gives.  A name leaves this list when a module starts to read it or when it
+# is deleted; the gate fails on a stale entry as on a missing one.
+UNREAD_KEPT = {
+    # read by tests/test_acceptance.py
+    "make_cauchy",
+    "closed_neighborhood",
+    "dist_point_to_closed",
+    # independent oracles, and the paper's enumeration of almost decidable balls
+    "prokhorov_discrete_bruteforce",
+    "almost_decidable_ball",
+    "almost_decidable_cover",
+    # read by perfbench
+    "uniformize_vague",
+    "limit_from_vague",
+    "supported_from_poly",
+    # the inverses of the file parsers
+    "serialize_measure",
+    "serialize_function",
+    "serialize_modulus",
+    # the inverses of the code decoders; codes.py leaves with perfbench's
+    # import of it (ROADMAP items 6 and 22)
+    "encode_open_interval",
+    "encode_pair_code",
+    # the semi-decision of membership in an open set, which ROADMAP item 6
+    # plans to benchmark
+    "sigma_member",
+    # the right-c.e. reals, LowerReal's mirror on the same class body
+    "UpperReal",
+    # the hat-shaped test function, beside the tents and trapezoids the
+    # converters build
+    "hat_function",
+}
+
+
+def unread_public_names(sources: list[str]) -> list[str]:
+    """The public top-level functions and classes defined in ``sources`` that
+    no ``Name`` or ``Attribute`` in any of them reads."""
+    trees = [ast.parse(source) for source in sources]
+    defined = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in defined if name not in read)
+
+
+def test_the_check_sees_an_unread_function():
+    used = "def used():\n    return 1\n\nclass Kept:\n    pass\n"
+    reader = "from .a import used\nimport m\n\ndef _private():\n    return used() + m.Kept\n"
+    planted = "def planted():\n    return 2\n"
+    assert unread_public_names([used, reader]) == []
+    assert unread_public_names([used, reader, planted]) == ["planted"]
+
+
+def test_every_public_name_has_a_reader():
+    unread = unread_public_names([path.read_text() for path in MODULES])
+    assert set(unread) == UNREAD_KEPT

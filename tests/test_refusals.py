@@ -2,7 +2,8 @@
 
 A bad atom gets one message from every build that takes atoms, and no value
 handed to ``DiscreteMeasure``, ``DiscreteMeasure.point``, ``PolyFunc``,
-``PolyDensityMeasure`` or ``DriftingAtomFamily`` escapes as anything but
+``PolyDensityMeasure``, ``DriftingAtomFamily``, ``tent_function``,
+``SigmaSet.ball`` or ``SigmaSet.ball_exterior`` escapes as anything but
 :class:`MalformedInterval` or ``ValueError`` with a printable message.
 """
 
@@ -11,10 +12,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from effmeas import DiscreteMeasure, PolyDensityMeasure, PolyFunc
+from effmeas import DiscreteMeasure, PolyDensityMeasure, PolyFunc, SigmaSet
 from effmeas.corpora import DriftingAtomFamily
-from effmeas.errors import MalformedInterval
-from effmeas.functions import CONST
+from effmeas.errors import MalformedInterval, show
+from effmeas.functions import CONST, tent_function
 
 BAD_ATOMS = [
     ("None location", (None, 1), MalformedInterval, "expected a rational number, got None"),
@@ -46,7 +47,7 @@ DIGITS = "7" * 5001
 
 hostile = st.one_of(
     st.sampled_from(
-        [None, "1/0", float("inf"), float("-inf"), float("nan"), 0, -1, DIGITS, "-" + DIGITS, "1/" + DIGITS]
+        [None, "1/0", float("inf"), float("-inf"), float("nan"), 0.1, 0, -1, DIGITS, "-" + DIGITS, "1/" + DIGITS, [1]]
     ),
     st.tuples(st.integers(-3, 3), st.integers(1, 7)),
     st.fractions(min_value=-4, max_value=4, max_denominator=16),
@@ -55,13 +56,21 @@ hostile = st.one_of(
 
 def _value(spec):
     """The value a drawn ``spec`` names: ``(k, d)`` the rational k*HUGE/d,
-    of 5,001 digits unless 0, built here since no report could print it;
-    any other ``spec`` itself."""
-    return Fraction(spec[0] * HUGE, spec[1]) if type(spec) is tuple else spec
+    of 5,001 digits unless 0, and ``[k]`` the tuple ``(k*HUGE,)``, whose
+    repr raises, both built here since no report could print them; any
+    other ``spec`` itself."""
+    if type(spec) is tuple:
+        return Fraction(spec[0] * HUGE, spec[1])
+    return (spec[0] * HUGE,) if type(spec) is list else spec
 
 
-# build -> (constructor of the value, which refusal a rational gets: None for
-# any, "weight" for <= 0, "ordinate" for < 0)
+def _mass_of(U: SigmaSet) -> Fraction:
+    """The mass of the open set ``U`` under a point mass at 0: reads its components."""
+    return DiscreteMeasure.point(0).region_mass_open(U.components)
+
+
+# build -> (constructor of the value, the rule in RULES for the rationals it
+# refuses, or None if it takes every rational)
 BUILDS = {
     "measure location": (lambda v: DiscreteMeasure(((Fraction(1, 2), 1), (v, 1))), None),
     "measure weight": (lambda v: DiscreteMeasure(((Fraction(1, 2), 1), (0, v))), "weight"),
@@ -72,10 +81,17 @@ BUILDS = {
     "density ordinate": (lambda v: PolyDensityMeasure(PolyFunc(((0, 0), (1, v), (2, 0)))), "ordinate"),
     "family location": (lambda v: DriftingAtomFamily([(v, 1, 1)]), None),
     "family weight": (lambda v: DriftingAtomFamily([(0, Fraction(1, 3), 0), (1, v, 1)]), "weight"),
+    "tent end": (lambda v: tent_function((v, 1)), "tent end"),
+    "ball centre": (lambda v: _mass_of(SigmaSet.ball(v, 1)), None),
+    "ball radius": (lambda v: _mass_of(SigmaSet.ball(0, v)), "radius"),
+    "exterior centre": (lambda v: _mass_of(SigmaSet.ball_exterior(v, 1)), None),
 }
+# rule -> (which rationals it refuses, the error, its text; {q} is show(q))
 RULES = {
-    "weight": (lambda q: q <= 0, "atom weights must be positive"),
-    "ordinate": (lambda q: q < 0, "density must be nonnegative"),
+    "weight": (lambda q: q <= 0, ValueError, "atom weights must be positive"),
+    "ordinate": (lambda q: q < 0, ValueError, "density must be nonnegative"),
+    "tent end": (lambda q: q > 1, MalformedInterval, "need c <= d"),
+    "radius": (lambda q: q < 0, MalformedInterval, "negative radius {q}"),
 }
 
 
@@ -84,9 +100,13 @@ def _expected(v, rule):
     try:
         q = Fraction(v)
     except (TypeError, ValueError, ArithmeticError):
-        return MalformedInterval, f"expected a rational number, got {v!r}"
+        try:
+            shown = repr(v)
+        except ValueError:
+            shown = f"a {type(v).__name__} that cannot be printed"
+        return MalformedInterval, f"expected a rational number, got {shown}"
     if rule is not None and RULES[rule][0](q):
-        return ValueError, RULES[rule][1]
+        return RULES[rule][1], RULES[rule][2].format(q=show(q))
     return None
 
 
@@ -103,6 +123,12 @@ def _expected(v, rule):
 @example(spec=0, build="point weight")
 @example(spec=-1, build="family weight")
 @example(spec=Fraction(-1, 2), build="density ordinate")
+@example(spec=[1], build="measure location")  # its repr raised in the message
+@example(spec=None, build="tent end")  # escaped as TypeError
+@example(spec=None, build="ball centre")  # escaped as TypeError
+@example(spec=0.1, build="ball centre")  # built, then its mass raised AttributeError
+@example(spec=None, build="ball radius")
+@example(spec=None, build="exterior centre")
 def test_hostile_values_refused_loudly(spec, build):
     """Each build succeeds or refuses exactly as :func:`_expected` says, and
     its message prints under the interpreter's default digit limit."""
