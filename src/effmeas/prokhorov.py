@@ -12,10 +12,7 @@ convergence data and Prokhorov convergence data.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from .convergence import MeasureSeq, Modulus
@@ -319,51 +316,49 @@ def prokhorov_bounds(mu: Measure, nu: Measure, n: int) -> tuple[Fraction, Fracti
 
 
 def _union_mass_gaps(
-    balls: Sequence[tuple[Fraction, Fraction]], limit_side: Side
-) -> Callable[[Side], tuple[Fraction, Fraction]]:
-    """member's :data:`Side` -> (D, o_n) on the open ``balls`` against the
-    limit's (:meth:`~effmeas.measures.DiscreteMeasure.lattice`).
+    balls: Sequence[tuple[Fraction, Fraction]], limit: Measure
+) -> Callable[[Measure], tuple[Fraction, Fraction]]:
+    """member -> (D, o_n) on the open ``balls`` against ``limit``.
 
     D is the sup over unions A of the balls of |mu_n(A) - mu(A)|, and o_n
     the member mass outside every ball.  D is one sweep over the balls
     sorted by left end, whose state is a chosen set's frontier F, its
     largest right end so far.  Every chosen ball starts at or before the
     next left end l, so above l the chosen union is exactly (l, F): ball
-    (l, r) adds the signed mass of (l, r) if F <= l, of [F, r) if
-    l < F < r, and nothing if F >= r.  What is still to come depends on F
-    alone, so each frontier keeps only its largest and smallest signed sum,
-    and D = max(max, -min) over them.  There are at most #balls + 1
-    frontiers, so the sweep takes O(#balls^2) bisections over one
-    prefix-sum list, for any balls.  It runs on ``int``s: the ball ends and
-    both measures' locations on the lcm of the ends' denominators and both
-    ``lx``, the signed weights on the lcm of both ``lw``.
+    (l, r) adds the signed mass of (l, r), below(r) - upto(l), if F <= l,
+    of [F, r), below(r) - below(F), if l < F < r, and nothing if F >= r.
+    What is still to come depends on F alone, so each frontier keeps only
+    its largest and smallest signed sum, and D = max(max, -min) over them.
+    o_n is the member total less below(r) - upto(l) over the union's
+    components.  below and upto, the masses of (-inf, x) and (-inf, x],
+    come from :meth:`~effmeas.measures.Measure.cumulative` at the distinct
+    ball ends, one call for the limit and one per member, so either may be
+    of any class with exact region masses.  The sweep runs on the ends'
+    ranks: at most #balls + 1 frontiers, O(#balls^2) ``int`` lookups.
     """
-    ys, vs, ly, lv = limit_side
-    ends, le = _common([e for ball in balls for e in ball], ly)
-    order = sorted(zip(ends[::2], ends[1::2]))
-    ends = [e for ball in order for e in ball]  # (l, r) of each ball, by left end
-    union = [e for comp in merge_open(order) for e in comp]
-    ys, negated = _onto(ys, ly, le), [-v for v in vs]
+    ends, le = _common([e for ball in balls for e in ball])
+    keys = sorted(set(ends))
+    rank = {k: i for i, k in enumerate(keys)}
+    order = sorted(zip([rank[e] for e in ends[::2]], [rank[e] for e in ends[1::2]]))
+    union = merge_open(order)
+    lim_below, lim_upto, _, lv = limit.cumulative(keys, le)
 
-    def gaps(member_side: Side) -> tuple[Fraction, Fraction]:
-        xs, ws, lx, lw = member_side
-        L, W = math.lcm(le, lx), math.lcm(lv, lw)
-        xs, es, us = _onto(xs, lx, L), _onto(ends, le, L), _onto(union, le, L)
-        # two runs sorted by location: the sort is one merge
-        member, limit = zip(xs, _onto(ws, lw, W)), zip(_onto(ys, le, L), _onto(negated, lv, W))
-        signed = sorted([*member, *limit], key=itemgetter(0))
-        keys = [x for x, _ in signed]
-        pre = list(accumulate((w for _, w in signed), initial=0))
+    def gaps(member: Measure) -> tuple[Fraction, Fraction]:
+        m_below, m_upto, total, lw = member.cumulative(keys, le)
+        W = math.lcm(lv, lw)
+        km, kl = W // lw, W // lv
+        below = [x * km - y * kl for x, y in zip(m_below, lim_below)]
+        upto = [x * km - y * kl for x, y in zip(m_upto, lim_upto)]
         # frontier -> (max, min) signed sum; None is the empty set's
         sums: dict = {None: (0, 0)}
-        for l, r in zip(es[::2], es[1::2]):
-            hi = pre[bisect_left(keys, r)]
+        for l, r in order:
+            hi = below[r]
             tops, bots = [], []
             for F, (top, bot) in sums.items():
                 if F is None or F <= l:
-                    gain = hi - pre[bisect_right(keys, l)]
+                    gain = hi - upto[l]
                 elif F < r:
-                    gain = hi - pre[bisect_left(keys, F)]
+                    gain = hi - below[F]
                 else:
                     continue
                 tops.append(top + gain)
@@ -372,12 +367,8 @@ def _union_mass_gaps(
                 tops.append(sums[r][0])
                 bots.append(sums[r][1])
             sums[r] = max(tops), min(bots)
-        outside = 0
-        for x, w in zip(xs, ws):
-            i = bisect_left(us, x)  # odd inside a component (us[i - 1], us[i])
-            if i % 2 == 0 or us[i] == x:
-                outside += w
-        return Fraction(max(max(t, -b) for t, b in sums.values()), W), Fraction(outside, lw)
+        inside = sum(m_below[r] - m_upto[l] for l, r in union)
+        return Fraction(max(max(t, -b) for t, b in sums.values()), W), Fraction(total - inside, lw)
 
     return gaps
 
@@ -415,13 +406,15 @@ def eps_from_weak(
     o_n = u + mu(union) - mu_n(union) <= u + D < 2^-(N+1), so on
     mass-preserving sequences the index is the one D alone gives.  D and
     o_n of a member come from one frontier sweep over the balls sorted by
-    left end (:func:`_union_mass_gaps`): O(#balls^2) bisections over the
-    prefix sums of mu_n - mu, not one test per union.
+    left end (:func:`_union_mass_gaps`): O(#balls^2) ``int`` lookups in the
+    masses of mu_n and mu at the ball ends, not one test per union.
 
-    The cover and the sweep run on the ``int`` lattices of the limit and the
-    members (:meth:`~effmeas.measures.DiscreteMeasure.lattice`), read through
-    nothing else: a member built by ``from_ints`` or a drifting family never
-    builds its ``atoms``, nor does such a limit.
+    The cover reads the limit's ``int`` lattice
+    (:meth:`~effmeas.measures.DiscreteMeasure.lattice`); the sweep reads the
+    limit and each member through :meth:`~effmeas.measures.Measure.cumulative`
+    alone, so a member may be of any class with exact region masses, and a
+    discrete member or limit built by ``from_ints`` or a drifting family
+    never builds its ``atoms``.
 
     The supplied per-ball moduli must certify exact stability (their index
     bounds the drift below every ball boundary), which makes D < 2^-(N+2)
@@ -437,7 +430,7 @@ def eps_from_weak(
         raise UnsupportedMeasureClass("eps_from_weak requires a finite discrete limit")
     s = _pow2(N + 3)
     slack = _pow2(N + 2)
-    ys, vs, ly, lv = side = limit.lattice()
+    ys, vs, ly, lv = limit.lattice()
     firsts = first_cover_balls(limit, s, [Fraction(y, ly) for y in ys])
     # Atoms in the order the walk would cover them; take their balls until
     # the uncovered limit mass, uncovered/lv, drops to the slack.
@@ -461,8 +454,8 @@ def eps_from_weak(
         )
     bound = _pow2(N + 2)
     outside_bound = _pow2(N + 1)
-    gaps_at = _union_mass_gaps(balls, side)
-    top, outside = gaps_at(seq[n_hi].lattice())
+    gaps_at = _union_mass_gaps(balls, limit)
+    top, outside = gaps_at(seq[n_hi])
     if top >= bound:
         raise ContractViolation(
             "almost-decidable modulus contract failure at its own index",
@@ -475,7 +468,7 @@ def eps_from_weak(
         )
     n0 = n_hi
     while n0 > 0:
-        sup, outside = gaps_at(seq[n0 - 1].lattice())
+        sup, outside = gaps_at(seq[n0 - 1])
         if sup >= bound or outside >= outside_bound:
             break
         n0 -= 1

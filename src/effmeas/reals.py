@@ -38,13 +38,15 @@ def _pow2(n: int) -> Fraction:
 
 def _fraction(v) -> Fraction:
     """``v`` as a Fraction, built only when ``v`` is not exactly one already;
-    a value no Fraction takes, ``None`` say, raises :class:`MalformedInterval`.
+    a value no Fraction takes, ``None`` say, and any ``float``, whose binary
+    value need not be the decimal it prints, raise :class:`MalformedInterval`.
     Its message shows ``repr(v)``, or the type where that repr raises, as for
     a tuple holding an ``int`` past the interpreter's digit limit."""
     if type(v) is Fraction:
         return v
     try:
-        return Fraction(v)
+        if not isinstance(v, float):
+            return Fraction(v)
     except (TypeError, ValueError, ArithmeticError):
         pass
     try:

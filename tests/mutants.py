@@ -112,11 +112,11 @@ MUTANTS = (
             " hi = need < lo = above, and the final test returns D(T)/lw"
         ),
     ),
-    # the frontier sweep of eps_from_weak's union-mass sup, on the int lattice
+    # the frontier sweep of eps_from_weak's union-mass sup, on cumulative masses
     Mutant(
         "union sweep: the frontier point dropped",
-        "pre[bisect_left(keys, F)]",
-        "pre[bisect_right(keys, F)]",
+        "gain = hi - below[F]",
+        "gain = hi - upto[F]",
         tests=("tests/test_prokhorov.py::TestEpsFromWeak",),
     ),
     Mutant(
@@ -127,8 +127,8 @@ MUTANTS = (
     ),
     Mutant(
         "union sweep: ball ends left off the common lattice",
-        "_onto(ends, le, L)",
-        "ends",
+        "member.cumulative(keys, le)",
+        "member.cumulative(keys, 1)",
         tests=("tests/test_prokhorov.py::TestEpsFromWeak",),
     ),
     # the int sweep of PolyDensityMeasure.cells
@@ -313,6 +313,13 @@ MUTANTS = (
         "refusal: a repr that raises escapes the message",
         "        shown = repr(v)\n    except Exception:",
         "        shown = repr(v)\n    except TypeError:",
+        file=REALS,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
+    ),
+    Mutant(
+        "refusal: a float taken as its binary rational",
+        "if not isinstance(v, float):",
+        "if True:",
         file=REALS,
         tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
     ),

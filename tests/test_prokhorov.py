@@ -36,8 +36,9 @@ from effmeas.prokhorov import (
     eps_from_weak,
     eps_function,
 )
-from effmeas.corpora import DriftingAtomFamily, corpus_by_name, deltadrift, deltashrink, mixture
+from effmeas.corpora import DriftingAtomFamily, _first_below, corpus_by_name, deltadrift, deltashrink, mixture
 from effmeas.reals import CauchyReal, _pow2
+from effmeas.sets import merge_open
 from tests.conftest import mass_closed_per_component, rand_discrete, spelled_from_ints
 
 
@@ -677,12 +678,21 @@ def union_mass_gap_sup_all_balls(mu_n, mu, balls):
     return best
 
 
+def union_mass_gap_sup_all_unions(mu_n, mu, balls):
+    """Union-mass sup over every union of the balls, each by its region masses (oracle)."""
+    k = len(balls)
+    unions = [merge_open([balls[i] for i in range(k) if mask >> i & 1]) for mask in range(1 << k)]
+    return max(abs(mu_n.region_mass_open(A) - mu.region_mass_open(A)) for A in unions)
+
+
 @st.composite
 def union_gap_cases(draw):
-    """At most 8 balls, and a member and a limit of at most 6 atoms each.
+    """At most 8 balls, and a member and a limit of at most 6 atoms each,
+    or, one time in four each, a polygonal density.
 
     Ends lie on the half-integers of [-3, 3], so balls touch and share
-    ends.  Atoms lie on the quarters of [-13/4, 13/4], and often on ends.
+    ends.  Atoms and density vertices lie on the quarters of [-13/4, 13/4],
+    and atoms often on ends.
     """
     point = st.builds(Fraction, st.integers(-6, 6), st.just(2))
     ball = st.tuples(point, point).filter(lambda b: b[0] < b[1])
@@ -695,6 +705,11 @@ def union_gap_cases(draw):
     weight = st.builds(Fraction, st.integers(1, 5), st.sampled_from((1, 2, 3, 8)))
 
     def measure():
+        if draw(st.integers(0, 3)) == 0:
+            quarter = st.builds(Fraction, st.integers(-13, 13), st.just(4))
+            xs = sorted(draw(st.lists(quarter, min_size=2, max_size=5, unique=True)))
+            ys = draw(st.lists(weight, min_size=len(xs) - 2, max_size=len(xs) - 2))
+            return PolyDensityMeasure(PolyFunc(tuple(zip(xs, [0, *ys, 0]))))
         atoms = draw(st.lists(st.tuples(loc, weight), max_size=6))
         if draw(st.booleans()):
             return DiscreteMeasure(tuple(atoms))
@@ -941,7 +956,11 @@ class TestEpsFromWeak:
     )
     def test_frontier_sweep_matches_all_unions_oracle(self, case):
         balls, mu_n, mu = case
-        D, outside = prokhorov._union_mass_gaps(balls, mu.lattice())(mu_n.lattice())
+        D, outside = prokhorov._union_mass_gaps(balls, mu)(mu_n)
+        if not (isinstance(mu_n, DiscreteMeasure) and isinstance(mu, DiscreteMeasure)):
+            assert D == union_mass_gap_sup_all_unions(mu_n, mu, balls)
+            assert outside == mu_n.exact_total_mass() - mu_n.region_mass_open(balls)
+            return
         assert D == union_mass_gap_sup_all_balls(mu_n, mu, balls)
         assert outside == sum(
             (w for x, w in mu_n.atoms if not any(l < x < r for l, r in balls)), Fraction(0)
@@ -954,6 +973,18 @@ class TestEpsFromWeak:
         t0 = time.perf_counter()
         assert eps_from_weak(fam, fam.limit(), fam.ad_modulus, 6) == 11
         assert time.perf_counter() - t0 < 1
+
+    def test_density_members(self):
+        # mu_n is the triangle density of mass 1 on (-2^-n, 2^-n) -> delta_0;
+        # each ball's mass is exact once the support is inside it or off it
+        seq = MeasureSeq(lambda n: PolyDensityMeasure(PolyFunc(((-_pow2(n), 0), (0, 1 << n), (_pow2(n), 0)))))
+        ad = lambda p: Modulus.constant(_first_below(min(abs(e) for e in p.U.components[0])))
+        idxs = [eps_from_weak(seq, delta(0), ad, N) for N in range(1, 7)]
+        assert idxs == [5, 7, 8, 9, 10, 11]
+        for N, idx in enumerate(idxs, 1):
+            for n in range(idx, idx + 4):
+                lo, hi = prokhorov_bounds(seq[n], delta(0), N + 3)
+                assert lo <= hi < _pow2(N)
 
     def test_negative_modulus_index_rejected(self):
         c = mixture()

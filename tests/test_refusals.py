@@ -96,8 +96,11 @@ RULES = {
 
 
 def _expected(v, rule):
-    """``None`` if the build must succeed, else the error's type and text."""
+    """``None`` if the build must succeed, else the error's type and text.
+    A float is refused as a value no rational takes, whatever its binary value."""
     try:
+        if isinstance(v, float):
+            raise TypeError("a float")
         q = Fraction(v)
     except (TypeError, ValueError, ArithmeticError):
         try:
@@ -126,7 +129,8 @@ def _expected(v, rule):
 @example(spec=[1], build="measure location")  # its repr raised in the message
 @example(spec=None, build="tent end")  # escaped as TypeError
 @example(spec=None, build="ball centre")  # escaped as TypeError
-@example(spec=0.1, build="ball centre")  # built, then its mass raised AttributeError
+@example(spec=0.1, build="ball centre")  # refused: once built on its binary value
+@example(spec=0.1, build="point location")  # refused: once the atom 3602879701896397/2^55
 @example(spec=None, build="ball radius")
 @example(spec=None, build="exterior centre")
 def test_hostile_values_refused_loudly(spec, build):
