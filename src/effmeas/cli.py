@@ -210,12 +210,8 @@ def cmd_demo_specker(args) -> int:
             msg = f"enumeration {args.enum!r} holds {horizon + 1} values, needs {idx + 1}"
             raise ParseError(None, msg)
         top, last = min(top, horizon), min(last, horizon)
-    comps = poly.support_components()
-    hull_hi = comps[-1][1] if comps else 0  # from the polygon, not the oracle
-    limit_val = sum(
-        (sp.weight(i) * poly(Fraction(i)) for i in range(max(0, hull_hi.__ceil__()) + 1)),
-        Fraction(0),
-    )
+    # exact at any precision: the atoms up to the end of the polygon's support
+    limit_val = sp.limit_measure().integrate_zero_outside(poly, 0)
     rows = []
     for n in range(top + 1):
         q = abs(integrate_poly(poly, sp.seq[n]) - limit_val)

@@ -137,9 +137,6 @@ class CheckReport:
         report vouches for nothing, so it fails."""
         return bool(self.rows) and all(r.ok for r in self.rows)
 
-    def failures(self) -> list[CheckRow]:
-        return [r for r in self.rows if not r.ok]
-
 
 def _window_rows(
     N: int,
@@ -426,11 +423,7 @@ class SpeckerSequence:
         return self.vague_modulus
 
     def limit_measure(self) -> LazyDiscreteMeasure:
-        return LazyDiscreteMeasure(
-            lambda i: (Fraction(i), self.weight(i)),
-            locations_increasing=True,
-            location_predicate=lambda x: x == int(x) and x >= 0,
-        )
+        return LazyDiscreteMeasure(self.weight)
 
     def total_mass_lower(self) -> LowerReal:
         return LowerReal(

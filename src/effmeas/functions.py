@@ -59,9 +59,9 @@ def _rational(v):
     return v if type(v) is int or type(v) is Fraction else _fraction(v)
 
 
-def _common(qs, base: int = 1) -> tuple[list[int], int]:
-    """Rationals as ``int``s on the lcm of ``base`` and their denominators, and that lcm."""
-    l = math.lcm(base, *[q.denominator for q in qs])
+def _common(qs) -> tuple[list[int], int]:
+    """Rationals as ``int``s on the lcm of their denominators, and that lcm."""
+    l = math.lcm(*[q.denominator for q in qs])
     return [q.numerator * (l // q.denominator) for q in qs], l
 
 

@@ -1,10 +1,9 @@
 """Computable finite Borel measures on the real line.
 
 Two exactly-integrable concrete classes are provided: finite discrete
-measures and measures with a polygonal density.  A lazily-extendable
-discrete class backs the hidden-enumeration demo: its prefix is exact and
-its total mass is only ever exposed through lower bounds unless a tail
-bound is supplied.
+measures and measures with a polygonal density.  A lazily revealed
+discrete class on the natural numbers backs the hidden-enumeration demo:
+its prefix is exact and it has no total-mass name.
 """
 
 from __future__ import annotations
@@ -74,8 +73,7 @@ class Measure:
     - :meth:`cells`, the finite discretisation the Prokhorov bounds search.
 
     :meth:`exact_total_mass` is an optional fast path and returns ``None``
-    when the class has no exact mass; :meth:`truncated` returns the measure
-    itself unless the class reveals its atoms lazily.
+    when the class has no exact mass.
     """
 
     def _unsupported(self, what: str):
@@ -143,11 +141,6 @@ class Measure:
         """The integral of a compactly supported named function within 2^-n."""
         tol = _pow2(n) / (self.total_mass_upper() + 1)
         return integrate_poly(approx_polygonal(f, tol), self)
-
-    def truncated(self, err: Fraction) -> "Measure":
-        """A measure whose integrals of |f| <= 1 are within ``err`` of these
-        and whose :meth:`support_radius` is known."""
-        return self
 
     def null_test(self) -> Callable[[Fraction], bool]:
         """x -> is {x} mu-null."""
@@ -454,93 +447,38 @@ class PolyDensityMeasure(Measure):
 
 
 class LazyDiscreteMeasure(Measure):
-    """A discrete measure revealed atom by atom.
+    """Mass ``weight(i)`` at each natural number i, revealed atom by atom.
 
-    ``tail_bound(k)`` bounds the mass beyond the first k atoms; if omitted
-    the measure exposes only left-c.e. information (no Cauchy-name total
-    mass), which is exactly the hidden-enumeration regime.
+    No tail bound is known, so the total mass is only left-c.e. and
+    :meth:`Measure.total_mass_real` and :meth:`Measure.total_mass_upper`
+    refuse: the hidden-enumeration regime of the Specker limit.  A function
+    that is 0 right of some point still integrates exactly, over the atoms
+    at or left of it.
     """
 
-    def __init__(
-        self,
-        atom_source,
-        tail_bound: Callable[[int], Fraction] | None = None,
-        locations_increasing: bool = False,
-        location_predicate: Callable[[Fraction], bool] | None = None,
-    ):
-        self.atom_stream = Stream(atom_source)
-        self.tail_bound = tail_bound
-        self.locations_increasing = locations_increasing
-        self.location_predicate = location_predicate
+    def __init__(self, weight: Callable[[int], Fraction]):
+        self.weight = weight
 
     def prefix(self, k: int) -> list[tuple[Fraction, Fraction]]:
-        return self.atom_stream.prefix(k)
+        """The first k atoms, ``(i, weight(i))`` for i < k."""
+        return [(Fraction(i), self.weight(i)) for i in range(k)]
 
-    def prefix_mass(self, k: int) -> Fraction:
-        return sum((w for _, w in self.prefix(k)), Fraction(0))
-
-    def total_mass_lower(self) -> LowerReal:
-        return LowerReal(lambda n: self.prefix_mass(n))
-
-    def _tail(self) -> Callable[[int], Fraction]:
-        if self.tail_bound is None:
-            self._unsupported("tail bound: total mass is only left-c.e.")
-        return self.tail_bound
-
-    def _prefix_len(self, err: Fraction) -> int:
-        """The least k with ``tail_bound(k) <= err``."""
-        tail = self._tail()
-        k = 0
-        while tail(k) > err:
-            k += 1
-        return k
-
-    def total_mass_real(self) -> CauchyReal:
-        self._tail()  # refused here, not at the first term
-        return CauchyReal(lambda n: self.prefix_mass(self._prefix_len(_pow2(n + 1))))
-
-    def total_mass_upper(self) -> Fraction:
-        return Fraction(self._tail()(0))
-
-    def truncated(self, err: Fraction) -> DiscreteMeasure:
-        """The first k atoms, k the least with ``tail_bound(k) <= err``."""
-        return DiscreteMeasure(tuple(self.prefix(self._prefix_len(err))))
-
-    def _finite_part(self, hi: Fraction, err) -> DiscreteMeasure:
-        """The finite measure that stands in for this one under a function
-        that is 0 right of ``hi``.  With increasing locations, the atoms at
-        or left of ``hi``, the list cut at the first one beyond it: no such
-        integral changes and no tail bound is needed.  Otherwise
-        ``truncated(err)``."""
-        if not self.locations_increasing:
-            return self.truncated(err)
-        atoms = []
-        for k in itertools.count():
-            loc, w = self.atom_stream[k]
-            if loc > hi:
-                return DiscreteMeasure(tuple(atoms))
-            atoms.append((loc, w))
+    def _up_to(self, hi: Fraction) -> DiscreteMeasure:
+        """The atoms at or left of ``hi``: no weight beyond floor(hi) is read."""
+        return DiscreteMeasure(tuple(self.prefix(math.floor(hi) + 1)))
 
     def integrate_zero_outside(self, p: PolyFunc, n: int) -> Fraction:
-        """Exact on the part of the measure left of p's last vertex, or on
-        the prefix whose tail is small enough for p."""
-        X, _, dx, _ = p.lattice()
-        part = self._finite_part(Fraction(X[-1], dx), _pow2(n + 1) / (p.bound() + 1))
-        return part.integrate_poly(p)
+        """Exact, over the atoms up to the end of p's support (none for the
+        zero polygon): p is 0 at every atom beyond it."""
+        comps = p.support_components()
+        return self._up_to(comps[-1][1] if comps else -1).integrate_poly(p)
 
     def integrate_supported(self, f: SupportedFunc, n: int) -> Fraction:
-        """With increasing locations, over the atoms up to the support's hull;
-        otherwise :meth:`integrate_zero_outside` of a polygon close to f."""
-        if self.locations_increasing:
-            return self._finite_part(f.hull()[1], None).integrate_supported(f, n)
-        psi = approx_polygonal(f, _pow2(n + 1) / (self.total_mass_upper() + 1))
-        return self.integrate_zero_outside(psi, n)
+        """Over the atoms up to the right end of f's support hull."""
+        return self._up_to(f.hull()[1]).integrate_supported(f, n)
 
     def null_test(self) -> Callable[[Fraction], bool]:
-        pred = self.location_predicate
-        if pred is None:
-            self._unsupported("location predicate for null spheres")
-        return lambda x: not pred(x)
+        return lambda x: x.denominator != 1 or x < 0
 
     def open_mass(self, U: SigmaSet) -> LowerReal:
         """Bound k: the mass of U's k-th inner union under the first k atoms."""
@@ -569,7 +507,6 @@ def integrate_named(f, mu: Measure, n: int) -> Fraction:
     name, B = f
     B = Fraction(B)
     mass = mu.total_mass_upper()
-    mu = mu.truncated(_pow2(n + 2) / (2 * B + 1))
     radius = mu.support_radius() + 1
     tol = _pow2(n + 1) / (mass + 1)
     psi = polygonal_on_window(name, -radius, radius, tol)

@@ -151,8 +151,8 @@ class SigmaSet:
     are only ever queried through ``components``.
     """
 
-    def __init__(self, enumeration, components: Sequence[OpenComp] | None = None):
-        self.components = merge_open(components) if components is not None else None
+    def __init__(self, enumeration):
+        self.components: tuple[OpenComp, ...] | None = None
         self._source = enumeration
         self._stream: Stream | None = None
         # (n, union of 0..n-1)
@@ -172,10 +172,6 @@ class SigmaSet:
             raise MalformedInterval(
                 f"enumerated interval ({l}, {r}) escapes the open set"
             )
-
-    @classmethod
-    def from_components(cls, comps: Sequence[OpenComp]) -> "SigmaSet":
-        return cls._exact(merge_open(comps))
 
     @classmethod
     def _exact(cls, comps: tuple[OpenComp, ...]) -> "SigmaSet":
@@ -221,18 +217,13 @@ class PiSet:
     intervals it avoids are the enumeration of the SigmaSet ``complement``.
 
     An interval misses C exactly when it lies in one component of the
-    complement, so exact ``closed_components`` give its exact components.
+    complement; a set from :func:`pi_from_complement` knows its exact
+    ``closed_components``, and the complement its exact components.
     """
 
-    def __init__(self, avoid_enumeration, closed_components: Sequence[ClosedComp] | None = None):
-        self.closed_components = None
+    def __init__(self, avoid_enumeration):
+        self.closed_components: tuple[ClosedComp, ...] | None = None
         self.complement = SigmaSet(avoid_enumeration)
-        if closed_components is not None:
-            self.closed_components = merge_closed(closed_components)
-            self.complement.components = complement_of_closed(self.closed_components)
-
-    def avoided(self, k: int) -> tuple[Fraction, Fraction]:
-        return self.complement.interval(k)
 
 
 def pi_from_complement(closed_intervals) -> PiSet:

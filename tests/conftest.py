@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import effmeas.measures as measures
 from effmeas import DiscreteMeasure, PolyFunc, constant_func
-from effmeas.sets import merge_closed, merge_open
+from effmeas.sets import SigmaSet, merge_closed, merge_open
 
 
 def rand_rational(rng: random.Random, lo=-4, hi=4, max_den=16) -> Fraction:
@@ -50,6 +50,11 @@ def spelled_from_ints(draw, atoms):
             num.append(sign * m * q.numerator)
             den.append(sign * m * q.denominator)
     return DiscreteMeasure.from_ints(*cols)
+
+
+def exact_open(comps) -> SigmaSet:
+    """The open set on the union of ``comps``, exact as a ball is."""
+    return SigmaSet._exact(merge_open(comps))
 
 
 def open_contains_point(comps, x: Fraction) -> bool:

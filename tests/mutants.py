@@ -228,25 +228,39 @@ MUTANTS = (
     ),
     # the polygon entry: the converters' tents, trapezoids and surrogates
     Mutant(
-        "polygon entry: lazy atoms cut at the first vertex",
-        "part = self._finite_part(Fraction(X[-1], dx),",
-        "part = self._finite_part(Fraction(X[0], dx),",
+        "polygon entry: lazy atoms cut at the support's start",
+        "self._up_to(comps[-1][1] if comps else -1)",
+        "self._up_to(comps[0][0] if comps else -1)",
         file=MEASURES,
         tests=("tests/test_measures.py::TestIntegrateZeroOutside",),
     ),
     Mutant(
-        "polygon entry: the truncation's + 1 dropped",
-        "_pow2(n + 1) / (p.bound() + 1))\n        return part",
-        "_pow2(n) / (p.bound() + 1))\n        return part",
+        "polygon entry: lazy atoms cut at the last vertex",
+        "self._up_to(comps[-1][1] if comps else -1)",
+        "self._up_to(Fraction(p.lattice()[0][-1], p.lattice()[2]))",
+        file=MEASURES,
+        tests=("tests/test_cli.py::TestDemoSpecker",),
+    ),
+    Mutant(
+        "lazy atoms: the one at floor(hi) dropped",
+        "self.prefix(math.floor(hi) + 1)",
+        "self.prefix(math.floor(hi))",
         file=MEASURES,
         tests=("tests/test_measures.py::TestIntegrateZeroOutside",),
     ),
     Mutant(
-        "finite part: atoms read past the polygon's end",
-        "            if loc > hi:",
-        "            if loc > hi + 1:",
+        "lazy atoms: read past the polygon's end",
+        "self.prefix(math.floor(hi) + 1)",
+        "self.prefix(math.floor(hi) + 2)",
         file=MEASURES,
         tests=("tests/test_measures.py::TestIntegrateZeroOutside",),
+    ),
+    Mutant(
+        "lazy atoms: the point 0 taken for null",
+        "x.denominator != 1 or x < 0",
+        "x.denominator != 1 or x <= 0",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestLazyDiscrete",),
     ),
     Mutant(
         "vague_to_weak: the divergence test reads tm.of(N)",
@@ -461,13 +475,6 @@ MUTANTS = (
         "for K in _RADIUS_GRIDS for i in reversed(range(K)))",
         file=MEASURES,
         tests=("tests/test_measures.py::TestAlmostDecidable",),
-    ),
-    Mutant(
-        "protocol: truncated stops at a tail equal to err",
-        "while tail(k) > err:",
-        "while tail(k) >= err:",
-        file=MEASURES,
-        tests=("tests/test_measures.py",),
     ),
     Mutant(
         "protocol: the default cumulative returns None",

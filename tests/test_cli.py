@@ -162,6 +162,19 @@ class TestDemoSpecker:
         assert code == 0 and [r[2] for r in rows_of(out)] == ["0", "1", "2", "3", "4"]
         assert out.splitlines()[-3:] == ["#   fuel 0: 1/2", "#   fuel 2: 7/8", "#   fuel 4: 31/32"]
 
+    def test_trailing_zero_vertex_reads_no_value_past_the_support(self, tmp_path):
+        # the support ends at 3 and the last vertex at 50: the index is 4, so
+        # 5 values are enough, and the limit value reads values 0..3 alone
+        f = tmp_path / "f.poly"
+        f.write_text("polyfunc zero-outside\n1 0\n2 1\n3 0\n50 0\n")
+        e = tmp_path / "enum.txt"
+        e.write_text("0\n2\n1\n3\n4\n")
+        code, out, err = run_process("demo", "specker", "--enum", str(e), "--function", str(f))
+        assert (code, err) == (0, "")
+        assert rows_of(out) == [
+            ["0", "4", str(n), q, "0", "pass"] for n, q in enumerate(["1/4", "1/4", "0", "0", "0"])
+        ]
+
     def test_huge_value_is_a_parse_error(self, capsys, tmp_path):
         # weight 2^-(10^5000 + 1) cannot be built: refused at the file's line
         e = tmp_path / "enum.txt"

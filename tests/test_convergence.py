@@ -48,7 +48,7 @@ from effmeas.convergence import (
 from effmeas.corpora import builtin_function, corpus_by_name, deltan, deltashrink, mixture
 from effmeas.functions import CompactOpenName, co_name_of_poly, polygonal_on_window
 from effmeas.reals import _pow2
-from tests.conftest import rand_supported_poly
+from tests.conftest import exact_open, rand_supported_poly
 
 
 def validate_total_mass_modulus_all_pairs(seq, tm, Ns, window):
@@ -218,7 +218,7 @@ class TestCheckModulus:
             lambda n: _pow2(n), Fraction(0), Modulus.constant(0), [4], Fuel(2)
         )
         assert not rep.passed
-        assert rep.failures()[0].checked_n == 0
+        assert [r.checked_n for r in rep.rows if not r.ok][0] == 0
 
     def test_cauchy_limit(self):
         limit = CauchyReal.from_rational(Fraction(1, 3))
@@ -531,11 +531,7 @@ class TestVagueToWeak:
             validate_total_mass_modulus(seq, TotalMassModulus.constant(0), Ns, window)
 
     def test_lazy_members_unsupported(self):
-        seq = MeasureSeq(
-            lambda n: LazyDiscreteMeasure(
-                lambda i: (Fraction(i), _pow2(i + 1)), tail_bound=lambda k: _pow2(k + 1)
-            )
-        )
+        seq = MeasureSeq(lambda n: LazyDiscreteMeasure(lambda i: _pow2(i + 1)))
         with pytest.raises(UnsupportedMeasureClass):
             validate_total_mass_modulus(seq, TotalMassModulus.constant(0), [2], 4)
 
@@ -655,11 +651,9 @@ class TestLimitReconstruction:
             assert abs(val - expect) <= _pow2(10)
 
     def test_open_mass_from_components(self):
-        from effmeas import SigmaSet
-
         c = deltashrink()
         rec = limit_from_vague(c.seq, c.vague_oracle, CauchyReal.from_rational(1))
-        U = SigmaSet.from_components([(Fraction(-2), Fraction(-1)), (Fraction(-1, 2), Fraction(1, 2))])
+        U = exact_open([(Fraction(-2), Fraction(-1)), (Fraction(-1, 2), Fraction(1, 2))])
         assert abs(rec.open_mass(U).bound(12) - 1) <= _pow2(10)
 
 
@@ -685,10 +679,8 @@ class TestPortmanteau:
         assert bad.rows == [CheckRow(0, -1, -1, Fraction(-1, 4), mu_c, False)]
 
     def test_open_liminf(self):
-        from effmeas import SigmaSet
-
         c = deltashrink()
-        U = SigmaSet.from_components([(Fraction(-1), Fraction(1))])  # mu(U) = 1
+        U = exact_open([(Fraction(-1), Fraction(1))])  # mu(U) = 1
         mu_u = c.limit.region_mass_open(U.components)
         rep = check_cut(0, 1, Fraction(1, 2), mu_u, self.open_mass(c.seq, U), 20, above=True)
         assert rep.passed and len(rep.rows) == 21
@@ -696,11 +688,9 @@ class TestPortmanteau:
     def test_cut_boundary_is_not_in_the_cut(self):
         # r must be strictly past the limit's value: r == cut is refused on
         # both sides, and so is r on the wrong side or a missing index
-        from effmeas import SigmaSet
-
         c = deltashrink()
         mu_c = c.limit.mass_closed(self.C.closed_components)
-        U = SigmaSet.from_components([(Fraction(-1), Fraction(1))])
+        U = exact_open([(Fraction(-1), Fraction(1))])
         mu_u = c.limit.region_mass_open(U.components)
         closed, opened = self.closed_mass(c.seq, self.C), self.open_mass(c.seq, U)
         for r, cut, member, above in (
@@ -736,19 +726,13 @@ class TestPortmanteau:
 
     @staticmethod
     def lazy_limit():
-        # a tail bound and a location predicate, but no exact region masses
-        return LazyDiscreteMeasure(
-            lambda i: (Fraction(i), _pow2(i + 1)),
-            tail_bound=lambda k: _pow2(k),
-            location_predicate=lambda x: x == int(x) and x >= 0,
-        )
+        # a null test, but no exact region masses
+        return LazyDiscreteMeasure(lambda i: _pow2(i + 1))
 
     # the cut and the target are the limit's values, so the limit refuses
     # before any member is read
     def test_open_liminf_lazy_limit_unsupported(self):
-        from effmeas import SigmaSet
-
-        U = SigmaSet.from_components([(Fraction(-1), Fraction(1))])
+        U = exact_open([(Fraction(-1), Fraction(1))])
         seq = deltashrink().seq
         with pytest.raises(UnsupportedMeasureClass):
             check_cut(

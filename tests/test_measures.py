@@ -35,6 +35,7 @@ from effmeas.measures import first_cover_balls, integrate_product
 from effmeas.reals import LowerReal, _pow2
 from effmeas.sets import merge_closed, merge_open
 from tests.conftest import (
+    exact_open,
     mass_closed_per_atom,
     mass_closed_per_component,
     open_contains_point,
@@ -418,35 +419,29 @@ def zero_outside_polys(draw):
     return PolyFunc(tuple(zip(xs, ys)), "zero-outside")
 
 
-def _lazy(kind: str) -> LazyDiscreteMeasure:
-    """Atom i of mass 2^-(i+1), so 2^-k bounds the mass beyond k atoms:
-    increasing locations i/6 - 4 (with or without the tail bound), or
-    locations hopping around 0 with the tail bound (the truncation path), or
-    hopping without it (refused)."""
-    if kind.startswith("increasing"):
-        return LazyDiscreteMeasure(
-            lambda i: (Fraction(i, 6) - 4, _pow2(i + 1)),
-            tail_bound=(lambda k: _pow2(k)) if kind == "increasing-tail" else None,
-            locations_increasing=True,
-        )
-    return LazyDiscreteMeasure(
-        lambda i: (Fraction((-1) ** i * (i % 13), 5), _pow2(i + 1)),
-        tail_bound=(lambda k: _pow2(k)) if kind == "hopping-tail" else None,
-    )
+def _lazy(last: int | None = None) -> LazyDiscreteMeasure:
+    """Atom i of mass 2^-(i+1) at each natural number i; a ``last`` given,
+    reading a weight beyond it raises ``IndexError``, as a finite file does."""
+
+    def weight(i: int) -> Fraction:
+        if last is not None and i > last:
+            raise IndexError(f"weight {i} read past {last}")
+        return _pow2(i + 1)
+
+    return LazyDiscreteMeasure(weight)
 
 
 @st.composite
 def measures_for_polygons(draw):
     """A measure of every class that answers the polygon entry: discrete by
     the constructor or ``from_ints``, a polygonal density, or lazy."""
-    how = draw(st.sampled_from(["constructor", "from_ints", "density", "increasing",
-                                "increasing-tail", "hopping-tail", "hopping"]))
+    how = draw(st.sampled_from(["constructor", "from_ints", "density", "lazy"]))
     if how == "density":
         xs = sorted(draw(st.sets(frac, min_size=2, max_size=5)))
         inner = [draw(st.fractions(min_value=0, max_value=3, max_denominator=8)) for _ in xs[2:]]
         return PolyDensityMeasure(PolyFunc(tuple(zip(xs, [Fraction(0)] + inner + [Fraction(0)]))))
-    if how not in ("constructor", "from_ints"):
-        return _lazy(how)
+    if how == "lazy":
+        return _lazy()
     weights = st.fractions(min_value=Fraction(1, 16), max_value=2, max_denominator=16)
     atoms = draw(st.lists(st.tuples(st.one_of(frac, _off_lattice), weights), max_size=8))
     if how == "constructor" or not atoms:
@@ -457,52 +452,39 @@ def measures_for_polygons(draw):
     )
 
 
-def _answer(integrate):
-    try:
-        return integrate()
-    except UnsupportedMeasureClass as exc:
-        return type(exc), str(exc)
-
-
 _HAT = hat_function(Fraction(-10), Fraction(0), Fraction(10), Fraction(1))
 
 
 class TestIntegrateZeroOutside:
     @settings(max_examples=300, deadline=None)
     @given(zero_outside_polys(), measures_for_polygons(), st.integers(0, 12))
-    # every hopping atom lies where the hat is positive, so the truncation's
-    # length moves the answer
-    @example(_HAT, _lazy("hopping-tail"), 3)
-    @example(_HAT, _lazy("increasing"), 5)
-    @example(PolyFunc(((Fraction(5, 7), Fraction(0)),)), _lazy("increasing"), 0)
-    @example(PolyFunc(((Fraction(5, 7), Fraction(0)),)), _lazy("hopping-tail"), 0)
-    @example(PolyFunc(((Fraction(5, 7), Fraction(0)),)), _lazy("hopping"), 0)
+    @example(_HAT, _lazy(), 5)
+    @example(PolyFunc(((Fraction(5, 7), Fraction(0)),)), _lazy(), 0)
     def test_matches_the_supported_name_route(self, p, mu, n):
         """The polygon entry answers as ``integrate_named`` on the polygon's
-        supported name does: exactly, or with the same refusal."""
-        got = _answer(lambda: mu.integrate_zero_outside(p, n))
-        assert got == _answer(lambda: integrate_named(supported_from_poly(p), mu, n))
-        if isinstance(mu, LazyDiscreteMeasure) and not mu.locations_increasing and mu.tail_bound is None:
-            assert got == (UnsupportedMeasureClass, "unsupported measure class LazyDiscreteMeasure: "
-                                                     "no tail bound: total mass is only left-c.e.")
-        else:
-            assert isinstance(got, Fraction)
+        supported name does, exactly."""
+        got = mu.integrate_zero_outside(p, n)
+        assert isinstance(got, Fraction)
+        assert got == integrate_named(supported_from_poly(p), mu, n)
 
     def test_lazy_increasing_reads_atoms_to_the_last_vertex(self):
-        mu = _lazy("increasing")
-        p = hat_function(Fraction(-4), Fraction(-3), Fraction(-2), Fraction(6))
-        # atoms at -4 + i/6 for i = 0..12 lie in [-4, -2]; the one at 13 ends the cut
+        # the hat's support ends at its last vertex, 7/2: atoms 0..3 lie at or
+        # left of it, and weight 4 is never read
+        mu = _lazy(last=3)
+        p = hat_function(Fraction(1, 2), Fraction(2), Fraction(7, 2), Fraction(6))
         assert mu.integrate_zero_outside(p, 4) == sum(
-            (w * p(x) for x, w in mu.prefix(13)), Fraction(0)
+            (w * p(x) for x, w in mu.prefix(4)), Fraction(0)
         )
-        assert mu.atom_stream.pulled == 14
 
-    def test_lazy_hopping_reads_the_prefix_its_tail_allows(self):
-        # err = 2^-(n+1)/(|hat| + 1) = 2^-(n+2), and the tail 2^-k is first at
-        # most that at k = n + 2; every hopping atom counts under the hat
-        mu, n = _lazy("hopping-tail"), 3
-        want = sum((w * _HAT(x) for x, w in mu.prefix(n + 2)), Fraction(0))
-        assert mu.integrate_zero_outside(_HAT, n) == want
+    def test_lazy_reads_no_atom_past_the_support(self):
+        # a trailing zero vertex at 50 moves neither the cut nor the value;
+        # the supported route cuts at the hull's end, 3, as well
+        p = PolyFunc(((Fraction(1), Fraction(0)), (Fraction(2), Fraction(1)),
+                      (Fraction(3), Fraction(0)), (Fraction(50), Fraction(0))))
+        assert _lazy(last=3).integrate_zero_outside(p, 0) == Fraction(1, 8)
+        assert _lazy(last=3).integrate_supported(supported_from_poly(p), 0) == Fraction(1, 8)
+        with pytest.raises(IndexError):
+            _lazy(last=2).integrate_zero_outside(p, 0)
 
 
 class TestSpelledAtoms:
@@ -541,12 +523,12 @@ class TestPolyDensityMeasure:
         bounds = [lm.bound(k) for k in range(6)]
         assert bounds == sorted(bounds)
         assert bounds[-1] == u.region_mass_open([(Fraction(0), Fraction(1, 2) - _pow2(7))])
-        exact = u.open_mass(SigmaSet.from_components([(Fraction(0), Fraction(1, 2))]))
+        exact = u.open_mass(exact_open([(Fraction(0), Fraction(1, 2))]))
         assert exact.bound(0) == u.region_mass_open([(Fraction(0), Fraction(1, 2))])
 
     def test_open_mass_needs_region_masses(self):
         with pytest.raises(UnsupportedMeasureClass):
-            Measure().open_mass(SigmaSet.from_components([(Fraction(0), Fraction(1))]))
+            Measure().open_mass(exact_open([(Fraction(0), Fraction(1))]))
 
     def test_points_are_null(self):
         u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
@@ -632,8 +614,7 @@ OPEN_MASS_CASES = {
     "discrete": (lambda: DiscreteMeasure(((Fraction(0), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 4)),
                                           (Fraction(-2), Fraction(1, 4)))), open_mass_shared, 10),
     "density": (lambda: PolyDensityMeasure.uniform(Fraction(-1), Fraction(1)), open_mass_shared, 10),
-    "lazy-increasing": (lambda: _lazy("increasing"), open_mass_lazy, 10),
-    "lazy-hopping": (lambda: _lazy("hopping-tail"), open_mass_lazy, 10),
+    "lazy": (_lazy, open_mass_lazy, 10),
     "reconstructed": (_reconstructed, open_mass_reconstructed, 4),
 }
 _END = st.one_of(st.none(), frac)
@@ -652,7 +633,7 @@ class TestOpenMassPulls:
         if opaque:
             got_U, want_U = (SigmaSet(lambda k: ivs[k % len(ivs)]) for _ in range(2))
         else:
-            got_U, want_U = (SigmaSet.from_components(ivs) for _ in range(2))
+            got_U, want_U = (exact_open(ivs) for _ in range(2))
         got, want = build().open_mass(got_U), oracle(build(), want_U)
         assert [got.bound(k) for k in range(n)] == [want.bound(k) for k in range(n)]
 
@@ -740,38 +721,27 @@ class TestUnionMasses:
 
 
 class TestLazyDiscrete:
-    @staticmethod
-    def lazy_geometric(tail=True):
-        return LazyDiscreteMeasure(
-            lambda i: (Fraction(i), _pow2(i + 1)),
-            tail_bound=(lambda k: _pow2(k + 1)) if tail else None,
-            locations_increasing=True,
-            location_predicate=lambda x: x == int(x) and x >= 0,
-        )
-
     def test_prefix_masses(self):
-        mu = self.lazy_geometric()
-        assert mu.prefix_mass(2) == Fraction(3, 4)
-        assert mu.total_mass_lower().bound(4) == Fraction(15, 16)
+        assert _lazy().prefix(2) == [(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 4))]
+        assert _lazy().prefix(0) == []
 
     def test_total_mass_real_needs_tail_bound(self):
-        mu = self.lazy_geometric(tail=False)
-        with pytest.raises(UnsupportedMeasureClass):
+        # no tail bound: mu(R) is only left-c.e., so it has no Cauchy name,
+        # and a (name, B) integral has no mass to bound its tolerance by
+        mu = _lazy()
+        with pytest.raises(UnsupportedMeasureClass, match="no total mass name"):
             mu.total_mass_real()
+        one = constant_func(Fraction(1))
+        with pytest.raises(UnsupportedMeasureClass, match="no exact total mass"):
+            integrate_named((co_name_of_poly(one), 1), mu, 4)
 
-    def test_total_mass_real_with_tail_bound(self):
-        mu = self.lazy_geometric()
-        assert abs(mu.total_mass_real().approx(6) - 1) <= _pow2(5)
-
-    def test_truncated_stops_at_the_first_small_tail(self):
-        mu = self.lazy_geometric()  # tail_bound(k) = 2^-(k+1)
-        assert mu.truncated(Fraction(1, 4)) == DiscreteMeasure(((Fraction(0), Fraction(1, 2)),))
-        assert mu.truncated(Fraction(1, 5)).atoms == tuple(mu.prefix(2))
-        with pytest.raises(UnsupportedMeasureClass):
-            self.lazy_geometric(tail=False).truncated(Fraction(1, 4))
+    def test_null_points_are_off_the_naturals(self):
+        null = _lazy().null_test()
+        assert [null(Fraction(x)) for x in (-1, 0, 3)] == [True, False, False]
+        assert null(Fraction(1, 2)) and null(Fraction(-1, 2))
 
     def test_integrate_named_supported_without_tail_bound(self):
-        mu = self.lazy_geometric(tail=False)
+        mu = _lazy()
         p = hat_function(Fraction(0), Fraction(1), Fraction(2), Fraction(1))
         f = supported_from_poly(p)
         exact = Fraction(1, 4) * 1  # only the atom at 1 inside supp, weight 1/4
@@ -830,13 +800,8 @@ class TestAlmostDecidable:
 
     @staticmethod
     def lazy_pair():
-        # a tail bound and a location predicate, but no exact region masses
-        lazy = LazyDiscreteMeasure(
-            lambda i: (Fraction(i), _pow2(i + 1)),
-            tail_bound=lambda k: _pow2(k),
-            location_predicate=lambda x: x == int(x) and x >= 0,
-        )
-        return almost_decidable_ball(lazy, Fraction(1, 2), Fraction(1))[1]
+        # a null test, but no exact region masses
+        return almost_decidable_ball(_lazy(), Fraction(1, 2), Fraction(1))[1]
 
     def test_lazy_pair_check_unsupported(self):
         with pytest.raises(UnsupportedMeasureClass):
@@ -871,8 +836,8 @@ class TestAlmostDecidable:
             (DiscreteMeasure(tuple((x, Fraction(1)) for x in ON_FIRST)), 65 * S / 128),
             # every coarse candidate is blocked, so the 16-radius grid runs
             (DiscreteMeasure(tuple((x, Fraction(1)) for x in ON_ALL_FOUR)), 139 * S / 512),
-            (LazyDiscreteMeasure(lambda i: (ON_FIRST[0], _pow2(i + 1)),
-                                 location_predicate=lambda x: x == ON_FIRST[0]), 65 * S / 128),
+            # atoms at the naturals: no candidate sphere about a centre k*s/2 meets one
+            (_lazy(), 43 * S / 128),
             (PolyDensityMeasure.uniform(Fraction(0), Fraction(1)), 43 * S / 128),
         ],
     )
@@ -929,7 +894,7 @@ class TestAlmostDecidable:
     def test_mass_of_interval_lower(self):
         mu = DiscreteMeasure(((Fraction(1, 2), Fraction(1)),))
         interval = (Fraction(0), Fraction(1))
-        assert mu.open_mass(SigmaSet.from_components([interval])).bound(8) == 1
+        assert mu.open_mass(exact_open([interval])).bound(8) == 1
         # the tent integrals approach mu(I) from below
         tent = integrate_poly(indicator_approx(interval, 8), mu)
         assert 1 - _pow2(4) <= tent <= 1

@@ -413,7 +413,7 @@ class TestProkhorovBounds:
     def test_refuses_a_class_without_cells(self, kind):
         c = deltashrink()
         mu = {
-            "lazy": LazyDiscreteMeasure(lambda i: (Fraction(i), _pow2(i + 1))),
+            "lazy": LazyDiscreteMeasure(lambda i: _pow2(i + 1)),
             "reconstructed": limit_from_vague(c.seq, c.vague_oracle, CauchyReal.from_rational(1)),
         }[kind]
         msg = f"unsupported measure class {type(mu).__name__}: no discretisation"
@@ -1015,7 +1015,7 @@ class TestWitnessFromEps:
         assert all(seq[n].mass_closed(((Fraction(0), Fraction(1)),)) < Fraction(3, 2) for n in range(n0, n0 + 5))
 
     def test_limit_without_closed_masses_unsupported(self):
-        lazy = measures.LazyDiscreteMeasure(lambda i: (Fraction(i), _pow2(i + 1)))
+        lazy = measures.LazyDiscreteMeasure(lambda i: _pow2(i + 1))
         with pytest.raises(UnsupportedMeasureClass):
             witness_from_eps(self.c.seq, lazy, self.eps, self.C, Fraction(3, 2))
 

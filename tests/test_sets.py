@@ -33,7 +33,7 @@ from effmeas.sets import (
     open_contains_interval,
 )
 from effmeas.streams import Stream
-from tests.conftest import open_contains_point
+from tests.conftest import exact_open, open_contains_point
 
 frac = st.fractions(min_value=-6, max_value=6, max_denominator=24)
 
@@ -132,30 +132,23 @@ class TestSigmaSet:
                 return
         raise AssertionError(f"interior interval never covered: {sorted(seen)[:5]}")
 
-    def test_escaping_interval_rejected(self):
-        U = SigmaSet(iter([(Fraction(0), Fraction(2))]), components=((Fraction(0), Fraction(1)),))
-        with pytest.raises(MalformedInterval):
-            U.interval(0)
-
     @pytest.mark.parametrize(
-        "make",
+        "comps, l, r",
         [
-            lambda: SigmaSet(iter([(None, 2)]), components=[(1, None)]).interval(0),
-            lambda: SigmaSet(iter([(0, None)]), components=[(None, 1)]).interval(0),
-            lambda: PiSet(iter([(None, 2)]), closed_components=[(0, 1)]).avoided(0),
+            ([(1, None)], None, 2),
+            ([(None, 1)], 0, None),
+            (complement_of_closed([(0, 1)]), None, 2),
         ],
         ids=["left end", "right end", "pi set"],
     )
-    def test_escaping_unbounded_interval_rejected(self, make):
+    def test_escaping_unbounded_interval_rejected(self, comps, l, r):
         # an infinite end lies inside only an unbounded component end
-        with pytest.raises(MalformedInterval, match="escapes the open set"):
-            make()
+        assert not open_contains_interval(comps, l, r)
 
     def test_unbounded_interval_inside_accepted(self):
-        U = SigmaSet(iter([(None, 0), (3, None)]), components=[(None, 1), (2, None)])
-        assert (U.interval(0), U.interval(1)) == ((None, 0), (3, None))
-        C = PiSet(iter([(None, -1)]), closed_components=[(0, 1)])
-        assert C.avoided(0) == (None, -1)
+        comps = [(None, 1), (2, None)]
+        assert open_contains_interval(comps, None, 0) and open_contains_interval(comps, 3, None)
+        assert open_contains_interval(complement_of_closed([(0, 1)]), None, -1)
         assert open_contains_interval([(None, None)], None, None)
 
     def test_sigma_member(self):
@@ -169,16 +162,8 @@ class TestPiSet:
     def test_avoided_intervals_miss_the_set(self):
         C = pi_from_complement([(Fraction(0), Fraction(1))])
         for k in range(40):
-            l, r = C.avoided(k)
+            l, r = C.complement.interval(k)
             assert r <= 0 or l >= 1
-
-    def test_meeting_interval_rejected(self):
-        C = PiSet(
-            iter([(Fraction(1, 2), Fraction(3, 2))]),
-            closed_components=((Fraction(0), Fraction(1)),),
-        )
-        with pytest.raises(MalformedInterval):
-            C.avoided(0)
 
     def test_dist_to_closed_lower_bounds(self):
         C = pi_from_complement([(Fraction(0), Fraction(1))])
@@ -210,10 +195,10 @@ class TestPiSet:
     def test_closed_neighborhood_generic_sound(self):
         # strip the exact description to exercise the fueled path
         base = pi_from_complement([(Fraction(0), Fraction(1))])
-        opaque = PiSet(lambda k: base.avoided(k))
+        opaque = PiSet(lambda k: base.complement.interval(k))
         N = closed_neighborhood(opaque, Fraction(1, 2))
         for k in range(6):
-            l, r = N.avoided(k)
+            l, r = N.complement.interval(k)
             # avoided intervals must miss [0,1] fattened by 1/2
             assert r <= Fraction(-1, 2) or l >= Fraction(3, 2)
 
@@ -291,7 +276,7 @@ class TestPiSetOnComplement:
     def test_avoided_stream_is_the_direct_one(self, closed):
         C = pi_from_complement(closed)
         want = list(itertools.islice(avoided_direct(closed), 200))
-        assert [C.avoided(k) for k in range(200)] == want
+        assert [C.complement.interval(k) for k in range(200)] == want
 
     @given(closed_unions, frac, frac)
     def test_avoids_interval_is_disjointness(self, closed, a, b):
@@ -313,7 +298,7 @@ class TestPiSetOnComplement:
         # exact components of its complement, whatever its enumeration
         base = pi_from_complement(closed)
         if opaque:
-            C = PiSet(lambda k: base.avoided(k))
+            C = PiSet(lambda k: base.complement.interval(k))
             direct = dist_direct(CauchyReal.from_rational(x), Stream(avoided_direct(closed)).__getitem__)
             want = [direct.bound(n) for n in range(12)]
         else:
@@ -346,7 +331,7 @@ class TestPiSetOnComplement:
             (None, Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(2), None)
         )
         with pytest.raises(AssertionError, match="Stream"):
-            C.avoided(0)
+            C.complement.interval(0)
 
     def test_pulled_union_and_inner(self):
         ivs = [(Fraction(0), Fraction(1)), (Fraction(3), Fraction(4)), (Fraction(1, 2), Fraction(2))]
@@ -354,7 +339,7 @@ class TestPiSetOnComplement:
         assert U.pulled_union(0) == ((Fraction(0), Fraction(1)),)
         assert U.pulled_union(2) == ((Fraction(0), Fraction(2)), (Fraction(3), Fraction(4)))
         assert U.inner(1) == U.pulled_union(1)
-        exact = SigmaSet.from_components(ivs)
+        exact = exact_open(ivs)
         assert exact.inner(0) == exact.components == U.pulled_union(2)
 
 
@@ -373,7 +358,7 @@ class TestExactEnumeration:
         for U in (
             SigmaSet.ball(Fraction(0), Fraction(1, 16)),
             SigmaSet.ball_exterior(Fraction(1), Fraction(2)),
-            SigmaSet.from_components([(None, Fraction(-3)), (Fraction(5), Fraction(6))]),
+            exact_open([(None, Fraction(-3)), (Fraction(5), Fraction(6))]),
             pi_from_complement([(Fraction(0), Fraction(1)), (Fraction(2), Fraction(2))]).complement,
         ):
             for k in range(64):
@@ -392,7 +377,7 @@ class TestExactEnumeration:
         assert sigma_member(zero, U, Fuel(16)) == Membership.INSIDE
 
     def test_empty_set_enumerates_nothing(self):
-        for U in (SigmaSet.from_components([]), SigmaSet.ball(Fraction(3), Fraction(0))):
+        for U in (exact_open([]), SigmaSet.ball(Fraction(3), Fraction(0))):
             with pytest.raises(IndexError, match="exhausted at index 0"):
                 U.interval(0)
 
@@ -402,7 +387,7 @@ class TestExactEnumeration:
         # each pulled interval's closure lies in the set, and a point at
         # distance d from its component's finite ends with |x| < 2^m, for
         # 2^-m < d, is covered within the first m * len(comps) pulls
-        U = SigmaSet.from_components(ivs)
+        U = exact_open(ivs)
         comps = U.components
         holding = [c for c in comps if open_contains_point((c,), x)]
         d = min((abs(x - e) for c in holding for e in c if e is not None), default=None)
