@@ -32,7 +32,6 @@ import sys
 from fractions import Fraction
 
 from .convergence import (
-    DEFAULT_TM_CHECK,
     CheckReport,
     CheckRow,
     Modulus,
@@ -253,7 +252,7 @@ def cmd_verify(args) -> int:
             if corpus.tm is None:
                 raise ParseError(None, "vague-to-weak needs a builtin corpus with mass data")
             # one check serves every N: it depends on seq and tm only
-            validate_total_mass_modulus(seq, corpus.tm, *DEFAULT_TM_CHECK)
+            validate_total_mass_modulus(seq, corpus.tm)
             entries = {}
             for N in Ns:
                 entries[N] = vague_to_weak(

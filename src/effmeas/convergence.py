@@ -273,17 +273,12 @@ def _scan_for_index(
     )
 
 
-def _integral_modulus(
-    seq: MeasureSeq, limit: Measure, f, max_n: int, window: int
-) -> Modulus:
-    """The scanned modulus of the integrals of ``f`` (either kind of name).
+_SCAN_MAX_N = 128  # the modulus scan reads members 0 .. _SCAN_MAX_N
+_SCAN_WINDOW = 24  # and looks this many members past each candidate index
 
-    A negative ``max_n`` or ``window`` would scan no member: refuse it.
-    """
-    if max_n < 0:
-        raise ValueError(f"modulus scan max_n must be nonnegative, got {max_n}")
-    if window < 0:
-        raise ValueError(f"modulus scan window must be nonnegative, got {window}")
+
+def _integral_modulus(seq: MeasureSeq, limit: Measure, f) -> Modulus:
+    """The scanned modulus of the integrals of ``f`` (either kind of name)."""
 
     def of(N: int) -> int:
         prec = N + 3
@@ -294,45 +289,26 @@ def _integral_modulus(
             lim,
             _pow2(prec),
             N,
-            max_n=max_n,
-            window=window,
+            max_n=_SCAN_MAX_N,
+            window=_SCAN_WINDOW,
         )
 
     return Modulus(of)
 
 
-def weak_modulus(
-    seq: MeasureSeq,
-    limit: Measure,
-    f_name,
-    B: int,
-    *,
-    max_n: int = 128,
-    window: int = 24,
-) -> Modulus:
+def weak_modulus(seq: MeasureSeq, limit: Measure, f_name, B: int) -> Modulus:
     """A modulus for the integrals of a bounded named function.
 
     ``f_name`` is a compact-open name; ``B`` bounds |f|.  Built from
     certified integration plus tail bounds; raises DivergenceDetected when
     the sequence provably fails to track the claimed limit integral.
-    A negative ``max_n`` or ``window`` raises ``ValueError`` here.
     """
-    return _integral_modulus(seq, limit, (f_name, B), max_n, window)
+    return _integral_modulus(seq, limit, (f_name, B))
 
 
-def vague_modulus(
-    seq: MeasureSeq,
-    limit: Measure,
-    f: SupportedFunc,
-    *,
-    max_n: int = 128,
-    window: int = 24,
-) -> Modulus:
-    """A modulus for the integrals of a compactly supported named function.
-
-    A negative ``max_n`` or ``window`` raises ``ValueError`` here.
-    """
-    return _integral_modulus(seq, limit, f, max_n, window)
+def vague_modulus(seq: MeasureSeq, limit: Measure, f: SupportedFunc) -> Modulus:
+    """A modulus for the integrals of a compactly supported named function."""
+    return _integral_modulus(seq, limit, f)
 
 
 # A vague oracle: a modulus for the integrals of each zero-outside polygon.
@@ -444,17 +420,16 @@ def specker_sequence(enum_source) -> SpeckerSequence:
 # vague => weak machinery
 
 
-def validate_total_mass_modulus(
-    seq: MeasureSeq,
-    tm: TotalMassModulus,
-    Ns: Sequence[int],
-    window: int,
-) -> None:
+_TM_NS = (2, 4, 6)  # the precisions N the total-mass check reads
+_TM_WINDOW = 40  # at each, members of(N) .. of(N) + _TM_WINDOW
+
+
+def validate_total_mass_modulus(seq: MeasureSeq, tm: TotalMassModulus) -> None:
     """Refute an invalid total-mass modulus via a Cauchy-condition violation.
 
     A valid modulus forces |mu_n(R) - mu_m(R)| < 2^-(N-1) for n, m >= of(N);
     an exact violation inside the window is a certified contract failure.
-    Some pair in the window of(N) .. of(N) + window violates it iff the
+    Some pair in the window of(N) .. of(N) + _TM_WINDOW violates it iff the
     largest and smallest mass there differ by at least 2^-(N-1), so a
     passing window costs one pass.  The window's spread comes from
     ``seq.mass_spread`` and its masses from ``seq.total_mass``, so a family
@@ -464,23 +439,17 @@ def validate_total_mass_modulus(
     modulus gives one window for every N).  A failing window reports the
     first pair in window order: the first n1 whose mass lies 2^-(N-1) or
     more from the window's max or min, then the first n2 that far from n1.
-    An empty ``Ns`` or a negative ``window`` would check nothing, so both
-    raise ``ValueError``.
     """
-    if not Ns:
-        raise ValueError("total-mass check needs at least one precision N")
-    if window < 0:
-        raise ValueError(f"total-mass check window must be nonnegative, got {window}")
     spread: dict[int, tuple[Fraction, Fraction]] = {}  # window start -> (min, max)
-    for N in Ns:
+    for N in _TM_NS:
         idx = tm.of(N)
         if idx not in spread:
-            spread[idx] = seq.mass_spread(idx, idx + window)
+            spread[idx] = seq.mass_spread(idx, idx + _TM_WINDOW)
         lo, hi = spread[idx]
         b = _pow2(N - 1)
         if hi - lo < b:
             continue
-        ns = range(idx, idx + window + 1)
+        ns = range(idx, idx + _TM_WINDOW + 1)
         ms = [seq.total_mass(n) for n in ns]
         n1, m1 = next((n, m) for n, m in zip(ns, ms) if hi - m >= b or m - lo >= b)
         n2, m2 = next((n, m) for n, m in zip(ns, ms) if abs(m1 - m) >= b)
@@ -558,10 +527,6 @@ def polygonal_surrogate(
     return W, n1, psi
 
 
-# (Ns, window) of the total-mass check that vague_to_weak and the CLI run
-DEFAULT_TM_CHECK: tuple[tuple[int, ...], int] = ((2, 4, 6), 40)
-
-
 def vague_to_weak(
     seq: MeasureSeq,
     limit: Measure,
@@ -580,7 +545,7 @@ def vague_to_weak(
     instead of silently producing an invalid certificate.
     """
     if validate_tm:
-        validate_total_mass_modulus(seq, tm, *DEFAULT_TM_CHECK)
+        validate_total_mass_modulus(seq, tm)
     lim_mass = limit.exact_total_mass()
     if lim_mass is not None:
         p = N + 6

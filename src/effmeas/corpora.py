@@ -24,22 +24,7 @@ from .convergence import (
 from .errors import UnsupportedMeasureClass
 from .functions import CONST, ZERO, PolyFunc, constant_func
 from .measures import AlmostDecidablePair, DiscreteMeasure, Measure, _atom_lattice
-
-
-def _exp_above(p: int, q: int) -> int:
-    """Least integer e with p/q < 2^e, for positive ints p and q, coprime or
-    not: at e = bitlen(p) - bitlen(q), 2^(e-1) < p/q < 2^(e+1)."""
-    e = p.bit_length() - q.bit_length()
-    return e if (p < q << e if e >= 0 else p << -e < q) else e + 1
-
-
-def _first_below(target: Fraction) -> int:
-    """Smallest n >= 0 with 2^-n < target: 1/target < 2^n.  A target <= 0
-    has no such n."""
-    p, q = target.numerator, target.denominator
-    if p <= 0:
-        raise ValueError(f"need a positive target, got {target}")
-    return max(0, _exp_above(q, p))
+from .reals import _exp_above, _first_below
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .measures import (
     Side,
     first_cover_balls,
 )
-from .reals import RationalLike, _pow2
+from .reals import RationalLike, _first_below, _pow2
 from .sets import PiSet, expand_closed, merge_open
 
 
@@ -510,10 +510,7 @@ def witness_from_eps(
     mu_c = limit.mass_closed(comps)
     if r <= mu_c:
         return NOT_IN_CUT
-    gap = r - mu_c
-    m0 = 0
-    while _pow2(m0) >= gap:
-        m0 += 1
+    m0 = _first_below(r - mu_c)
     for n0_exp in range(_WITNESS_MAX_M):
         fat = expand_closed(comps, _pow2(n0_exp))
         if r - limit.mass_closed(fat) > _pow2(m0):

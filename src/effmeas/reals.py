@@ -36,6 +36,22 @@ def _pow2(n: int) -> Fraction:
     return Fraction(1, 1 << n) if n >= 0 else Fraction(1 << -n)
 
 
+def _exp_above(p: int, q: int) -> int:
+    """Least integer e with p/q < 2^e, for positive ints p and q, coprime or
+    not: at e = bitlen(p) - bitlen(q), 2^(e-1) < p/q < 2^(e+1)."""
+    e = p.bit_length() - q.bit_length()
+    return e if (p < q << e if e >= 0 else p << -e < q) else e + 1
+
+
+def _first_below(target: Fraction) -> int:
+    """Smallest n >= 0 with 2^-n < target: 1/target < 2^n.  A target <= 0
+    has no such n."""
+    p, q = target.numerator, target.denominator
+    if p <= 0:
+        raise ValueError(f"need a positive target, got {target}")
+    return max(0, _exp_above(q, p))
+
+
 def _fraction(v) -> Fraction:
     """``v`` as a Fraction, built only when ``v`` is not exactly one already;
     a value no Fraction takes, ``None`` say, and any ``float``, whose binary

@@ -74,15 +74,6 @@ def merge_closed(intervals: Sequence[ClosedComp]) -> tuple[ClosedComp, ...]:
     return tuple(out)
 
 
-def open_contains_interval(comps: Sequence[OpenComp], l, r) -> bool:
-    """Is the open interval (l, r) contained in the union of components?  A
-    ``None`` end is infinite: only an unbounded component end reaches it."""
-    for cl, cr in comps:
-        if (cl is None or l is not None and cl <= l) and (cr is None or r is not None and r <= cr):
-            return True
-    return False
-
-
 def dist_point_to_closed(x: Fraction, comps: Sequence[ClosedComp]) -> Fraction:
     if not comps:
         raise ValueError("distance to the empty set is undefined")
@@ -161,17 +152,8 @@ class SigmaSet:
     @property
     def enumeration(self) -> Stream:
         if self._stream is None:
-            self._stream = Stream(self._source, validate=self._check_inside)
+            self._stream = Stream(self._source)
         return self._stream
-
-    def _check_inside(self, _i: int, prefix: list) -> None:
-        l, r = prefix[-1]
-        if self.components is not None and not open_contains_interval(
-            self.components, l, r
-        ):
-            raise MalformedInterval(
-                f"enumerated interval ({l}, {r}) escapes the open set"
-            )
 
     @classmethod
     def _exact(cls, comps: tuple[OpenComp, ...]) -> "SigmaSet":

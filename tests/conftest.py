@@ -62,6 +62,12 @@ def open_contains_point(comps, x: Fraction) -> bool:
     return any((cl is None or cl < x) and (cr is None or x < cr) for cl, cr in comps)
 
 
+def open_contains_interval(comps, l: Fraction, r: Fraction) -> bool:
+    """Is the bounded open interval (l, r) inside the union of the disjoint
+    open components?  Being connected, it must lie in one of them."""
+    return any((cl is None or cl <= l) and (cr is None or r <= cr) for cl, cr in comps)
+
+
 # region masses by the loops that each class once ran, kept as the oracles
 # for the one cumulative-mass primitive: per atom for a discrete measure,
 # per component through integrate_product for a density

@@ -1,7 +1,8 @@
 """Mutation check for the Prokhorov kernels, exact integration, the polygon check, the
 bound streams, the measure protocol, the open and closed sets, the vague oracles' callers,
-the certificate checks, the file reader, the builtin names, the drifting families, the
-lattice cover search, the refusals of non-rational values and the CLI.
+the certificate checks, the scan and total-mass check lengths, the file reader, the
+builtin names, the drifting families, the lattice cover search, the refusals of
+non-rational values and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -269,6 +270,28 @@ MUTANTS = (
         file=CONVERGENCE,
         tests=("tests/test_convergence.py::TestVagueToWeak",),
     ),
+    # the fixed lengths of the modulus scan and of the total-mass check
+    Mutant(
+        "scan: the lookahead window one member short",
+        "_SCAN_WINDOW = 24",
+        "_SCAN_WINDOW = 23",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestScanModuli::test_scan_range_is_fixed",),
+    ),
+    Mutant(
+        "scan: the last member 127",
+        "_SCAN_MAX_N = 128",
+        "_SCAN_MAX_N = 127",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestScanModuli::test_scan_range_is_fixed",),
+    ),
+    Mutant(
+        "total-mass check: the window one member short",
+        "_TM_WINDOW = 40",
+        "_TM_WINDOW = 39",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestVagueToWeak::test_total_mass_window_is_fixed",),
+    ),
     # the vague oracles: what they are asked, and the Specker one's answer
     Mutant(
         "uniformize: the tent's index taken for the surrogate",
@@ -377,13 +400,6 @@ MUTANTS = (
             "tests/test_sets.py::TestPiSetOnComplement::test_avoids_interval_is_disjointness",
             "tests/test_sets.py::TestPiSetOnComplement::test_no_stream_built",
         ),
-    ),
-    Mutant(
-        "open containment: None ends compared again",
-        "(cl is None or l is not None and cl <= l) and (cr is None or r is not None and r <= cr)",
-        "(cl is None or cl <= l) and (cr is None or r <= cr)",
-        file=SETS,
-        tests=("tests/test_sets.py::TestSigmaSet",),
     ),
     Mutant(
         "union masses: components not merged",

@@ -51,12 +51,13 @@ from effmeas.reals import _pow2
 from tests.conftest import exact_open, rand_supported_poly
 
 
-def validate_total_mass_modulus_all_pairs(seq, tm, Ns, window):
-    """The all-pairs Cauchy check, kept as the oracle for the linear one."""
-    for N in Ns:
+def validate_total_mass_modulus_all_pairs(seq, tm):
+    """The all-pairs Cauchy check, kept as the oracle for the linear one: at
+    N = 2, 4, 6, every pair of members of(N) .. of(N) + 40."""
+    for N in (2, 4, 6):
         idx = tm.of(N)
         masses = []
-        for n in range(idx, idx + window + 1):
+        for n in range(idx, idx + 41):
             m = seq[n].exact_total_mass()
             if m is None:
                 raise UnsupportedMeasureClass(
@@ -155,9 +156,9 @@ class _MassOnly(Measure):
         return self.mass
 
 
-def _outcome(check, masses, tm, Ns, window):
+def _outcome(check, masses, tm):
     try:
-        check(MeasureSeq(lambda n: _MassOnly(masses[n])), tm, Ns, window)
+        check(MeasureSeq(lambda n: _MassOnly(masses[n])), tm)
     except (ContractViolation, UnsupportedMeasureClass) as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
     return None
@@ -198,12 +199,12 @@ class TestMeasureSeq:
         assert seq.total_mass(2) == 1 and built == [2]
 
     def test_negative_total_mass_modulus_refused(self):
-        # windows -7..-4 name no member, so a pass would check nothing
+        # the window -7..33 starts at members that do not exist
         with pytest.raises(IndexError):
-            validate_total_mass_modulus(mixture().seq, Modulus.constant(-7), (2,), 3)
+            validate_total_mass_modulus(mixture().seq, Modulus.constant(-7))
         seq = MeasureSeq(lambda n: _MassOnly(Fraction(1)))
         with pytest.raises(IndexError):
-            validate_total_mass_modulus(seq, Modulus.constant(-7), (2,), 3)
+            validate_total_mass_modulus(seq, Modulus.constant(-7))
 
 
 class TestCheckModulus:
@@ -272,7 +273,7 @@ class TestScanModuli:
         dn = deltan()
         one = constant_func(Fraction(1))
         with pytest.raises(DivergenceDetected):
-            weak_modulus(dn.seq, dn.limit, co_name_of_poly(one), 1, max_n=48).of(2)
+            weak_modulus(dn.seq, dn.limit, co_name_of_poly(one), 1).of(2)
 
     @settings(max_examples=600, deadline=None)
     @given(
@@ -306,22 +307,43 @@ class TestScanModuli:
         monkeypatch.setattr(convergence, "integrate_named", counted)
         dn = deltan()
         one = co_name_of_poly(constant_func(Fraction(1)))
+        # the scan reads members 0..128, each window 24 members past its start
         max_n, window = 128, 24
         with pytest.raises(DivergenceDetected) as e:
-            weak_modulus(dn.seq, dn.limit, one, 1, max_n=max_n, window=window).of(N)
+            weak_modulus(dn.seq, dn.limit, one, 1).of(N)
         assert e.value.witness[:2] == (N, max_n)
         assert len(calls) <= -(-(max_n + 1) // (window + 1)) + 2
 
-    @pytest.mark.parametrize("kw", [{"window": -1}, {"max_n": -1}])
-    def test_negative_scan_range_rejected(self, kw):
-        # window -1 made every candidate window empty, so index 0 was
-        # certified for a divergent sequence; max_n -1 built member -1
-        dn = deltan()
-        one = constant_func(Fraction(1))
-        with pytest.raises(ValueError):
-            weak_modulus(dn.seq, dn.limit, co_name_of_poly(one), 1, **kw)
-        with pytest.raises(ValueError):
-            vague_modulus(dn.seq, dn.limit, supported_from_poly(HAT), **kw)
+    @pytest.mark.parametrize(
+        "deviating, want",
+        [
+            # member 24 lies in the window 0..24 of candidate 0, not in 25..49
+            ({24}, 25),
+            # candidate 105's window 105..128 reaches the last scanned member
+            (set(range(105)), 105),
+            (set(range(105)) | {128}, DivergenceDetected),
+            # member 129 lies past the scan
+            (set(range(105)) | {129}, 105),
+        ],
+        ids=["window end", "scan end", "last member", "past the scan"],
+    )
+    def test_scan_range_is_fixed(self, deviating, want):
+        # members at the hat's peak, or at 10 outside its support where the
+        # integral is 1 away from the limit's: both moduli scan members
+        # 0..128 with windows of 24 members past each candidate
+        seq = MeasureSeq(lambda n: DiscreteMeasure.point(10 if n in deviating else Fraction(5, 4)))
+        limit = DiscreteMeasure.point(Fraction(5, 4))
+        for m in (
+            weak_modulus(seq, limit, co_name_of_poly(HAT), 1),
+            vague_modulus(seq, limit, supported_from_poly(HAT)),
+        ):
+            for N in (1, 4):
+                if want is DivergenceDetected:
+                    with pytest.raises(DivergenceDetected) as e:
+                        m.of(N)
+                    assert e.value.witness[:2] == (N, 128)
+                else:
+                    assert m.of(N) == want
 
 
 class TestUniformizer:
@@ -472,68 +494,78 @@ class TestVagueToWeak:
         )
         bad_tm = TotalMassModulus.constant(0)
         with pytest.raises(ContractViolation):
-            validate_total_mass_modulus(seq, bad_tm, [3], 4)
+            validate_total_mass_modulus(seq, bad_tm)
 
     @settings(max_examples=400, deadline=None)
     @given(
-        masses=st.lists(_MASS, min_size=24, max_size=24),
-        unknown_at=st.integers(0, 60),
-        Ns=st.lists(st.integers(-1, 9), min_size=1, max_size=4),
-        window=st.integers(0, 12),
+        masses=st.lists(_MASS, min_size=52, max_size=52),
+        shrink=st.integers(0, 9),
+        unknown_at=st.integers(0, 127),
         start=st.integers(0, 11),
     )
-    def test_linear_check_matches_all_pairs(self, masses, unknown_at, Ns, window, start):
+    def test_linear_check_matches_all_pairs(self, masses, shrink, unknown_at, start):
+        # the window start..start+40 lies inside the 52 masses; pulling them
+        # toward 1 by 2^-shrink moves the first failure across N = 2, 4, 6
+        masses = [1 + (m - 1) / 2**shrink for m in masses]
         if unknown_at < len(masses):
             masses[unknown_at] = None
         tm = TotalMassModulus.constant(start)
-        assert _outcome(validate_total_mass_modulus, masses, tm, Ns, window) == _outcome(
-            validate_total_mass_modulus_all_pairs, masses, tm, Ns, window
+        assert _outcome(validate_total_mass_modulus, masses, tm) == _outcome(
+            validate_total_mass_modulus_all_pairs, masses, tm
         )
 
     def test_first_pair_in_window_order_reported(self):
-        # window 0..3 at N = 2 (threshold 1/2): n1 = 1 is the first mass that
-        # far from the max or min; n2 = 2 is the first mass that far from it,
-        # ahead of the max at n = 3
-        masses = [Fraction(1), Fraction(3, 4), Fraction(5, 4), Fraction(11, 8)]
+        # window 0..40 at N = 2 (threshold 1/2), masses past 3 all 1: n1 = 1
+        # is the first mass that far from the max or min; n2 = 2 is the first
+        # mass that far from it, ahead of the max at n = 3
+        masses = [Fraction(1), Fraction(3, 4), Fraction(5, 4), Fraction(11, 8)] + [Fraction(1)] * 37
         seq = MeasureSeq(lambda n: _MassOnly(masses[n]))
         with pytest.raises(ContractViolation) as e:
-            validate_total_mass_modulus(seq, TotalMassModulus.constant(0), [2], 3)
+            validate_total_mass_modulus(seq, TotalMassModulus.constant(0))
         assert e.value.witness == (2, 1, 2, Fraction(1, 2))
         assert str(e.value) == (
             "total-mass modulus contract failure: |mu_1(R) - mu_2(R)| = 1/2 >= 2^-1"
         )
 
     def test_shared_window_fails_only_at_the_stricter_N(self):
-        # a constant modulus gives N = 1 and N = 3 the one window 0..3: its
-        # spread 3/8 passes 2^-0 and fails 2^-2, at n1 = 0 and n2 = 1
-        masses = [Fraction(1), Fraction(5, 4), Fraction(11, 8), Fraction(1)]
+        # a constant modulus gives N = 2, 4, 6 the one window 0..40, whose
+        # spread is taken once: 3/8 passes 2^-1 and fails 2^-3, at n1 = 0
+        # and n2 = 1
+        masses = [Fraction(1), Fraction(5, 4), Fraction(11, 8)] + [Fraction(1)] * 38
         seq = MeasureSeq(lambda n: _MassOnly(masses[n]))
-        for Ns in ([1, 3], [3, 1]):
-            with pytest.raises(ContractViolation) as e:
-                validate_total_mass_modulus(seq, TotalMassModulus.constant(0), Ns, 3)
-            assert e.value.witness == (3, 0, 1, Fraction(1, 4))
-            assert str(e.value) == (
-                "total-mass modulus contract failure: |mu_0(R) - mu_1(R)| = 1/4 >= 2^-2"
-            )
-        assert validate_total_mass_modulus(seq, TotalMassModulus.constant(0), [1], 3) is None
+        spreads = []
+        mass_spread = seq.mass_spread
+        seq.mass_spread = lambda lo, hi: spreads.append((lo, hi)) or mass_spread(lo, hi)
+        with pytest.raises(ContractViolation) as e:
+            validate_total_mass_modulus(seq, TotalMassModulus.constant(0))
+        assert spreads == [(0, 40)]
+        assert e.value.witness == (4, 0, 1, Fraction(1, 4))
+        assert str(e.value) == (
+            "total-mass modulus contract failure: |mu_0(R) - mu_1(R)| = 1/4 >= 2^-3"
+        )
+
+    @pytest.mark.parametrize("jump_at, fails", [(40, True), (41, False)])
+    def test_total_mass_window_is_fixed(self, jump_at, fails):
+        # the check reads members of(N) .. of(N) + 40: a mass jump at 40
+        # fails it, one at 41 lies past every window of a constant modulus
+        seq = MeasureSeq(lambda n: _MassOnly(Fraction(2 if n == jump_at else 1)))
+        if not fails:
+            assert validate_total_mass_modulus(seq, TotalMassModulus.constant(0)) is None
+            return
+        with pytest.raises(ContractViolation) as e:
+            validate_total_mass_modulus(seq, TotalMassModulus.constant(0))
+        assert e.value.witness == (2, 0, 40, Fraction(1))
 
     def test_valid_total_mass_modulus_passes(self):
         # masses 1 + 2^-n: of(N) = N bounds every window by 2^-N < 2^-(N-1)
         seq = MeasureSeq(lambda n: DiscreteMeasure(((Fraction(0), 1 + _pow2(n)),)))
         tm = TotalMassModulus(lambda N: N)
-        assert validate_total_mass_modulus(seq, tm, [1, 2, 4, 6], 40) is None
-
-    @pytest.mark.parametrize("Ns,window", [([], 4), ([2], -1), ([], -1)])
-    def test_vacuous_check_rejected(self, Ns, window):
-        # an empty N-list or a negative window would validate no member
-        seq = MeasureSeq(lambda n: _MassOnly(Fraction(n % 2)))
-        with pytest.raises(ValueError):
-            validate_total_mass_modulus(seq, TotalMassModulus.constant(0), Ns, window)
+        assert validate_total_mass_modulus(seq, tm) is None
 
     def test_lazy_members_unsupported(self):
         seq = MeasureSeq(lambda n: LazyDiscreteMeasure(lambda i: _pow2(i + 1)))
         with pytest.raises(UnsupportedMeasureClass):
-            validate_total_mass_modulus(seq, TotalMassModulus.constant(0), [2], 4)
+            validate_total_mass_modulus(seq, TotalMassModulus.constant(0))
 
     def test_lazy_members_refused_without_validation(self):
         # Specker members as lazy measures: no exact mass to compare with

@@ -165,33 +165,29 @@ def _outcome(fn, *args):
         return type(exc), str(exc), getattr(exc, "witness", None)
 
 
-def _tm_outcome(seq, tm, Ns, window):
-    return _outcome(validate_total_mass_modulus, seq, tm, Ns, window)
-
-
 class TestDriftingAtomFamily:
     @settings(max_examples=200, deadline=None)
     @given(
         atoms=_ATOMS,
         start=st.integers(-3, 10),
         slope=st.integers(0, 2),
-        Ns=st.lists(st.integers(-1, 9), max_size=4),
-        window=st.integers(-1, 12),
+        window=st.integers(0, 12),
     )
     # the drifting atom reaches 1/4 at n = 2 and merges with the fixed one
     @example(
         atoms=[(Fraction(0), Fraction(1, 2), 1), (Fraction(1, 4), Fraction(1, 3), 0)],
-        start=0, slope=1, Ns=[1, 3], window=4,
+        start=0, slope=1, window=4,
     )
-    def test_total_mass_matches_members(self, atoms, start, slope, Ns, window):
+    def test_total_mass_matches_members(self, atoms, start, slope, window):
         fam = DriftingAtomFamily(atoms)
         for n in range(65):
             assert fam.total_mass(n) == fam[n].exact_total_mass()
         tm = Modulus(lambda N: start + slope * N)
         plain = MeasureSeq(DriftingAtomFamily(atoms).member)
-        assert _tm_outcome(fam, tm, Ns, window) == _tm_outcome(plain, tm, Ns, window)
+        check = validate_total_mass_modulus
+        assert _outcome(check, fam, tm) == _outcome(check, plain, tm)
         for lo in (start, start + slope):
-            hi = lo + max(window, 0)
+            hi = lo + window
             assert _outcome(fam.mass_spread, lo, hi) == _outcome(plain.mass_spread, lo, hi)
 
     @settings(max_examples=100, deadline=None)
@@ -268,7 +264,7 @@ class TestDriftingAtomFamily:
         read = []
         total_mass = c.seq.total_mass
         monkeypatch.setattr(c.seq, "total_mass", lambda n: read.append(n) or total_mass(n))
-        validate_total_mass_modulus(c.seq, c.tm, (1, 4, 9), 40)
+        validate_total_mass_modulus(c.seq, c.tm)
         assert read == []
 
     @pytest.mark.parametrize("fam", ["deltashrink", "mixture", "deltadrift"])

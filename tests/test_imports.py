@@ -145,14 +145,20 @@ UNREAD_METHODS_KEPT = {
     "LazyDiscreteMeasure.open_mass",
     # the uniform density the tests build
     "PolyDensityMeasure.uniform",
+    # the almost-decidability test the suite runs on a pair
+    "AlmostDecidablePair.check",
+    # how many elements a stream has pulled, read by perfbench/spans.py
+    "Stream.pulled",
 }
 
 
 def unread_methods(sources: list[str]) -> list[str]:
     """``Class.method`` for each method but a dunder of a top-level class in
-    ``sources`` whose name no ``Name`` or ``Attribute`` in any of them reads."""
+    ``sources`` whose name no ``Attribute`` in any of them reads.  A bare
+    ``Name`` does not count: a method is read as ``obj.method``, and a local
+    function of the same name is not a reader of it."""
     trees = [ast.parse(source) for source in sources]
-    read = _read_names(trees)
+    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     return sorted(
         f"{cls.name}.{node.name}"
         for tree in trees
@@ -170,6 +176,9 @@ def test_the_check_sees_an_unread_method():
     planted = "class Planted:\n    def _planted(self):\n        return 2\n"
     assert unread_methods([kept]) == []
     assert unread_methods([kept, planted]) == ["Planted._planted"]
+    # a local function, and a call of it, named as the method read nothing
+    local = "def build():\n    def _planted():\n        return 3\n\n    return _planted()\n"
+    assert unread_methods([kept, planted, local]) == ["Planted._planted"]
 
 
 def test_every_method_has_a_reader():

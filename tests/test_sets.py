@@ -30,10 +30,9 @@ from effmeas.sets import (
     expand_closed,
     merge_closed,
     merge_open,
-    open_contains_interval,
 )
 from effmeas.streams import Stream
-from tests.conftest import exact_open, open_contains_point
+from tests.conftest import exact_open, open_contains_interval, open_contains_point
 
 frac = st.fractions(min_value=-6, max_value=6, max_denominator=24)
 
@@ -131,25 +130,6 @@ class TestSigmaSet:
             if l <= target[0] and target[1] <= r:
                 return
         raise AssertionError(f"interior interval never covered: {sorted(seen)[:5]}")
-
-    @pytest.mark.parametrize(
-        "comps, l, r",
-        [
-            ([(1, None)], None, 2),
-            ([(None, 1)], 0, None),
-            (complement_of_closed([(0, 1)]), None, 2),
-        ],
-        ids=["left end", "right end", "pi set"],
-    )
-    def test_escaping_unbounded_interval_rejected(self, comps, l, r):
-        # an infinite end lies inside only an unbounded component end
-        assert not open_contains_interval(comps, l, r)
-
-    def test_unbounded_interval_inside_accepted(self):
-        comps = [(None, 1), (2, None)]
-        assert open_contains_interval(comps, None, 0) and open_contains_interval(comps, 3, None)
-        assert open_contains_interval(complement_of_closed([(0, 1)]), None, -1)
-        assert open_contains_interval([(None, None)], None, None)
 
     def test_sigma_member(self):
         U = SigmaSet.ball(Fraction(0), Fraction(1))
@@ -348,7 +328,9 @@ open_intervals = st.tuples(end, end).filter(lambda iv: None in iv or iv[0] < iv[
 
 
 class TestExactEnumeration:
-    """An exact open set is enumerated by its inner exhaustion alone."""
+    """An exact open set is enumerated by its inner exhaustion alone, and
+    each interval it pulls lies inside the set: no check runs on a pull, so
+    these tests are that guarantee."""
 
     def test_exact_sets_decode_no_code(self, monkeypatch):
         def refuse(*_args):
@@ -364,6 +346,26 @@ class TestExactEnumeration:
             for k in range(64):
                 l, r = U.interval(k)
                 assert open_contains_interval(U.components, l, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["union", "ball", "ball exterior", "complement"]),
+        ivs=st.lists(open_intervals, max_size=4),
+        center=frac,
+        radius=frac.map(abs),
+        closed=closed_unions,
+    )
+    def test_pulls_lie_inside(self, kind, ivs, center, radius, closed):
+        # each of the first 64 pulls lies inside one component of the set
+        U = {
+            "union": lambda: exact_open(ivs),
+            "ball": lambda: SigmaSet.ball(center, radius),
+            "ball exterior": lambda: SigmaSet.ball_exterior(center, radius),
+            "complement": lambda: pi_from_complement(closed).complement,
+        }[kind]()
+        for k in range(64 if U.components else 0):
+            l, r = U.interval(k)
+            assert l < r and open_contains_interval(U.components, l, r)
 
     def test_tiny_ball_first_pull(self):
         radius = Fraction(1, 2**64)
@@ -482,11 +484,3 @@ class TestCompactName:
         for m in (-1, -7):
             with pytest.raises(IndexError):
                 K.cover(m)
-
-
-class TestKernelPredicates:
-    def test_open_contains_interval_semantics(self):
-        comps = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)))
-        assert open_contains_interval(comps, Fraction(0), Fraction(1))
-        # the shared endpoint 1 is not inside, so (1/2, 3/2) is not contained
-        assert not open_contains_interval(comps, Fraction(1, 2), Fraction(3, 2))
