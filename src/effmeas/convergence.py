@@ -35,7 +35,7 @@ from .functions import (
     tent_function,
 )
 from .measures import DiscreteMeasure, LazyDiscreteMeasure, Measure, integrate_named
-from .reals import CauchyReal, LowerReal, _pow2
+from .reals import CauchyReal, LowerReal, _pow2, _scaled
 from .streams import Fuel, Stream
 
 
@@ -345,8 +345,9 @@ def uniformize_vague(
     C = u.__ceil__() + 1
     tent = tent_function((F, C))
     n0 = oracle(tent).of(1)
-    d_up = seq[n0].integrate_zero_outside(tent, 6) + _pow2(6)
-    tol = _pow2(N + 2) / (1 + d_up)
+    # 2^-(N+2) / (1 + p/q + 2^-6), p/q the tent's integral, is 2^(4-N) q / (65 q + 64 p)
+    p, q = seq[n0].integrate_zero_outside(tent, 6).as_integer_ratio()
+    tol = Fraction(*_scaled(q, 65 * q + 64 * p, 4 - N))
     psi = approx_polygonal(f, tol)
     n1 = oracle(psi).of(N + 1)
     return max(n0, n1)
@@ -408,8 +409,11 @@ class SpeckerSequence:
 
 
 def _specker_member(enum: Stream, n: int) -> DiscreteMeasure:
-    """mu_n of the Specker sequence on the enumeration ``enum``."""
-    return DiscreteMeasure(tuple((Fraction(i), _pow2(int(enum[i]) + 1)) for i in range(n + 1)))
+    """mu_n of the Specker sequence on the enumeration ``enum``, on the constructor's
+    lattice: atom i at i/1 weighs 2^-(a_i+1) = 2^(A-a_i) / 2^(A+1), A the largest a_i."""
+    a = [int(enum[i]) for i in range(n + 1)]
+    A = max(a)
+    return DiscreteMeasure._from_lattice(range(n + 1), [1 << (A - v) for v in a], 1, 1 << (A + 1))
 
 
 def specker_sequence(enum_source) -> SpeckerSequence:
@@ -446,9 +450,11 @@ def validate_total_mass_modulus(seq: MeasureSeq, tm: TotalMassModulus) -> None:
         if idx not in spread:
             spread[idx] = seq.mass_spread(idx, idx + _TM_WINDOW)
         lo, hi = spread[idx]
-        b = _pow2(N - 1)
-        if hi - lo < b:
+        d, e = _scaled(hi.numerator * lo.denominator - lo.numerator * hi.denominator,
+                       hi.denominator * lo.denominator, N - 1)
+        if d < e:  # hi - lo < 2^-(N-1)
             continue
+        b = _pow2(N - 1)
         ns = range(idx, idx + _TM_WINDOW + 1)
         ms = [seq.total_mass(n) for n in ns]
         n1, m1 = next((n, m) for n, m in zip(ns, ms) if hi - m >= b or m - lo >= b)
@@ -476,14 +482,17 @@ def tail_mass_bound(
     """
     prec = N + 5
     i_m = tm.of(prec)
-    m_apx = seq.total_mass(i_m)
+    mp, mq = seq.total_mass(i_m).as_integer_ratio()
     a = 1
     for _ in range(_TAIL_MAX_DOUBLINGS):
-        tent = tent_function((-a, a))
+        tent = PolyFunc.from_ints((-a - 1, -a, a, a + 1), (0, 1, 1, 0), 1, 1)
         mod = oracle(tent)
         j = mod.of(prec)
-        l_apx = seq[j].integrate_zero_outside(tent, prec)
-        if m_apx - l_apx + 4 * _pow2(prec) <= _pow2(N + 2):
+        lp, lq = seq[j].integrate_zero_outside(tent, prec).as_integer_ratio()
+        # m - l + 4 * 2^-prec <= 2^-(N+2), m = mp/mq the mass and l = lp/lq the
+        # tent's integral, iff m - l <= 2^-(N+3)
+        gap, one = _scaled(mp * lq - lp * mq, mq * lq, N + 3)
+        if gap <= one:
             n0 = max(tm.of(N + 3), mod.of(N + 3))
             return a + 1, n0
         a *= 2
@@ -510,19 +519,21 @@ def polygonal_surrogate(
     a1, n1 = tail_mass_bound(seq, tm, oracle, Nt)
     W = a1 + 1
     i0 = tm.of(0)
-    masses = (seq.total_mass(n) for n in range(i0 + 1))
-    mass_bound = max(masses, default=Fraction(0)) + 2
-    tol = _pow2(N + 1) / (mass_bound + 1)
+    _check_index(i0)
+    # 2^-(N+1) / (p/q + 2 + 1), p/q the largest mass, is 2^-(N+1) q / (p + 3 q)
+    p, q = seq.mass_spread(0, i0)[1].as_integer_ratio()
+    tol = Fraction(*_scaled(q, p + 3 * q, -(N + 1)))
     X, Y, dx, dy = _window_lattice(f_name, -a1, a1, tol)
     psi = PolyFunc.from_ints([-W * dx, *X, W * dx], [0, *Y, 0], dx, dy, ZERO)
 
-    lim_tail = limit.exact_total_mass()
-    if lim_tail is not None:
-        inside = limit.region_mass_open([(-a1, a1)])
-        if lim_tail - inside >= _pow2(Nt):
+    if limit.exact_total_mass() is not None:
+        below, upto, total, lw = limit.cumulative([-a1, a1], 1)
+        tail = total - (below[1] - upto[0])  # lw * mu(R \ (-a1, a1))
+        t, u = _scaled(tail, lw, Nt)
+        if t >= u:
             raise ContractViolation(
                 "limit measure carries more tail mass than the certified bound",
-                witness=(a1, lim_tail - inside),
+                witness=(a1, Fraction(tail, lw)),
             )
     return W, n1, psi
 
@@ -550,7 +561,9 @@ def vague_to_weak(
     if lim_mass is not None:
         p = N + 6
         m_apx = seq.total_mass(tm.of(p))
-        if abs(m_apx - lim_mass) - _pow2(p) > 0:
+        (mp, mq), (lp, lq) = m_apx.as_integer_ratio(), lim_mass.as_integer_ratio()
+        d, e = _scaled(abs(mp * lq - lp * mq), mq * lq, p)
+        if d > e:  # |m_apx - lim_mass| > 2^-p
             raise DivergenceDetected(
                 "divergence detected: the total masses converge to "
                 f"{show(m_apx)} (within 2^-{p}) but the limit has mass {show(lim_mass)}",

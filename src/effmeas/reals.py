@@ -36,6 +36,12 @@ def _pow2(n: int) -> Fraction:
     return Fraction(1, 1 << n) if n >= 0 else Fraction(1 << -n)
 
 
+def _scaled(p: int, q: int, n: int) -> tuple[int, int]:
+    """``int``s a, b with a/b = (p/q) 2^n, for any sign of n: p shifted left
+    when n >= 0, q when n < 0.  Comparing a with b compares p/q with 2^-n."""
+    return (p << n, q) if n >= 0 else (p, q << -n)
+
+
 def _exp_above(p: int, q: int) -> int:
     """Least integer e with p/q < 2^e, for positive ints p and q, coprime or
     not: at e = bitlen(p) - bitlen(q), 2^(e-1) < p/q < 2^(e+1)."""

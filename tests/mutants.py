@@ -1,6 +1,7 @@
 """Mutation check for the Prokhorov kernels, exact integration, the polygon check, the
 bound streams, the measure protocol, the open and closed sets, the vague oracles' callers,
-the certificate checks, the scan and total-mass check lengths, the file reader, the
+the vague => weak chain's int comparisons and tolerances, the certificate checks, the
+scan and total-mass check lengths, the file reader, the
 builtin names, the drifting families, the lattice cover search, the refusals of
 non-rational values and the CLI.
 
@@ -269,6 +270,83 @@ MUTANTS = (
         "m_apx = seq.total_mass(tm.of(N))",
         file=CONVERGENCE,
         tests=("tests/test_convergence.py::TestVagueToWeak",),
+    ),
+    # the vague => weak chain's int comparisons against 2^-n, each at its bound
+    Mutant(
+        "tail bound: the stop strict",
+        "        if gap <= one:",
+        "        if gap < one:",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestVagueToWeak::test_tail_stop_at_its_bound",),
+    ),
+    Mutant(
+        "total-mass check: a spread at the bound passes",
+        "        if d < e:  # hi - lo < 2^-(N-1)",
+        "        if d <= e:  # hi - lo < 2^-(N-1)",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestVagueToWeak::test_mass_spread_at_its_bound_fails",),
+    ),
+    Mutant(
+        "vague_to_weak: a mass gap at the bound is divergence",
+        "        if d > e:  # |m_apx - lim_mass| > 2^-p",
+        "        if d >= e:  # |m_apx - lim_mass| > 2^-p",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestVagueToWeak::test_limit_tail_at_its_bound",),
+    ),
+    Mutant(
+        "surrogate: a limit tail at the bound accepted",
+        "        if t >= u:",
+        "        if t > u:",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestVagueToWeak::test_limit_tail_at_its_bound",),
+    ),
+    Mutant(
+        "surrogate: a negative tm.of(0) accepted",
+        "    _check_index(i0)\n",
+        "",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestVagueToWeak::test_negative_mass_bound_index_refused",),
+    ),
+    Mutant(
+        "uniformize: the tolerance's 65 taken as 64",
+        "65 * q + 64 * p",
+        "64 * q + 64 * p",
+        file=CONVERGENCE,
+        tests=("tests/test_convergence.py::TestUniformizer::test_tolerance_is_the_fraction_form",),
+    ),
+    Mutant(
+        "surrogate: the tolerance's 3 taken as 2",
+        "p + 3 * q",
+        "p + 2 * q",
+        file=CONVERGENCE,
+        tests=(
+            "tests/test_convergence.py::TestChainAgainstFractionForms::"
+            "test_surrogate_tolerance_is_the_fraction_form",
+        ),
+    ),
+    # a negative n shifts q: a bare p << n raises on it, which only a
+    # converter run at N <= -3 shows
+    Mutant(
+        "scaled: p << n for every n",
+        "(p << n, q) if n >= 0 else (p, q << -n)",
+        "(p << n, q)",
+        file=REALS,
+        tests=("tests/test_convergence.py::TestChainAgainstFractionForms",),
+    ),
+    Mutant(
+        "scaled: q shifted right for n < 0",
+        "(p << n, q) if n >= 0 else (p, q << -n)",
+        "(p << n, q) if n >= 0 else (p, q >> -n)",
+        file=REALS,
+        tests=("tests/test_reals.py::TestScaled",),
+    ),
+    Mutant(
+        "scaled: n = 0 through the q branch",
+        "(p << n, q) if n >= 0 else (p, q << -n)",
+        "(p << n, q) if n > 0 else (p, q << -n)",
+        file=REALS,
+        tests=("tests/test_reals.py::TestScaled", "tests/test_convergence.py::TestChainAgainstFractionForms"),
+        survives="at n = 0 both branches return (p, q)",
     ),
     # the fixed lengths of the modulus scan and of the total-mass check
     Mutant(

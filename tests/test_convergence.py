@@ -45,10 +45,26 @@ from effmeas.convergence import (
     polygonal_surrogate,
     validate_total_mass_modulus,
 )
-from effmeas.corpora import builtin_function, corpus_by_name, deltan, deltashrink, mixture
-from effmeas.functions import CompactOpenName, co_name_of_poly, polygonal_on_window
+from effmeas.corpora import (
+    DriftingAtomFamily,
+    builtin_function,
+    corpus_by_name,
+    deltan,
+    deltashrink,
+    mixture,
+)
+from effmeas.errors import show
+from effmeas.functions import (
+    CompactOpenName,
+    SupportedFunc,
+    approx_polygonal,
+    co_name_of_poly,
+    polygonal_on_window,
+    tent_function,
+)
 from effmeas.reals import _pow2
 from tests.conftest import exact_open, rand_supported_poly
+from tests.test_functions import opaque_name_of
 
 
 def validate_total_mass_modulus_all_pairs(seq, tm):
@@ -74,16 +90,36 @@ def validate_total_mass_modulus_all_pairs(seq, tm):
                     )
 
 
+# The vague => weak chain with its stopping tests and tolerances in Fraction
+# arithmetic, kept as the oracles for the int comparisons against 2^-n.
+
+
+def tail_mass_bound_fraction(seq, tm, oracle, N):
+    prec = N + 5
+    m_apx = seq.total_mass(tm.of(prec))
+    a = 1
+    for _ in range(24):
+        tent = tent_function((-a, a))
+        mod = oracle(tent)
+        l_apx = seq[mod.of(prec)].integrate_zero_outside(tent, prec)
+        if m_apx - l_apx + 4 * _pow2(prec) <= _pow2(N + 2):
+            return a + 1, max(tm.of(N + 3), mod.of(N + 3))
+        a *= 2
+    raise SearchExhausted("search exhausted: no tail-capturing window found")
+
+
 def polygonal_surrogate_two_builds(f_name, B, N, seq, limit, tm, oracle):
     """The surrogate as a fitted ``PolyFunc`` on [-a1, a1] rebuilt with +-W
-    added, kept as the oracle for the one build from the fitted vertices."""
+    added, kept as the oracle for the one build from the fitted vertices; a
+    negative ``tm.of(0)`` is refused as every other read of ``tm`` is."""
     B = int(B)
     Nt = N + 2 + (2 * B + 1).bit_length()
-    a1, n1 = tail_mass_bound(seq, tm, oracle, Nt)
+    a1, n1 = tail_mass_bound_fraction(seq, tm, oracle, Nt)
     W = a1 + 1
     i0 = tm.of(0)
-    masses = (seq.total_mass(n) for n in range(i0 + 1))
-    mass_bound = max(masses, default=Fraction(0)) + 2
+    if i0 < 0:
+        raise IndexError(f"measure sequences start at index 0, got {i0}")
+    mass_bound = max(seq.total_mass(n) for n in range(i0 + 1)) + 2
     tol = _pow2(N + 1) / (mass_bound + 1)
     core = polygonal_on_window(f_name, Fraction(-a1), Fraction(a1), tol)
     verts = [(Fraction(-W), Fraction(0))] + list(core.vertices) + [(Fraction(W), Fraction(0))]
@@ -97,6 +133,31 @@ def polygonal_surrogate_two_builds(f_name, B, N, seq, limit, tm, oracle):
                 witness=(a1, lim_tail - inside),
             )
     return W, n1, psi
+
+
+def vague_to_weak_fraction(seq, limit, tm, oracle, f_name, B, N):
+    validate_total_mass_modulus_all_pairs(seq, tm)
+    lim_mass = limit.exact_total_mass()
+    if lim_mass is not None:
+        p = N + 6
+        m_apx = seq.total_mass(tm.of(p))
+        if abs(m_apx - lim_mass) - _pow2(p) > 0:
+            raise DivergenceDetected(
+                "divergence detected: the total masses converge to "
+                f"{show(m_apx)} (within 2^-{p}) but the limit has mass {show(lim_mass)}",
+                witness=(m_apx, lim_mass),
+            )
+    _, n1, psi = polygonal_surrogate_two_builds(f_name, B, N + 2, seq, limit, tm, oracle)
+    return max(n1, oracle(psi).of(N + 1))
+
+
+def uniformize_vague_fraction(seq, limit, oracle, f, N):
+    l, u = f.hull()
+    tent = tent_function((l.__floor__() - 1, u.__ceil__() + 1))
+    n0 = oracle(tent).of(1)
+    d_up = seq[n0].integrate_zero_outside(tent, 6) + _pow2(6)
+    psi = approx_polygonal(f, _pow2(N + 2) / (1 + d_up))
+    return max(n0, oracle(psi).of(N + 1))
 
 
 def scan_for_index_forward(value_at, err, limit_value, limit_err, N, *, max_n, window):
@@ -372,8 +433,28 @@ class TestUniformizer:
         for n in range(n0, n0 + 8):
             assert abs(integrate_poly(HAT, c.seq[n]) - lim) < _pow2(4)
 
+    @pytest.mark.parametrize("N", [-12, -3, 0, 4, 9])
+    def test_tolerance_is_the_fraction_form(self, N, monkeypatch):
+        # the tolerance handed to approx_polygonal is 2^-(N+2) / (1 + d + 2^-6)
+        # exactly, d the tent's integral over member n0 (3/4 on this family)
+        c = DriftingAtomFamily([(Fraction(1, 3), Fraction(3, 4), 1)]).corpus("one-atom")
+        seen = []
+        approx = convergence.approx_polygonal
+        monkeypatch.setattr(convergence, "approx_polygonal", lambda f, tol: seen.append(tol) or approx(f, tol))
+        uniformize_vague(c.seq, c.limit, c.vague_oracle, supported_from_poly(HAT), N)
+        assert seen == [_pow2(N + 2) / (1 + Fraction(3, 4) + _pow2(6))]
+
 
 class TestSpecker:
+    @settings(max_examples=60, deadline=None)
+    @given(enum=st.lists(st.integers(0, 60), unique=True, min_size=1, max_size=16), data=st.data())
+    def test_members_on_the_constructor_lattice(self, enum, data):
+        n = data.draw(st.integers(0, len(enum) - 1))
+        mu = specker_sequence(iter(enum)).seq[n]
+        want = DiscreteMeasure(tuple((Fraction(i), _pow2(enum[i] + 1)) for i in range(n + 1)))
+        assert mu.lattice() == want.lattice()
+        assert mu.atoms == want.atoms and mu == want
+
     def test_modulus_index_and_constancy(self):
         sp = specker_sequence(iter(range(100)))
         m = sp.vague_modulus(HAT)
@@ -616,11 +697,183 @@ class TestVagueToWeak:
             for n in range(idx, idx + 8):
                 assert abs(integrate_poly(one, seq[n]) - 1) < _pow2(N)
 
+    @pytest.mark.parametrize("N", [-4, 0, 3])
+    @pytest.mark.parametrize("over, want_a", [(False, 2), (True, 129)])
+    def test_tail_stop_at_its_bound(self, N, over, want_a):
+        # each member: mass 1 at 0 and w at 100, outside every tent up to
+        # half-width 64, so the gap m_apx - l_apx is w; the loop stops at
+        # a = 1 iff m_apx - l_apx + 4 * 2^-(N+5) <= 2^-(N+2), i.e. w <= 2^-(N+3)
+        w = _pow2(N + 3) + over * _pow2(N + 40)
+        seq = MeasureSeq(lambda n: DiscreteMeasure(((0, 1), (100, w))))
+        got = tail_mass_bound(seq, TotalMassModulus.constant(0), lambda p: Modulus.constant(0), N)
+        assert got == (want_a, 0)
+
+    @pytest.mark.parametrize("under, want_N", [(False, 2), (True, 4)])
+    def test_mass_spread_at_its_bound_fails(self, under, want_N):
+        # masses 1 and 3/2: a spread of 2^-1, the bound at N = 2, refutes
+        # there; a hair less passes N = 2 and fails the stricter N = 4
+        m = Fraction(3, 2) - under * _pow2(40)
+        masses = [Fraction(1), m] + [Fraction(1)] * 39
+        seq = MeasureSeq(lambda n: _MassOnly(masses[n]))
+        with pytest.raises(ContractViolation) as e:
+            validate_total_mass_modulus(seq, TotalMassModulus.constant(0))
+        assert e.value.witness == (want_N, 0, 1, m - 1)
+
+    @pytest.mark.parametrize("N", [-3, 0, 4])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_limit_tail_at_its_bound(self, N, under):
+        # members delta at 2^-n, the limit delta_0 plus w at 1000: with B = 1
+        # the surrogate's tail bound is 2^-(N+6), the divergence test's too.
+        # w = 2^-(N+6) passes the divergence test (not above its bound) and
+        # is refused by the surrogate (not below its bound); a hair less
+        # passes both
+        c = deltashrink()
+        w = _pow2(N + 6) - under * _pow2(N + 40)
+        limit = DiscreteMeasure(((0, 1), (1000, w)))
+        one = co_name_of_poly(constant_func(Fraction(1)))
+        if under:
+            assert vague_to_weak(c.seq, limit, c.tm, c.vague_oracle, one, 1, N) >= 0
+            return
+        with pytest.raises(ContractViolation, match="more tail mass") as e:
+            vague_to_weak(c.seq, limit, c.tm, c.vague_oracle, one, 1, N)
+        assert e.value.witness[1] == w
+
+    def test_negative_mass_bound_index_refused(self):
+        # tm.of(0) = -1 once read no member and took 2 as the mass bound
+        hat, _ = builtin_function("hat")
+        atom = DiscreteMeasure.point(0, 5)
+        tm = Modulus(lambda N: -1 if N == 0 else 0)
+        with pytest.raises(IndexError, match="got -1"):
+            polygonal_surrogate(
+                co_name_of_poly(hat), 1, 3, MeasureSeq(lambda n: atom), atom, tm,
+                lambda q: Modulus.constant(0),
+            )
+        c = mixture()
+        with pytest.raises(IndexError, match="got -1"):
+            vague_to_weak(c.seq, c.limit, tm, c.vague_oracle, co_name_of_poly(hat), 1, 3)
+
     def test_mass_escape_reported_as_divergence(self):
         dn = deltan()
         one = constant_func(Fraction(1))
         with pytest.raises(DivergenceDetected):
             vague_to_weak(dn.seq, dn.limit, dn.tm, dn.vague_oracle, co_name_of_poly(one), 1, 3)
+
+
+def _call_outcome(call):
+    """``("ok", value)``, or the type, message and witness of what ``call()`` raised."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+_LOC = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 8)))
+_WEIGHT = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 5, 8)))
+_FAMILY = st.lists(st.tuples(_LOC, _WEIGHT, st.integers(0, 1)), min_size=1, max_size=4)
+# zero-outside polygons with vertices on the 1/8 grid
+_POLY = st.builds(
+    lambda xs, ys: PolyFunc(
+        ((xs[0] - 1, Fraction(0)), *zip(xs, ys), (xs[-1] + 1, Fraction(0))), "zero-outside"
+    ),
+    st.lists(st.integers(-24, 24).map(lambda k: Fraction(k, 8)), min_size=1, max_size=4, unique=True).map(sorted),
+    st.lists(st.integers(-16, 16).map(lambda k: Fraction(k, 8)), min_size=4, max_size=4),
+)
+
+
+@st.composite
+def _chain_inputs(draw):
+    """(seq, limit, tm, oracle, p, opaque, N) for the vague => weak chain: a
+    random drifting family or the divergent deltan, its members scaled by
+    1 + 2^-(n+s) or not (moving masses make a total-mass modulus fail), its
+    limit with or without an extra atom of mass 2^-(N+t) far out, a
+    total-mass modulus that may give a negative index at 0, and a builtin
+    or random polygon, named with or without its exact backing (without it,
+    the fit reads the tolerance the chain hands it)."""
+    N = draw(st.integers(-12, 12))
+    atoms = draw(st.one_of(st.none(), _FAMILY))
+    c = deltan() if atoms is None else DriftingAtomFamily(atoms).corpus("random")
+    seq, limit = c.seq, c.limit
+    s = draw(st.one_of(st.none(), st.integers(0, 4)))
+    if s is not None:
+        base = c.seq
+        seq = MeasureSeq(
+            lambda n: DiscreteMeasure(tuple((x, w * (1 + _pow2(n + s))) for x, w in base[n].atoms))
+        )
+    t = draw(st.one_of(st.none(), st.integers(3, 9)))
+    if t is not None:
+        far = Fraction(draw(st.sampled_from((-40, 1000))))
+        limit = DiscreteMeasure(limit.atoms + ((far, _pow2(N + t)),))
+    k = draw(st.integers(0, 6))
+    tm = draw(st.sampled_from((
+        lambda: Modulus.constant(k),
+        lambda: Modulus(lambda M: max(0, M + k)),
+        lambda: Modulus(lambda M: -1 if M == 0 else k),
+    )))()
+    fname = draw(st.sampled_from(("constant-one", "hat", "clamped-identity", "zero", "random")))
+    p = draw(_POLY) if fname == "random" else builtin_function(fname)[0]
+    # an opaque name's range-box fit grows about as 2^(N/2) vertices
+    opaque = N <= 2 and draw(st.booleans())
+    return seq, limit, tm, c.vague_oracle, p, opaque, N
+
+
+class TestChainAgainstFractionForms:
+    """The vague => weak chain compares against 2^-n in ``int``s: every
+    return value, exception type, message and witness is the one its
+    ``Fraction`` form gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=_chain_inputs())
+    def test_matches_the_fraction_forms(self, inputs):
+        seq, limit, tm, oracle, p, opaque, N = inputs
+        name = opaque_name_of(p) if opaque else co_name_of_poly(p)
+        B = p.bound().__ceil__()
+        pairs = [
+            (lambda: vague_to_weak(seq, limit, tm, oracle, name, B, N),
+             lambda: vague_to_weak_fraction(seq, limit, tm, oracle, name, B, N)),
+            (lambda: tail_mass_bound(seq, tm, oracle, N),
+             lambda: tail_mass_bound_fraction(seq, tm, oracle, N)),
+            (lambda: polygonal_surrogate(name, B, N, seq, limit, tm, oracle),
+             lambda: polygonal_surrogate_two_builds(name, B, N, seq, limit, tm, oracle)),
+        ]
+        if p.extension == "zero-outside":
+            f = SupportedFunc(name, supported_from_poly(p).support)
+            pairs.append((lambda: uniformize_vague(seq, limit, oracle, f, N),
+                          lambda: uniformize_vague_fraction(seq, limit, oracle, f, N)))
+        for got, want in pairs:
+            assert _call_outcome(got) == _call_outcome(want)
+
+    @pytest.mark.parametrize("family", ["deltashrink", "mixture"])
+    @pytest.mark.parametrize("fname", ["hat", "constant-one"])
+    def test_negative_precisions(self, family, fname):
+        p, _ = builtin_function(fname)
+        name = co_name_of_poly(p)
+        for N in range(-12, 3):
+            c = corpus_by_name(family)
+            assert _call_outcome(
+                lambda: vague_to_weak(c.seq, c.limit, c.tm, c.vague_oracle, name, 1, N)
+            ) == _call_outcome(
+                lambda: vague_to_weak_fraction(c.seq, c.limit, c.tm, c.vague_oracle, name, 1, N)
+            )
+            if p.extension == "zero-outside":
+                f = supported_from_poly(p)
+                assert uniformize_vague(c.seq, c.limit, c.vague_oracle, f, N) == (
+                    uniformize_vague_fraction(c.seq, c.limit, c.vague_oracle, f, N)
+                )
+
+    @pytest.mark.parametrize("N", [-12, -2, 0, 5])
+    def test_surrogate_tolerance_is_the_fraction_form(self, N, monkeypatch):
+        # 2^-(N+1) / (m + 2 + 1), m the largest mass of members 0..tm.of(0)
+        masses = [Fraction(1), Fraction(7, 3), Fraction(2)]
+        seq = MeasureSeq(lambda n: DiscreteMeasure.point(0, masses[min(n, 2)]))
+        seen = []
+        window = convergence._window_lattice
+        monkeypatch.setattr(
+            convergence, "_window_lattice", lambda f, a, b, tol: seen.append(tol) or window(f, a, b, tol)
+        )
+        tm = Modulus(lambda M: 2 if M == 0 else 3)
+        one = co_name_of_poly(constant_func(Fraction(1)))
+        polygonal_surrogate(one, 1, N, seq, DiscreteMeasure.point(0, 2), tm, lambda q: Modulus.constant(3))
+        assert seen == [_pow2(N + 1) / (Fraction(7, 3) + 2 + 1)]
 
 
 # every converter that asks a vague oracle, on the mixture corpus

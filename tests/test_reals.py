@@ -15,7 +15,7 @@ from effmeas import (
     NameViolation,
     make_cauchy,
 )
-from effmeas.reals import _pow2
+from effmeas.reals import _pow2, _scaled
 
 
 def wobbly(q: Fraction) -> CauchyReal:
@@ -105,3 +105,13 @@ class TestPow2:
         for n in range(2000):
             _pow2(n)
         assert _pow2.cache_info().currsize <= 256
+
+
+class TestScaled:
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(-64, 64))
+    def test_value_for_either_sign_of_the_exponent(self, p, q, n):
+        a, b = _scaled(p, q, n)
+        assert type(a) is int and type(b) is int and b > 0
+        assert Fraction(a, b) == Fraction(p, q) * _pow2(-n)
+        # the comparison the converters make: p/q against 2^-n
+        assert (a < b) == (Fraction(p, q) < _pow2(n)) and (a == b) == (Fraction(p, q) == _pow2(n))
