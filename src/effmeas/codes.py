@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .reals import _fraction
+
 
 def cantor_pair(u: int, v: int) -> int:
     return (u + v) * (u + v + 1) // 2 + v
@@ -79,16 +81,18 @@ def decode_ball(i: int) -> tuple[Fraction, Fraction]:
 
 
 def encode_ball(center: Fraction, radius: Fraction) -> int:
+    center, radius = _fraction(center), _fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return cantor_pair(rat_to_nat(Fraction(center)), posrat_to_nat(Fraction(radius)) - 1)
+    return cantor_pair(rat_to_nat(center), posrat_to_nat(radius) - 1)
 
 
 def encode_open_interval(left: Fraction, right: Fraction) -> int:
+    left, right = _fraction(left), _fraction(right)
     if not left < right:
         raise ValueError("need left < right")
-    c = (Fraction(left) + Fraction(right)) / 2
-    return encode_ball(c, Fraction(right) - c)
+    c = (left + right) / 2
+    return encode_ball(c, right - c)
 
 
 def decode_open_interval(i: int) -> tuple[Fraction, Fraction]:

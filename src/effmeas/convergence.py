@@ -35,7 +35,7 @@ from .functions import (
     tent_function,
 )
 from .measures import DiscreteMeasure, LazyDiscreteMeasure, Measure, integrate_named
-from .reals import CauchyReal, LowerReal, _pow2, _scaled
+from .reals import CauchyReal, LowerReal, _fraction, _pow2, _scaled
 from .streams import Fuel, Stream
 
 
@@ -163,7 +163,7 @@ def _window_rows(
 def _limit_value_and_error(limit, prec: int) -> tuple[Fraction, Fraction]:
     if isinstance(limit, CauchyReal):
         return limit.approx(prec), _pow2(prec - 1)
-    return Fraction(limit), Fraction(0)
+    return _fraction(limit), Fraction(0)
 
 
 def check_modulus(
@@ -205,7 +205,7 @@ def check_cut(
     past it on its side.  Otherwise, or when ``idx`` is ``None`` (no index
     yet), the one row ``N, -1, -1, r, cut`` fails.
     """
-    r = Fraction(r)
+    r = _fraction(r)
     if idx is None or (r >= cut if above else r <= cut):
         return CheckReport([CheckRow(N, -1, -1, r, cut, False)])
     return CheckReport(_window_rows(N, idx, window, values, r, above))
@@ -595,7 +595,7 @@ class ReconstructedMeasure(Measure):
         return self._total
 
     def interval_mass_lower(self, a, b) -> LowerReal:
-        a, b = Fraction(a), Fraction(b)
+        a, b = _fraction(a), _fraction(b)
 
         def gen():
             best = None

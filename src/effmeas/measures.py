@@ -38,7 +38,7 @@ Side = tuple[Sequence[int], Sequence[int], int, int]
 
 def integrate_product(p: PolyFunc, q: PolyFunc, a: Fraction, b: Fraction) -> Fraction:
     """Exact integral of p*q over [a, b] (Simpson is exact for quadratics)."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _fraction(a), _fraction(b)
     if a >= b:
         return Fraction(0)
     cuts = sorted(
@@ -64,11 +64,11 @@ class Measure:
 
     - :meth:`total_mass_real` and :meth:`total_mass_upper`, from an exact mass;
     - :meth:`cumulative`, exact masses left of points on an ``int`` lattice,
-      on which :meth:`region_mass_open`, :meth:`mass_closed` and :meth:`open_mass` are built;
+      on which :meth:`region_mass_open`, :meth:`mass_closed`, :meth:`open_mass`
+      and :meth:`null_test`, for the null spheres of almost decidable balls, are built;
     - :meth:`integrate_poly` (exact) and, built on it and within 2^-n,
       :meth:`integrate_zero_outside` for a ``zero-outside`` polygon and
       :meth:`integrate_supported` for a named function;
-    - :meth:`null_test`, for the null spheres of almost decidable balls;
     - :meth:`support_radius`;
     - :meth:`cells`, the finite discretisation the Prokhorov bounds search.
 
@@ -143,8 +143,13 @@ class Measure:
         return integrate_poly(approx_polygonal(f, tol), self)
 
     def null_test(self) -> Callable[[Fraction], bool]:
-        """x -> is {x} mu-null."""
-        self._unsupported("null-point test")
+        """x -> is {x} mu-null: :meth:`cumulative` at x gives (-inf, x) and (-inf, x] one mass."""
+
+        def null(x: Fraction) -> bool:
+            below, upto, _, _ = self.cumulative((x.numerator,), x.denominator)
+            return below == upto
+
+        return null
 
     def support_radius(self) -> Fraction:
         """An a with mu(R \\ [-a, a]) = 0."""
@@ -303,19 +308,6 @@ class DiscreteMeasure(Measure):
             den = den // g * (x1 - x0)
         return Fraction(num, dy * lx * lw * den)
 
-    def null_test(self) -> Callable[[Fraction], bool]:
-        """x is null unless x*lx is an ``int`` that :meth:`lattice` holds."""
-        xs, _, lx, _ = self._lattice
-
-        def null(x) -> bool:
-            k, off = divmod(x.numerator * lx, x.denominator)
-            if off:  # off the lattice, so at no atom
-                return True
-            i = bisect_left(xs, k)
-            return i == len(xs) or xs[i] != k
-
-        return null
-
     def support_radius(self) -> Fraction:
         xs, _, lx, _ = self._lattice
         return Fraction(max(abs(xs[0]), abs(xs[-1])), lx) if xs else Fraction(0)
@@ -402,9 +394,6 @@ class PolyDensityMeasure(Measure):
     def integrate_poly(self, p: PolyFunc) -> Fraction:
         X, _, dx, _ = self.density.lattice()
         return integrate_product(p, self.density, Fraction(X[0], dx), Fraction(X[-1], dx))
-
-    def null_test(self) -> Callable[[Fraction], bool]:
-        return lambda x: True
 
     def support_radius(self) -> Fraction:
         X, _, dx, _ = self.density.lattice()
@@ -534,32 +523,19 @@ class AlmostDecidablePair:
         )
 
     def check(self) -> bool:
-        if self.U.components is None or self.V.components is None:
+        """One merge of U's and V's merged exact components: U and V meet exactly
+        when it joins some, and U u V is dense exactly when it runs from -inf
+        to +inf with only point gaps."""
+        U, V = self.U.components, self.V.components
+        if U is None or V is None:
             raise UnsupportedMeasureClass("check needs exact set descriptions")
-        for al, ar in self.U.components:
-            for bl, br in self.V.components:
-                lo = max(
-                    al if al is not None else bl, bl if bl is not None else al
-                )
-                hi = min(
-                    ar if ar is not None else br, br if br is not None else ar
-                )
-                if lo is None or hi is None or lo < hi:
-                    return False
-        mu_u, mu_v, mu_r = self.masses()
-        if mu_u + mu_v != mu_r:
+        comps = merge_open(U + V)
+        if len(comps) < len(U) + len(V):
             return False
-        return _union_is_dense(self.U.components, self.V.components)
-
-
-def _union_is_dense(a_comps, b_comps) -> bool:
-    """closure(union) = R: unbounded both ways and only point-sized gaps."""
-    comps = merge_open(list(a_comps) + list(b_comps))
-    if not comps:
-        return False
-    if comps[0][0] is not None or comps[-1][1] is not None:
-        return False
-    return all(r0 == l1 for (_, r0), (l1, _) in zip(comps, comps[1:]))
+        mu_u, mu_v, mu_r = self.masses()
+        if mu_u + mu_v != mu_r or not comps or comps[0][0] is not None or comps[-1][1] is not None:
+            return False
+        return all(r0 == l1 for (_, r0), (l1, _) in zip(comps, comps[1:]))
 
 
 _RADIUS_GRIDS = (4, 16, 64, 256, 1024, 4096)
@@ -605,8 +581,8 @@ def almost_decidable_ball(
     (min_radius, radius_bound); only finitely many radii are excluded by
     atoms, so the search succeeds for the concrete classes.
     """
-    center = Fraction(center)
-    r = _null_sphere_search(mu, Fraction(radius_bound), Fraction(min_radius))(center)
+    center = _fraction(center)
+    r = _null_sphere_search(mu, _fraction(radius_bound), _fraction(min_radius))(center)
     return r, _ball_pair(mu, center, r)
 
 
@@ -632,7 +608,7 @@ def almost_decidable_cover(mu: Measure, s) -> Stream:
     given points use :func:`first_cover_balls`, which finds the same balls
     directly.
     """
-    s = Fraction(s)
+    s = _fraction(s)
     if s <= 0:
         raise ValueError("s must be positive")
 
@@ -674,7 +650,7 @@ def first_cover_balls(
     those hold x.  All in ``int``s on mu's :meth:`~DiscreteMeasure.lattice`:
     with x = a/b, |k*s/2 - x| < s*m/D iff |p*(kD/2)*b - a*q*D| < p*m*b.
     """
-    s = Fraction(s)
+    s = _fraction(s)
     if s <= 0:
         raise ValueError("s must be positive")
     xs, _, lx, _ = mu.lattice()

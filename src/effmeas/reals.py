@@ -95,7 +95,7 @@ class CauchyReal:
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> "CauchyReal":
-        q = Fraction(q)
+        q = _fraction(q)
         return cls(lambda _n: q)
 
     def approx(self, n: int) -> Fraction:
@@ -130,7 +130,7 @@ class _Bounds:
 
     @classmethod
     def from_rational(cls, q: RationalLike):
-        q = Fraction(q)
+        q = _fraction(q)
         return cls(lambda _n: q)
 
     def bound(self, n: int) -> Fraction:

@@ -289,7 +289,7 @@ def closed_neighborhood(C: PiSet, s: Fraction) -> PiSet:
     certified: exactly for concrete closed sets, by fueled lower bounds on
     the distance otherwise.
     """
-    s = Fraction(s)
+    s = _fraction(s)
     if s <= 0:
         raise ValueError("s must be a positive rational")
     if C.closed_components is not None:

@@ -5,6 +5,7 @@ exercises the same cases; hypothesis-based properties carry their own
 shrinking seeds.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -95,6 +96,30 @@ def region_mass_open_per_component(mu, comps) -> Fraction:
 def mass_closed_per_component(mu, comps) -> Fraction:
     # points are null for a density measure
     return region_mass_open_per_component(mu, merge_closed([(l, r) for l, r in comps if l < r]))
+
+
+def almost_decidable_by_pairs(U, V, mu) -> bool:
+    """``AlmostDecidablePair(U, V, mu).check()`` by a loop over pairs of the
+    exact components, a ``None`` end read as -inf on the left and +inf on
+    the right: no component of U meets one of V, the per-atom or
+    per-component masses of U and V sum to mu(R), and U u V holds a point
+    between each two consecutive finite ends and beyond the outer ones, so
+    every gap of the union is a point."""
+
+    def lo(x):
+        return -math.inf if x is None else x
+
+    def hi(x):
+        return math.inf if x is None else x
+
+    if any(max(lo(al), lo(bl)) < min(hi(ar), hi(br)) for al, ar in U for bl, br in V):
+        return False
+    mass = region_mass_open_per_atom if isinstance(mu, DiscreteMeasure) else region_mass_open_per_component
+    if mass(mu, U) + mass(mu, V) != mass(mu, ((None, None),)):
+        return False
+    ends = sorted({e for comp in U + V for e in comp if e is not None})
+    probes = [(a + b) / 2 for a, b in zip(ends, ends[1:])] + ([ends[0] - 1, ends[-1] + 1] if ends else [Fraction(0)])
+    return all(open_contains_point(U + V, x) for x in probes)
 
 
 def rand_supported_poly(rng: random.Random, span=3, max_verts=5) -> PolyFunc:

@@ -2,8 +2,8 @@
 bound streams, the measure protocol, the open and closed sets, the vague oracles' callers,
 the vague => weak chain's int comparisons and tolerances, the certificate checks, the
 scan and total-mass check lengths, the file reader, the
-builtin names, the drifting families, the lattice cover search, the refusals of
-non-rational values and the CLI.
+builtin names, the drifting families, the lattice cover search, null points and
+the almost decidable pair check, the refusals of non-rational values and the CLI.
 
 Not part of the test suite (pytest collects only ``test_*.py``).  Each
 mutant is one exact text replacement in one source file.  For each, the
@@ -45,6 +45,7 @@ CLI = "src/effmeas/cli.py"
 SETS = "src/effmeas/sets.py"
 CORPORA = "src/effmeas/corpora.py"
 REALS = "src/effmeas/reals.py"
+CODES = "src/effmeas/codes.py"
 PROKHOROV_TESTS = ("tests/test_prokhorov.py",)
 TIMEOUT_S = 600  # per pytest run; an unmutated run takes well under a minute
 
@@ -459,6 +460,48 @@ MUTANTS = (
         file=SETS,
         tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
     ),
+    # one coercion, which refuses a float, for every public rational input
+    Mutant(
+        "refusal: a ball search's centre coerced by Fraction itself",
+        "    center = _fraction(center)\n",
+        "    center = Fraction(center)\n",
+        file=MEASURES,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
+    ),
+    Mutant(
+        "refusal: a cut's level coerced by Fraction itself",
+        "    r = _fraction(r)\n    if idx is None",
+        "    r = Fraction(r)\n    if idx is None",
+        file=CONVERGENCE,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
+    ),
+    Mutant(
+        "refusal: a witness level coerced by Fraction itself",
+        "    r = _fraction(r)\n    comps = C.closed_components",
+        "    r = Fraction(r)\n    comps = C.closed_components",
+        tests=("tests/test_refusals.py::test_float_refused",),
+    ),
+    Mutant(
+        "refusal: a Cauchy name's rational coerced by Fraction itself",
+        'def from_rational(cls, q: RationalLike) -> "CauchyReal":\n        q = _fraction(q)',
+        'def from_rational(cls, q: RationalLike) -> "CauchyReal":\n        q = Fraction(q)',
+        file=REALS,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
+    ),
+    Mutant(
+        "refusal: a neighbourhood's radius coerced by Fraction itself",
+        "    s = _fraction(s)\n    if s <= 0:\n        raise ValueError(\"s must be a positive rational\")",
+        "    s = Fraction(s)\n    if s <= 0:\n        raise ValueError(\"s must be a positive rational\")",
+        file=SETS,
+        tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
+    ),
+    Mutant(
+        "refusal: a ball code's radius coerced by Fraction itself",
+        "center, radius = _fraction(center), _fraction(radius)",
+        "center, radius = _fraction(center), Fraction(radius)",
+        file=CODES,
+        tests=("tests/test_refusals.py::test_float_refused",),
+    ),
     Mutant(
         "ball: the radius taken as given",
         "    radius = _fraction(radius)\n",
@@ -548,20 +591,42 @@ MUTANTS = (
         file=MEASURES,
         tests=("tests/test_refusals.py::test_hostile_values_refused_loudly",),
     ),
-    # the measure protocol
+    # the measure protocol: null points from cumulative, and the pair check
+    # on one merge
     Mutant(
-        "protocol: a discrete measure's atoms taken as null",
-        "return i == len(xs) or xs[i] != k",
-        "return True",
+        "null points: a point with mass taken as null",
+        "return below == upto",
+        "return below <= upto",
         file=MEASURES,
-        tests=("tests/test_measures.py",),
+        tests=("tests/test_measures.py::TestDiscreteMeasure::test_null_test_matches_the_location_set",),
     ),
     Mutant(
-        "protocol: a point off the lattice tested at its floor",
-        "if off:  # off the lattice",
-        "if False:  # off the lattice",
+        "pair check: meeting sets not refused",
+        "        if len(comps) < len(U) + len(V):\n            return False\n",
+        "",
         file=MEASURES,
-        tests=("tests/test_measures.py::TestDiscreteMeasure",),
+        tests=("tests/test_measures.py::TestAlmostDecidable",),
+    ),
+    Mutant(
+        "pair check: a union bounded on the left taken as dense",
+        " or comps[0][0] is not None",
+        "",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestAlmostDecidable",),
+    ),
+    Mutant(
+        "pair check: a union bounded on the right taken as dense",
+        " or comps[-1][1] is not None",
+        "",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestAlmostDecidable",),
+    ),
+    Mutant(
+        "pair check: a gap of positive length taken as dense",
+        "r0 == l1",
+        "r0 <= l1",
+        file=MEASURES,
+        tests=("tests/test_measures.py::TestAlmostDecidable",),
     ),
     Mutant(
         "null spheres: each grid's candidates in reverse order",

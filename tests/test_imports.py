@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, and every
 public function or class a library module defines, and every method but a
-dunder of a library class, is read by the library.
+dunder of a library class, is read by the library; and no public function
+or method hands one of its parameters to a one-argument ``Fraction``.
 
 ``__init__.py`` is left out: its imports are the package's exports.
 """
@@ -184,3 +185,59 @@ def test_the_check_sees_an_unread_method():
 def test_every_method_has_a_reader():
     unread = unread_methods([path.read_text() for path in MODULES])
     assert set(unread) == UNREAD_METHODS_KEPT
+
+
+def parameters_taken_by_fraction(source: str) -> list[str]:
+    """``function(parameter)``, or ``Class.method(parameter)``, for each public
+    top-level function, or method of a top-level class but a private one,
+    that passes one of its own parameters to a one-argument ``Fraction(...)``.
+    That call takes a float at its binary value; a public rational input goes
+    through ``reals._fraction``, which refuses it."""
+    tree = ast.parse(source)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [(node.name, node) for node in tree.body if isinstance(node, funcs)]
+    defs += [
+        (f"{cls.name}.{node.name}", node)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, funcs)
+    ]
+    found = set()
+    for name, fn in defs:
+        if fn.name.startswith("_") and not fn.name.endswith("__"):
+            continue
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+                and len(node.args) == 1
+                and not node.keywords
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id in params
+            ):
+                found.add(f"{name}({node.args[0].id})")
+    return sorted(found)
+
+
+def test_the_check_sees_a_parameter_taken_by_fraction():
+    kept = (
+        "class Kept:\n"
+        "    def __init__(self, q):\n        self.q = _fraction(q)\n\n"
+        "    def _private(self, q):\n        return Fraction(q)\n\n"
+        "    def scaled(self, q, k):\n        return Fraction(q, k) + Fraction(k * q) + Fraction(1)\n\n"
+        "def _private(q):\n    return Fraction(q)\n"
+    )
+    planted = (
+        "class Planted:\n    def __post_init__(self, r):\n        self.r = Fraction(r)\n\n"
+        "def public(a, b):\n    def inner():\n        return Fraction(b)\n\n    return inner()\n"
+    )
+    assert parameters_taken_by_fraction(kept) == []
+    assert parameters_taken_by_fraction(kept + "\n\n" + planted) == ["Planted.__post_init__(r)", "public(b)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_parameter_taken_by_fraction(path):
+    assert parameters_taken_by_fraction(path.read_text()) == []

@@ -35,6 +35,7 @@ from effmeas.measures import first_cover_balls, integrate_product
 from effmeas.reals import LowerReal, _pow2
 from effmeas.sets import merge_closed, merge_open
 from tests.conftest import (
+    almost_decidable_by_pairs,
     exact_open,
     mass_closed_per_atom,
     mass_closed_per_component,
@@ -165,6 +166,14 @@ class TestDiscreteMeasure:
     def test_reversed_closed_component_refused(self):
         with pytest.raises(MalformedInterval, match="closed component needs left <= right"):
             DiscreteMeasure(((Fraction(1, 2), 1),)).mass_closed([(1, 0)])
+
+    @pytest.mark.parametrize(
+        "mu, total",
+        [(DiscreteMeasure.point(0, Fraction(3, 2)), Fraction(3, 2)), (DiscreteMeasure.zero(), 0)],
+    )
+    def test_total_mass_real_is_the_exact_mass(self, mu, total):
+        name = mu.total_mass_real()
+        assert [name.approx(n) for n in range(4)] == [total] * 4
 
     def test_lattice_readers_build_no_atoms(self):
         # -3/4, 2/4 and 10/6 of mass 1/6, 2/6 and 2/5, tokens unreduced
@@ -530,9 +539,23 @@ class TestPolyDensityMeasure:
         with pytest.raises(UnsupportedMeasureClass):
             Measure().open_mass(exact_open([(Fraction(0), Fraction(1))]))
 
+    def test_protocol_defaults_refuse(self):
+        with pytest.raises(UnsupportedMeasureClass, match="^unsupported measure class Measure: no exact integration$"):
+            Measure().integrate_poly(constant_func(1))
+        with pytest.raises(UnsupportedMeasureClass, match="^unsupported measure class Measure: no bounded support$"):
+            Measure().support_radius()
+        with pytest.raises(UnsupportedMeasureClass, match="^unsupported measure class Measure: no exact region masses$"):
+            Measure().null_test()(Fraction(0))
+
     def test_points_are_null(self):
         u = PolyDensityMeasure.uniform(Fraction(0), Fraction(1))
         assert u.mass_closed(((Fraction(1, 2), Fraction(1, 2)),)) == 0
+        null = u.null_test()
+        assert all(null(Fraction(k, 3)) for k in range(-6, 7))
+
+    def test_density_must_be_zero_outside(self):
+        with pytest.raises(ValueError, match="density must be zero-outside"):
+            PolyDensityMeasure(constant_func(1))
 
     def test_reversed_closed_component_refused(self):
         with pytest.raises(MalformedInterval, match="closed component needs left <= right"):
@@ -782,6 +805,29 @@ class TestIntegrateNamed:
         assert mu.total_mass_upper() >= Fraction(3, 2)
 
 
+_end = st.one_of(st.none(), st.integers(-3, 3).map(Fraction))
+_open_sets = st.lists(st.tuples(_end, _end), max_size=4).map(exact_open)
+_discrete = st.lists(
+    st.tuples(st.integers(-7, 7).map(lambda k: Fraction(k, 2)), st.integers(1, 3)), max_size=4
+).map(lambda atoms: DiscreteMeasure(tuple(atoms)))
+_densities = st.tuples(st.integers(-4, 3), st.integers(1, 4)).map(
+    lambda a: PolyDensityMeasure(PolyFunc(((a[0], 0), (Fraction(2 * a[0] + a[1], 2), 1), (a[0] + a[1], 0))))
+)
+
+
+@st.composite
+def _partitions(draw):
+    """Open U and V made of the pieces between sorted integer cuts, each piece
+    in U, in V or, less often, in neither: disjoint, and dense unless a piece
+    is left out."""
+    cuts = sorted(draw(st.sets(st.integers(-3, 3), max_size=4)))
+    ends = [None, *map(Fraction, cuts), None]
+    sides = ([], [], [])
+    for piece in zip(ends, ends[1:]):
+        sides[draw(st.sampled_from((0, 0, 0, 1, 1, 1, 2)))].append(piece)
+    return exact_open(sides[0]), exact_open(sides[1])
+
+
 S = Fraction(1, 8)
 C1 = S / 2  # the cover's second centre
 # the four coarsest candidate radii are 43s/128, 65s/128, 87s/128, 109s/128
@@ -802,6 +848,64 @@ class TestAlmostDecidable:
     def lazy_pair():
         # a null test, but no exact region masses
         return almost_decidable_ball(_lazy(), Fraction(1, 2), Fraction(1))[1]
+
+    def test_reconstructed_limit_refused(self):
+        # a lower-semicomputable limit has no cumulative, so no null points
+        c = deltashrink()
+        rec = limit_from_vague(c.seq, c.vague_oracle, CauchyReal.from_rational(1))
+        with pytest.raises(UnsupportedMeasureClass, match="^unsupported measure class ReconstructedMeasure: no exact region masses$"):
+            almost_decidable_ball(rec, Fraction(0), Fraction(1))
+
+    def test_empty_radius_range_refused(self):
+        with pytest.raises(ValueError, match="need min_radius < radius_bound"):
+            almost_decidable_ball(DiscreteMeasure.point(0), Fraction(0), Fraction(1), Fraction(1))
+
+    def test_nonpositive_pitch_refused(self):
+        mu = DiscreteMeasure.point(0)
+        for s in (0, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="s must be positive"):
+                almost_decidable_cover(mu, s)
+            with pytest.raises(ValueError, match="s must be positive"):
+                first_cover_balls(mu, s, [Fraction(0)])
+
+    def test_check_needs_exact_sets(self):
+        pulled = SigmaSet(lambda k: (Fraction(0), Fraction(1)))
+        pair = AlmostDecidablePair(pulled, SigmaSet.ball(0, 1), DiscreteMeasure.point(0))
+        with pytest.raises(UnsupportedMeasureClass, match="check needs exact set descriptions"):
+            pair.check()
+
+    @pytest.mark.parametrize(
+        "U, V, at",
+        [
+            # each a pair that fails one test only
+            (((-1, 1),), ((None, Fraction(1, 4)), (Fraction(3, 4), None)), 5),  # U and V meet
+            (((None, Fraction(1)),), ((None, Fraction(2)),), 0),  # two rays to -inf meet
+            (((Fraction(1), None),), ((Fraction(2), None),), 0),  # two rays to +inf meet
+            (((-1, 1),), ((None, -1), (1, None)), 1),  # an atom on the sphere
+            (((-1, 1),), ((None, -2), (2, None)), 0),  # a gap (1, 2)
+            (((0, 1),), ((1, None),), Fraction(1, 2)),  # bounded on the left
+            (((None, 0),), ((0, 1),), -1),  # bounded on the right
+        ],
+        ids=["meet", "rays-left", "rays-right", "mass", "gap", "left", "right"],
+    )
+    def test_check_fails(self, U, V, at):
+        mu = DiscreteMeasure.point(at)
+        pair = AlmostDecidablePair(SigmaSet._exact(U), SigmaSet._exact(V), mu)
+        assert pair.check() is False
+        assert almost_decidable_by_pairs(pair.U.components, pair.V.components, mu) is False
+
+    def test_empty_sets_not_dense(self):
+        empty = exact_open([])
+        assert AlmostDecidablePair(empty, empty, DiscreteMeasure.zero()).check() is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(sets=st.one_of(_partitions(), st.tuples(_open_sets, _open_sets)), mu=st.one_of(_discrete, _densities))
+    @example(sets=(exact_open([(None, None)]), exact_open([(None, None)])), mu=DiscreteMeasure.zero())
+    @example(sets=(exact_open([(None, 0)]), exact_open([(0, None)])), mu=DiscreteMeasure.point(1))
+    def test_check_matches_the_pairwise_oracle(self, sets, mu):
+        U, V = sets
+        want = almost_decidable_by_pairs(U.components, V.components, mu)
+        assert AlmostDecidablePair(U, V, mu).check() is want
 
     def test_lazy_pair_check_unsupported(self):
         with pytest.raises(UnsupportedMeasureClass):

@@ -3,8 +3,11 @@
 A bad atom gets one message from every build that takes atoms, and no value
 handed to ``DiscreteMeasure``, ``DiscreteMeasure.point``, ``PolyFunc``,
 ``PolyDensityMeasure``, ``DriftingAtomFamily``, ``tent_function``,
-``SigmaSet.ball`` or ``SigmaSet.ball_exterior`` escapes as anything but
-:class:`MalformedInterval` or ``ValueError`` with a printable message.
+``SigmaSet.ball``, ``SigmaSet.ball_exterior``, ``almost_decidable_ball``,
+``almost_decidable_cover``, ``first_cover_balls``, ``closed_neighborhood``,
+``check_cut`` or the ``from_rational`` of ``CauchyReal`` and ``LowerReal``
+escapes as anything but :class:`MalformedInterval` or ``ValueError`` with a
+printable message.  Every other public rational input refuses a float too.
 """
 
 from fractions import Fraction
@@ -12,10 +15,29 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from effmeas import DiscreteMeasure, PolyDensityMeasure, PolyFunc, SigmaSet
-from effmeas.corpora import DriftingAtomFamily
+from effmeas import (
+    CauchyReal,
+    DiscreteMeasure,
+    LowerReal,
+    PolyDensityMeasure,
+    PolyFunc,
+    SigmaSet,
+    almost_decidable_ball,
+    almost_decidable_cover,
+    check_cut,
+    check_modulus,
+    closed_neighborhood,
+    limit_from_vague,
+    pi_from_complement,
+    witness_from_eps,
+)
+from effmeas.codes import encode_ball, encode_open_interval
+from effmeas.corpora import DriftingAtomFamily, deltashrink
+from effmeas.convergence import Modulus
 from effmeas.errors import MalformedInterval, show
-from effmeas.functions import CONST, tent_function
+from effmeas.functions import CONST, constant_func, tent_function
+from effmeas.measures import first_cover_balls, integrate_product
+from effmeas.streams import Fuel
 
 BAD_ATOMS = [
     ("None location", (None, 1), MalformedInterval, "expected a rational number, got None"),
@@ -69,6 +91,10 @@ def _mass_of(U: SigmaSet) -> Fraction:
     return DiscreteMeasure.point(0).region_mass_open(U.components)
 
 
+ATOM = DiscreteMeasure.point(0)
+ORIGIN = pi_from_complement([(0, 0)])
+
+
 # build -> (constructor of the value, the rule in RULES for the rationals it
 # refuses, or None if it takes every rational)
 BUILDS = {
@@ -85,6 +111,14 @@ BUILDS = {
     "ball centre": (lambda v: _mass_of(SigmaSet.ball(v, 1)), None),
     "ball radius": (lambda v: _mass_of(SigmaSet.ball(0, v)), "radius"),
     "exterior centre": (lambda v: _mass_of(SigmaSet.ball_exterior(v, 1)), None),
+    "ball search centre": (lambda v: almost_decidable_ball(ATOM, v, 1), None),
+    "ball search bound": (lambda v: almost_decidable_ball(ATOM, 0, v), "bound"),
+    "cover pitch": (lambda v: almost_decidable_cover(ATOM, v)[1], "pitch"),
+    "first balls pitch": (lambda v: first_cover_balls(ATOM, v, [Fraction(1, 3)]), "pitch"),
+    "neighbourhood radius": (lambda v: closed_neighborhood(ORIGIN, v), "neighbourhood"),
+    "cut level": (lambda v: check_cut(0, 0, v, Fraction(0), lambda n: Fraction(-1), 1).passed, None),
+    "Cauchy rational": (lambda v: CauchyReal.from_rational(v).approx(2), None),
+    "lower rational": (lambda v: LowerReal.from_rational(v).bound(2), None),
 }
 # rule -> (which rationals it refuses, the error, its text; {q} is show(q))
 RULES = {
@@ -92,6 +126,9 @@ RULES = {
     "ordinate": (lambda q: q < 0, ValueError, "density must be nonnegative"),
     "tent end": (lambda q: q > 1, MalformedInterval, "need c <= d"),
     "radius": (lambda q: q < 0, MalformedInterval, "negative radius {q}"),
+    "bound": (lambda q: q <= 0, ValueError, "need min_radius < radius_bound"),
+    "pitch": (lambda q: q <= 0, ValueError, "s must be positive"),
+    "neighbourhood": (lambda q: q <= 0, ValueError, "s must be a positive rational"),
 }
 
 
@@ -133,6 +170,17 @@ def _expected(v, rule):
 @example(spec=0.1, build="point location")  # refused: once the atom 3602879701896397/2^55
 @example(spec=None, build="ball radius")
 @example(spec=None, build="exterior centre")
+# each once took 0.1 at its binary value
+@example(spec=0.1, build="ball search centre")
+@example(spec=0.1, build="ball search bound")
+@example(spec=0.1, build="cover pitch")
+@example(spec=0.1, build="first balls pitch")
+@example(spec=0.1, build="neighbourhood radius")
+@example(spec=0.1, build="cut level")
+@example(spec=0.1, build="Cauchy rational")
+@example(spec=0.1, build="lower rational")
+@example(spec=0, build="cover pitch")
+@example(spec=Fraction(-1, 2), build="neighbourhood radius")
 def test_hostile_values_refused_loudly(spec, build):
     """Each build succeeds or refuses exactly as :func:`_expected` says, and
     its message prints under the interpreter's default digit limit."""
@@ -153,3 +201,27 @@ def test_drift_flag_refused_loudly(flag):
     with pytest.raises(ValueError) as exc:
         DriftingAtomFamily([(0, 1, flag)])
     assert type(exc.value) is ValueError and str(exc.value) == "drift flags must be 0 or 1"
+
+
+def _reconstructed():
+    c = deltashrink()
+    return limit_from_vague(c.seq, c.vague_oracle, CauchyReal.from_rational(1))
+
+
+# every other public entry that coerces a rational input, the float placed there
+FLOAT_TAKERS = {
+    "ball search floor": lambda x: almost_decidable_ball(ATOM, 0, 1, x),
+    "product end": lambda x: integrate_product(constant_func(1), constant_func(1), 0, x),
+    "modulus limit": lambda x: check_modulus(lambda n: Fraction(0), x, Modulus.constant(0), [0], Fuel(0)),
+    "interval mass end": lambda x: _reconstructed().interval_mass_lower(0, x),
+    "witness level": lambda x: witness_from_eps(None, ATOM, None, ORIGIN, x),
+    "ball code radius": lambda x: encode_ball(0, x),
+    "interval code end": lambda x: encode_open_interval(0, x),
+}
+
+
+@pytest.mark.parametrize("take", list(FLOAT_TAKERS.values()), ids=list(FLOAT_TAKERS))
+def test_float_refused(take):
+    with pytest.raises(MalformedInterval) as exc:
+        take(0.1)
+    assert str(exc.value) == "expected a rational number, got 0.1"
